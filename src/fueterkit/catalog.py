@@ -23,6 +23,7 @@ from .radial import (
     constant_vector_y,
     inner_x,
     inner_y,
+    proportionality_constant,
     vector_x,
     vector_y,
 )
@@ -143,19 +144,6 @@ class CaseResult:
     scale_found: Fraction | None
     engine_output: RadialExpr
     reference_output: RadialExpr
-
-
-def proportionality_constant(got: RadialExpr, want: RadialExpr) -> Fraction | None:
-    """The constant lam with got = lam * want, or None if not proportional."""
-    want_terms = want.canonical_terms()
-    if not want_terms:
-        return Fraction(0) if got.is_zero() else None
-    got_terms = got.canonical_terms()
-    key = sorted(want_terms)[0]
-    lam = got_terms.get(key, Fraction(0)) / want_terms[key]
-    if (got - lam * want).is_zero():
-        return lam
-    return None
 
 
 def run_case(case: ReferenceCase, t: Sequence[Fraction], s: Sequence[Fraction],

@@ -47,6 +47,7 @@ from .radial import (
     laplacian_power,
     nu,
     omega,
+    proportionality_constant,
     vector_x,
     vector_y,
 )
@@ -102,7 +103,11 @@ def _group_data(frame: AxisFrame, group: str):
 
 def homogeneous_group_degree(expr: RadialExpr, group: str) -> int:
     """Degree of a nonzero homogeneous polynomial supported purely on one
-    axial group (coordinates and coefficient blades alike)."""
+    axial group (coordinates and coefficient blades alike).
+
+    The normal form may carry the group's squared radius: an x-group
+    factor can hold r^a and a y-group factor rho^b, with even exponents
+    >= 0; they count towards the degree."""
     frame = expr.frame
     idxs, _scope, _dim, allowed_gens = _group_data(frame, group)
     idx_set = set(idxs)
@@ -111,7 +116,8 @@ def homogeneous_group_degree(expr: RadialExpr, group: str) -> int:
         raise PreconditionError(f"the zero expression is not a valid {group}-group factor")
     degrees = set()
     for (mono, blade, a, b), _c in terms.items():
-        if a != 0 or b != 0:
+        radial, other = (a, b) if group == "x" else (b, a)
+        if other != 0 or radial < 0 or radial % 2:
             raise PreconditionError(f"factor is not a polynomial (radial exponents {a}, {b} remain)")
         for i, e in enumerate(mono):
             if e and i not in idx_set:
@@ -119,7 +125,7 @@ def homogeneous_group_degree(expr: RadialExpr, group: str) -> int:
                     f"factor uses coordinate {frame.coord_name(i)} outside the {group} group")
         if any(g not in allowed_gens for g in blade):
             raise PreconditionError(f"factor has coefficient blade {blade} outside the {group} group algebra")
-        degrees.add(sum(mono))
+        degrees.add(sum(mono) + a + b)
     if len(degrees) != 1:
         raise PreconditionError(f"factor is not homogeneous: degrees {sorted(degrees)}")
     return degrees.pop()
@@ -156,8 +162,9 @@ def _verified_monogenic(out: RadialExpr, what: str) -> RadialExpr:
     return out
 
 
-def ft_plus(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: AxisFrame) -> RadialExpr:
-    """Delta^{k+l+(m-2)/2} [(u + omega nu v) Hk Hl] for antiholomorphic seeds.
+def _direct_map(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: AxisFrame,
+                variant: str) -> RadialExpr:
+    """Delta^{k+l+(m-2)/2} of the variant integrand for antiholomorphic seeds.
 
     Hk and Hl only need to be homogeneous polynomials of their groups; the
     output is verified to be monogenic before it is returned.
@@ -168,20 +175,18 @@ def ft_plus(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: AxisFrame
     k = homogeneous_group_degree(hk, "x")
     l = homogeneous_group_degree(hl, "y")
     exponent = k + l + (frame.m - 2) // 2
-    out = laplacian_power(_integrand(seed, hk, hl, frame, VARIANT_PLUS), exponent, SCOPE_FULL)
-    return _verified_monogenic(out, "plus-map")
+    out = laplacian_power(_integrand(seed, hk, hl, frame, variant), exponent, SCOPE_FULL)
+    return _verified_monogenic(out, f"{variant}-map")
+
+
+def ft_plus(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: AxisFrame) -> RadialExpr:
+    """Delta^{k+l+(m-2)/2} [(u + omega nu v) Hk Hl] for antiholomorphic seeds."""
+    return _direct_map(seed, hk, hl, frame, VARIANT_PLUS)
 
 
 def ft_minus(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: AxisFrame) -> RadialExpr:
     """Delta^{k+l+(m-2)/2} [(omega u + nu v) Hk Hl] for antiholomorphic seeds."""
-    _check_odd_groups(frame)
-    if not seed.is_antiholomorphic():
-        raise PreconditionError("seed must be antiholomorphic (d/dz w = 0) for this map")
-    k = homogeneous_group_degree(hk, "x")
-    l = homogeneous_group_degree(hl, "y")
-    exponent = k + l + (frame.m - 2) // 2
-    out = laplacian_power(_integrand(seed, hk, hl, frame, VARIANT_MINUS), exponent, SCOPE_FULL)
-    return _verified_monogenic(out, "minus-map")
+    return _direct_map(seed, hk, hl, frame, VARIANT_MINUS)
 
 
 def _resolve_mu(seed: SeedFunction, mu: int | None) -> int:
@@ -420,39 +425,6 @@ def ft_general_via_fischer(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
 # -- component extraction and the first-order systems ------------------------
 
 
-def _proportionality(g: RadialExpr, ref: RadialExpr) -> Fraction:
-    """The scalar lambda with g = lambda * ref, or a ShapeError.
-
-    The candidate is read off after folding both expressions to joint
-    sector exponents; the caller re-verifies the full reconstruction.
-    """
-    from .radial import _fold_items, _sector_key  # internal reuse
-
-    frame = g.frame
-    sectors: dict[tuple[int, int], tuple[list, list]] = {}
-    for key, c in g.raw_terms.items():
-        sectors.setdefault(_sector_key(frame, key[2], key[3]), ([], []))[0].append((key, c))
-    for key, c in ref.raw_terms.items():
-        sectors.setdefault(_sector_key(frame, key[2], key[3]), ([], []))[1].append((key, c))
-    candidate: Fraction | None = None
-    for sector, (g_items, ref_items) in sorted(sectors.items()):
-        exps = [k[2] for k, _ in g_items] + [k[2] for k, _ in ref_items]
-        bexps = [k[3] for k, _ in g_items] + [k[3] for k, _ in ref_items]
-        amin, bmin = min(exps), (min(bexps) if frame.q else 0)
-        g_fold = _fold_items(frame, g_items, amin, bmin)
-        ref_fold = _fold_items(frame, ref_items, amin, bmin)
-        if not ref_fold:
-            if g_fold:
-                raise ShapeError("expression does not match the biaxial shape")
-            continue
-        key = sorted(ref_fold)[0]
-        candidate = g_fold.get(key, Fraction(0)) / ref_fold[key]
-        break
-    if candidate is None:
-        return Fraction(0)
-    return candidate
-
-
 def extract_components(f: RadialExpr, pk: RadialExpr, pl: RadialExpr, kind: str) -> BiaxialComponents:
     """Recover (A, B) or (C, D) from a biaxial monogenic function.
 
@@ -504,7 +476,7 @@ def _match_series(g: RadialExpr, base: RadialExpr, k: int, l: int) -> BivariateR
             continue
         a, b = d1 - k, d2 - l
         ref = RadialExpr.radial(frame, a, b) * base
-        lam = _proportionality(part, ref)
+        lam = proportionality_constant(part, ref)
         if lam:
             series[(a, b)] = lam
     return BivariateRadial(series)

@@ -9,28 +9,37 @@ rho^b} is the smallest one containing every integrand the Fueter
 constructions need and it is closed under partial differentiation, which
 is why it is the universal function class of this engine.
 
-Canonical form and the zero test
---------------------------------
-Terms with different exponent parity can never cancel (r is not a
-polynomial in the coordinates), so the parity sectors ((a mod 2),
-(b mod 2)) are independent.  Within a sector, every term is folded down
-to the sector-minimal exponents by rewriting r^2 -> sum x_j^2 (and the
-rho analogue); after merging like monomial * blade keys, linear
-independence of coordinate monomials makes emptiness equivalent to being
-the zero function on {r > 0, rho > 0}.  Equality is always decided by
-folding the difference; the displayed canonical form additionally
-normalizes exponents into the {0, 1} window (lifting by exact division
-where possible), which gives a unique normal form for printing.
+Normal form, the zero test and equality
+---------------------------------------
+Every question about an expression goes through one normal form: the
+remainder modulo the ideal (r^2 - |x|^2, rho^2 - |y|^2) with the last
+coordinate of each group leading.  The rewrite
 
-Internally the terms dictionary is only merged by exact key; folding is
-deferred to the points where a zero test, an equality, or a display form
-is actually needed.  This keeps long operator pipelines fast without
-affecting any observable behaviour.
+    x_p^2 -> r^2 - (x_1^2 + ... + x_{p-1}^2),
+    y_q^2 -> rho^2 - (y_1^2 + ... + y_{q-1}^2)
+
+is applied until no term carries x_p or y_q to a power above 1; the
+scalar coordinate X0 and the radial exponents (any integers) are left
+alone.  This is the Groebner normal form of Cox, Little and O'Shea,
+*Ideals, Varieties, and Algorithms*, ch. 2.
+
+It is sound because R[x] is a free module over R[x_1..x_{p-1}, r^2] with
+basis {1, x_p} (r^2 is monic of degree 2 in x_p), and likewise in y.  So
+the functions x_p^{0|1} x'^alpha y_q^{0|1} y'^beta r^a rho^b are linearly
+independent on {r > 0, rho > 0}: odd powers of r or rho are not rational
+in the coordinates, and a common even power of the radii clears negative
+exponents.  After merging equal keys, an expression is zero exactly when
+its normal form is empty, two expressions are equal exactly when their
+difference is, and the sorted normal form is what gets printed.
+
+Operators keep terms merged by exact key only; the normal form is
+computed at the first zero test, equality or display and then cached.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import sqrt
 from typing import Iterable, Mapping, Union
 
@@ -50,28 +59,8 @@ SCOPE_CR = "cauchy-riemann"
 
 _SCOPES = (SCOPE_FIRST, SCOPE_SECOND, SCOPE_FULL, SCOPE_CR)
 
-_square_power_cache: dict[tuple[tuple[int, ...], int, int], dict[Mono, int]] = {}
-
-
-def _group_square_power(indices: tuple[int, ...], ncoords: int, t: int) -> dict[Mono, int]:
-    """Expansion of (sum of squared coordinates)^t as monomial -> int."""
-    key = (indices, ncoords, t)
-    hit = _square_power_cache.get(key)
-    if hit is not None:
-        return hit
-    zero = (0,) * ncoords
-    out: dict[Mono, int] = {zero: 1}
-    for _ in range(t):
-        nxt: dict[Mono, int] = {}
-        for mono, c in out.items():
-            for i in indices:
-                m = list(mono)
-                m[i] += 2
-                m2 = tuple(m)
-                nxt[m2] = nxt.get(m2, 0) + c
-        out = nxt
-    _square_power_cache[key] = out
-    return out
+# Bound on cached (R^2 - other squares)^k expansions; a run needs a few per frame.
+_SQUARE_CACHE_SIZE = 256
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
@@ -196,10 +185,10 @@ class RadialExpr:
         return dict(self._terms)
 
     def __bool__(self) -> bool:
-        return bool(self._minfold())
+        return bool(self._normal())
 
     def is_zero(self) -> bool:
-        return not self._minfold()
+        return not self._normal()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -279,50 +268,26 @@ class RadialExpr:
             out = out * self
         return out
 
-    # -- folding and canonical form ------------------------------------
+    # -- normal form ----------------------------------------------------
 
-    def _minfold(self) -> dict[TermKey, Fraction]:
-        """Sector-minimal folded and merged form; empty iff zero."""
-        return _minfold_terms(self.frame, self._terms)
-
-    def canonical_terms(self) -> dict[TermKey, Fraction]:
-        """Unique display normal form (window-normalized exponents)."""
+    def _normal(self) -> dict[TermKey, Fraction]:
+        """The cached normal form; empty iff the expression is zero."""
         cached = self._canonical_cache
         if cached is None:
-            cached = _canonical_terms(self.frame, self._terms)
+            cached = _normal_form(self.frame, self._terms)
             object.__setattr__(self, "_canonical_cache", cached)
-        return dict(cached)
+        return cached
+
+    def canonical_terms(self) -> dict[TermKey, Fraction]:
+        """The normal form as a fresh dict, sorted by key."""
+        return dict(self._normal())
 
     def canonicalized(self) -> "RadialExpr":
         return RadialExpr(self.frame, self.canonical_terms(), _merged=True)
 
-    # -- views ----------------------------------------------------------
-
-    def grouped_terms(self) -> list["RadialTerm"]:
-        """Canonical terms grouped as (monomial, Multivector, a, b)."""
-        groups: dict[tuple[Mono, int, int], dict[Blade, Fraction]] = {}
-        for (mono, blade, a, b), c in self.canonical_terms().items():
-            groups.setdefault((mono, a, b), {})[blade] = c
-        out = []
-        for (mono, a, b) in sorted(groups):
-            mv = Multivector(self.frame.m, groups[(mono, a, b)])
-            out.append(RadialTerm(mono, mv, a, b))
-        return out
-
-    def x_degree_range(self) -> tuple[int, int] | None:
-        fold = self._minfold()
-        if not fold:
-            return None
-        xs = self.frame.x_indices
-        degs = [sum(mono[i] for i in xs) + a for (mono, _blade, a, _b) in fold]
-        return min(degs), max(degs)
-
     def homogeneity_degree(self) -> int | None:
-        """Common total degree (monomial + a + b), or None when mixed."""
-        fold = self._minfold()
-        if not fold:
-            return None
-        degs = {sum(mono) + a + b for (mono, _blade, a, b) in fold}
+        """Common total degree (monomial + a + b), or None when mixed or zero."""
+        degs = {sum(mono) + a + b for (mono, _blade, a, b) in self._normal()}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -352,172 +317,67 @@ class RadialExpr:
         return f"RadialExpr({format_expression(self)})"
 
 
-class RadialTerm:
-    """One canonical group: monomial * Multivector * r^a rho^b."""
-
-    __slots__ = ("mono", "coeff", "a", "b")
-
-    def __init__(self, mono: Mono, coeff: Multivector, a: int, b: int):
-        self.mono = mono
-        self.coeff = coeff
-        self.a = a
-        self.b = b
-
-    def __repr__(self) -> str:
-        return f"RadialTerm(mono={self.mono}, coeff={self.coeff!r}, a={self.a}, b={self.b})"
+# -- normal form internals ------------------------------------------------
 
 
-# -- canonicalization internals ----------------------------------------
+@lru_cache(maxsize=_SQUARE_CACHE_SIZE)
+def _lead_square_power(frame: AxisFrame, group: str, k: int) -> tuple[tuple[Mono, int, int], ...]:
+    """(R^2 - sum of the group's other squares)^k, the rewrite of the
+    group's last coordinate to the power 2k, as (monomial, R exponent,
+    coefficient) triples; R is r for group "x" and rho for group "y"."""
+    others = (frame.x_indices if group == "x" else frame.y_indices)[:-1]
+    out: dict[tuple[Mono, int], int] = {((0,) * frame.ncoords, 0): 1}
+    for _ in range(k):
+        nxt: dict[tuple[Mono, int], int] = {}
+        for (mono, e), c in out.items():
+            nxt[(mono, e + 2)] = nxt.get((mono, e + 2), 0) + c
+            for i in others:
+                m = list(mono)
+                m[i] += 2
+                key = (tuple(m), e)
+                nxt[key] = nxt.get(key, 0) - c
+        out = nxt
+    return tuple((mono, e, c) for (mono, e), c in out.items())
 
 
-def _sector_key(frame: AxisFrame, a: int, b: int) -> tuple[int, int]:
-    return (a % 2, b % 2 if frame.q else 0)
-
-
-def _fold_items(frame: AxisFrame, items, amin: int, bmin: int) -> dict[tuple[Mono, Blade], Fraction]:
-    """Fold every (mono, blade, a, b, c) down to the common (amin, bmin)."""
-    xs = tuple(frame.x_indices)
-    ys = tuple(frame.y_indices)
-    n = frame.ncoords
-    merged: dict[tuple[Mono, Blade], Fraction] = {}
-    for (mono, blade, a, b), c in items:
-        tx = (a - amin) // 2
-        ty = (b - bmin) // 2
-        if tx == 0 and ty == 0:
-            key = (mono, blade)
-            v = merged.get(key, 0) + c
-            if v:
-                merged[key] = v
-            elif key in merged:
-                del merged[key]
-            continue
-        px = _group_square_power(xs, n, tx)
-        py = _group_square_power(ys, n, ty) if ty else {(0,) * n: 1}
-        for mx, cx in px.items():
-            base = _mono_mul(mono, mx)
-            for my, cy in py.items():
-                key = (_mono_mul(base, my), blade)
-                v = merged.get(key, 0) + c * cx * cy
-                if v:
-                    merged[key] = v
-                elif key in merged:
-                    del merged[key]
-    return merged
-
-
-def _minfold_terms(frame: AxisFrame, terms: Mapping[TermKey, Fraction]) -> dict[TermKey, Fraction]:
-    sectors: dict[tuple[int, int], list] = {}
-    for key, c in terms.items():
-        sectors.setdefault(_sector_key(frame, key[2], key[3]), []).append((key, c))
-    out: dict[TermKey, Fraction] = {}
-    for sector in sorted(sectors):
-        items = sectors[sector]
-        amin = min(k[2] for k, _ in items)
-        bmin = min(k[3] for k, _ in items) if frame.q else 0
-        merged = _fold_items(frame, items, amin, bmin)
-        for (mono, blade) in sorted(merged):
-            out[(mono, blade, amin, bmin)] = merged[(mono, blade)]
-    return out
-
-
-def _divide_by_group_square(frame: AxisFrame, group: str,
-                            poly: dict[tuple[Mono, Blade], Fraction]) -> dict[tuple[Mono, Blade], Fraction] | None:
-    """Exact division of a polynomial by sum of squared group coordinates.
-
-    Returns the quotient, or None when the division leaves a remainder.
-    Works blade by blade with lex reduction against the group's first
-    coordinate squared.
-    """
-    idxs = tuple(frame.x_indices if group == "x" else frame.y_indices)
-    if not idxs:
-        return None
-    lead = idxs[0]
-    by_blade: dict[Blade, dict[Mono, Fraction]] = {}
-    for (mono, blade), c in poly.items():
-        by_blade.setdefault(blade, {})[mono] = c
-    quotient: dict[tuple[Mono, Blade], Fraction] = {}
-    for blade, rem in by_blade.items():
-        rem = dict(rem)
-        while rem:
-            mono = max(rem)
-            c = rem.pop(mono)
-            if mono[lead] < 2:
-                return None
-            qm = list(mono)
-            qm[lead] -= 2
-            qm_t = tuple(qm)
-            quotient[(qm_t, blade)] = quotient.get((qm_t, blade), 0) + c
-            for i in idxs[1:]:
-                m2 = list(qm_t)
-                m2[i] += 2
-                m2_t = tuple(m2)
-                v = rem.get(m2_t, 0) - c
-                if v:
-                    rem[m2_t] = v
-                elif m2_t in rem:
-                    del rem[m2_t]
-    return quotient
-
-
-def _canonical_terms(frame: AxisFrame, terms: Mapping[TermKey, Fraction]) -> dict[TermKey, Fraction]:
-    sectors: dict[tuple[int, int], list] = {}
-    for key, c in terms.items():
-        sectors.setdefault(_sector_key(frame, key[2], key[3]), []).append((key, c))
-    out: dict[TermKey, Fraction] = {}
-    for sector in sorted(sectors):
-        items = sectors[sector]
-        amin = min(k[2] for k, _ in items)
-        bmin = min(k[3] for k, _ in items) if frame.q else 0
-        merged = _fold_items(frame, items, amin, bmin)
-        if not merged:
-            continue
-        target_a = amin % 2
-        target_b = (bmin % 2) if frame.q else 0
-        if amin > target_a:
-            merged = _fold_items(frame, (((mono, blade, amin, 0), c) for (mono, blade), c in merged.items()),
-                                 target_a, 0)
-            amin = target_a
-        else:
-            while amin < target_a:
-                quot = _divide_by_group_square(frame, "x", merged)
-                if quot is None:
-                    break
-                merged = quot
-                amin += 2
-        if bmin > target_b:
-            merged = _fold_items(frame, (((mono, blade, 0, bmin), c) for (mono, blade), c in merged.items()),
-                                 0, target_b)
-            bmin = target_b
-        else:
-            while bmin < target_b:
-                quot = _divide_by_group_square(frame, "y", merged)
-                if quot is None:
-                    break
-                merged = quot
-                bmin += 2
-        for (mono, blade) in sorted(merged):
-            out[(mono, blade, amin, bmin)] = merged[(mono, blade)]
-    return out
-
-
-def canonicalize(frame: AxisFrame, raw_terms: Iterable[tuple[Mono, Blade, int, int, Rational]]) -> RadialExpr:
-    """Build a RadialExpr in canonical form from raw (mono, blade, a, b, coeff) terms."""
+def _normal_form(frame: AxisFrame, terms: Mapping[TermKey, Fraction]) -> dict[TermKey, Fraction]:
+    """Rewrite x_p^2 and y_q^2 away, merge by exact key, drop zeros, sort."""
+    xp = frame.x_indices[-1]
+    yq = frame.y_indices[-1] if frame.q else None
     acc: dict[TermKey, Fraction] = {}
-    n = frame.ncoords
-    for (mono, blade, a, b, coeff) in raw_terms:
-        mono = tuple(mono)
-        blade = tuple(blade)
-        if len(mono) != n:
-            raise ValueError(f"monomial length {len(mono)} does not match frame coordinates {n}")
-        if frame.q == 0 and b != 0:
-            raise ValueError("rho exponent must be 0 in a single-axis frame")
-        key = (mono, blade, a, b)
-        c = acc.get(key, 0) + Fraction(coeff)
-        if c:
-            acc[key] = c
-        elif key in acc:
-            del acc[key]
-    return RadialExpr(frame, _canonical_terms(frame, acc), _merged=True)
+    for key, c in terms.items():
+        mono, blade, a, b = key
+        kx = mono[xp] // 2
+        ky = mono[yq] // 2 if yq is not None else 0
+        if not kx and not ky:
+            acc[key] = acc.get(key, 0) + c
+            continue
+        base = list(mono)
+        base[xp] -= 2 * kx
+        if ky:
+            base[yq] -= 2 * ky
+        py = _lead_square_power(frame, "y", ky)
+        for mx, ea, cx in _lead_square_power(frame, "x", kx):
+            mbase = _mono_mul(base, mx)
+            for my, eb, cy in py:
+                k2 = (_mono_mul(mbase, my), blade, a + ea, b + eb)
+                acc[k2] = acc.get(k2, 0) + c * cx * cy
+    return {k: acc[k] for k in sorted(acc) if acc[k]}
+
+
+def proportionality_constant(got: RadialExpr, want: RadialExpr) -> Fraction | None:
+    """The scalar lam with got = lam * want, or None when there is none.
+
+    lam is read off the first key of want's normal form and then verified.
+    """
+    want_terms = want._normal()
+    if not want_terms:
+        return Fraction(0) if got.is_zero() else None
+    key = next(iter(want_terms))
+    lam = got._normal().get(key, Fraction(0)) / want_terms[key]
+    if (got - lam * want).is_zero():
+        return lam
+    return None
 
 
 # -- products ------------------------------------------------------------

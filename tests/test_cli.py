@@ -156,6 +156,9 @@ class TestProcessDeterminism:
     def test_byte_identical_across_hash_seeds(self):
         import subprocess
         import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
 
         argv = [sys.executable, "-m", "fueterkit.cli", "apply", "--p", "3", "--q", "3",
                 "--variant", "plus", "--seed", "zbar^10", "--Hk", "ip(x,t)",
@@ -163,7 +166,8 @@ class TestProcessDeterminism:
         outputs = set()
         for hash_seed in ("0", "1", "12345"):
             proc = subprocess.run(argv, capture_output=True, text=True,
-                                  env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"})
+                                  env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin",
+                                       "PYTHONPATH": src})
             assert proc.returncode == 0, proc.stderr
             outputs.add(proc.stdout)
         assert len(outputs) == 1

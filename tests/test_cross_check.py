@@ -60,8 +60,9 @@ def test_zbar8_map_matches_sympy_componentwise():
         for (mono, b, a, bb), c in terms.items():
             if b != blade:
                 continue
-            assert a == 0 and bb == 0
-            expr = sp.Rational(c.numerator, c.denominator)
+            # the normal form keeps r^2 and rho^2 in place of x3^2 and y3^2
+            assert a % 2 == 0 and bb % 2 == 0 and a >= 0 and bb >= 0
+            expr = sp.Rational(c.numerator, c.denominator) * r2 ** (a // 2) * rho2 ** (bb // 2)
             for i, e in enumerate(mono):
                 if e:
                     expr *= symbols[names[i]] ** e

@@ -19,6 +19,7 @@ from fueterkit.fueter import (
     ft_mu,
     ft_plus,
     fueter_classical,
+    homogeneous_group_degree,
     vekua_check,
 )
 from fueterkit.radial import (
@@ -84,6 +85,16 @@ class TestFtPreconditions:
     def test_wrong_group_factor_rejected(self):
         with pytest.raises(PreconditionError):
             ft_plus(conj_power(5), inner_y(F33, [1, 0, 0]), inner_y(F33, [1, 0, 0]), F33)
+
+    def test_squared_radius_counts_towards_factor_degree(self):
+        # the normal form writes x3^2 as r^2 - x1^2 - x2^2 and y3^2 likewise
+        assert homogeneous_group_degree(inner_x(F33, [1, 2, 3]) ** 2, "x") == 2
+        assert homogeneous_group_degree(inner_y(F33, [0, 1, 1]) ** 3, "y") == 3
+        for hk in (RadialExpr.radial(F33, 1, 0), RadialExpr.radial(F33, 2, 0) * RadialExpr.radial(F33, 0, 2)):
+            with pytest.raises(PreconditionError):
+                homogeneous_group_degree(hk, "x")
+        with pytest.raises(PreconditionError):
+            homogeneous_group_degree(RadialExpr.radial(F33, 2, 0), "y")
 
     def test_non_monogenic_factor_rejected_for_higher_order(self):
         seed = SeedFunction.create(ComplexBivarPoly.zbar() ** 5 * ComplexBivarPoly.z())

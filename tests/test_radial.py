@@ -13,7 +13,6 @@ from fueterkit.radial import (
     SCOPE_CR,
     SCOPE_FIRST,
     SCOPE_FULL,
-    canonicalize,
     dirac,
     evaluate_numeric,
     evaluate_terms,
@@ -43,23 +42,24 @@ def mono6(**exps):
 
 class TestCanonicalize:
     def test_fold_to_pure_radial(self):
-        raw = [(mono6(x1=2), (), -3, 0, 1), (mono6(x2=2), (), -3, 0, 1), (mono6(x3=2), (), -3, 0, 1)]
-        expr = canonicalize(F33, raw)
+        raw = [((mono6(x1=2), (), -3, 0), 1), ((mono6(x2=2), (), -3, 0), 1), ((mono6(x3=2), (), -3, 0), 1)]
+        expr = RadialExpr(F33, raw)
         assert expr.canonical_terms() == {(ZERO6, (), -1, 0): Fraction(1)}
 
-    def test_positive_power_folds_into_window(self):
-        expr = canonicalize(F33, [(ZERO6, (), 3, 0, 1)])
-        terms = expr.canonical_terms()
-        assert set(terms) == {(mono6(x1=2), (), 1, 0), (mono6(x2=2), (), 1, 0), (mono6(x3=2), (), 1, 0)}
+    def test_radial_power_stays_and_last_square_is_eliminated(self):
+        assert RadialExpr(F33, [((ZERO6, (), 3, 0), 1)]).canonical_terms() == {(ZERO6, (), 3, 0): Fraction(1)}
+        terms = RadialExpr(F33, [((mono6(x3=2), (), 0, 0), 1)]).canonical_terms()
+        assert terms == {(ZERO6, (), 2, 0): Fraction(1), (mono6(x1=2), (), 0, 0): Fraction(-1),
+                         (mono6(x2=2), (), 0, 0): Fraction(-1)}
 
     def test_cancellation_gives_empty(self):
-        expr = canonicalize(F33, [(ZERO6, (), 1, 0, 1), (ZERO6, (), 1, 0, -1)])
+        expr = RadialExpr(F33, [((ZERO6, (), 1, 0), 1), ((ZERO6, (), 1, 0), -1)])
         assert expr.canonical_terms() == {}
         assert expr.is_zero()
 
     def test_cross_representation_equality(self):
-        folded = canonicalize(F33, [(mono6(x1=2), (), -2, 0, 1), (mono6(x2=2), (), -2, 0, 1),
-                                    (mono6(x3=2), (), -2, 0, 1)])
+        folded = RadialExpr(F33, [((mono6(x1=2), (), -2, 0), 1), ((mono6(x2=2), (), -2, 0), 1),
+                                  ((mono6(x3=2), (), -2, 0), 1)])
         assert folded == RadialExpr.scalar(F33, 1)
 
     def test_single_axis_frame_rejects_rho(self):
@@ -83,8 +83,8 @@ class TestProduct:
     def test_r_times_r(self):
         r = RadialExpr.radial(F33, 1, 0)
         sq = re_mul(r, r)
-        assert sq == canonicalize(F33, [(mono6(x1=2), (), 0, 0, 1), (mono6(x2=2), (), 0, 0, 1),
-                                        (mono6(x3=2), (), 0, 0, 1)])
+        assert sq == RadialExpr(F33, [((mono6(x1=2), (), 0, 0), 1), ((mono6(x2=2), (), 0, 0), 1),
+                                      ((mono6(x3=2), (), 0, 0), 1)])
 
     def test_frame_mismatch(self):
         with pytest.raises(ValueError):
@@ -127,8 +127,8 @@ class TestDirac:
 
 class TestLaplacian:
     def test_square_norm(self):
-        sq = canonicalize(F33, [(mono6(**{c: 2}), (), 0, 0, 1)
-                                for c in ("x1", "x2", "x3", "y1", "y2", "y3")])
+        sq = RadialExpr(F33, [((mono6(**{c: 2}), (), 0, 0), 1)
+                              for c in ("x1", "x2", "x3", "y1", "y2", "y3")])
         assert laplacian_power(sq, 1, SCOPE_FULL) == RadialExpr.scalar(F33, 12)
 
     def test_laplacian_of_r(self):
