@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
+from .sparse import collect
+
 Rational = Union[int, Fraction]
 
 _R = "r"
@@ -44,14 +46,14 @@ class BivariateRadial:
 
     def __init__(self, terms: Mapping[tuple[int, int], Rational] | Iterable[tuple[tuple[int, int], Rational]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (a, b), coeff in items:
-            c = acc.get((a, b), 0) + Fraction(coeff)
-            if c:
-                acc[(a, b)] = c
-            elif (a, b) in acc:
-                del acc[(a, b)]
-        object.__setattr__(self, "_terms", acc)
+        object.__setattr__(self, "_terms", collect(((a, b), Fraction(c)) for (a, b), c in items))
+
+    @classmethod
+    def _from_merged(cls, terms: dict[tuple[int, int], Fraction]) -> "BivariateRadial":
+        """Wrap a dict that is already merged and zero-free, without a copy."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_terms", terms)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("BivariateRadial is immutable")
@@ -92,21 +94,14 @@ class BivariateRadial:
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "BivariateRadial":
-        return BivariateRadial({k: -c for k, c in self._terms.items()})
+        return BivariateRadial._from_merged({k: -c for k, c in self._terms.items()})
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = BivariateRadial.constant(other)
         if not isinstance(other, BivariateRadial):
             return NotImplemented
-        acc = dict(self._terms)
-        for k, c in other._terms.items():
-            v = acc.get(k, 0) + c
-            if v:
-                acc[k] = v
-            elif k in acc:
-                del acc[k]
-        return BivariateRadial(acc)
+        return BivariateRadial._from_merged(collect(other._terms.items(), self._terms))
 
     __radd__ = __add__
 
@@ -123,19 +118,12 @@ class BivariateRadial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return BivariateRadial({k: v * c for k, v in self._terms.items()}) if c else BivariateRadial()
+            return BivariateRadial._from_merged({k: v * c for k, v in self._terms.items()} if c else {})
         if not isinstance(other, BivariateRadial):
             return NotImplemented
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                k = (a1 + a2, b1 + b2)
-                v = acc.get(k, 0) + c1 * c2
-                if v:
-                    acc[k] = v
-                elif k in acc:
-                    del acc[k]
-        return BivariateRadial(acc)
+        return BivariateRadial._from_merged(collect(
+            ((a1 + a2, b1 + b2), c1 * c2)
+            for (a1, b1), c1 in self._terms.items() for (a2, b2), c2 in other._terms.items()))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -144,21 +132,11 @@ class BivariateRadial:
 
     def shift(self, da: int, db: int) -> "BivariateRadial":
         """Multiply by r^da rho^db."""
-        return BivariateRadial({(a + da, b + db): c for (a, b), c in self._terms.items()})
+        return BivariateRadial._from_merged({(a + da, b + db): c for (a, b), c in self._terms.items()})
 
     def derivative(self, var: str) -> "BivariateRadial":
         """Plain partial derivative in r or rho."""
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (a, b), c in self._terms.items():
-            if var == _R:
-                if a:
-                    acc[(a - 1, b)] = acc.get((a - 1, b), 0) + a * c
-            elif var == _RHO:
-                if b:
-                    acc[(a, b - 1)] = acc.get((a, b - 1), 0) + b * c
-            else:
-                raise ValueError(f"unknown variable {var!r}")
-        return BivariateRadial(acc)
+        return BivariateRadial._from_merged(_lower(self._terms, _check_var(var), 1, 0))
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -175,74 +153,46 @@ def _check_var(var: str) -> int:
     raise ValueError(f"variable must be 'r' or 'rho', got {var!r}")
 
 
-def apply_xinv_dx(f: BivariateRadial, n: int, var: str = _R) -> BivariateRadial:
-    """n-fold (x^{-1} d/dx) in the chosen radius; monomial rule a -> a*x^{a-2}."""
+def _lower(terms: dict[tuple[int, int], Fraction], slot: int, by: int, shift: int) -> dict[tuple[int, int], Fraction]:
+    """Monomial rule x^e -> (e - shift) x^{e - by} in the given slot."""
+    return collect(((a - by, b) if slot == 0 else (a, b - by), ((a, b)[slot] - shift) * c)
+                   for (a, b), c in terms.items())
+
+
+def _radial_operator_power(f: BivariateRadial, n: int, var: str, shift: int) -> BivariateRadial:
     slot = _check_var(var)
     if n < 0:
         raise ValueError("operator power must be >= 0")
-    cur = f
+    terms = f._terms
     for _ in range(n):
-        acc: dict[tuple[int, int], Fraction] = {}
-        for key, c in cur._terms.items():
-            e = key[slot]
-            if e:
-                nk = (key[0] - 2, key[1]) if slot == 0 else (key[0], key[1] - 2)
-                v = acc.get(nk, 0) + e * c
-                if v:
-                    acc[nk] = v
-                elif nk in acc:
-                    del acc[nk]
-        cur = BivariateRadial(acc)
-    return cur
+        terms = _lower(terms, slot, 2, shift)
+    return BivariateRadial._from_merged(terms)
+
+
+def apply_xinv_dx(f: BivariateRadial, n: int, var: str = _R) -> BivariateRadial:
+    """n-fold (x^{-1} d/dx) in the chosen radius; monomial rule a -> a*x^{a-2}."""
+    return _radial_operator_power(f, n, var, 0)
 
 
 def apply_dx_xinv(f: BivariateRadial, n: int, var: str = _R) -> BivariateRadial:
     """n-fold (d/dx x^{-1}); monomial rule a -> (a-1)*x^{a-2}."""
-    slot = _check_var(var)
-    if n < 0:
-        raise ValueError("operator power must be >= 0")
-    cur = f
-    for _ in range(n):
-        acc: dict[tuple[int, int], Fraction] = {}
-        for key, c in cur._terms.items():
-            e = key[slot] - 1
-            if e:
-                nk = (key[0] - 2, key[1]) if slot == 0 else (key[0], key[1] - 2)
-                v = acc.get(nk, 0) + e * c
-                if v:
-                    acc[nk] = v
-                elif nk in acc:
-                    del acc[nk]
-        cur = BivariateRadial(acc)
-    return cur
+    return _radial_operator_power(f, n, var, 1)
 
 
 def delta2_power(f: BivariateRadial, n: int) -> BivariateRadial:
     """n-fold planar Laplacian d^2/dr^2 + d^2/drho^2."""
     if n < 0:
         raise ValueError("operator power must be >= 0")
-    cur = f
+
+    def step(terms):
+        for (a, b), c in terms.items():
+            yield (a - 2, b), a * (a - 1) * c
+            yield (a, b - 2), b * (b - 1) * c
+
+    terms = f._terms
     for _ in range(n):
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (a, b), c in cur._terms.items():
-            ca = a * (a - 1)
-            if ca:
-                k = (a - 2, b)
-                v = acc.get(k, 0) + ca * c
-                if v:
-                    acc[k] = v
-                elif k in acc:
-                    del acc[k]
-            cb = b * (b - 1)
-            if cb:
-                k = (a, b - 2)
-                v = acc.get(k, 0) + cb * c
-                if v:
-                    acc[k] = v
-                elif k in acc:
-                    del acc[k]
-        cur = BivariateRadial(acc)
-    return cur
+        terms = collect(step(terms))
+    return BivariateRadial._from_merged(terms)
 
 
 def expansion_coefficient(j1: int, j2: int, params: BiaxialParams) -> int:

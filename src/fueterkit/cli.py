@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 precondition violation (parity, monogenicity,
-seed order), 2 parse error, 3 internal verification failure.  Random
+seed order), 2 parse error, 3 internal verification failure or any other
+unexpected error, reported on one stderr line.  Random
 vector draws are seeded from the FUETER_SEED environment variable when
 set; the seed actually used is announced on stderr so runs can be
 reproduced.
@@ -244,9 +245,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_vectors(argv: list[str]) -> list[str]:
+    """Rewrite ``--t -1,2,2`` as ``--t=-1,2,2``.
+
+    argparse reads a value that starts with "-" and is not a plain number
+    as an option, so a vector with a negative first component would
+    otherwise need the ``=`` form.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--t", "--s") and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_vectors(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
     except ParseError as exc:
@@ -261,6 +278,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -13,6 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
 
+from .sparse import collect
+
 Blade = tuple[int, ...]
 Rational = Union[int, Fraction]
 
@@ -50,7 +52,7 @@ def blade_product(a: Blade, b: Blade) -> tuple[int, Blade]:
     return sign, tuple(out)
 
 
-def _validate_blade(blade: Blade, dim: int) -> None:
+def _validate_blade(blade: Blade, dim: int) -> Blade:
     last = 0
     for j in blade:
         if j <= last:
@@ -58,6 +60,7 @@ def _validate_blade(blade: Blade, dim: int) -> None:
         if j > dim:
             raise ValueError(f"blade index {j} exceeds algebra dimension {dim}")
         last = j
+    return blade
 
 
 class Multivector:
@@ -73,17 +76,17 @@ class Multivector:
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Blade, Fraction] = {}
-        for blade, coeff in items:
-            blade = tuple(blade)
-            _validate_blade(blade, dim)
-            c = acc.get(blade, 0) + Fraction(coeff)
-            if c:
-                acc[blade] = c
-            elif blade in acc:
-                del acc[blade]
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_terms", acc)
+        object.__setattr__(self, "_terms", collect((_validate_blade(tuple(blade), dim), Fraction(coeff))
+                                                   for blade, coeff in items))
+
+    @classmethod
+    def _from_merged(cls, dim: int, terms: dict[Blade, Fraction]) -> "Multivector":
+        """Wrap a dict that is already merged and zero-free, without a copy."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "dim", dim)
+        object.__setattr__(out, "_terms", terms)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -137,25 +140,13 @@ class Multivector:
         return hash((self.dim, frozenset(self._terms.items())))
 
     def __neg__(self) -> "Multivector":
-        out = Multivector.__new__(Multivector)
-        object.__setattr__(out, "dim", self.dim)
-        object.__setattr__(out, "_terms", {b: -c for b, c in self._terms.items()})
-        return out
+        return Multivector._from_merged(self.dim, {b: -c for b, c in self._terms.items()})
 
     def _combine(self, other: "Multivector", sign: int) -> "Multivector":
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        acc = dict(self._terms)
-        for blade, coeff in other._terms.items():
-            c = acc.get(blade, 0) + sign * coeff
-            if c:
-                acc[blade] = c
-            elif blade in acc:
-                del acc[blade]
-        out = Multivector.__new__(Multivector)
-        object.__setattr__(out, "dim", self.dim)
-        object.__setattr__(out, "_terms", acc)
-        return out
+        return Multivector._from_merged(self.dim, collect(((b, sign * c) for b, c in other._terms.items()),
+                                                          self._terms))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -179,10 +170,7 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            out = Multivector.__new__(Multivector)
-            object.__setattr__(out, "dim", self.dim)
-            object.__setattr__(out, "_terms", {b: v * c for b, v in self._terms.items()} if c else {})
-            return out
+            return Multivector._from_merged(self.dim, {b: v * c for b, v in self._terms.items()} if c else {})
         if not isinstance(other, Multivector):
             return NotImplemented
         return geometric_product(self, other)
@@ -198,13 +186,7 @@ class Multivector:
         odd: dict[Blade, Fraction] = {}
         for blade, coeff in self._terms.items():
             (even if len(blade) % 2 == 0 else odd)[blade] = coeff
-        out_e = Multivector.__new__(Multivector)
-        object.__setattr__(out_e, "dim", self.dim)
-        object.__setattr__(out_e, "_terms", even)
-        out_o = Multivector.__new__(Multivector)
-        object.__setattr__(out_o, "dim", self.dim)
-        object.__setattr__(out_o, "_terms", odd)
-        return out_e, out_o
+        return Multivector._from_merged(self.dim, even), Multivector._from_merged(self.dim, odd)
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -219,19 +201,14 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """Bilinear extension of the blade product; associative, noncommutative."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    acc: dict[Blade, Fraction] = {}
-    for ba, ca in a._terms.items():
-        for bb, cb in b._terms.items():
-            sign, blade = blade_product(ba, bb)
-            c = acc.get(blade, 0) + sign * ca * cb
-            if c:
-                acc[blade] = c
-            elif blade in acc:
-                del acc[blade]
-    out = Multivector.__new__(Multivector)
-    object.__setattr__(out, "dim", a.dim)
-    object.__setattr__(out, "_terms", acc)
-    return out
+
+    def products():
+        for ba, ca in a._terms.items():
+            for bb, cb in b._terms.items():
+                sign, blade = blade_product(ba, bb)
+                yield blade, sign * ca * cb
+
+    return Multivector._from_merged(a.dim, collect(products()))
 
 
 def parity_split(a: Multivector) -> tuple[Multivector, Multivector]:

@@ -29,6 +29,10 @@ from .seeds import ComplexBivarPoly
 
 _SYMBOLS = "+-*/^(){},"
 
+# Deepest parenthesis nesting accepted.  The parsers recurse about three
+# frames per level, so this keeps any input far from the recursion limit.
+MAX_DEPTH = 100
+
 
 class _Tokenizer:
     def __init__(self, text: str):
@@ -36,6 +40,7 @@ class _Tokenizer:
         self.tokens: list[tuple[str, str, int]] = []
         i = 0
         n = len(text)
+        depth = 0
         while i < n:
             c = text[i]
             if c.isspace():
@@ -56,6 +61,12 @@ class _Tokenizer:
                 i = j
                 continue
             if c in _SYMBOLS:
+                if c == "(":
+                    depth += 1
+                    if depth > MAX_DEPTH:
+                        raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", i)
+                elif c == ")":
+                    depth -= 1
                 self.tokens.append((c, c, i))
                 i += 1
                 continue

@@ -38,15 +38,17 @@ computed at the first zero test, equality or display and then cached.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
-from math import sqrt
-from typing import Iterable, Mapping, Union
+from math import isqrt
+from typing import Iterable, Iterator, Mapping, Union
 
 from .bivariate import BivariateRadial
 from .clifford import Blade, Multivector, SCALAR_BLADE, blade_product, vector_embed
 from .errors import PreconditionError
 from .frame import AxisFrame
+from .sparse import collect
 
 Rational = Union[int, Fraction]
 Mono = tuple[int, ...]
@@ -67,38 +69,44 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(x + y for x, y in zip(a, b))
 
 
+def _unit_mono(frame: AxisFrame, idx: int) -> Mono:
+    return tuple(1 if i == idx else 0 for i in range(frame.ncoords))
+
+
+def _checked_terms(frame: AxisFrame, items: Iterable[tuple[TermKey, Rational]]) -> Iterator[tuple[TermKey, Fraction]]:
+    """Validate outside terms against the frame and convert coefficients."""
+    n = frame.ncoords
+    for (mono, blade, a, b), coeff in items:
+        mono = tuple(mono)
+        if len(mono) != n:
+            raise ValueError(f"monomial length {len(mono)} does not match frame coordinates {n}")
+        if any(e < 0 for e in mono):
+            raise ValueError("monomial exponents must be >= 0")
+        if frame.q == 0 and b != 0:
+            raise ValueError("rho exponent must be 0 in a single-axis frame")
+        yield (mono, tuple(blade), a, b), Fraction(coeff)
+
+
 class RadialExpr:
     """Immutable Clifford-valued Laurent-radial expression."""
 
     __slots__ = ("frame", "_terms", "_canonical_cache")
 
     def __init__(self, frame: AxisFrame,
-                 terms: Mapping[TermKey, Rational] | Iterable[tuple[TermKey, Rational]] = (),
-                 *, _merged: bool = False):
+                 terms: Mapping[TermKey, Rational] | Iterable[tuple[TermKey, Rational]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        if _merged and isinstance(terms, dict):
-            acc = terms
-        else:
-            acc = {}
-            n = frame.ncoords
-            for (mono, blade, a, b), coeff in items:
-                mono = tuple(mono)
-                blade = tuple(blade)
-                if len(mono) != n:
-                    raise ValueError(f"monomial length {len(mono)} does not match frame coordinates {n}")
-                if any(e < 0 for e in mono):
-                    raise ValueError("monomial exponents must be >= 0")
-                if frame.q == 0 and b != 0:
-                    raise ValueError("rho exponent must be 0 in a single-axis frame")
-                key = (mono, blade, a, b)
-                c = acc.get(key, 0) + Fraction(coeff)
-                if c:
-                    acc[key] = c
-                elif key in acc:
-                    del acc[key]
         object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "_terms", acc)
+        object.__setattr__(self, "_terms", collect(_checked_terms(frame, items)))
         object.__setattr__(self, "_canonical_cache", None)
+
+    @classmethod
+    def _from_merged(cls, frame: AxisFrame, terms: dict[TermKey, Fraction]) -> "RadialExpr":
+        """Wrap a dict that is already merged and zero-free, without a copy."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "frame", frame)
+        object.__setattr__(out, "_terms", terms)
+        object.__setattr__(out, "_canonical_cache", None)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("RadialExpr is immutable")
@@ -115,20 +123,19 @@ class RadialExpr:
         if not value:
             return cls(frame)
         mono = (0,) * frame.ncoords
-        return cls(frame, {(mono, SCALAR_BLADE, 0, 0): value}, _merged=True)
+        return cls._from_merged(frame, {(mono, SCALAR_BLADE, 0, 0): value})
 
     @classmethod
     def constant(cls, frame: AxisFrame, mv: Multivector) -> "RadialExpr":
         if mv.dim != frame.m:
             raise ValueError(f"multivector dimension {mv.dim} does not match frame m={frame.m}")
         mono = (0,) * frame.ncoords
-        return cls(frame, {(mono, blade, 0, 0): c for blade, c in mv.terms.items()}, _merged=True)
+        return cls._from_merged(frame, {(mono, blade, 0, 0): c for blade, c in mv.terms.items()})
 
     @classmethod
     def coordinate(cls, frame: AxisFrame, name: str) -> "RadialExpr":
-        idx = frame.coord_index(name)
-        mono = tuple(1 if i == idx else 0 for i in range(frame.ncoords))
-        return cls(frame, {(mono, SCALAR_BLADE, 0, 0): Fraction(1)}, _merged=True)
+        mono = _unit_mono(frame, frame.coord_index(name))
+        return cls._from_merged(frame, {(mono, SCALAR_BLADE, 0, 0): Fraction(1)})
 
     @classmethod
     def monomial(cls, frame: AxisFrame, exponents: Mapping[str, int],
@@ -152,7 +159,7 @@ class RadialExpr:
         if frame.q == 0 and b != 0:
             raise ValueError("rho exponent must be 0 in a single-axis frame")
         mono = (0,) * frame.ncoords
-        return cls(frame, {(mono, SCALAR_BLADE, a, b): coeff}, _merged=True)
+        return cls._from_merged(frame, {(mono, SCALAR_BLADE, a, b): coeff})
 
     @classmethod
     def from_bivariate(cls, frame: AxisFrame, h: BivariateRadial) -> "RadialExpr":
@@ -163,7 +170,7 @@ class RadialExpr:
             if frame.q == 0 and b != 0:
                 raise ValueError("rho exponent must be 0 in a single-axis frame")
             acc[(mono, SCALAR_BLADE, a, b)] = c
-        return cls(frame, acc, _merged=True)
+        return cls._from_merged(frame, acc)
 
     @classmethod
     def from_bivariate_classical(cls, frame: AxisFrame, h: BivariateRadial) -> "RadialExpr":
@@ -176,7 +183,7 @@ class RadialExpr:
                 raise ValueError("X0 powers must be >= 0")
             mono = tuple(i if k == 0 else 0 for k in range(frame.ncoords))
             acc[(mono, SCALAR_BLADE, j, 0)] = c
-        return cls(frame, acc, _merged=True)
+        return cls._from_merged(frame, acc)
 
     # -- basic structure ----------------------------------------------
 
@@ -208,7 +215,7 @@ class RadialExpr:
             raise ValueError(f"frame mismatch: {self.frame} vs {other.frame}")
 
     def __neg__(self) -> "RadialExpr":
-        return RadialExpr(self.frame, {k: -c for k, c in self._terms.items()}, _merged=True)
+        return RadialExpr._from_merged(self.frame, {k: -c for k, c in self._terms.items()})
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -218,14 +225,7 @@ class RadialExpr:
         if not isinstance(other, RadialExpr):
             return NotImplemented
         self._check_frame(other)
-        acc = dict(self._terms)
-        for k, c in other._terms.items():
-            v = acc.get(k, 0) + c
-            if v:
-                acc[k] = v
-            elif k in acc:
-                del acc[k]
-        return RadialExpr(self.frame, acc, _merged=True)
+        return RadialExpr._from_merged(self.frame, collect(other._terms.items(), self._terms))
 
     __radd__ = __add__
 
@@ -246,7 +246,7 @@ class RadialExpr:
             c = Fraction(other)
             if not c:
                 return RadialExpr(self.frame)
-            return RadialExpr(self.frame, {k: v * c for k, v in self._terms.items()}, _merged=True)
+            return RadialExpr._from_merged(self.frame, {k: v * c for k, v in self._terms.items()})
         if isinstance(other, Multivector):
             other = RadialExpr.constant(self.frame, other)
         if not isinstance(other, RadialExpr):
@@ -283,7 +283,7 @@ class RadialExpr:
         return dict(self._normal())
 
     def canonicalized(self) -> "RadialExpr":
-        return RadialExpr(self.frame, self.canonical_terms(), _merged=True)
+        return RadialExpr._from_merged(self.frame, self.canonical_terms())
 
     def homogeneity_degree(self) -> int | None:
         """Common total degree (monomial + a + b), or None when mixed or zero."""
@@ -298,8 +298,8 @@ class RadialExpr:
         odd: dict[TermKey, Fraction] = {}
         for key, c in self._terms.items():
             (even if len(key[1]) % 2 == 0 else odd)[key] = c
-        return (RadialExpr(self.frame, even, _merged=True),
-                RadialExpr(self.frame, odd, _merged=True))
+        return (RadialExpr._from_merged(self.frame, even),
+                RadialExpr._from_merged(self.frame, odd))
 
     def negate_group(self, group: str) -> "RadialExpr":
         """Substitute x -> -x (or y -> -y) coordinatewise; radii are unchanged."""
@@ -309,7 +309,7 @@ class RadialExpr:
             if sum(mono[i] for i in idxs) % 2 == 1:
                 c = -c
             acc[(mono, blade, a, b)] = c
-        return RadialExpr(self.frame, acc, _merged=True)
+        return RadialExpr._from_merged(self.frame, acc)
 
     def __repr__(self) -> str:
         from .formatting import format_expression
@@ -326,17 +326,18 @@ def _lead_square_power(frame: AxisFrame, group: str, k: int) -> tuple[tuple[Mono
     group's last coordinate to the power 2k, as (monomial, R exponent,
     coefficient) triples; R is r for group "x" and rho for group "y"."""
     others = (frame.x_indices if group == "x" else frame.y_indices)[:-1]
-    out: dict[tuple[Mono, int], int] = {((0,) * frame.ncoords, 0): 1}
-    for _ in range(k):
-        nxt: dict[tuple[Mono, int], int] = {}
+
+    def times_factor(out):
         for (mono, e), c in out.items():
-            nxt[(mono, e + 2)] = nxt.get((mono, e + 2), 0) + c
+            yield (mono, e + 2), c
             for i in others:
                 m = list(mono)
                 m[i] += 2
-                key = (tuple(m), e)
-                nxt[key] = nxt.get(key, 0) - c
-        out = nxt
+                yield (tuple(m), e), -c
+
+    out: dict[tuple[Mono, int], int] = {((0,) * frame.ncoords, 0): 1}
+    for _ in range(k):
+        out = collect(times_factor(out))
     return tuple((mono, e, c) for (mono, e), c in out.items())
 
 
@@ -344,25 +345,27 @@ def _normal_form(frame: AxisFrame, terms: Mapping[TermKey, Fraction]) -> dict[Te
     """Rewrite x_p^2 and y_q^2 away, merge by exact key, drop zeros, sort."""
     xp = frame.x_indices[-1]
     yq = frame.y_indices[-1] if frame.q else None
-    acc: dict[TermKey, Fraction] = {}
-    for key, c in terms.items():
-        mono, blade, a, b = key
-        kx = mono[xp] // 2
-        ky = mono[yq] // 2 if yq is not None else 0
-        if not kx and not ky:
-            acc[key] = acc.get(key, 0) + c
-            continue
-        base = list(mono)
-        base[xp] -= 2 * kx
-        if ky:
-            base[yq] -= 2 * ky
-        py = _lead_square_power(frame, "y", ky)
-        for mx, ea, cx in _lead_square_power(frame, "x", kx):
-            mbase = _mono_mul(base, mx)
-            for my, eb, cy in py:
-                k2 = (_mono_mul(mbase, my), blade, a + ea, b + eb)
-                acc[k2] = acc.get(k2, 0) + c * cx * cy
-    return {k: acc[k] for k in sorted(acc) if acc[k]}
+
+    def rewritten():
+        for key, c in terms.items():
+            mono, blade, a, b = key
+            kx = mono[xp] // 2
+            ky = mono[yq] // 2 if yq is not None else 0
+            if not kx and not ky:
+                yield key, c
+                continue
+            base = list(mono)
+            base[xp] -= 2 * kx
+            if ky:
+                base[yq] -= 2 * ky
+            py = _lead_square_power(frame, "y", ky)
+            for mx, ea, cx in _lead_square_power(frame, "x", kx):
+                mbase = _mono_mul(base, mx)
+                for my, eb, cy in py:
+                    yield (_mono_mul(mbase, my), blade, a + ea, b + eb), c * cx * cy
+
+    acc = collect(rewritten())
+    return {k: acc[k] for k in sorted(acc)}
 
 
 def proportionality_constant(got: RadialExpr, want: RadialExpr) -> Fraction | None:
@@ -388,17 +391,14 @@ def re_mul(f: RadialExpr, g: RadialExpr) -> RadialExpr:
     the given order (left factor's coefficient on the left)."""
     if f.frame != g.frame:
         raise ValueError(f"frame mismatch: {f.frame} vs {g.frame}")
-    acc: dict[TermKey, Fraction] = {}
-    for (m1, b1, a1, r1), c1 in f._terms.items():
-        for (m2, b2, a2, r2), c2 in g._terms.items():
-            sign, blade = blade_product(b1, b2)
-            key = (_mono_mul(m1, m2), blade, a1 + a2, r1 + r2)
-            v = acc.get(key, 0) + sign * c1 * c2
-            if v:
-                acc[key] = v
-            elif key in acc:
-                del acc[key]
-    return RadialExpr(f.frame, acc, _merged=True)
+
+    def products():
+        for (m1, b1, a1, r1), c1 in f._terms.items():
+            for (m2, b2, a2, r2), c2 in g._terms.items():
+                sign, blade = blade_product(b1, b2)
+                yield (_mono_mul(m1, m2), blade, a1 + a2, r1 + r2), sign * c1 * c2
+
+    return RadialExpr._from_merged(f.frame, collect(products()))
 
 
 # -- differential operators ----------------------------------------------
@@ -417,37 +417,24 @@ def partial_derivative(f: RadialExpr, coord: str | int) -> RadialExpr:
         raise ValueError(f"coordinate index {idx} out of range")
     in_x = idx in frame.x_indices
     in_y = idx in frame.y_indices
-    acc: dict[TermKey, Fraction] = {}
-    for (mono, blade, a, b), c in f._terms.items():
-        e = mono[idx]
-        if e:
-            m = list(mono)
-            m[idx] -= 1
-            key = (tuple(m), blade, a, b)
-            v = acc.get(key, 0) + e * c
-            if v:
-                acc[key] = v
-            elif key in acc:
-                del acc[key]
-        if in_x and a:
-            m = list(mono)
-            m[idx] += 1
-            key = (tuple(m), blade, a - 2, b)
-            v = acc.get(key, 0) + a * c
-            if v:
-                acc[key] = v
-            elif key in acc:
-                del acc[key]
-        elif in_y and b:
-            m = list(mono)
-            m[idx] += 1
-            key = (tuple(m), blade, a, b - 2)
-            v = acc.get(key, 0) + b * c
-            if v:
-                acc[key] = v
-            elif key in acc:
-                del acc[key]
-    return RadialExpr(frame, acc, _merged=True)
+
+    def terms():
+        for (mono, blade, a, b), c in f._terms.items():
+            e = mono[idx]
+            if e:
+                m = list(mono)
+                m[idx] -= 1
+                yield (tuple(m), blade, a, b), e * c
+            if in_x and a:
+                m = list(mono)
+                m[idx] += 1
+                yield (tuple(m), blade, a - 2, b), a * c
+            elif in_y and b:
+                m = list(mono)
+                m[idx] += 1
+                yield (tuple(m), blade, a, b - 2), b * c
+
+    return RadialExpr._from_merged(frame, collect(terms()))
 
 
 def _scope_vector_coords(frame: AxisFrame, scope: str) -> list[int]:
@@ -470,27 +457,17 @@ def dirac(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
     if scope == SCOPE_CR and not frame.scalar_axis:
         raise PreconditionError("cauchy-riemann scope needs a frame with the scalar axis X0")
     coords = _scope_vector_coords(frame, scope)
-    acc: dict[TermKey, Fraction] = {}
-    for idx in coords:
-        gen = (frame.generator_of(idx),)
-        part = partial_derivative(f, idx)
-        for (mono, blade, a, b), c in part._terms.items():
-            sign, nb = blade_product(gen, blade)
-            key = (mono, nb, a, b)
-            v = acc.get(key, 0) + sign * c
-            if v:
-                acc[key] = v
-            elif key in acc:
-                del acc[key]
-    if scope == SCOPE_CR:
-        part = partial_derivative(f, 0)
-        for key, c in part._terms.items():
-            v = acc.get(key, 0) + c
-            if v:
-                acc[key] = v
-            elif key in acc:
-                del acc[key]
-    return RadialExpr(frame, acc, _merged=True)
+
+    def terms():
+        for idx in coords:
+            gen = (frame.generator_of(idx),)
+            for (mono, blade, a, b), c in partial_derivative(f, idx)._terms.items():
+                sign, nb = blade_product(gen, blade)
+                yield (mono, nb, a, b), sign * c
+        if scope == SCOPE_CR:
+            yield from partial_derivative(f, 0)._terms.items()
+
+    return RadialExpr._from_merged(frame, collect(terms()))
 
 
 def laplacian(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
@@ -511,51 +488,45 @@ def laplacian(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
     do_y = scope in (SCOPE_SECOND, SCOPE_FULL, SCOPE_CR) and frame.q > 0
     do_x0 = scope == SCOPE_CR
     p, q = frame.p, frame.q
-    acc: dict[TermKey, Fraction] = {}
 
-    def bump(key: TermKey, delta) -> None:
-        v = acc.get(key, 0) + delta
-        if v:
-            acc[key] = v
-        elif key in acc:
-            del acc[key]
+    def terms():
+        for (mono, blade, a, b), c in f._terms.items():
+            if do_x:
+                dx = 0
+                for i in xs:
+                    e = mono[i]
+                    if e:
+                        dx += e
+                        if e > 1:
+                            m = list(mono)
+                            m[i] -= 2
+                            yield (tuple(m), blade, a, b), e * (e - 1) * c
+                if a:
+                    coeff = a * (p + 2 * dx + a - 2)
+                    if coeff:
+                        yield (mono, blade, a - 2, b), coeff * c
+            if do_y:
+                dy = 0
+                for i in ys:
+                    e = mono[i]
+                    if e:
+                        dy += e
+                        if e > 1:
+                            m = list(mono)
+                            m[i] -= 2
+                            yield (tuple(m), blade, a, b), e * (e - 1) * c
+                if b:
+                    coeff = b * (q + 2 * dy + b - 2)
+                    if coeff:
+                        yield (mono, blade, a, b - 2), coeff * c
+            if do_x0:
+                e = mono[0]
+                if e > 1:
+                    m = list(mono)
+                    m[0] -= 2
+                    yield (tuple(m), blade, a, b), e * (e - 1) * c
 
-    for (mono, blade, a, b), c in f._terms.items():
-        if do_x:
-            dx = 0
-            for i in xs:
-                e = mono[i]
-                if e:
-                    dx += e
-                    if e > 1:
-                        m = list(mono)
-                        m[i] -= 2
-                        bump((tuple(m), blade, a, b), e * (e - 1) * c)
-            if a:
-                coeff = a * (p + 2 * dx + a - 2)
-                if coeff:
-                    bump((mono, blade, a - 2, b), coeff * c)
-        if do_y:
-            dy = 0
-            for i in ys:
-                e = mono[i]
-                if e:
-                    dy += e
-                    if e > 1:
-                        m = list(mono)
-                        m[i] -= 2
-                        bump((tuple(m), blade, a, b), e * (e - 1) * c)
-            if b:
-                coeff = b * (q + 2 * dy + b - 2)
-                if coeff:
-                    bump((mono, blade, a, b - 2), coeff * c)
-        if do_x0:
-            e = mono[0]
-            if e > 1:
-                m = list(mono)
-                m[0] -= 2
-                bump((tuple(m), blade, a, b), e * (e - 1) * c)
-    return RadialExpr(frame, acc, _merged=True)
+    return RadialExpr._from_merged(frame, collect(terms()))
 
 
 def laplacian_power(f: RadialExpr, n: int, scope: str = SCOPE_FULL) -> RadialExpr:
@@ -578,66 +549,49 @@ def homogeneity_degree(f: RadialExpr) -> int | None:
 # -- frame-level builders --------------------------------------------------
 
 
+def _unit_vector(frame: AxisFrame, indices: Iterable[int], a: int = 0, b: int = 0) -> RadialExpr:
+    """sum_j x_j e_j r^a rho^b over the given coordinates."""
+    return RadialExpr._from_merged(frame, {(_unit_mono(frame, idx), (frame.generator_of(idx),), a, b): Fraction(1)
+                                           for idx in indices})
+
+
 def vector_x(frame: AxisFrame) -> RadialExpr:
     """The vector x = sum_j x_j e_j of the first group."""
-    acc: dict[TermKey, Fraction] = {}
-    for idx in frame.x_indices:
-        mono = tuple(1 if i == idx else 0 for i in range(frame.ncoords))
-        acc[(mono, (frame.generator_of(idx),), 0, 0)] = Fraction(1)
-    return RadialExpr(frame, acc, _merged=True)
+    return _unit_vector(frame, frame.x_indices)
 
 
 def vector_y(frame: AxisFrame) -> RadialExpr:
-    acc: dict[TermKey, Fraction] = {}
-    for idx in frame.y_indices:
-        mono = tuple(1 if i == idx else 0 for i in range(frame.ncoords))
-        acc[(mono, (frame.generator_of(idx),), 0, 0)] = Fraction(1)
-    return RadialExpr(frame, acc, _merged=True)
+    return _unit_vector(frame, frame.y_indices)
 
 
 def omega(frame: AxisFrame) -> RadialExpr:
     """Unit vector x / r as the Laurent expression x * r^{-1}."""
-    acc: dict[TermKey, Fraction] = {}
-    for idx in frame.x_indices:
-        mono = tuple(1 if i == idx else 0 for i in range(frame.ncoords))
-        acc[(mono, (frame.generator_of(idx),), -1, 0)] = Fraction(1)
-    return RadialExpr(frame, acc, _merged=True)
+    return _unit_vector(frame, frame.x_indices, a=-1)
 
 
 def nu(frame: AxisFrame) -> RadialExpr:
     """Unit vector y / rho as the Laurent expression y * rho^{-1}."""
     if frame.q == 0:
         raise PreconditionError("nu needs a second axial group (q >= 1)")
-    acc: dict[TermKey, Fraction] = {}
-    for idx in frame.y_indices:
-        mono = tuple(1 if i == idx else 0 for i in range(frame.ncoords))
-        acc[(mono, (frame.generator_of(idx),), 0, -1)] = Fraction(1)
-    return RadialExpr(frame, acc, _merged=True)
+    return _unit_vector(frame, frame.y_indices, b=-1)
+
+
+def _inner(frame: AxisFrame, indices: range, vec: Iterable[Rational], size: str) -> RadialExpr:
+    """sum_j vec_j x_j over the given coordinates; vec must match them in length."""
+    cs = [Fraction(c) for c in vec]
+    if len(cs) != len(indices):
+        raise ValueError(f"vector length {len(cs)} does not match {size}={len(indices)}")
+    return RadialExpr._from_merged(frame, {(_unit_mono(frame, idx), SCALAR_BLADE, 0, 0): c
+                                           for idx, c in zip(indices, cs) if c})
 
 
 def inner_x(frame: AxisFrame, t: Iterable[Rational]) -> RadialExpr:
     """Scalar inner product <x, t> for a fixed rational vector t."""
-    ts = [Fraction(c) for c in t]
-    if len(ts) != frame.p:
-        raise ValueError(f"vector length {len(ts)} does not match p={frame.p}")
-    acc: dict[TermKey, Fraction] = {}
-    for j, idx in enumerate(frame.x_indices):
-        if ts[j]:
-            mono = tuple(1 if i == idx else 0 for i in range(frame.ncoords))
-            acc[(mono, SCALAR_BLADE, 0, 0)] = ts[j]
-    return RadialExpr(frame, acc, _merged=True)
+    return _inner(frame, frame.x_indices, t, "p")
 
 
 def inner_y(frame: AxisFrame, s: Iterable[Rational]) -> RadialExpr:
-    ss = [Fraction(c) for c in s]
-    if len(ss) != frame.q:
-        raise ValueError(f"vector length {len(ss)} does not match q={frame.q}")
-    acc: dict[TermKey, Fraction] = {}
-    for j, idx in enumerate(frame.y_indices):
-        if ss[j]:
-            mono = tuple(1 if i == idx else 0 for i in range(frame.ncoords))
-            acc[(mono, SCALAR_BLADE, 0, 0)] = ss[j]
-    return RadialExpr(frame, acc, _merged=True)
+    return _inner(frame, frame.y_indices, s, "q")
 
 
 def constant_vector_x(frame: AxisFrame, t: Iterable[Rational]) -> RadialExpr:
@@ -650,34 +604,66 @@ def constant_vector_y(frame: AxisFrame, s: Iterable[Rational]) -> RadialExpr:
     return RadialExpr.constant(frame, vector_embed(s, dim=frame.m, offset=frame.p))
 
 
-# -- numeric smoke evaluation ----------------------------------------------
+# -- exact evaluation at points ----------------------------------------------
+
+
+def _rational_root(square: Fraction, what: str) -> Fraction:
+    """The positive square root of a positive rational, when it is rational."""
+    if square <= 0:
+        raise ValueError(f"{what} must be positive at the evaluation point")
+    num, den = isqrt(square.numerator), isqrt(square.denominator)
+    if num * num != square.numerator or den * den != square.denominator:
+        raise ValueError(f"{what} is irrational at the evaluation point ({what}^2 = {square})")
+    return Fraction(num, den)
 
 
 def evaluate_terms(frame: AxisFrame, terms: Iterable[tuple[TermKey, Rational]],
-                   point: Mapping[str, Rational]) -> dict[Blade, float]:
-    """Float evaluation of a term list at a rational sample point.
+                   point: Mapping[str, Rational]) -> dict[Blade, Fraction]:
+    """Exact value, blade by blade, of a term list at a rational point.
 
-    r and rho are computed as floating square roots, so this is only a
-    smoke-test companion to the exact zero test, never part of it.
+    The point must have rational radii r and rho (see ``rational_point``);
+    ValueError otherwise.  Blades whose value is zero are omitted, so the
+    terms sum to zero at the point exactly when the result is empty.
     """
-    coords = [float(Fraction(point[name])) for name in frame.coord_names()]
-    r2 = sum(coords[i] ** 2 for i in frame.x_indices)
-    rho2 = sum(coords[i] ** 2 for i in frame.y_indices)
-    r = sqrt(r2)
-    rho = sqrt(rho2) if frame.q else 1.0
-    out: dict[Blade, float] = {}
-    for (mono, blade, a, b), c in terms:
-        val = float(Fraction(c))
-        for i, e in enumerate(mono):
-            if e:
-                val *= coords[i] ** e
-        if a:
-            val *= r ** a
-        if b:
-            val *= rho ** b
-        out[blade] = out.get(blade, 0.0) + val
-    return out
+    coords = [Fraction(point[name]) for name in frame.coord_names()]
+    r = _rational_root(sum(coords[i] ** 2 for i in frame.x_indices), "r")
+    rho = _rational_root(sum(coords[i] ** 2 for i in frame.y_indices), "rho") if frame.q else Fraction(1)
+
+    def values():
+        for (mono, blade, a, b), c in terms:
+            val = Fraction(c) * r ** a * rho ** b
+            for x, e in zip(coords, mono):
+                if e:
+                    val *= x ** e
+            yield blade, val
+
+    return collect(values())
 
 
-def evaluate_numeric(f: RadialExpr, point: Mapping[str, Rational]) -> dict[Blade, float]:
+def evaluate_numeric(f: RadialExpr, point: Mapping[str, Rational]) -> dict[Blade, Fraction]:
     return evaluate_terms(f.frame, f._terms.items(), point)
+
+
+def _sphere_point(rng: random.Random, n: int) -> list[Fraction]:
+    """A rational point of the unit sphere in Q^n: the inverse stereographic
+    image (2u, 1 - |u|^2) / (1 + |u|^2) of a random u in Q^(n-1)."""
+    u = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n - 1)]
+    u2 = sum(c * c for c in u)
+    return [2 * c / (1 + u2) for c in u] + [(1 - u2) / (1 + u2)]
+
+
+def rational_point(frame: AxisFrame, rng: random.Random) -> dict[str, Fraction]:
+    """A random point with rational r and rho, for ``evaluate_terms``.
+
+    Each group is a random rational radius times a rational point of its
+    unit sphere; X0, when present, is any rational.
+    """
+    values = [Fraction(0)] * frame.ncoords
+    for indices in (frame.x_indices, frame.y_indices):
+        if indices:
+            radius = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            for i, c in zip(indices, _sphere_point(rng, len(indices))):
+                values[i] = radius * c
+    if frame.scalar_axis:
+        values[0] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return dict(zip(frame.coord_names(), values))

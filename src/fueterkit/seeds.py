@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Union
 
 from .bivariate import BivariateRadial
 from .errors import PreconditionError
+from .sparse import collect
 
 Rational = Union[int, Fraction]
 
@@ -64,7 +65,6 @@ class ComplexRational:
         return bool(self.re) or bool(self.im)
 
 
-_ZERO = ComplexRational.of(0)
 _ONE = ComplexRational.of(1)
 _I = ComplexRational.of(0, 1)
 _HALF = Fraction(1, 2)
@@ -77,14 +77,14 @@ class ComplexBivarPoly:
 
     def __init__(self, terms: Mapping[tuple[int, int], ComplexRational] | Iterable[tuple[tuple[int, int], ComplexRational]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, int], ComplexRational] = {}
-        for key, c in items:
-            v = acc.get(key, _ZERO) + c
-            if v:
-                acc[key] = v
-            elif key in acc:
-                del acc[key]
-        object.__setattr__(self, "_terms", acc)
+        object.__setattr__(self, "_terms", collect(items))
+
+    @classmethod
+    def _from_merged(cls, terms: dict[tuple[int, int], ComplexRational]) -> "ComplexBivarPoly":
+        """Wrap a dict that is already merged and zero-free, without a copy."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_terms", terms)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexBivarPoly is immutable")
@@ -101,19 +101,15 @@ class ComplexBivarPoly:
 
     @classmethod
     def coordinate(cls, which: str) -> "ComplexBivarPoly":
-        if which == "x":
-            return cls({(1, 0): _ONE})
-        if which == "y":
-            return cls({(0, 1): _ONE})
-        raise ValueError("coordinate must be 'x' or 'y'")
+        return cls._from_merged({(0, 1) if _slot(which) else (1, 0): _ONE})
 
     @classmethod
     def z(cls) -> "ComplexBivarPoly":
-        return cls({(1, 0): _ONE, (0, 1): _I})
+        return cls._from_merged({(1, 0): _ONE, (0, 1): _I})
 
     @classmethod
     def zbar(cls) -> "ComplexBivarPoly":
-        return cls({(1, 0): _ONE, (0, 1): -_I})
+        return cls._from_merged({(1, 0): _ONE, (0, 1): -_I})
 
     @property
     def terms(self) -> Mapping[tuple[int, int], ComplexRational]:
@@ -134,20 +130,13 @@ class ComplexBivarPoly:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "ComplexBivarPoly") -> "ComplexBivarPoly":
-        acc = dict(self._terms)
-        for key, c in other._terms.items():
-            v = acc.get(key, _ZERO) + c
-            if v:
-                acc[key] = v
-            elif key in acc:
-                del acc[key]
-        return ComplexBivarPoly(acc)
+        return ComplexBivarPoly._from_merged(collect(other._terms.items(), self._terms))
 
     def __sub__(self, other: "ComplexBivarPoly") -> "ComplexBivarPoly":
         return self + (-other)
 
     def __neg__(self) -> "ComplexBivarPoly":
-        return ComplexBivarPoly({k: -c for k, c in self._terms.items()})
+        return ComplexBivarPoly._from_merged({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -156,16 +145,9 @@ class ComplexBivarPoly:
             other = ComplexBivarPoly.constant(other)
         if not isinstance(other, ComplexBivarPoly):
             return NotImplemented
-        acc: dict[tuple[int, int], ComplexRational] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                key = (i1 + i2, j1 + j2)
-                v = acc.get(key, _ZERO) + c1 * c2
-                if v:
-                    acc[key] = v
-                elif key in acc:
-                    del acc[key]
-        return ComplexBivarPoly(acc)
+        return ComplexBivarPoly._from_merged(collect(
+            ((i1 + i2, j1 + j2), c1 * c2)
+            for (i1, j1), c1 in self._terms.items() for (i2, j2), c2 in other._terms.items()))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, ComplexRational)):
@@ -193,14 +175,19 @@ class ComplexBivarPoly:
         return "ComplexBivarPoly(" + " + ".join(bits) + ")"
 
 
+def _slot(which: str) -> int:
+    if which == "x":
+        return 0
+    if which == "y":
+        return 1
+    raise ValueError(f"coordinate must be 'x' or 'y', got {which!r}")
+
+
 def _diff(w: ComplexBivarPoly, which: str) -> ComplexBivarPoly:
-    acc: dict[tuple[int, int], ComplexRational] = {}
-    for (i, j), c in w._terms.items():
-        if which == "x" and i:
-            acc[(i - 1, j)] = acc.get((i - 1, j), _ZERO) + c * i
-        elif which == "y" and j:
-            acc[(i, j - 1)] = acc.get((i, j - 1), _ZERO) + c * j
-    return ComplexBivarPoly(acc)
+    slot = _slot(which)
+    return ComplexBivarPoly._from_merged(collect(
+        ((i - 1, j) if slot == 0 else (i, j - 1), c * (i if slot == 0 else j))
+        for (i, j), c in w._terms.items()))
 
 
 def wirtinger(w: ComplexBivarPoly, which: str) -> ComplexBivarPoly:
@@ -208,9 +195,9 @@ def wirtinger(w: ComplexBivarPoly, which: str) -> ComplexBivarPoly:
     if which not in (DZ, DZBAR):
         raise ValueError(f"which must be {DZ!r} or {DZBAR!r}")
     dx = _diff(w, "x")
-    i_dy = ComplexBivarPoly({k: c.times_i() for k, c in _diff(w, "y")._terms.items()})
+    i_dy = ComplexBivarPoly._from_merged({k: c.times_i() for k, c in _diff(w, "y")._terms.items()})
     base = dx - i_dy if which == DZ else dx + i_dy
-    return ComplexBivarPoly({k: c * _HALF for k, c in base._terms.items()})
+    return ComplexBivarPoly._from_merged({k: c * _HALF for k, c in base._terms.items()})
 
 
 def laplace2(w: ComplexBivarPoly) -> ComplexBivarPoly:
@@ -280,7 +267,7 @@ def parity_monomial(n1: int, n2: int) -> ComplexBivarPoly:
     """
     if n1 < 0 or n2 < 0:
         raise ValueError("exponents must be >= 0")
-    mono = ComplexBivarPoly({(n1, n2): _ONE})
+    mono = ComplexBivarPoly._from_merged({(n1, n2): _ONE})
     tot = n1 + n2
     if tot % 2 == 0:
         if n1 % 2 == 0:

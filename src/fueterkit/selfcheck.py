@@ -43,6 +43,7 @@ from .radial import (
     nu,
     omega,
     partial_derivative,
+    rational_point,
     re_mul,
 )
 from .seeds import (
@@ -65,10 +66,10 @@ def _rand_fraction(rng: random.Random) -> Fraction:
 
 
 def _rand_multivector(rng: random.Random, dim: int, max_terms: int = 3) -> Multivector:
-    terms = {}
+    terms = []
     for _ in range(rng.randint(1, max_terms)):
         blade = tuple(sorted(rng.sample(range(1, dim + 1), rng.randint(0, dim))))
-        terms[blade] = terms.get(blade, 0) + _rand_fraction(rng)
+        terms.append((blade, _rand_fraction(rng)))
     return Multivector(dim, terms)
 
 
@@ -158,10 +159,9 @@ def check_zero_smoke(seed: int = 2, points: int = 20) -> Check:
     f = _rand_expr(rng, frame)
     raw_diff = list(f.raw_terms.items()) + [(k, -c) for k, c in f.canonicalized().raw_terms.items()]
     for _ in range(points):
-        point = {name: Fraction(rng.randint(1, 5), rng.randint(1, 3)) for name in frame.coord_names()}
+        point = rational_point(frame, rng)
         for sample in (raw, raw_diff):
-            vals = evaluate_terms(frame, sample, point)
-            if any(abs(v) > 1e-8 for v in vals.values()):
+            if evaluate_terms(frame, sample, point):
                 return ("zero-smoke", False, f"numeric residue at {point}")
     return ("zero-smoke", True, f"{points} sample points")
 

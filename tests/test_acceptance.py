@@ -42,6 +42,7 @@ from fueterkit.radial import (
     laplacian_power,
     nu,
     omega,
+    rational_point,
     re_mul,
     vector_x,
 )
@@ -370,9 +371,6 @@ def test_criterion_10_algebra_core():
     for raw in smoke_exprs:
         assert RadialExpr(frame, raw).is_zero()
         for _ in range(20):
-            point = {name: Fraction(rng.randint(1, 6), rng.randint(1, 3))
-                     for name in frame.coord_names()}
-            vals = evaluate_terms(frame, raw, point)
-            assert all(abs(val) < 1e-8 for val in vals.values())
+            assert evaluate_terms(frame, raw, rational_point(frame, rng)) == {}
             points += 1
-    _report(10, "algebra core", f"{checks} randomized checks, {points} numeric smoke points")
+    _report(10, "algebra core", f"{checks} randomized checks, {points} exact point evaluations")

@@ -188,6 +188,11 @@ class TestBivariateBasics:
         assert f.derivative("rho") == R(3, 1, 1)
         assert f.shift(-1, 0) == R(2, 2, Fraction(1, 2))
 
+    def test_unknown_variable_is_rejected_even_for_zero(self):
+        for f in (BivariateRadial(), R(3, 2)):
+            with pytest.raises(ValueError, match="'r' or 'rho'"):
+                f.derivative("z")
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             BiaxialParams(-1, 0, 3, 3)

@@ -67,6 +67,14 @@ class TestApply:
         _code, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
+    def test_negative_leading_component_in_spaced_form(self, capsys):
+        base = ("apply", "--p", "3", "--q", "3", "--variant", "plus", "--seed", "zbar^5",
+                "--Hk", "ip(x,t)", "--Hl", "ip(y,s)")
+        code, spaced, _err = run(capsys, *base, "--t", "-1,2,2", "--s", "-1/2,0,3")
+        assert code == 0 and spaced.strip()
+        code, joined, _err = run(capsys, *base, "--t=-1,2,2", "--s=-1/2,0,3")
+        assert code == 0 and joined == spaced
+
     def test_random_vectors_seeded(self, capsys, monkeypatch):
         argv = ("apply", "--p", "3", "--q", "3", "--variant", "plus",
                 "--seed", "zbar^5", "--Hk", "ip(x,t)", "--Hl", "ip(y,s)",
@@ -150,6 +158,26 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest")
         assert code == 0
         assert "8/8 suites passed" in out
+
+
+class TestHostileInput:
+    def test_deep_nesting_is_a_one_line_parse_error(self, capsys):
+        deep = lambda atom: "(" * 400 + atom + ")" * 400
+        for argv in (("check-monogenic", "--p", "3", "--q", "3", "--expr", deep("x1")),
+                     ("apply", "--p", "3", "--q", "3", "--variant", "plus", "--seed", deep("zbar"),
+                      "--Hk", "x1", "--Hl", "y1")):
+            code, _out, err = run(capsys, *argv)
+            assert code == 2
+            assert err.startswith("parse error:") and err.count("\n") == 1
+
+    def test_unexpected_exception_is_a_one_line_exit_3(self, capsys, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("fueterkit.cli.dirac", broken)
+        code, _out, err = run(capsys, "check-monogenic", "--p", "3", "--q", "3", "--expr", "x1")
+        assert code == 3
+        assert err == "internal error: RuntimeError: boom\n"
 
 
 class TestProcessDeterminism:

@@ -1,65 +1,32 @@
-"""Differential oracle: the normal form against the older sector fold.
+"""Differential oracle: the normal form against exact values at points.
 
-The sector fold below is the zero test the engine used before the normal
-form: terms whose radial exponents differ in parity never cancel, and
-within a parity sector every term is folded down to the sector-minimal
-exponents by r^2 -> sum x_j^2 (and the rho analogue), after which
-coordinate monomials are linearly independent.  It is kept here only as
-an independent reference for the normal form in ``radial.py``.
+Every term of an expression is a polynomial times r^a rho^b, so at a point
+whose radii r and rho are rational its value is an exact rational per
+blade.  The points come from a fixed random.Random and are drawn by
+inverse stereographic projection (``radial.rational_point``).  A nonzero
+expression vanishes at all of them only on a measure-zero set, so the
+checks below compare the normal form with an evaluation that shares none
+of its code.
 """
+
+import random
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from fueterkit.frame import AxisFrame
-from fueterkit.radial import RadialExpr, _normal_form, re_mul
+from fueterkit.radial import RadialExpr, _normal_form, evaluate_terms, rational_point, re_mul
 
 FRAMES = (AxisFrame(1, 3), AxisFrame(2, 2), AxisFrame(3, 2), AxisFrame(3, 3), AxisFrame(3, 0),
           AxisFrame(3, 0, scalar_axis=True))
 
-
-# -- reference oracle: the sector fold -------------------------------------
-
-
-def _group_square_power(indices, ncoords, t):
-    """Expansion of (sum of squared coordinates)^t as monomial -> int."""
-    out = {(0,) * ncoords: 1}
-    for _ in range(t):
-        nxt = {}
-        for mono, c in out.items():
-            for i in indices:
-                m = list(mono)
-                m[i] += 2
-                nxt[tuple(m)] = nxt.get(tuple(m), 0) + c
-        out = nxt
-    return out
+_RNG = random.Random(20161104)
+POINTS = {frame: [rational_point(frame, _RNG) for _ in range(12)] for frame in FRAMES}
 
 
-def _fold_items(frame, items, amin, bmin):
-    """Fold every ((mono, blade, a, b), c) down to the common (amin, bmin)."""
-    merged = {}
-    for (mono, blade, a, b), c in items:
-        px = _group_square_power(frame.x_indices, frame.ncoords, (a - amin) // 2)
-        py = _group_square_power(frame.y_indices, frame.ncoords, (b - bmin) // 2)
-        for mx, cx in px.items():
-            for my, cy in py.items():
-                key = (tuple(e + f + g for e, f, g in zip(mono, mx, my)), blade)
-                merged[key] = merged.get(key, 0) + c * cx * cy
-    return {k: v for k, v in merged.items() if v}
-
-
-def sector_fold(frame, terms):
-    """Sector-minimal folded and merged form; empty iff the terms sum to zero."""
-    sectors = {}
-    for key, c in terms.items():
-        sectors.setdefault((key[2] % 2, key[3] % 2), []).append((key, c))
-    out = {}
-    for items in sectors.values():
-        amin = min(k[2] for k, _ in items)
-        bmin = min(k[3] for k, _ in items)
-        for (mono, blade), c in _fold_items(frame, items, amin, bmin).items():
-            out[(mono, blade, amin, bmin)] = c
-    return out
+def values(frame, terms):
+    """Exact values of a term mapping at every point of the frame."""
+    return [evaluate_terms(frame, terms.items(), point) for point in POINTS[frame]]
 
 
 # -- generators ------------------------------------------------------------
@@ -121,20 +88,25 @@ def frames_and_pairs(draw):
 # -- the differential checks -------------------------------------------------
 
 
-class TestNormalFormAgainstSectorFold:
+class TestNormalFormAgainstPointValues:
     @settings(max_examples=150, deadline=None)
     @given(frames_and_pairs())
-    def test_empty_iff_sector_fold_empty(self, case):
+    def test_normal_form_has_the_raw_values(self, case):
         frame, f, _g = case
-        assert (not _normal_form(frame, f.raw_terms)) == (not sector_fold(frame, f.raw_terms))
-        assert f.is_zero() == (not sector_fold(frame, f.raw_terms))
+        assert values(frame, _normal_form(frame, f.raw_terms)) == values(frame, f.raw_terms)
 
     @settings(max_examples=150, deadline=None)
     @given(frames_and_pairs())
-    def test_equality_agrees_with_folded_difference(self, case):
+    def test_zero_test_agrees_with_point_values(self, case):
+        frame, f, _g = case
+        vanishes = all(not v for v in values(frame, f.raw_terms))
+        assert f.is_zero() == vanishes
+
+    @settings(max_examples=150, deadline=None)
+    @given(frames_and_pairs())
+    def test_equality_agrees_with_point_values(self, case):
         frame, f, g = case
-        diff = (f - g).raw_terms
-        assert (f == g) == (not sector_fold(frame, diff))
+        assert (f == g) == (values(frame, f.raw_terms) == values(frame, g.raw_terms))
 
     @settings(max_examples=150, deadline=None)
     @given(frames_and_pairs())
@@ -147,4 +119,4 @@ class TestNormalFormAgainstSectorFold:
         last_y = frame.y_indices[-1] if frame.q else None
         for mono, _blade, _a, _b in once:
             assert mono[last_x] <= 1 and (last_y is None or mono[last_y] <= 1)
-        assert not sector_fold(frame, (f - RadialExpr(frame, once)).raw_terms)
+        assert f == RadialExpr(frame, once)

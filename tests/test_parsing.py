@@ -7,7 +7,7 @@ from fueterkit.bivariate import BivariateRadial
 from fueterkit.errors import ParseError
 from fueterkit.formatting import format_expression
 from fueterkit.frame import AxisFrame
-from fueterkit.parsing import parse_bivariate, parse_expression, parse_seed, parse_vector
+from fueterkit.parsing import MAX_DEPTH, parse_bivariate, parse_expression, parse_seed, parse_vector
 from fueterkit.radial import RadialExpr
 from fueterkit.seeds import ComplexBivarPoly, ComplexRational
 
@@ -89,6 +89,14 @@ class TestExpressionErrors:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_expression("x1 x2", F33)
+
+    def test_nesting_depth_is_bounded_in_every_grammar(self):
+        for parse, atom in ((lambda t: parse_expression(t, F33), "x1"), (parse_seed, "zbar"),
+                            (parse_bivariate, "r")):
+            parse("(" * MAX_DEPTH + atom + ")" * MAX_DEPTH)
+            for depth in (MAX_DEPTH + 1, 3000):
+                with pytest.raises(ParseError, match="nested deeper"):
+                    parse("(" * depth + atom + ")" * depth)
 
 
 class TestRoundTrip:

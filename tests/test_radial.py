@@ -23,6 +23,7 @@ from fueterkit.radial import (
     nu,
     omega,
     partial_derivative,
+    rational_point,
     re_mul,
     vector_x,
     vector_y,
@@ -292,13 +293,22 @@ class TestZeroSoundness:
         raw.append(((ZERO6, (), 1, 0), Fraction(-1)))
         assert RadialExpr(F33, raw).is_zero()
         for _ in range(20):
-            point = {name: Fraction(rng.randint(1, 6), rng.randint(1, 3))
-                     for name in F33.coord_names()}
-            vals = evaluate_terms(F33, raw, point)
-            assert all(abs(v) < 1e-9 for v in vals.values())
+            point = rational_point(F33, rng)
+            assert evaluate_terms(F33, raw, point) == {}
+            assert evaluate_terms(F33, raw[-1:], point) != {}
 
     def test_numeric_value_of_nonzero(self):
-        f = RadialExpr.radial(F33, 2, 0)
+        f = RadialExpr.radial(F33, -3, 1, Fraction(1, 2)) * Multivector.basis_vector(2, 6)
+        point = {"x1": 1, "x2": 2, "x3": 2, "y1": 2, "y2": 3, "y3": 6}
+        assert evaluate_numeric(f, point) == {(2,): Fraction(7, 54)}
+
+    def test_points_have_rational_radii(self):
+        rng = random.Random(4)
+        for frame in (F33, AxisFrame(1, 2), AxisFrame(3, 0, scalar_axis=True)):
+            for _ in range(10):
+                evaluate_numeric(RadialExpr.radial(frame, 1, 1 if frame.q else 0), rational_point(frame, rng))
+
+    def test_irrational_radius_is_rejected(self):
         point = {name: Fraction(1) for name in F33.coord_names()}
-        vals = evaluate_numeric(f, point)
-        assert abs(vals[()] - 3.0) < 1e-12
+        with pytest.raises(ValueError, match="irrational"):
+            evaluate_numeric(RadialExpr.radial(F33, 2, 0), point)

@@ -21,6 +21,7 @@ from fueterkit.seeds import (
     times_i,
     wirtinger,
 )
+from fueterkit.seeds import _diff
 
 I = ComplexRational.of(0, 1)
 Z = ComplexBivarPoly.z()
@@ -41,6 +42,11 @@ class TestWirtinger:
     def test_holomorphic_kernel(self):
         for n in range(6):
             assert wirtinger(Z ** n, "dzbar").is_zero()
+
+    def test_unknown_coordinate_is_rejected(self):
+        for w in (ComplexBivarPoly(), ZBAR ** 3):
+            with pytest.raises(ValueError, match="'x' or 'y'"):
+                _diff(w, "z")
 
 
 class TestSeedOrder:
