@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 precondition violation (parity, monogenicity,
 seed order), 2 parse error, 3 internal verification failure or any other
-unexpected error, reported on one stderr line.  Random
+unexpected error, reported on one stderr line, 141 (128 + SIGPIPE) when
+the reader closes stdout early, with nothing on stderr.  Random
 vector draws are seeded from the FUETER_SEED environment variable when
 set; the seed actually used is announced on stderr so runs can be
 reproduced.
@@ -245,17 +246,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_negative_vectors(argv: list[str]) -> list[str]:
-    """Rewrite ``--t -1,2,2`` as ``--t=-1,2,2``.
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--opt -value`` as ``--opt=-value``.
 
-    argparse reads a value that starts with "-" and is not a plain number
-    as an option, so a vector with a negative first component would
-    otherwise need the ``=`` form.
+    argparse reads a token that starts with "-" and is not a plain number
+    as an option, so ``--t -1,2,2``, ``--seed -zbar^5`` or ``--expr -x1``
+    would otherwise need the ``=`` form.  Every value-taking option here
+    is a long option, so a "-" token after a bare ``--opt`` that is not
+    itself an option string can only be meant as its value; a missing
+    value (``--seed --Hk ...``) is left for argparse to reject.
     """
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in ("--t", "--s") and tok[:1] == "-" and tok[1:2].isdigit():
-            out[-1] = f"{out[-1]}={tok}"
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and "=" not in prev
+                and tok.startswith("-") and not tok.startswith("--") and tok != "-h"):
+            out[-1] = f"{prev}={tok}"
         else:
             out.append(tok)
     return out
@@ -263,9 +269,19 @@ def _join_negative_vectors(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_join_negative_vectors(sys.argv[1:] if argv is None else list(argv)))
+    args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`fueterkit apply ... | head`): not an
+        # engine fault.  Point stdout at devnull so that the flush at
+        # interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -464,14 +464,14 @@ def _match_series(g: RadialExpr, base: RadialExpr, k: int, l: int) -> BivariateR
     frame = g.frame
     xs, ys = set(frame.x_indices), set(frame.y_indices)
     groups: dict[tuple[int, int], dict] = {}
-    for key, c in g.raw_terms.items():
+    for key, c in g._terms.items():
         mono, _blade, a, b = key
         d1 = sum(mono[i] for i in xs) + a
         d2 = sum(mono[i] for i in ys) + b
         groups.setdefault((d1, d2), {})[key] = c
     series: dict[tuple[int, int], Fraction] = {}
     for (d1, d2) in sorted(groups):
-        part = RadialExpr._from_merged(frame, groups[(d1, d2)])
+        part = RadialExpr._from_merged(frame, groups[(d1, d2)], g._den)
         if part.is_zero():
             continue
         a, b = d1 - k, d2 - l

@@ -34,6 +34,27 @@ difference is, and the sorted normal form is what gets printed.
 
 Operators keep terms merged by exact key only; the normal form is
 computed at the first zero test, equality or display and then cached.
+
+Coefficients: integer numerators over one denominator
+-----------------------------------------------------
+Every coefficient that the Laplacian, the Dirac operator, partial
+derivatives and blade products contribute is an integer (e(e-1),
+a(p + 2d + a - 2), a blade sign), so an expression stores its
+coefficients as nonzero ``int`` numerators over one shared positive
+``int`` denominator, and those loops run on ``int`` alone.  ``Fraction``
+is touched only at the edges, once per expression:
+
+* in: the public constructor and the ``scalar``, ``constant``,
+  ``radial``, ``from_bivariate*`` and ``inner_*`` builders bring their
+  rational coefficients over the least common denominator;
+* out: ``raw_terms`` and ``canonical_terms`` return ``Fraction`` values,
+  and ``proportionality_constant`` returns one ``Fraction``.
+
+The differential operators, negation, the parity split and the normal
+form keep the denominator.  A product multiplies the denominators, a sum
+brings both sides to their lcm, and a scalar multiple takes the scalar's
+denominator; each of these ends with one gcd pass that divides out what
+the numerators and the denominator have in common.
 """
 
 from __future__ import annotations
@@ -41,7 +62,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 from .bivariate import BivariateRadial
@@ -87,26 +108,45 @@ def _checked_terms(frame: AxisFrame, items: Iterable[tuple[TermKey, Rational]]) 
         yield (mono, tuple(blade), a, b), Fraction(coeff)
 
 
+def _over_common_denominator(terms: Mapping[TermKey, Rational]) -> tuple[dict[TermKey, int], int]:
+    """Merged, zero-free rational coefficients as integer numerators over
+    their least common denominator (reduced, since each input is)."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+
+def _as_fractions(nums: Mapping[TermKey, int], den: int) -> dict[TermKey, Fraction]:
+    return {k: Fraction(n, den) for k, n in nums.items()}
+
+
 class RadialExpr:
     """Immutable Clifford-valued Laurent-radial expression."""
 
-    __slots__ = ("frame", "_terms", "_canonical_cache")
+    __slots__ = ("frame", "_terms", "_den", "_canonical_cache")
 
     def __init__(self, frame: AxisFrame,
                  terms: Mapping[TermKey, Rational] | Iterable[tuple[TermKey, Rational]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
+        nums, den = _over_common_denominator(collect(_checked_terms(frame, items)))
         object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "_terms", collect(_checked_terms(frame, items)))
+        object.__setattr__(self, "_terms", nums)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_canonical_cache", None)
 
     @classmethod
-    def _from_merged(cls, frame: AxisFrame, terms: dict[TermKey, Fraction]) -> "RadialExpr":
-        """Wrap a dict that is already merged and zero-free, without a copy."""
+    def _from_merged(cls, frame: AxisFrame, nums: dict[TermKey, int], den: int = 1) -> "RadialExpr":
+        """Wrap merged, zero-free int numerators over den > 0, without a copy."""
         out = object.__new__(cls)
         object.__setattr__(out, "frame", frame)
-        object.__setattr__(out, "_terms", terms)
+        object.__setattr__(out, "_terms", nums)
+        object.__setattr__(out, "_den", den)
         object.__setattr__(out, "_canonical_cache", None)
         return out
+
+    @classmethod
+    def _from_rationals(cls, frame: AxisFrame, terms: Mapping[TermKey, Rational]) -> "RadialExpr":
+        """Wrap merged, zero-free rational coefficients (trusted keys)."""
+        return cls._from_merged(frame, *_over_common_denominator(terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("RadialExpr is immutable")
@@ -119,23 +159,19 @@ class RadialExpr:
 
     @classmethod
     def scalar(cls, frame: AxisFrame, value: Rational) -> "RadialExpr":
-        value = Fraction(value)
-        if not value:
-            return cls(frame)
-        mono = (0,) * frame.ncoords
-        return cls._from_merged(frame, {(mono, SCALAR_BLADE, 0, 0): value})
+        return cls.radial(frame, 0, 0, value)
 
     @classmethod
     def constant(cls, frame: AxisFrame, mv: Multivector) -> "RadialExpr":
         if mv.dim != frame.m:
             raise ValueError(f"multivector dimension {mv.dim} does not match frame m={frame.m}")
         mono = (0,) * frame.ncoords
-        return cls._from_merged(frame, {(mono, blade, 0, 0): c for blade, c in mv.terms.items()})
+        return cls._from_rationals(frame, {(mono, blade, 0, 0): c for blade, c in mv.terms.items()})
 
     @classmethod
     def coordinate(cls, frame: AxisFrame, name: str) -> "RadialExpr":
         mono = _unit_mono(frame, frame.coord_index(name))
-        return cls._from_merged(frame, {(mono, SCALAR_BLADE, 0, 0): Fraction(1)})
+        return cls._from_merged(frame, {(mono, SCALAR_BLADE, 0, 0): 1})
 
     @classmethod
     def monomial(cls, frame: AxisFrame, exponents: Mapping[str, int],
@@ -159,7 +195,7 @@ class RadialExpr:
         if frame.q == 0 and b != 0:
             raise ValueError("rho exponent must be 0 in a single-axis frame")
         mono = (0,) * frame.ncoords
-        return cls._from_merged(frame, {(mono, SCALAR_BLADE, a, b): coeff})
+        return cls._from_merged(frame, {(mono, SCALAR_BLADE, a, b): coeff.numerator}, coeff.denominator)
 
     @classmethod
     def from_bivariate(cls, frame: AxisFrame, h: BivariateRadial) -> "RadialExpr":
@@ -170,7 +206,7 @@ class RadialExpr:
             if frame.q == 0 and b != 0:
                 raise ValueError("rho exponent must be 0 in a single-axis frame")
             acc[(mono, SCALAR_BLADE, a, b)] = c
-        return cls._from_merged(frame, acc)
+        return cls._from_rationals(frame, acc)
 
     @classmethod
     def from_bivariate_classical(cls, frame: AxisFrame, h: BivariateRadial) -> "RadialExpr":
@@ -183,13 +219,13 @@ class RadialExpr:
                 raise ValueError("X0 powers must be >= 0")
             mono = tuple(i if k == 0 else 0 for k in range(frame.ncoords))
             acc[(mono, SCALAR_BLADE, j, 0)] = c
-        return cls._from_merged(frame, acc)
+        return cls._from_rationals(frame, acc)
 
     # -- basic structure ----------------------------------------------
 
     @property
     def raw_terms(self) -> Mapping[TermKey, Fraction]:
-        return dict(self._terms)
+        return _as_fractions(self._terms, self._den)
 
     def __bool__(self) -> bool:
         return bool(self._normal())
@@ -215,7 +251,7 @@ class RadialExpr:
             raise ValueError(f"frame mismatch: {self.frame} vs {other.frame}")
 
     def __neg__(self) -> "RadialExpr":
-        return RadialExpr._from_merged(self.frame, {k: -c for k, c in self._terms.items()})
+        return RadialExpr._from_merged(self.frame, {k: -c for k, c in self._terms.items()}, self._den)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -225,7 +261,13 @@ class RadialExpr:
         if not isinstance(other, RadialExpr):
             return NotImplemented
         self._check_frame(other)
-        return RadialExpr._from_merged(self.frame, collect(other._terms.items(), self._terms))
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            return _reduced(self.frame, collect(other._terms.items(), self._terms), d1)
+        den = lcm(d1, d2)
+        m1, m2 = den // d1, den // d2
+        return _reduced(self.frame, collect(((k, c * m2) for k, c in other._terms.items()),
+                                            {k: c * m1 for k, c in self._terms.items()}), den)
 
     __radd__ = __add__
 
@@ -243,10 +285,11 @@ class RadialExpr:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return RadialExpr(self.frame)
-            return RadialExpr._from_merged(self.frame, {k: v * c for k, v in self._terms.items()})
+            n = other.numerator
+            return _reduced(self.frame, {k: v * n for k, v in self._terms.items()},
+                            self._den * other.denominator)
         if isinstance(other, Multivector):
             other = RadialExpr.constant(self.frame, other)
         if not isinstance(other, RadialExpr):
@@ -270,8 +313,9 @@ class RadialExpr:
 
     # -- normal form ----------------------------------------------------
 
-    def _normal(self) -> dict[TermKey, Fraction]:
-        """The cached normal form; empty iff the expression is zero."""
+    def _normal(self) -> dict[TermKey, int]:
+        """The cached normal form's numerators over self._den; empty iff
+        the expression is zero."""
         cached = self._canonical_cache
         if cached is None:
             cached = _normal_form(self.frame, self._terms)
@@ -280,10 +324,10 @@ class RadialExpr:
 
     def canonical_terms(self) -> dict[TermKey, Fraction]:
         """The normal form as a fresh dict, sorted by key."""
-        return dict(self._normal())
+        return _as_fractions(self._normal(), self._den)
 
     def canonicalized(self) -> "RadialExpr":
-        return RadialExpr._from_merged(self.frame, self.canonical_terms())
+        return RadialExpr._from_merged(self.frame, dict(self._normal()), self._den)
 
     def homogeneity_degree(self) -> int | None:
         """Common total degree (monomial + a + b), or None when mixed or zero."""
@@ -294,27 +338,38 @@ class RadialExpr:
 
     def blade_parity_split(self) -> tuple["RadialExpr", "RadialExpr"]:
         """Split by coefficient blade cardinality into even/odd valued parts."""
-        even: dict[TermKey, Fraction] = {}
-        odd: dict[TermKey, Fraction] = {}
+        even: dict[TermKey, int] = {}
+        odd: dict[TermKey, int] = {}
         for key, c in self._terms.items():
             (even if len(key[1]) % 2 == 0 else odd)[key] = c
-        return (RadialExpr._from_merged(self.frame, even),
-                RadialExpr._from_merged(self.frame, odd))
+        return (RadialExpr._from_merged(self.frame, even, self._den),
+                RadialExpr._from_merged(self.frame, odd, self._den))
 
     def negate_group(self, group: str) -> "RadialExpr":
         """Substitute x -> -x (or y -> -y) coordinatewise; radii are unchanged."""
         idxs = self.frame.x_indices if group == "x" else self.frame.y_indices
-        acc: dict[TermKey, Fraction] = {}
+        acc: dict[TermKey, int] = {}
         for (mono, blade, a, b), c in self._terms.items():
             if sum(mono[i] for i in idxs) % 2 == 1:
                 c = -c
             acc[(mono, blade, a, b)] = c
-        return RadialExpr._from_merged(self.frame, acc)
+        return RadialExpr._from_merged(self.frame, acc, self._den)
 
     def __repr__(self) -> str:
         from .formatting import format_expression
 
         return f"RadialExpr({format_expression(self)})"
+
+
+def _reduced(frame: AxisFrame, nums: dict[TermKey, int], den: int) -> RadialExpr:
+    """Wrap merged, zero-free numerators over den, after dividing out the
+    factor they all share with den."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {k: c // g for k, c in nums.items()}
+            den //= g
+    return RadialExpr._from_merged(frame, nums, den)
 
 
 # -- normal form internals ------------------------------------------------
@@ -341,8 +396,10 @@ def _lead_square_power(frame: AxisFrame, group: str, k: int) -> tuple[tuple[Mono
     return tuple((mono, e, c) for (mono, e), c in out.items())
 
 
-def _normal_form(frame: AxisFrame, terms: Mapping[TermKey, Fraction]) -> dict[TermKey, Fraction]:
-    """Rewrite x_p^2 and y_q^2 away, merge by exact key, drop zeros, sort."""
+def _normal_form(frame: AxisFrame, terms: Mapping[TermKey, Rational]) -> dict[TermKey, Rational]:
+    """Rewrite x_p^2 and y_q^2 away, merge by exact key, drop zeros, sort.
+
+    Linear in the coefficients, which may be int numerators or rationals."""
     xp = frame.x_indices[-1]
     yq = frame.y_indices[-1] if frame.q else None
 
@@ -371,16 +428,23 @@ def _normal_form(frame: AxisFrame, terms: Mapping[TermKey, Fraction]) -> dict[Te
 def proportionality_constant(got: RadialExpr, want: RadialExpr) -> Fraction | None:
     """The scalar lam with got = lam * want, or None when there is none.
 
-    lam is read off the first key of want's normal form and then verified.
+    lam is read off the first key of want's normal form; got = lam * want
+    exactly when both normal forms have the same keys and every pair of
+    numerators has the ratio of the first pair.
     """
     want_terms = want._normal()
+    got_terms = got._normal()
     if not want_terms:
-        return Fraction(0) if got.is_zero() else None
+        return Fraction(0) if not got_terms else None
+    if not got_terms:
+        return Fraction(0)
+    if got_terms.keys() != want_terms.keys():
+        return None
     key = next(iter(want_terms))
-    lam = got._normal().get(key, Fraction(0)) / want_terms[key]
-    if (got - lam * want).is_zero():
-        return lam
-    return None
+    g0, w0 = got_terms[key], want_terms[key]
+    if any(got_terms[k] * w0 != w * g0 for k, w in want_terms.items()):
+        return None
+    return Fraction(g0 * want._den, w0 * got._den)
 
 
 # -- products ------------------------------------------------------------
@@ -398,7 +462,7 @@ def re_mul(f: RadialExpr, g: RadialExpr) -> RadialExpr:
                 sign, blade = blade_product(b1, b2)
                 yield (_mono_mul(m1, m2), blade, a1 + a2, r1 + r2), sign * c1 * c2
 
-    return RadialExpr._from_merged(f.frame, collect(products()))
+    return _reduced(f.frame, collect(products()), f._den * g._den)
 
 
 # -- differential operators ----------------------------------------------
@@ -434,7 +498,7 @@ def partial_derivative(f: RadialExpr, coord: str | int) -> RadialExpr:
                 m[idx] += 1
                 yield (tuple(m), blade, a, b - 2), b * c
 
-    return RadialExpr._from_merged(frame, collect(terms()))
+    return RadialExpr._from_merged(frame, collect(terms()), f._den)
 
 
 def _scope_vector_coords(frame: AxisFrame, scope: str) -> list[int]:
@@ -467,7 +531,7 @@ def dirac(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
         if scope == SCOPE_CR:
             yield from partial_derivative(f, 0)._terms.items()
 
-    return RadialExpr._from_merged(frame, collect(terms()))
+    return RadialExpr._from_merged(frame, collect(terms()), f._den)
 
 
 def laplacian(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
@@ -526,7 +590,7 @@ def laplacian(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
                     m[0] -= 2
                     yield (tuple(m), blade, a, b), e * (e - 1) * c
 
-    return RadialExpr._from_merged(frame, collect(terms()))
+    return RadialExpr._from_merged(frame, collect(terms()), f._den)
 
 
 def laplacian_power(f: RadialExpr, n: int, scope: str = SCOPE_FULL) -> RadialExpr:
@@ -551,7 +615,7 @@ def homogeneity_degree(f: RadialExpr) -> int | None:
 
 def _unit_vector(frame: AxisFrame, indices: Iterable[int], a: int = 0, b: int = 0) -> RadialExpr:
     """sum_j x_j e_j r^a rho^b over the given coordinates."""
-    return RadialExpr._from_merged(frame, {(_unit_mono(frame, idx), (frame.generator_of(idx),), a, b): Fraction(1)
+    return RadialExpr._from_merged(frame, {(_unit_mono(frame, idx), (frame.generator_of(idx),), a, b): 1
                                            for idx in indices})
 
 
@@ -581,8 +645,8 @@ def _inner(frame: AxisFrame, indices: range, vec: Iterable[Rational], size: str)
     cs = [Fraction(c) for c in vec]
     if len(cs) != len(indices):
         raise ValueError(f"vector length {len(cs)} does not match {size}={len(indices)}")
-    return RadialExpr._from_merged(frame, {(_unit_mono(frame, idx), SCALAR_BLADE, 0, 0): c
-                                           for idx, c in zip(indices, cs) if c})
+    return RadialExpr._from_rationals(frame, {(_unit_mono(frame, idx), SCALAR_BLADE, 0, 0): c
+                                              for idx, c in zip(indices, cs) if c})
 
 
 def inner_x(frame: AxisFrame, t: Iterable[Rational]) -> RadialExpr:
@@ -641,7 +705,7 @@ def evaluate_terms(frame: AxisFrame, terms: Iterable[tuple[TermKey, Rational]],
 
 
 def evaluate_numeric(f: RadialExpr, point: Mapping[str, Rational]) -> dict[Blade, Fraction]:
-    return evaluate_terms(f.frame, f._terms.items(), point)
+    return evaluate_terms(f.frame, f.raw_terms.items(), point)
 
 
 def _sphere_point(rng: random.Random, n: int) -> list[Fraction]:

@@ -1,6 +1,13 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from fueterkit.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv, env=None, monkeypatch=None):
@@ -68,12 +75,34 @@ class TestApply:
         assert out1 == out2
 
     def test_negative_leading_component_in_spaced_form(self, capsys):
-        base = ("apply", "--p", "3", "--q", "3", "--variant", "plus", "--seed", "zbar^5",
-                "--Hk", "ip(x,t)", "--Hl", "ip(y,s)")
-        code, spaced, _err = run(capsys, *base, "--t", "-1,2,2", "--s", "-1/2,0,3")
-        assert code == 0 and spaced.strip()
-        code, joined, _err = run(capsys, *base, "--t=-1,2,2", "--s=-1/2,0,3")
-        assert code == 0 and joined == spaced
+        apply = ("apply", "--p", "3", "--q", "3", "--variant", "plus")
+        vectors = ("--t=1,2,-1", "--s=1/2,0,3")
+        # (argv before, option, value starting with "-", argv after)
+        table = [
+            (apply + ("--seed", "zbar^5", "--Hk", "ip(x,t)", "--Hl", "ip(y,s)"), "--t", "-1,2,2",
+             ("--s", "1/2,0,3")),
+            (apply + ("--seed", "zbar^5", "--Hk", "ip(x,t)", "--Hl", "ip(y,s)", "--t", "1,2,2"), "--s",
+             "-1/2,0,3", ()),
+            (apply, "--seed", "-zbar^5", ("--Hk", "ip(x,t)", "--Hl", "ip(y,s)") + vectors),
+            (apply + ("--seed", "zbar^5"), "--Hk", "-ip(x,t)", ("--Hl", "ip(y,s)") + vectors),
+            (apply + ("--seed", "zbar^5", "--Hk", "ip(x,t)"), "--Hl", "-ip(y,s)", vectors),
+            (("check-monogenic", "--p", "3", "--q", "3"), "--expr", "-x1*e1 + x2*e2", ()),
+            (("check-monogenic", "--p", "3", "--q", "3"), "--expr", "-x1", ()),
+            (("fischer", "--p", "3"), "--H", "-ip(x,t)^2", ("--t", "1,2,-1")),
+            (("lemma5", "--n", "1", "--s1", "0", "--s2", "0", "--k", "0", "--l", "0"), "--h", "-r^2", ()),
+        ]
+        for before, option, value, after in table:
+            code, spaced, err = run(capsys, *before, option, value, *after)
+            assert code == 0 and spaced.strip(), (option, value, err)
+            code, joined, _err = run(capsys, *before, f"{option}={value}", *after)
+            assert code == 0 and joined == spaced, (option, value)
+
+    def test_missing_option_value_still_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["apply", "--p", "3", "--q", "3", "--variant", "plus",
+                  "--seed", "--Hk", "x1", "--Hl", "y1"])
+        assert exc.value.code == 2
+        assert "argument --seed: expected one argument" in capsys.readouterr().err
 
     def test_random_vectors_seeded(self, capsys, monkeypatch):
         argv = ("apply", "--p", "3", "--q", "3", "--variant", "plus",
@@ -182,12 +211,6 @@ class TestHostileInput:
 
 class TestProcessDeterminism:
     def test_byte_identical_across_hash_seeds(self):
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        src = str(Path(__file__).resolve().parents[1] / "src")
-
         argv = [sys.executable, "-m", "fueterkit.cli", "apply", "--p", "3", "--q", "3",
                 "--variant", "plus", "--seed", "zbar^10", "--Hk", "ip(x,t)",
                 "--Hl", "ip(y,s)", "--t", "1,2,-1", "--s", "1/2,0,3", "--format", "json"]
@@ -195,7 +218,23 @@ class TestProcessDeterminism:
         for hash_seed in ("0", "1", "12345"):
             proc = subprocess.run(argv, capture_output=True, text=True,
                                   env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin",
-                                       "PYTHONPATH": src})
+                                       "PYTHONPATH": SRC})
             assert proc.returncode == 0, proc.stderr
             outputs.add(proc.stdout)
         assert len(outputs) == 1
+
+
+class TestClosedPipe:
+    def test_closed_stdout_pipe_exits_141_quietly(self):
+        # About 76 KB of output, more than a pipe buffer holds.
+        argv = [sys.executable, "-m", "fueterkit.cli", "apply", "--p", "5", "--q", "5",
+                "--variant", "minus", "--seed", "zbar^10", "--Hk", "ip(x,t)", "--Hl", "ip(y,s)",
+                "--t", "1,2,-1,1/2,3", "--s", "1/2,1,3,-2,5/3", "--format", "json"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC})
+        assert proc.stdout.read(16)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""

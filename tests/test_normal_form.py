@@ -1,21 +1,44 @@
-"""Differential oracle: the normal form against exact values at points.
+"""Differential oracle: the normal form and the integer arithmetic against
+exact values at points.
 
 Every term of an expression is a polynomial times r^a rho^b, so at a point
 whose radii r and rho are rational its value is an exact rational per
 blade.  The points come from a fixed random.Random and are drawn by
 inverse stereographic projection (``radial.rational_point``).  A nonzero
 expression vanishes at all of them only on a measure-zero set, so the
-checks below compare the normal form with an evaluation that shares none
-of its code.
+checks below compare the normal form, and the integer numerators over one
+denominator that every operator works on, with an evaluation that shares
+none of their code.
 """
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
+from fueterkit.clifford import Multivector
 from fueterkit.frame import AxisFrame
-from fueterkit.radial import RadialExpr, _normal_form, evaluate_terms, rational_point, re_mul
+from fueterkit.fueter import ft_closed_form, ft_general_via_fischer, ft_mu, ft_plus
+from fueterkit.radial import (
+    SCOPE_CR,
+    SCOPE_FIRST,
+    SCOPE_FULL,
+    SCOPE_SECOND,
+    RadialExpr,
+    _normal_form,
+    dirac,
+    evaluate_terms,
+    inner_x,
+    inner_y,
+    laplacian,
+    partial_derivative,
+    proportionality_constant,
+    rational_point,
+    re_mul,
+)
+from fueterkit.seeds import conj_power
 
 FRAMES = (AxisFrame(1, 3), AxisFrame(2, 2), AxisFrame(3, 2), AxisFrame(3, 3), AxisFrame(3, 0),
           AxisFrame(3, 0, scalar_axis=True))
@@ -27,6 +50,11 @@ POINTS = {frame: [rational_point(frame, _RNG) for _ in range(12)] for frame in F
 def values(frame, terms):
     """Exact values of a term mapping at every point of the frame."""
     return [evaluate_terms(frame, terms.items(), point) for point in POINTS[frame]]
+
+
+def mv_values(f):
+    """Exact values of an expression at every point of its frame, as multivectors."""
+    return [Multivector(f.frame.m, v) for v in values(f.frame, f.raw_terms)]
 
 
 # -- generators ------------------------------------------------------------
@@ -120,3 +148,90 @@ class TestNormalFormAgainstPointValues:
         for mono, _blade, _a, _b in once:
             assert mono[last_x] <= 1 and (last_y is None or mono[last_y] <= 1)
         assert f == RadialExpr(frame, once)
+
+
+# -- integer numerators over one denominator ---------------------------------
+
+
+def assert_integer_form(f, reduced=False):
+    """The representation invariant: nonzero int numerators over one
+    positive int denominator; ``reduced`` also asks that they share no factor."""
+    assert type(f._den) is int and f._den > 0
+    assert all(type(c) is int and c != 0 for c in f._terms.values())
+    if reduced:
+        assert gcd(f._den, *f._terms.values()) == 1
+
+
+@st.composite
+def frames_and_two(draw):
+    """A frame and two independent expressions, each over its own denominator."""
+    frame = draw(st.sampled_from(FRAMES))
+    return frame, _raw_terms(draw, frame, 4), _raw_terms(draw, frame, 4)
+
+
+SCALARS = st.fractions(min_value=-5, max_value=5, max_denominator=7) | st.integers(min_value=-5, max_value=5)
+
+
+class TestIntegerNumerators:
+    @settings(max_examples=100, deadline=None)
+    @given(frames_and_two(), SCALARS)
+    def test_sum_difference_and_multiple_have_the_point_values(self, case, c):
+        _frame, f, g = case
+        vf, vg = mv_values(f), mv_values(g)
+        for out, want in ((f + g, [a + b for a, b in zip(vf, vg)]),
+                          (f - g, [a - b for a, b in zip(vf, vg)]),
+                          (c * f, [a * c for a in vf]),
+                          (f * c, [a * c for a in vf])):
+            assert_integer_form(out, reduced=True)
+            assert mv_values(out) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(frames_and_two())
+    def test_re_mul_is_the_pointwise_geometric_product(self, case):
+        _frame, f, g = case
+        out = re_mul(f, g)
+        assert_integer_form(out, reduced=True)
+        assert mv_values(out) == [a * b for a, b in zip(mv_values(f), mv_values(g))]
+
+    @settings(max_examples=100, deadline=None)
+    @given(frames_and_two(), SCALARS)
+    def test_proportionality_constant_recovers_the_scalar(self, case, c):
+        _frame, f, _g = case
+        assume(not f.is_zero())
+        lam = proportionality_constant(c * f, f)
+        assert type(lam) is Fraction and lam == c
+        # f's terms carry r^a with a <= 5 in normal form, so r^9 is outside its span.
+        assert proportionality_constant(c * f + RadialExpr.radial(f.frame, 9), f) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(frames_and_two())
+    def test_every_operator_keeps_the_invariant(self, case):
+        frame, f, g = case
+        assert_integer_form(f, reduced=True)
+        scopes = [SCOPE_FULL, SCOPE_FIRST] + ([SCOPE_SECOND] if frame.q else [])
+        scopes += [SCOPE_CR] if frame.scalar_axis else []
+        outs = [f + g, f - g, Fraction(2, 3) * f, re_mul(f, g), -f, f.canonicalized(),
+                f.negate_group("x"), *f.blade_parity_split(), dirac(f)]
+        outs += [laplacian(f, scope) for scope in scopes]
+        outs += [partial_derivative(f, i) for i in range(frame.ncoords)]
+        for out in outs:
+            assert_integer_form(out)
+        assert all(type(c) is Fraction for c in f.raw_terms.values())
+        assert all(type(c) is Fraction for c in f.canonical_terms().values())
+
+    def test_map_outputs_keep_the_invariant(self):
+        frame = AxisFrame(3, 3)
+        seed = conj_power(5)
+        hk = inner_x(frame, [Fraction(1, 2), 2, -1])
+        hl = inner_y(frame, [1, Fraction(1, 3), 2])
+        rot_x = (RadialExpr.coordinate(frame, "x1") * Multivector.basis_vector(1, 6)
+                 - RadialExpr.coordinate(frame, "x2") * Multivector.basis_vector(2, 6))
+        direct = ft_plus(seed, hk, hl, frame)
+        routed = ft_general_via_fischer(seed, hk, hl, frame, "plus")
+        one = RadialExpr.scalar(frame, 1)
+        mu = ft_mu(seed, rot_x, one, frame, "plus")
+        closed = ft_closed_form(seed, rot_x, one, frame, "plus")
+        for out in (direct, routed, mu, closed):
+            assert not out.is_zero()
+            assert_integer_form(out)
+        assert direct == routed and mu == closed
