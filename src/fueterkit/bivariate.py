@@ -130,6 +130,14 @@ class BivariateRadial:
             return self * other
         return NotImplemented
 
+    def __pow__(self, n: int) -> "BivariateRadial":
+        if n < 0:
+            raise ValueError("radial power must be >= 0")
+        out = BivariateRadial.constant(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
     def shift(self, da: int, db: int) -> "BivariateRadial":
         """Multiply by r^da rho^db."""
         return BivariateRadial._from_merged({(a + da, b + db): c for (a, b), c in self._terms.items()})

@@ -71,6 +71,18 @@ def _vector(text: str | None, length: int, rng_box: list, what: str) -> list[Fra
     return vec
 
 
+def _bound_vectors(args, frame: AxisFrame) -> dict[str, list[Fraction]]:
+    """The vectors that --t and --s (where the command has it) bind for
+    ip(x,t) and ip(y,s); a random t is drawn before a random s."""
+    rng_box: list = []
+    vectors = {}
+    for name, length in (("t", frame.p), ("s", frame.q)):
+        vec = _vector(getattr(args, name, None), length, rng_box, name)
+        if vec is not None:
+            vectors[name] = vec
+    return vectors
+
+
 def _print_expression(expr, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(expression_json_object(expr), separators=(",", ":")))
@@ -80,14 +92,7 @@ def _print_expression(expr, fmt: str) -> None:
 
 def _cmd_apply(args) -> int:
     frame = AxisFrame(args.p, args.q)
-    rng_box: list = []
-    vectors = {}
-    t = _vector(args.t, frame.p, rng_box, "t")
-    s = _vector(args.s, frame.q, rng_box, "s")
-    if t is not None:
-        vectors["t"] = t
-    if s is not None:
-        vectors["s"] = s
+    vectors = _bound_vectors(args, frame)
     seed = SeedFunction.create(parse_seed(args.seed))
     hk = parse_expression(args.Hk, frame, vectors)
     hl = parse_expression(args.Hl, frame, vectors)
@@ -99,15 +104,7 @@ def _cmd_apply(args) -> int:
 
 def _cmd_check_monogenic(args) -> int:
     frame = AxisFrame(args.p, args.q, scalar_axis=args.scalar_axis)
-    rng_box: list = []
-    vectors = {}
-    t = _vector(args.t, frame.p, rng_box, "t")
-    s = _vector(args.s, frame.q, rng_box, "s")
-    if t is not None:
-        vectors["t"] = t
-    if s is not None:
-        vectors["s"] = s
-    expr = parse_expression(args.expr, frame, vectors)
+    expr = parse_expression(args.expr, frame, _bound_vectors(args, frame))
     scope = _SCOPE_ALIASES[args.scope]
     print("true" if dirac(expr, scope).is_zero() else "false")
     return 0
@@ -115,12 +112,7 @@ def _cmd_check_monogenic(args) -> int:
 
 def _cmd_fischer(args) -> int:
     frame = AxisFrame(args.p, 0)
-    rng_box: list = []
-    vectors = {}
-    t = _vector(args.t, frame.p, rng_box, "t")
-    if t is not None:
-        vectors["t"] = t
-    h = parse_expression(args.H, frame, vectors)
+    h = parse_expression(args.H, frame, _bound_vectors(args, frame))
     layers = fischer_decompose(h, "x")
     for layer in layers:
         print(f"n={layer.n}: {format_expression(layer.component, args.format)}")

@@ -162,6 +162,12 @@ def _verified_monogenic(out: RadialExpr, what: str) -> RadialExpr:
     return out
 
 
+def _direct_map_preconditions(seed: SeedFunction, frame: AxisFrame) -> None:
+    _check_odd_groups(frame)
+    if not seed.is_antiholomorphic():
+        raise PreconditionError("seed must be antiholomorphic (d/dz w = 0) for this map")
+
+
 def _direct_map(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: AxisFrame,
                 variant: str) -> RadialExpr:
     """Delta^{k+l+(m-2)/2} of the variant integrand for antiholomorphic seeds.
@@ -169,9 +175,7 @@ def _direct_map(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: AxisF
     Hk and Hl only need to be homogeneous polynomials of their groups; the
     output is verified to be monogenic before it is returned.
     """
-    _check_odd_groups(frame)
-    if not seed.is_antiholomorphic():
-        raise PreconditionError("seed must be antiholomorphic (d/dz w = 0) for this map")
+    _direct_map_preconditions(seed, frame)
     k = homogeneous_group_degree(hk, "x")
     l = homogeneous_group_degree(hl, "y")
     exponent = k + l + (frame.m - 2) // 2
@@ -198,13 +202,9 @@ def _resolve_mu(seed: SeedFunction, mu: int | None) -> int:
     return mu
 
 
-def ft_mu(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: AxisFrame,
-          variant: str, mu: int | None = None) -> RadialExpr:
-    """Higher-order map Delta^{mu+k+l+(m-2)/2} of the variant integrand.
-
-    Pk and Pl must be homogeneous monogenic; mu defaults to the seed's
-    recomputed order and may only be overridden upward.
-    """
+def _mu_map_preconditions(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: AxisFrame,
+                          variant: str, mu: int | None) -> tuple[int, int, int]:
+    """Check the inputs of the higher-order maps; returns (mu, k, l)."""
     _check_variant(variant)
     _check_odd_groups(frame)
     mu_eff = _resolve_mu(seed, mu)
@@ -212,6 +212,17 @@ def ft_mu(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: AxisFrame,
     l = homogeneous_group_degree(pl, "y")
     _require_group_monogenic(pk, "x", "Pk")
     _require_group_monogenic(pl, "y", "Pl")
+    return mu_eff, k, l
+
+
+def ft_mu(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: AxisFrame,
+          variant: str, mu: int | None = None) -> RadialExpr:
+    """Higher-order map Delta^{mu+k+l+(m-2)/2} of the variant integrand.
+
+    Pk and Pl must be homogeneous monogenic; mu defaults to the seed's
+    recomputed order and may only be overridden upward.
+    """
+    mu_eff, k, l = _mu_map_preconditions(seed, pk, pl, frame, variant, mu)
     exponent = mu_eff + k + l + (frame.m - 2) // 2
     out = laplacian_power(_integrand(seed, pk, pl, frame, variant), exponent, SCOPE_FULL)
     return _verified_monogenic(out, f"order-{mu_eff} {variant}-map")
@@ -221,13 +232,7 @@ def ft_closed_form(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: Ax
                    variant: str, mu: int | None = None) -> RadialExpr:
     """Closed form of ``ft_mu``: (2k+p-1)!! (2l+q-1)!! multinomial(n; j1, j2)
     times the component pair built from the one-dimensional operators."""
-    _check_variant(variant)
-    _check_odd_groups(frame)
-    mu_eff = _resolve_mu(seed, mu)
-    k = homogeneous_group_degree(pk, "x")
-    l = homogeneous_group_degree(pl, "y")
-    _require_group_monogenic(pk, "x", "Pk")
-    _require_group_monogenic(pl, "y", "Pl")
+    mu_eff, k, l = _mu_map_preconditions(seed, pk, pl, frame, variant, mu)
     p, q = frame.p, frame.q
     j1 = k + (p - 1) // 2
     j2 = l + (q - 1) // 2
@@ -254,13 +259,7 @@ def fueter_classical(seed: SeedFunction, pk: RadialExpr, m: int) -> RadialExpr:
     """(d2/dX0^2 + Delta_X)^{K+(m-1)/2} [(u(X0, R) + (X/R) v(X0, R)) PK]
     for a holomorphic seed and odd m; output lies in the kernel of the
     generalized Cauchy-Riemann operator d/dX0 + Dirac."""
-    frame = _classical_frame(pk, m)
-    if m % 2 == 0:
-        raise PreconditionError(f"ambient dimension must be odd, got m={m}")
-    if not seed.is_holomorphic():
-        raise PreconditionError("seed must be holomorphic (d/dzbar w = 0) for the classical map")
-    deg_k = homogeneous_group_degree(pk, "x")
-    _require_group_monogenic(pk, "x", "PK")
+    frame, deg_k = _classical_preconditions(seed, pk, m)
     ue, ve = _classical_uv(seed, frame)
     integrand = (ue + omega(frame) * ve) * pk
     out = laplacian_power(integrand, deg_k + (m - 1) // 2, SCOPE_CR)
@@ -271,18 +270,10 @@ def fueter_classical(seed: SeedFunction, pk: RadialExpr, m: int) -> RadialExpr:
 
 def classical_closed_form(seed: SeedFunction, pk: RadialExpr, m: int) -> RadialExpr:
     """(2K+m-1)!! ((R^{-1} d_R)^{K+(m-1)/2} u + (X/R)(d_R R^{-1})^{K+(m-1)/2} v) PK."""
-    frame = _classical_frame(pk, m)
-    if m % 2 == 0:
-        raise PreconditionError(f"ambient dimension must be odd, got m={m}")
-    if not seed.is_holomorphic():
-        raise PreconditionError("seed must be holomorphic (d/dzbar w = 0) for the classical map")
-    deg_k = homogeneous_group_degree(pk, "x")
-    _require_group_monogenic(pk, "x", "PK")
-    u_poly, v_poly = split_uv(seed.w)
+    frame, deg_k = _classical_preconditions(seed, pk, m)
     # slot 1 holds the X0 power, slot 2 the R power; the radial operators
     # act in slot 2, which is the "rho" slot of BivariateRadial.
-    u2 = lift_to_radial(u_poly)
-    v2 = lift_to_radial(v_poly)
+    u2, v2 = _lifted_uv(seed)
     n_op = deg_k + (m - 1) // 2
     first = apply_xinv_dx(u2, n_op, "rho")
     second = apply_dx_xinv(v2, n_op, "rho")
@@ -292,20 +283,25 @@ def classical_closed_form(seed: SeedFunction, pk: RadialExpr, m: int) -> RadialE
     return constant * (head * pk)
 
 
-def _classical_frame(pk: RadialExpr, m: int) -> AxisFrame:
+def _classical_preconditions(seed: SeedFunction, pk: RadialExpr, m: int) -> tuple[AxisFrame, int]:
+    """Check the inputs of the single-axis maps; returns (frame, K)."""
     frame = pk.frame
     if frame.p != m or frame.q != 0 or not frame.scalar_axis:
         raise PreconditionError(
             "classical maps need PK over a single-axis frame with scalar axis "
             f"(p={m}, q=0); got p={frame.p}, q={frame.q}, scalar_axis={frame.scalar_axis}")
-    return frame
+    if m % 2 == 0:
+        raise PreconditionError(f"ambient dimension must be odd, got m={m}")
+    if not seed.is_holomorphic():
+        raise PreconditionError("seed must be holomorphic (d/dzbar w = 0) for the classical map")
+    deg_k = homogeneous_group_degree(pk, "x")
+    _require_group_monogenic(pk, "x", "PK")
+    return frame, deg_k
 
 
 def _classical_uv(seed: SeedFunction, frame: AxisFrame) -> tuple[RadialExpr, RadialExpr]:
-    u_poly, v_poly = split_uv(seed.w)
-    ue = RadialExpr.from_bivariate_classical(frame, lift_to_radial(u_poly))
-    ve = RadialExpr.from_bivariate_classical(frame, lift_to_radial(v_poly))
-    return ue, ve
+    u, v = _lifted_uv(seed)
+    return RadialExpr.from_bivariate_classical(frame, u), RadialExpr.from_bivariate_classical(frame, v)
 
 
 # -- Fischer decomposition --------------------------------------------------
@@ -386,9 +382,7 @@ def ft_general_via_fischer(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
     ``ft_plus`` / ``ft_minus`` output exactly.
     """
     _check_variant(variant)
-    _check_odd_groups(frame)
-    if not seed.is_antiholomorphic():
-        raise PreconditionError("seed must be antiholomorphic (d/dz w = 0) for this map")
+    _direct_map_preconditions(seed, frame)
     layers_x = fischer_decompose(hk, "x")
     layers_y = fischer_decompose(hl, "y")
     total = RadialExpr.zero(frame)

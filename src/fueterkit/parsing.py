@@ -1,31 +1,38 @@
-"""Recursive-descent parsers for expressions, seeds, and radial scalars.
+"""One recursive-descent parser for the three input languages.
 
-Grammar (whitespace insensitive):
+Every grammar shares one skeleton (whitespace insensitive):
 
-    expr   := [sign] term {("+" | "-") term}
-    term   := factor {"*" factor}
-    factor := atom ["^" signed-int]
-    atom   := rational | coord | blade | radial | inner | "(" expr ")"
-    coord  := "x"digits | "y"digits | "X0"
-    blade  := "e"digits | "e{" int {"," int} "}"
-    radial := "r" | "rho"            (negative exponents allowed here only)
-    inner  := "ip(" ("x" | "y") "," name ")"
+    expr     := [sign] term {("+" | "-") term}
+    term     := factor {"*" factor}
+    factor   := rational ["^" int] | "(" expr ")" ["^" int] | atom ["^" int]
+              | radial ["^" signed-int]
+    rational := digits ["/" digits]
+    radial   := "r" | "rho"          (the only factors with negative exponents)
 
-Seeds use the atoms z, zbar, i, x, y with rational coefficients, and the
-bivariate form is the expression grammar restricted to rationals and
-radials.
+and differs only in its atoms:
+
+* expressions (Hk, Hl, ``--expr``): radial, coordinates ``x``digits,
+  ``y``digits and ``X0``, blades ``e``digits and ``e{`` int {"," int} ``}``,
+  and inner products ``ip(`` (``x`` | ``y``) ``,`` name ``)``;
+* seeds w(z, zbar): ``z``, ``zbar``, ``i``, ``x``, ``y`` (no radial);
+* bivariate Laurent scalars h(r, rho): radial only.
+
+``_Parser`` owns the skeleton; each entry point hands it the grammar's
+constant, its atom handler and, where the grammar has them, r and rho.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 from .bivariate import BivariateRadial
+from .clifford import Multivector
 from .errors import ParseError
 from .frame import AxisFrame
 from .radial import RadialExpr, inner_x, inner_y
-from .seeds import ComplexBivarPoly
+from .seeds import ComplexBivarPoly, ComplexRational
 
 _SYMBOLS = "+-*/^(){},"
 
@@ -46,9 +53,9 @@ class _Tokenizer:
             if c.isspace():
                 i += 1
                 continue
-            if c.isdigit():
+            if c.isdecimal():
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
                 self.tokens.append(("num", text[i:j], i))
                 i = j
@@ -112,8 +119,89 @@ def _parse_rational(tz: _Tokenizer, first: tuple[str, str, int]) -> Fraction:
     return Fraction(num)
 
 
+class _Parser:
+    """The skeleton every grammar shares: expr, term and factor.
+
+    ``constant`` turns a rational into the grammar's value.  ``atom``, when
+    given, is called as ``atom(tz, name, pos)`` on every other name and
+    returns its value; it may read further tokens (``e{1,2}``, ``ip(x,t)``).
+    ``radial``, when given, is called as ``radial(name, n, pos)`` for
+    ``r^n`` and ``rho^n``, the only factors whose exponent may be negative.
+    Every other factor takes the ``^n`` rule with n >= 0.  A factor takes
+    at most one exponent, so ``r^2^3`` and ``x1^2^3`` end at the second
+    ``^``.
+    """
+
+    def __init__(self, text: str, constant: Callable, atom: Callable | None, radial: Callable | None = None):
+        self.tz = _Tokenizer(text)
+        self.constant = constant
+        self.atom = atom
+        self.radial = radial
+
+    def parse(self):
+        out = self._expr()
+        tok = self.tz.peek()
+        if tok[0] != "end":
+            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        return out
+
+    def _expr(self):
+        sign = 1
+        tok = self.tz.peek()
+        if tok[0] in ("+", "-"):
+            self.tz.next()
+            if tok[0] == "-":
+                sign = -1
+        out = self._term() * sign
+        while True:
+            tok = self.tz.peek()
+            if tok[0] == "+":
+                self.tz.next()
+                out = out + self._term()
+            elif tok[0] == "-":
+                self.tz.next()
+                out = out - self._term()
+            else:
+                return out
+
+    def _term(self):
+        out = self._factor()
+        while self.tz.peek()[0] == "*":
+            self.tz.next()
+            out = out * self._factor()
+        return out
+
+    def _factor(self):
+        tok = self.tz.next()
+        kind, value, pos = tok
+        if kind == "name" and value in ("r", "rho") and self.radial is not None:
+            n = self._exponent() if self.tz.peek()[0] == "^" else 1
+            return self.radial(value, n, pos)
+        if kind == "num":
+            base = self.constant(_parse_rational(self.tz, tok))
+        elif kind == "(":
+            base = self._expr()
+            self.tz.expect(")")
+        elif kind == "name" and self.atom is not None:
+            base = self.atom(self.tz, value, pos)
+        else:
+            raise ParseError(f"unexpected token {value or 'end of input'!r}", pos)
+        if self.tz.peek()[0] != "^":
+            return base
+        n = self._exponent()
+        if n < 0:
+            raise ParseError(f"negative exponent {n}: only r and rho take negative powers", pos)
+        return base ** n
+
+    def _exponent(self) -> int:
+        self.tz.next()
+        return _parse_int(self.tz)
+
+
 def _parse_blade_name(name: str, pos: int, frame: AxisFrame) -> tuple[int, ...]:
     digits = name[1:]
+    if not digits.isdecimal():
+        raise ParseError(f"invalid blade name {name!r}", pos)
     indices = []
     for ch in digits:
         j = int(ch)
@@ -134,280 +222,97 @@ def _validate_blade_indices(indices: Sequence[int], pos: int, frame: AxisFrame) 
     return tuple(indices)
 
 
-class _ExprParser:
-    def __init__(self, text: str, frame: AxisFrame, vectors: Mapping[str, Sequence[Fraction]] | None):
-        self.tz = _Tokenizer(text)
-        self.frame = frame
-        self.vectors = dict(vectors or {})
+def _expression_atom(frame: AxisFrame, vectors: Mapping[str, Sequence[Fraction]],
+                     tz: _Tokenizer, name: str, pos: int) -> RadialExpr:
+    """Coordinates, ``e``-blades and ``ip(x|y, name)``."""
+    if name == "ip":
+        return _inner(tz, pos, frame, vectors)
+    if name.startswith("e") and (len(name) > 1 and name[1:].isdigit() or tz.peek()[0] == "{"):
+        if len(name) > 1:
+            if frame.m > 9:
+                raise ParseError("use e{...} blade syntax for frames with m >= 10", pos)
+            blade = _parse_blade_name(name, pos, frame)
+        else:
+            blade = _braced_blade(tz, pos, frame)
+        return RadialExpr.constant(frame, Multivector.blade(blade, frame.m))
+    try:
+        return RadialExpr.coordinate(frame, name)
+    except ValueError as exc:
+        raise ParseError(str(exc), pos) from None
 
-    def parse(self) -> RadialExpr:
-        out = self._expr()
-        tok = self.tz.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return out
 
-    def _expr(self) -> RadialExpr:
-        sign = 1
-        tok = self.tz.peek()
-        if tok[0] in ("+", "-"):
-            self.tz.next()
-            if tok[0] == "-":
-                sign = -1
-        out = self._term() * sign
-        while True:
-            tok = self.tz.peek()
-            if tok[0] == "+":
-                self.tz.next()
-                out = out + self._term()
-            elif tok[0] == "-":
-                self.tz.next()
-                out = out - self._term()
-            else:
-                return out
+def _braced_blade(tz: _Tokenizer, pos: int, frame: AxisFrame) -> tuple[int, ...]:
+    tz.expect("{")
+    indices = [int(tz.expect("num")[1])]
+    while tz.peek()[0] == ",":
+        tz.next()
+        indices.append(int(tz.expect("num")[1]))
+    tz.expect("}")
+    return _validate_blade_indices(indices, pos, frame)
 
-    def _term(self) -> RadialExpr:
-        out = self._factor()
-        while self.tz.peek()[0] == "*":
-            self.tz.next()
-            out = out * self._factor()
-        return out
 
-    def _factor(self) -> RadialExpr:
-        tok = self.tz.next()
-        kind, value, pos = tok
-        if kind == "num":
-            coeff = _parse_rational(self.tz, tok)
-            return self._maybe_pow(RadialExpr.scalar(self.frame, coeff), pos)
-        if kind == "(":
-            inner = self._expr()
-            self.tz.expect(")")
-            return self._maybe_pow(inner, pos)
-        if kind != "name":
-            raise ParseError(f"unexpected token {value or 'end of input'!r}", pos)
-        if value in ("r", "rho"):
-            exponent = 1
-            if self.tz.peek()[0] == "^":
-                self.tz.next()
-                exponent = _parse_int(self.tz)
-            if value == "rho" and self.frame.q == 0:
-                raise ParseError("rho is undefined in a single-axis frame", pos)
-            a, b = (exponent, 0) if value == "r" else (0, exponent)
-            return RadialExpr.radial(self.frame, a, b)
-        if value == "ip":
-            return self._maybe_pow(self._inner(pos), pos)
-        if value.startswith("e") and (len(value) > 1 and value[1:].isdigit() or self.tz.peek()[0] == "{"):
-            if len(value) > 1:
-                if self.frame.m > 9:
-                    raise ParseError("use e{...} blade syntax for frames with m >= 10", pos)
-                blade = _parse_blade_name(value, pos, self.frame)
-            else:
-                blade = self._braced_blade(pos)
-            from .clifford import Multivector
-
-            expr = RadialExpr.constant(self.frame, Multivector.blade(blade, self.frame.m))
-            return self._maybe_pow(expr, pos)
-        try:
-            idx_expr = RadialExpr.coordinate(self.frame, value)
-        except ValueError as exc:
-            raise ParseError(str(exc), pos) from None
-        return self._maybe_pow(idx_expr, pos)
-
-    def _braced_blade(self, pos: int) -> tuple[int, ...]:
-        self.tz.expect("{")
-        indices = [int(self.tz.expect("num")[1])]
-        while self.tz.peek()[0] == ",":
-            self.tz.next()
-            indices.append(int(self.tz.expect("num")[1]))
-        self.tz.expect("}")
-        return _validate_blade_indices(indices, pos, self.frame)
-
-    def _inner(self, pos: int) -> RadialExpr:
-        self.tz.expect("(")
-        group_tok = self.tz.expect("name")
-        if group_tok[1] not in ("x", "y"):
-            raise ParseError("inner product group must be 'x' or 'y'", group_tok[2])
-        self.tz.expect(",")
-        name_tok = self.tz.expect("name")
-        name = name_tok[1]
-        self.tz.expect(")")
-        if name not in self.vectors:
-            raise ParseError(f"unbound vector name {name!r}", name_tok[2])
-        vec = self.vectors[name]
-        try:
-            if group_tok[1] == "x":
-                return inner_x(self.frame, vec)
-            return inner_y(self.frame, vec)
-        except ValueError as exc:
-            raise ParseError(str(exc), pos) from None
-
-    def _maybe_pow(self, base: RadialExpr, pos: int) -> RadialExpr:
-        if self.tz.peek()[0] != "^":
-            return base
-        self.tz.next()
-        n = _parse_int(self.tz)
-        if n < 0:
-            raise ParseError("negative exponents are only allowed on r and rho", pos)
-        return base ** n
+def _inner(tz: _Tokenizer, pos: int, frame: AxisFrame, vectors: Mapping[str, Sequence[Fraction]]) -> RadialExpr:
+    tz.expect("(")
+    group_tok = tz.expect("name")
+    if group_tok[1] not in ("x", "y"):
+        raise ParseError("inner product group must be 'x' or 'y'", group_tok[2])
+    tz.expect(",")
+    name_tok = tz.expect("name")
+    name = name_tok[1]
+    tz.expect(")")
+    if name not in vectors:
+        raise ParseError(f"unbound vector name {name!r}", name_tok[2])
+    vec = vectors[name]
+    try:
+        if group_tok[1] == "x":
+            return inner_x(frame, vec)
+        return inner_y(frame, vec)
+    except ValueError as exc:
+        raise ParseError(str(exc), pos) from None
 
 
 def parse_expression(text: str, frame: AxisFrame,
                      vectors: Mapping[str, Sequence[Fraction]] | None = None) -> RadialExpr:
     """Parse an expression and return it in canonical form."""
-    return _ExprParser(text, frame, vectors).parse().canonicalized()
+
+    def radial(name: str, n: int, pos: int) -> RadialExpr:
+        if name == "r":
+            return RadialExpr.radial(frame, n, 0)
+        if frame.q == 0:
+            raise ParseError("rho is undefined in a single-axis frame", pos)
+        return RadialExpr.radial(frame, 0, n)
+
+    atom = partial(_expression_atom, frame, dict(vectors or {}))
+    return _Parser(text, partial(RadialExpr.scalar, frame), atom, radial).parse().canonicalized()
 
 
-class _SeedParser:
-    def __init__(self, text: str):
-        self.tz = _Tokenizer(text)
+_SEED_ATOMS = {
+    "z": ComplexBivarPoly.z,
+    "zbar": ComplexBivarPoly.zbar,
+    "i": lambda: ComplexBivarPoly.constant(ComplexRational.of(0, 1)),
+    "x": lambda: ComplexBivarPoly.coordinate("x"),
+    "y": lambda: ComplexBivarPoly.coordinate("y"),
+}
 
-    def parse(self) -> ComplexBivarPoly:
-        out = self._expr()
-        tok = self.tz.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return out
 
-    def _expr(self) -> ComplexBivarPoly:
-        sign = 1
-        tok = self.tz.peek()
-        if tok[0] in ("+", "-"):
-            self.tz.next()
-            if tok[0] == "-":
-                sign = -1
-        out = self._term() * sign
-        while True:
-            tok = self.tz.peek()
-            if tok[0] == "+":
-                self.tz.next()
-                out = out + self._term()
-            elif tok[0] == "-":
-                self.tz.next()
-                out = out - self._term()
-            else:
-                return out
-
-    def _term(self) -> ComplexBivarPoly:
-        out = self._factor()
-        while self.tz.peek()[0] == "*":
-            self.tz.next()
-            out = out * self._factor()
-        return out
-
-    def _factor(self) -> ComplexBivarPoly:
-        tok = self.tz.next()
-        kind, value, pos = tok
-        if kind == "num":
-            base = ComplexBivarPoly.constant(_parse_rational(self.tz, tok))
-        elif kind == "(":
-            base = self._expr()
-            self.tz.expect(")")
-        elif kind == "name":
-            if value == "i":
-                from .seeds import ComplexRational
-
-                base = ComplexBivarPoly.constant(ComplexRational.of(0, 1))
-            elif value == "z":
-                base = ComplexBivarPoly.z()
-            elif value == "zbar":
-                base = ComplexBivarPoly.zbar()
-            elif value in ("x", "y"):
-                base = ComplexBivarPoly.coordinate(value)
-            else:
-                raise ParseError(f"unknown seed atom {value!r}", pos)
-        else:
-            raise ParseError(f"unexpected token {value or 'end of input'!r}", pos)
-        if self.tz.peek()[0] == "^":
-            self.tz.next()
-            n = _parse_int(self.tz)
-            if n < 0:
-                raise ParseError("seed powers must be >= 0", pos)
-            base = base ** n
-        return base
+def _seed_atom(tz: _Tokenizer, name: str, pos: int) -> ComplexBivarPoly:
+    if name not in _SEED_ATOMS:
+        raise ParseError(f"unknown seed atom {name!r}", pos)
+    return _SEED_ATOMS[name]()
 
 
 def parse_seed(text: str) -> ComplexBivarPoly:
     """Parse a seed polynomial over the atoms z, zbar, i, x, y."""
-    return _SeedParser(text).parse()
-
-
-class _BivariateParser:
-    def __init__(self, text: str):
-        self.tz = _Tokenizer(text)
-
-    def parse(self) -> BivariateRadial:
-        out = self._expr()
-        tok = self.tz.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return out
-
-    def _expr(self) -> BivariateRadial:
-        sign = 1
-        tok = self.tz.peek()
-        if tok[0] in ("+", "-"):
-            self.tz.next()
-            if tok[0] == "-":
-                sign = -1
-        out = self._term() * sign
-        while True:
-            tok = self.tz.peek()
-            if tok[0] == "+":
-                self.tz.next()
-                out = out + self._term()
-            elif tok[0] == "-":
-                self.tz.next()
-                out = out - self._term()
-            else:
-                return out
-
-    def _term(self) -> BivariateRadial:
-        out = self._factor()
-        while self.tz.peek()[0] == "*":
-            self.tz.next()
-            out = out * self._factor()
-        return out
-
-    def _factor(self) -> BivariateRadial:
-        tok = self.tz.next()
-        kind, value, pos = tok
-        if kind == "num":
-            base = BivariateRadial.constant(_parse_rational(self.tz, tok))
-            if self.tz.peek()[0] == "^":
-                self.tz.next()
-                n = _parse_int(self.tz)
-                if n < 0:
-                    raise ParseError("negative exponents are only allowed on r and rho", pos)
-                out = BivariateRadial.constant(1)
-                for _ in range(n):
-                    out = out * base
-                return out
-            return base
-        if kind == "(":
-            base = self._expr()
-            self.tz.expect(")")
-            if self.tz.peek()[0] == "^":
-                self.tz.next()
-                n = _parse_int(self.tz)
-                if n < 0:
-                    raise ParseError("negative exponents are only allowed on r and rho", pos)
-                out = BivariateRadial.constant(1)
-                for _ in range(n):
-                    out = out * base
-                return out
-            return base
-        if kind == "name" and value in ("r", "rho"):
-            exponent = 1
-            if self.tz.peek()[0] == "^":
-                self.tz.next()
-                exponent = _parse_int(self.tz)
-            return BivariateRadial.monomial(exponent, 0) if value == "r" else BivariateRadial.monomial(0, exponent)
-        raise ParseError(f"unexpected token {value or 'end of input'!r} in radial scalar", pos)
+    return _Parser(text, ComplexBivarPoly.constant, _seed_atom).parse()
 
 
 def parse_bivariate(text: str) -> BivariateRadial:
     """Parse a pure scalar Laurent expression in r and rho."""
-    return _BivariateParser(text).parse()
+
+    def radial(name: str, n: int, pos: int) -> BivariateRadial:
+        return BivariateRadial.monomial(n, 0) if name == "r" else BivariateRadial.monomial(0, n)
+
+    return _Parser(text, BivariateRadial.constant, None, radial).parse()
 
 
 def parse_vector(text: str) -> list[Fraction]:

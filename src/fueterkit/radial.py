@@ -59,6 +59,7 @@ the numerators and the denominator have in common.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -87,7 +88,7 @@ _SQUARE_CACHE_SIZE = 256
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _unit_mono(frame: AxisFrame, idx: int) -> Mono:
@@ -606,10 +607,6 @@ def is_monogenic(f: RadialExpr, scope: str = SCOPE_FULL) -> bool:
     return dirac(f, scope).is_zero()
 
 
-def homogeneity_degree(f: RadialExpr) -> int | None:
-    return f.homogeneity_degree()
-
-
 # -- frame-level builders --------------------------------------------------
 
 
@@ -702,10 +699,6 @@ def evaluate_terms(frame: AxisFrame, terms: Iterable[tuple[TermKey, Rational]],
             yield blade, val
 
     return collect(values())
-
-
-def evaluate_numeric(f: RadialExpr, point: Mapping[str, Rational]) -> dict[Blade, Fraction]:
-    return evaluate_terms(f.frame, f.raw_terms.items(), point)
 
 
 def _sphere_point(rng: random.Random, n: int) -> list[Fraction]:

@@ -288,32 +288,6 @@ def seed_times_monomial(seed: SeedFunction, n1: int, n2: int) -> SeedFunction:
     return SeedFunction.create(seed.w * parity_monomial(n1, n2))
 
 
-def build_seed(kind: str, *, n: int = 0, n1: int = 0, n2: int = 0,
-               base: SeedFunction | None = None,
-               poly: ComplexBivarPoly | None = None) -> SeedFunction:
-    """Seed construction dispatcher.
-
-    kinds: ``conj_power`` (zbar^n), ``i_times`` (multiply ``base`` by i),
-    ``monomial_times`` (multiply ``base`` by the signed parity monomial
-    x^n1 y^n2), ``literal`` (wrap ``poly``).
-    """
-    if kind == "conj_power":
-        return conj_power(n)
-    if kind == "i_times":
-        if base is None:
-            raise ValueError("i_times requires a base seed")
-        return times_i(base)
-    if kind == "monomial_times":
-        if base is None:
-            raise ValueError("monomial_times requires a base seed")
-        return seed_times_monomial(base, n1, n2)
-    if kind == "literal":
-        if poly is None:
-            raise ValueError("literal requires a polynomial")
-        return SeedFunction.create(poly)
-    raise ValueError(f"unknown seed kind {kind!r}")
-
-
 def split_uv(w: ComplexBivarPoly) -> tuple[dict[tuple[int, int], Fraction], dict[tuple[int, int], Fraction]]:
     """Real and imaginary parts as real-rational bivariate polynomials."""
     u: dict[tuple[int, int], Fraction] = {}

@@ -8,7 +8,7 @@ from fueterkit.errors import ParseError
 from fueterkit.formatting import format_expression
 from fueterkit.frame import AxisFrame
 from fueterkit.parsing import MAX_DEPTH, parse_bivariate, parse_expression, parse_seed, parse_vector
-from fueterkit.radial import RadialExpr
+from fueterkit.radial import RadialExpr, inner_x
 from fueterkit.seeds import ComplexBivarPoly, ComplexRational
 
 F33 = AxisFrame(3, 3)
@@ -90,6 +90,17 @@ class TestExpressionErrors:
         with pytest.raises(ParseError):
             parse_expression("x1 x2", F33)
 
+    def test_malformed_blade_name(self):
+        with pytest.raises(ParseError, match="invalid blade name 'e1x1'") as err:
+            parse_expression("y1 + e1x1{2}", F33)
+        assert err.value.position == 5
+
+    def test_non_ascii_digits_are_unexpected_characters(self):
+        for text, column in (("\u00b2", 0), ("2\u00b2", 1)):
+            with pytest.raises(ParseError, match="unexpected character") as err:
+                parse_expression(text, F33)
+            assert err.value.position == column
+
     def test_nesting_depth_is_bounded_in_every_grammar(self):
         for parse, atom in ((lambda t: parse_expression(t, F33), "x1"), (parse_seed, "zbar"),
                             (parse_bivariate, "r")):
@@ -97,6 +108,65 @@ class TestExpressionErrors:
             for depth in (MAX_DEPTH + 1, 3000):
                 with pytest.raises(ParseError, match="nested deeper"):
                     parse("(" * depth + atom + ")" * depth)
+
+
+# Each grammar with the atom that stands for "A" in the skeleton tables,
+# its value, and the grammar's constant.
+GRAMMARS = [
+    pytest.param(lambda t: parse_expression(t, F33, {"t": [1, 2, -1]}), "ip(x,t)", inner_x(F33, [1, 2, -1]),
+                 lambda c: RadialExpr.scalar(F33, c), id="expression"),
+    pytest.param(parse_seed, "zbar", ComplexBivarPoly.zbar(), ComplexBivarPoly.constant, id="seed"),
+    pytest.param(parse_bivariate, "rho", BivariateRadial.monomial(0, 1), BivariateRadial.constant, id="bivariate"),
+]
+
+# (input with "A" for the atom, the value built from the atom a and the constant c)
+SKELETON_VALUES = [
+    ("-A", lambda a, c: c(-1) * a),
+    ("+A - 2*A + 3*A", lambda a, c: c(2) * a),
+    ("A*A*2", lambda a, c: a * a * c(2)),
+    ("(A + 1)*(A - 1)", lambda a, c: a * a - c(1)),
+    ("((A))", lambda a, c: a),
+    ("2^3*A", lambda a, c: c(8) * a),
+    ("(A + 2)^2", lambda a, c: a * a + c(4) * a + c(4)),
+    ("-(A - 1/2)^3", lambda a, c: c(-1) * (a - c(Fraction(1, 2))) * (a - c(Fraction(1, 2))) * (a - c(Fraction(1, 2)))),
+    ("(A)^0 + 0^0", lambda a, c: c(2)),
+    ("A^2 - A*A", lambda a, c: c(0)),
+    ("3/4*A - 1/4", lambda a, c: c(Fraction(3, 4)) * a - c(Fraction(1, 4))),
+]
+
+# (input with "A" for the atom, its error column given the atom's length n, message)
+SKELETON_ERRORS = [
+    ("2/0", lambda n: 2, "zero denominator"),
+    ("", lambda n: 0, "unexpected token 'end of input'"),
+    ("+-A", lambda n: 1, "unexpected token '-'"),
+    ("A - -1", lambda n: n + 3, "unexpected token '-'"),
+    ("A^", lambda n: n + 1, "expected 'num'"),
+    ("(A", lambda n: n + 1, "expected '\\)'"),
+    ("A)", lambda n: n, "unexpected trailing input '\\)'"),
+    ("A^2^3", lambda n: n + 2, "unexpected trailing input '\\^'"),
+    ("2*A^2^3", lambda n: n + 4, "unexpected trailing input '\\^'"),
+    ("(A)^-1", lambda n: 0, "negative exponent -1"),
+    ("A + (2*A)^-2", lambda n: n + 3, "negative exponent -2"),
+    ("2^-1", lambda n: 0, "negative exponent -1"),
+    ("(" * (MAX_DEPTH + 1) + "A" + ")" * (MAX_DEPTH + 1), lambda n: MAX_DEPTH, "nested deeper"),
+]
+
+
+class TestSharedSkeleton:
+    """The skeleton inputs give the same results in all three grammars."""
+
+    @pytest.mark.parametrize("parse, atom, value, const", GRAMMARS)
+    @pytest.mark.parametrize("template, build", SKELETON_VALUES, ids=[t for t, _ in SKELETON_VALUES])
+    def test_value(self, parse, atom, value, const, template, build):
+        assert parse(template.replace("A", atom)) == build(value, const)
+
+    @pytest.mark.parametrize("parse, atom, value, const", GRAMMARS)
+    @pytest.mark.parametrize("template, column, message", SKELETON_ERRORS,
+                             ids=[t if len(t) < 20 else "MAX_DEPTH+1" for t, _, _ in SKELETON_ERRORS])
+    def test_error(self, parse, atom, value, const, template, column, message):
+        with pytest.raises(ParseError, match=message) as err:
+            parse(template.replace("A", atom))
+        assert err.value.position == column(len(atom))
 
 
 class TestRoundTrip:

@@ -9,7 +9,6 @@ from fueterkit.seeds import (
     ComplexBivarPoly,
     ComplexRational,
     SeedFunction,
-    build_seed,
     conj_power,
     holo_power,
     laplace2,
@@ -74,12 +73,12 @@ class TestSeedOrder:
 
 class TestBuildSeed:
     def test_conj_power(self):
-        seed = build_seed("conj_power", n=8)
+        seed = conj_power(8)
         assert seed.mu == 0
         assert seed.w == ZBAR ** 8
 
     def test_i_times(self):
-        seed = build_seed("i_times", base=conj_power(3))
+        seed = times_i(conj_power(3))
         assert seed.w == ZBAR ** 3 * I
         assert seed.mu == 0
 
@@ -103,7 +102,7 @@ class TestBuildSeed:
 
     def test_literal(self):
         poly = Z ** 2 * ZBAR
-        seed = build_seed("literal", poly=poly)
+        seed = SeedFunction.create(poly)
         assert seed.w == poly and seed.mu == 2
 
 
