@@ -13,8 +13,9 @@ Four pipelines are implemented and cross-checked against each other:
   multinomial constant times (A + omega nu B) Pk Pl (or (omega C + nu D)
   Pk Pl) with A, B, C, D produced by the one-dimensional radial operators.
 * ``ft_general_via_fischer``: replays the reduction of general factors to
-  monogenic ones through the Fischer decomposition and parity routing;
-  must agree with the direct maps exactly.
+  monogenic ones through the Fischer decomposition and parity routing,
+  and evaluates every layer pair by ``ft_closed_form``; it takes no
+  Laplacian, and must agree with the direct maps exactly.
 
 A single-axis pipeline (``fueter_classical`` and its closed form) covers
 the generalized Cauchy-Riemann construction for holomorphic seeds.
@@ -376,10 +377,12 @@ def ft_general_via_fischer(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
     """Route general homogeneous factors through monogenic layers.
 
     Each pair of Fischer layers contributes a higher-order map with the
-    seed multiplied by a signed monomial h(x, y); even/odd valued layer
-    pieces commute or anticommute past the second-group vector powers,
-    which the parity sign accounts for.  The sum equals the direct
-    ``ft_plus`` / ``ft_minus`` output exactly.
+    seed multiplied by a signed monomial h(x, y), evaluated by its closed
+    form ``ft_closed_form``; even/odd valued layer pieces commute or
+    anticommute past the second-group vector powers, which the parity sign
+    accounts for.  The sum, verified on its normal form, equals the direct
+    ``ft_plus`` / ``ft_minus`` output exactly.  The route takes no
+    Laplacian, so it shares no differentiation code with the direct maps.
     """
     _check_variant(variant)
     _direct_map_preconditions(seed, frame)
@@ -411,9 +414,9 @@ def ft_general_via_fischer(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
                 if piece.is_zero():
                     continue
                 sigma = 1 if parity == 0 else (-1) ** n2
-                term = ft_mu(routed, piece, ly.component, frame, target, mu=tot)
+                term = ft_closed_form(routed, piece, ly.component, frame, target, mu=tot)
                 total = total + sigma * term
-    return _verified_monogenic(total, "fischer-routed map")
+    return _verified_monogenic(total.canonicalized(), "fischer-routed map")
 
 
 # -- component extraction and the first-order systems ------------------------

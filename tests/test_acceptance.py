@@ -285,6 +285,21 @@ def test_criterion_7_pipeline_equivalence():
                 assert (routed - direct).is_zero(), (
                     f"pipelines differ: zbar^{seed_power}, deg={hk.homogeneity_degree()}, {variant}")
                 checked += 1
+    # Larger seeds and frames; each of these outputs is nonzero.
+    wide = [(frame, 15, re_mul(xt, xt), ys, "plus")]
+    t_big = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3), Fraction(1), Fraction(2, 3)]
+    s_big = [Fraction(1, 2), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(-2), Fraction(1)]
+    for p, cases in ((5, ((9, "plus"), (10, "minus"))), (7, ((9, "plus"),))):
+        big = AxisFrame(p, p)
+        xt_big, ys_big = inner_x(big, t_big[:p]), inner_y(big, s_big[:p])
+        wide += [(big, power, xt_big, ys_big, variant) for power, variant in cases]
+    for big, seed_power, hk, hl, variant in wide:
+        seed = conj_power(seed_power)
+        direct = (ft_plus if variant == "plus" else ft_minus)(seed, hk, hl, big)
+        routed = ft_general_via_fischer(seed, hk, hl, big, variant)
+        assert not direct.is_zero(), f"zero output: ({big.p},{big.q}) zbar^{seed_power} {variant}"
+        assert routed == direct, f"pipelines differ: ({big.p},{big.q}) zbar^{seed_power} {variant}"
+        checked += 1
     _report(7, "pipeline equivalence", f"{checked} exact replays through monogenic layers")
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fueterkit import fueter, radial
 from fueterkit.bivariate import BiaxialParams, BivariateRadial
 from fueterkit.clifford import Multivector
 from fueterkit.errors import PreconditionError, ShapeError
@@ -267,6 +268,24 @@ class TestGeneralViaFischer:
         routed = ft_general_via_fischer(conj_power(7), hk, one(), F33, "plus")
         direct = ft_plus(conj_power(7), hk, one(), F33)
         assert (routed - direct).is_zero()
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    def test_route_never_takes_a_laplacian(self, monkeypatch, variant):
+        """The route checks the direct map without sharing its Laplacian code."""
+        hk = inner_x(F33, [Fraction(1), Fraction(-2), Fraction(1, 2)]) ** 2
+        hl = inner_y(F33, [Fraction(2), Fraction(1), Fraction(-1)])
+        direct_fn = ft_plus if variant == "plus" else ft_minus
+        direct = direct_fn(conj_power(8), hk, hl, F33)
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the Fischer route took a Laplacian")
+
+        monkeypatch.setattr(fueter, "laplacian_power", forbidden)
+        monkeypatch.setattr(radial, "laplacian", forbidden)
+        monkeypatch.setattr(radial, "laplacian_power", forbidden)
+        routed = ft_general_via_fischer(conj_power(8), hk, hl, F33, variant)
+        assert not routed.is_zero()
+        assert routed == direct
 
 
 class TestExtractAndVekua:
