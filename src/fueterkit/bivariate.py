@@ -13,11 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
-from .sparse import collect
-
-Rational = Union[int, Fraction]
+from .sparse import Rational, TermMap, collect, items_of
 
 _R = "r"
 _RHO = "rho"
@@ -39,112 +37,40 @@ class BiaxialParams:
             raise ValueError("group dimensions p, q must be >= 1")
 
 
-class BivariateRadial:
+class BivariateRadial(TermMap):
     """Sparse exact Laurent expression in (r, rho); pure scalar."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[tuple[int, int], Rational] | Iterable[tuple[tuple[int, int], Rational]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        object.__setattr__(self, "_terms", collect(((a, b), Fraction(c)) for (a, b), c in items))
-
-    @classmethod
-    def _from_merged(cls, terms: dict[tuple[int, int], Fraction]) -> "BivariateRadial":
-        """Wrap a dict that is already merged and zero-free, without a copy."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "_terms", terms)
-        return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BivariateRadial is immutable")
-
-    @classmethod
-    def zero(cls) -> "BivariateRadial":
-        return cls()
+        super().__init__(((a, b), c) for (a, b), c in items_of(terms))
 
     @classmethod
     def monomial(cls, a: int, b: int, coeff: Rational = 1) -> "BivariateRadial":
-        return cls({(a, b): Fraction(coeff)})
+        return cls({(a, b): coeff})
 
     @classmethod
     def constant(cls, value: Rational) -> "BivariateRadial":
-        return cls({(0, 0): Fraction(value)})
+        return cls({(0, 0): value})
 
-    @property
-    def terms(self) -> Mapping[tuple[int, int], Fraction]:
-        return dict(self._terms)
+    def _unit_key(self) -> tuple[int, int]:
+        return (0, 0)
+
+    def _products(self, other: "BivariateRadial"):
+        for (a1, b1), c1 in self._terms.items():
+            for (a2, b2), c2 in other._terms.items():
+                yield (a1 + a2, b1 + b2), c1 * c2
 
     def items(self) -> list[tuple[tuple[int, int], Fraction]]:
-        return sorted(self._terms.items())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = BivariateRadial.constant(other)
-        if not isinstance(other, BivariateRadial):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __neg__(self) -> "BivariateRadial":
-        return BivariateRadial._from_merged({k: -c for k, c in self._terms.items()})
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BivariateRadial.constant(other)
-        if not isinstance(other, BivariateRadial):
-            return NotImplemented
-        return BivariateRadial._from_merged(collect(other._terms.items(), self._terms))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BivariateRadial.constant(other)
-        if not isinstance(other, BivariateRadial):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return BivariateRadial._from_merged({k: v * c for k, v in self._terms.items()} if c else {})
-        if not isinstance(other, BivariateRadial):
-            return NotImplemented
-        return BivariateRadial._from_merged(collect(
-            ((a1 + a2, b1 + b2), c1 * c2)
-            for (a1, b1), c1 in self._terms.items() for (a2, b2), c2 in other._terms.items()))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, n: int) -> "BivariateRadial":
-        if n < 0:
-            raise ValueError("radial power must be >= 0")
-        out = BivariateRadial.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return sorted(self.terms.items())
 
     def shift(self, da: int, db: int) -> "BivariateRadial":
         """Multiply by r^da rho^db."""
-        return BivariateRadial._from_merged({(a + da, b + db): c for (a, b), c in self._terms.items()})
+        return self._like({(a + da, b + db): c for (a, b), c in self._terms.items()}, self._den)
 
     def derivative(self, var: str) -> "BivariateRadial":
         """Plain partial derivative in r or rho."""
-        return BivariateRadial._from_merged(_lower(self._terms, _check_var(var), 1, 0))
+        return self._like(_lower(self._terms, _check_var(var), 1, 0), self._den)
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -161,7 +87,7 @@ def _check_var(var: str) -> int:
     raise ValueError(f"variable must be 'r' or 'rho', got {var!r}")
 
 
-def _lower(terms: dict[tuple[int, int], Fraction], slot: int, by: int, shift: int) -> dict[tuple[int, int], Fraction]:
+def _lower(terms: dict[tuple[int, int], int], slot: int, by: int, shift: int) -> dict[tuple[int, int], int]:
     """Monomial rule x^e -> (e - shift) x^{e - by} in the given slot."""
     return collect(((a - by, b) if slot == 0 else (a, b - by), ((a, b)[slot] - shift) * c)
                    for (a, b), c in terms.items())
@@ -174,7 +100,7 @@ def _radial_operator_power(f: BivariateRadial, n: int, var: str, shift: int) -> 
     terms = f._terms
     for _ in range(n):
         terms = _lower(terms, slot, 2, shift)
-    return BivariateRadial._from_merged(terms)
+    return f._like(terms, f._den)
 
 
 def apply_xinv_dx(f: BivariateRadial, n: int, var: str = _R) -> BivariateRadial:
@@ -200,7 +126,7 @@ def delta2_power(f: BivariateRadial, n: int) -> BivariateRadial:
     terms = f._terms
     for _ in range(n):
         terms = collect(step(terms))
-    return BivariateRadial._from_merged(terms)
+    return f._like(terms, f._den)
 
 
 def expansion_coefficient(j1: int, j2: int, params: BiaxialParams) -> int:

@@ -12,6 +12,7 @@ reproduced.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -177,6 +178,9 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 3
 
 
+# Built once per process: building takes longer than parsing, and a
+# parser holds no state between parse_args calls.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fueterkit",

@@ -3,20 +3,21 @@
 The algebra is generated by e_1 .. e_m with e_j^2 = -1 and
 e_j e_k = -e_k e_j for j != k.  Basis blades are strictly increasing
 tuples of generator indices, the empty tuple being the scalar unit.
-Elements are sparse blade -> Fraction maps; every coefficient is an
-arbitrary-precision rational and no floating point enters anywhere.
+Elements are sparse blade -> coefficient maps (integer numerators over one
+denominator, see ``sparse``); every coefficient is an arbitrary-precision
+rational and no floating point enters anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Union
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping
 
-from .sparse import collect
+from .sparse import Rational, TermMap, items_of
 
 Blade = tuple[int, ...]
-Rational = Union[int, Fraction]
 
 SCALAR_BLADE: Blade = ()
 
@@ -63,62 +64,50 @@ def _validate_blade(blade: Blade, dim: int) -> Blade:
     return blade
 
 
-class Multivector:
+class Multivector(TermMap):
     """Element of R_m as a sparse mapping from blades to rationals.
 
     Instances are immutable; all operations return new values, so they are
     safe to share between concurrent tasks.
     """
 
-    __slots__ = ("dim", "_terms")
+    __slots__ = ()
+
+    _CONTEXT_NAME = "dimension"
+
+    dim = property(attrgetter("_context"), doc="The number m of generators.")
 
     def __init__(self, dim: int, terms: Mapping[Blade, Rational] | Iterable[tuple[Blade, Rational]] = ()):
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_terms", collect((_validate_blade(tuple(blade), dim), Fraction(coeff))
-                                                   for blade, coeff in items))
-
-    @classmethod
-    def _from_merged(cls, dim: int, terms: dict[Blade, Fraction]) -> "Multivector":
-        """Wrap a dict that is already merged and zero-free, without a copy."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "dim", dim)
-        object.__setattr__(out, "_terms", terms)
-        return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multivector is immutable")
-
-    @classmethod
-    def zero(cls, dim: int) -> "Multivector":
-        return cls(dim)
+        super().__init__(((_validate_blade(tuple(blade), dim), c) for blade, c in items_of(terms)), dim)
 
     @classmethod
     def scalar(cls, value: Rational, dim: int) -> "Multivector":
-        return cls(dim, {SCALAR_BLADE: Fraction(value)})
+        return cls(dim, {SCALAR_BLADE: value})
 
     @classmethod
     def blade(cls, indices: Iterable[int], dim: int, coeff: Rational = 1) -> "Multivector":
-        return cls(dim, {tuple(indices): Fraction(coeff)})
+        return cls(dim, {tuple(indices): coeff})
 
     @classmethod
     def basis_vector(cls, j: int, dim: int) -> "Multivector":
-        return cls(dim, {(j,): Fraction(1)})
+        return cls(dim, {(j,): 1})
 
-    @property
-    def terms(self) -> Mapping[Blade, Fraction]:
-        return dict(self._terms)
+    def _unit_key(self) -> Blade:
+        return SCALAR_BLADE
+
+    def _products(self, other: "Multivector"):
+        for ba, ca in self._terms.items():
+            for bb, cb in other._terms.items():
+                sign, blade = blade_product(ba, bb)
+                yield blade, sign * ca * cb
 
     def coefficient(self, blade: Iterable[int]) -> Fraction:
-        return self._terms.get(tuple(blade), Fraction(0))
+        return Fraction(self._terms.get(tuple(blade), 0), self._den)
 
     def scalar_part(self) -> Fraction:
-        return self._terms.get(SCALAR_BLADE, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
+        return self.coefficient(SCALAR_BLADE)
 
     def is_scalar(self) -> bool:
         return all(b == SCALAR_BLADE for b in self._terms)
@@ -126,89 +115,25 @@ class Multivector:
     def blades(self) -> Iterator[Blade]:
         return iter(sorted(self._terms))
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Multivector.scalar(other, self.dim)
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self.dim == other.dim and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.dim, frozenset(self._terms.items())))
-
-    def __neg__(self) -> "Multivector":
-        return Multivector._from_merged(self.dim, {b: -c for b, c in self._terms.items()})
-
-    def _combine(self, other: "Multivector", sign: int) -> "Multivector":
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return Multivector._from_merged(self.dim, collect(((b, sign * c) for b, c in other._terms.items()),
-                                                          self._terms))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Multivector.scalar(other, self.dim)
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Multivector.scalar(other, self.dim)
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self._combine(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Multivector._from_merged(self.dim, {b: v * c for b, v in self._terms.items()} if c else {})
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return geometric_product(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
     def parity_split(self) -> tuple["Multivector", "Multivector"]:
         """Split by blade cardinality into (even, odd) graded parts."""
-        even: dict[Blade, Fraction] = {}
-        odd: dict[Blade, Fraction] = {}
+        even: dict[Blade, int] = {}
+        odd: dict[Blade, int] = {}
         for blade, coeff in self._terms.items():
             (even if len(blade) % 2 == 0 else odd)[blade] = coeff
-        return Multivector._from_merged(self.dim, even), Multivector._from_merged(self.dim, odd)
+        return self._like(even, self._den), self._like(odd, self._den)
 
     def __repr__(self) -> str:
         if not self._terms:
             return "Multivector(0)"
-        parts = []
-        for blade in sorted(self._terms, key=lambda b: (len(b), b)):
-            parts.append(f"{self._terms[blade]}*{blade_text(blade, self.dim)}")
+        terms = self.terms
+        parts = [f"{terms[blade]}*{blade_text(blade, self.dim)}" for blade in sorted(terms, key=lambda b: (len(b), b))]
         return "Multivector(" + " + ".join(parts) + ")"
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """Bilinear extension of the blade product; associative, noncommutative."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-    def products():
-        for ba, ca in a._terms.items():
-            for bb, cb in b._terms.items():
-                sign, blade = blade_product(ba, bb)
-                yield blade, sign * ca * cb
-
-    return Multivector._from_merged(a.dim, collect(products()))
+    return a._mul(b)
 
 
 def parity_split(a: Multivector) -> tuple[Multivector, Multivector]:

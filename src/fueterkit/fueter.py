@@ -468,7 +468,7 @@ def _match_series(g: RadialExpr, base: RadialExpr, k: int, l: int) -> BivariateR
         groups.setdefault((d1, d2), {})[key] = c
     series: dict[tuple[int, int], Fraction] = {}
     for (d1, d2) in sorted(groups):
-        part = RadialExpr._from_merged(frame, groups[(d1, d2)], g._den)
+        part = g._like(groups[(d1, d2)], g._den)
         if part.is_zero():
             continue
         a, b = d1 - k, d2 - l

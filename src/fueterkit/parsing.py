@@ -32,7 +32,7 @@ from .clifford import Multivector
 from .errors import ParseError
 from .frame import AxisFrame
 from .radial import RadialExpr, inner_x, inner_y
-from .seeds import ComplexBivarPoly, ComplexRational
+from .seeds import ComplexBivarPoly
 
 _SYMBOLS = "+-*/^(){},"
 
@@ -289,7 +289,7 @@ def parse_expression(text: str, frame: AxisFrame,
 _SEED_ATOMS = {
     "z": ComplexBivarPoly.z,
     "zbar": ComplexBivarPoly.zbar,
-    "i": lambda: ComplexBivarPoly.constant(ComplexRational.of(0, 1)),
+    "i": ComplexBivarPoly.i,
     "x": lambda: ComplexBivarPoly.coordinate("x"),
     "y": lambda: ComplexBivarPoly.coordinate("y"),
 }

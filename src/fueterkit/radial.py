@@ -35,26 +35,11 @@ difference is, and the sorted normal form is what gets printed.
 Operators keep terms merged by exact key only; the normal form is
 computed at the first zero test, equality or display and then cached.
 
-Coefficients: integer numerators over one denominator
------------------------------------------------------
-Every coefficient that the Laplacian, the Dirac operator, partial
-derivatives and blade products contribute is an integer (e(e-1),
-a(p + 2d + a - 2), a blade sign), so an expression stores its
-coefficients as nonzero ``int`` numerators over one shared positive
-``int`` denominator, and those loops run on ``int`` alone.  ``Fraction``
-is touched only at the edges, once per expression:
-
-* in: the public constructor and the ``scalar``, ``constant``,
-  ``radial``, ``from_bivariate*`` and ``inner_*`` builders bring their
-  rational coefficients over the least common denominator;
-* out: ``raw_terms`` and ``canonical_terms`` return ``Fraction`` values,
-  and ``proportionality_constant`` returns one ``Fraction``.
-
-The differential operators, negation, the parity split and the normal
-form keep the denominator.  A product multiplies the denominators, a sum
-brings both sides to their lcm, and a scalar multiple takes the scalar's
-denominator; each of these ends with one gcd pass that divides out what
-the numerators and the denominator have in common.
+Coefficients are integer numerators over one denominator (see ``sparse``):
+the differential operators, negation, the parity split and the normal
+form keep the denominator, so the zero test is integer-only, and
+``raw_terms``, ``canonical_terms`` and ``proportionality_constant`` are
+the ``Fraction`` outputs.
 """
 
 from __future__ import annotations
@@ -63,16 +48,15 @@ import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
-from typing import Iterable, Iterator, Mapping, Union
+from math import isqrt
+from typing import Iterable, Iterator, Mapping
 
 from .bivariate import BivariateRadial
 from .clifford import Blade, Multivector, SCALAR_BLADE, blade_product, vector_embed
 from .errors import PreconditionError
 from .frame import AxisFrame
-from .sparse import collect
+from .sparse import Rational, TermMap, _as_fractions, collect, items_of
 
-Rational = Union[int, Fraction]
 Mono = tuple[int, ...]
 TermKey = tuple[Mono, Blade, int, int]
 
@@ -95,8 +79,8 @@ def _unit_mono(frame: AxisFrame, idx: int) -> Mono:
     return tuple(1 if i == idx else 0 for i in range(frame.ncoords))
 
 
-def _checked_terms(frame: AxisFrame, items: Iterable[tuple[TermKey, Rational]]) -> Iterator[tuple[TermKey, Fraction]]:
-    """Validate outside terms against the frame and convert coefficients."""
+def _checked_terms(frame: AxisFrame, items: Iterable[tuple[TermKey, Rational]]) -> Iterator[tuple[TermKey, Rational]]:
+    """Validate outside terms against the frame."""
     n = frame.ncoords
     for (mono, blade, a, b), coeff in items:
         mono = tuple(mono)
@@ -106,57 +90,23 @@ def _checked_terms(frame: AxisFrame, items: Iterable[tuple[TermKey, Rational]]) 
             raise ValueError("monomial exponents must be >= 0")
         if frame.q == 0 and b != 0:
             raise ValueError("rho exponent must be 0 in a single-axis frame")
-        yield (mono, tuple(blade), a, b), Fraction(coeff)
+        yield (mono, tuple(blade), a, b), coeff
 
 
-def _over_common_denominator(terms: Mapping[TermKey, Rational]) -> tuple[dict[TermKey, int], int]:
-    """Merged, zero-free rational coefficients as integer numerators over
-    their least common denominator (reduced, since each input is)."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
-
-
-def _as_fractions(nums: Mapping[TermKey, int], den: int) -> dict[TermKey, Fraction]:
-    return {k: Fraction(n, den) for k, n in nums.items()}
-
-
-class RadialExpr:
+class RadialExpr(TermMap):
     """Immutable Clifford-valued Laurent-radial expression."""
 
-    __slots__ = ("frame", "_terms", "_den", "_canonical_cache")
+    __slots__ = ("_canonical_cache",)
+
+    _CONTEXT_NAME = "frame"
+
+    frame = property(operator.attrgetter("_context"), doc="The biaxial frame.")
 
     def __init__(self, frame: AxisFrame,
                  terms: Mapping[TermKey, Rational] | Iterable[tuple[TermKey, Rational]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        nums, den = _over_common_denominator(collect(_checked_terms(frame, items)))
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "_terms", nums)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_canonical_cache", None)
-
-    @classmethod
-    def _from_merged(cls, frame: AxisFrame, nums: dict[TermKey, int], den: int = 1) -> "RadialExpr":
-        """Wrap merged, zero-free int numerators over den > 0, without a copy."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "frame", frame)
-        object.__setattr__(out, "_terms", nums)
-        object.__setattr__(out, "_den", den)
-        object.__setattr__(out, "_canonical_cache", None)
-        return out
-
-    @classmethod
-    def _from_rationals(cls, frame: AxisFrame, terms: Mapping[TermKey, Rational]) -> "RadialExpr":
-        """Wrap merged, zero-free rational coefficients (trusted keys)."""
-        return cls._from_merged(frame, *_over_common_denominator(terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RadialExpr is immutable")
+        super().__init__(_checked_terms(frame, items_of(terms)), frame)
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, frame: AxisFrame) -> "RadialExpr":
-        return cls(frame)
 
     @classmethod
     def scalar(cls, frame: AxisFrame, value: Rational) -> "RadialExpr":
@@ -167,12 +117,12 @@ class RadialExpr:
         if mv.dim != frame.m:
             raise ValueError(f"multivector dimension {mv.dim} does not match frame m={frame.m}")
         mono = (0,) * frame.ncoords
-        return cls._from_rationals(frame, {(mono, blade, 0, 0): c for blade, c in mv.terms.items()})
+        return cls._from_merged({(mono, blade, 0, 0): c for blade, c in mv._terms.items()}, mv._den, frame)
 
     @classmethod
     def coordinate(cls, frame: AxisFrame, name: str) -> "RadialExpr":
         mono = _unit_mono(frame, frame.coord_index(name))
-        return cls._from_merged(frame, {(mono, SCALAR_BLADE, 0, 0): 1})
+        return cls._from_merged({(mono, SCALAR_BLADE, 0, 0): 1}, 1, frame)
 
     @classmethod
     def monomial(cls, frame: AxisFrame, exponents: Mapping[str, int],
@@ -190,43 +140,33 @@ class RadialExpr:
     @classmethod
     def radial(cls, frame: AxisFrame, a: int = 0, b: int = 0, coeff: Rational = 1) -> "RadialExpr":
         """The scalar term coeff * r^a * rho^b."""
-        coeff = Fraction(coeff)
-        if not coeff:
-            return cls(frame)
-        if frame.q == 0 and b != 0:
-            raise ValueError("rho exponent must be 0 in a single-axis frame")
-        mono = (0,) * frame.ncoords
-        return cls._from_merged(frame, {(mono, SCALAR_BLADE, a, b): coeff.numerator}, coeff.denominator)
+        return cls(frame, {((0,) * frame.ncoords, SCALAR_BLADE, a, b): coeff})
 
     @classmethod
     def from_bivariate(cls, frame: AxisFrame, h: BivariateRadial) -> "RadialExpr":
         """Embed a scalar Laurent function of (r, rho)."""
+        if frame.q == 0 and any(b for _a, b in h._terms):
+            raise ValueError("rho exponent must be 0 in a single-axis frame")
         mono = (0,) * frame.ncoords
-        acc: dict[TermKey, Fraction] = {}
-        for (a, b), c in h.terms.items():
-            if frame.q == 0 and b != 0:
-                raise ValueError("rho exponent must be 0 in a single-axis frame")
-            acc[(mono, SCALAR_BLADE, a, b)] = c
-        return cls._from_rationals(frame, acc)
+        return cls._from_merged({(mono, SCALAR_BLADE, a, b): c for (a, b), c in h._terms.items()}, h._den, frame)
 
     @classmethod
     def from_bivariate_classical(cls, frame: AxisFrame, h: BivariateRadial) -> "RadialExpr":
         """Embed a function of (X0, R): slot 1 is the X0 power, slot 2 the r power."""
         if not frame.scalar_axis:
             raise PreconditionError("classical embedding needs a frame with the scalar axis X0")
-        acc: dict[TermKey, Fraction] = {}
-        for (i, j), c in h.terms.items():
-            if i < 0:
-                raise ValueError("X0 powers must be >= 0")
-            mono = tuple(i if k == 0 else 0 for k in range(frame.ncoords))
-            acc[(mono, SCALAR_BLADE, j, 0)] = c
-        return cls._from_rationals(frame, acc)
+        if any(i < 0 for i, _j in h._terms):
+            raise ValueError("X0 powers must be >= 0")
+        zeros = (0,) * (frame.ncoords - 1)
+        return cls._from_merged({((i,) + zeros, SCALAR_BLADE, j, 0): c for (i, j), c in h._terms.items()},
+                                h._den, frame)
 
     # -- basic structure ----------------------------------------------
 
-    @property
-    def raw_terms(self) -> Mapping[TermKey, Fraction]:
-        return _as_fractions(self._terms, self._den)
+    raw_terms = TermMap.terms
+
+    def _unit_key(self) -> TermKey:
+        return ((0,) * self.frame.ncoords, SCALAR_BLADE, 0, 0)
 
     def __bool__(self) -> bool:
         return bool(self._normal())
@@ -234,10 +174,14 @@ class RadialExpr:
     def is_zero(self) -> bool:
         return not self._normal()
 
+    def _coerce(self, other):
+        if isinstance(other, Multivector):
+            return RadialExpr.constant(self.frame, other) if other.dim == self.frame.m else None
+        return super()._coerce(other)
+
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RadialExpr.scalar(self.frame, other)
-        if not isinstance(other, RadialExpr):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         if self.frame != other.frame:
             return False
@@ -247,88 +191,33 @@ class RadialExpr:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _check_frame(self, other: "RadialExpr") -> None:
-        if self.frame != other.frame:
-            raise ValueError(f"frame mismatch: {self.frame} vs {other.frame}")
+    def _products(self, other: "RadialExpr"):
+        for (m1, b1, a1, r1), c1 in self._terms.items():
+            for (m2, b2, a2, r2), c2 in other._terms.items():
+                sign, blade = blade_product(b1, b2)
+                yield (_mono_mul(m1, m2), blade, a1 + a2, r1 + r2), sign * c1 * c2
 
-    def __neg__(self) -> "RadialExpr":
-        return RadialExpr._from_merged(self.frame, {k: -c for k, c in self._terms.items()}, self._den)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RadialExpr.scalar(self.frame, other)
-        if isinstance(other, Multivector):
-            other = RadialExpr.constant(self.frame, other)
-        if not isinstance(other, RadialExpr):
-            return NotImplemented
-        self._check_frame(other)
-        d1, d2 = self._den, other._den
-        if d1 == d2:
-            return _reduced(self.frame, collect(other._terms.items(), self._terms), d1)
-        den = lcm(d1, d2)
-        m1, m2 = den // d1, den // d2
-        return _reduced(self.frame, collect(((k, c * m2) for k, c in other._terms.items()),
-                                            {k: c * m1 for k, c in self._terms.items()}), den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RadialExpr.scalar(self.frame, other)
-        if isinstance(other, Multivector):
-            other = RadialExpr.constant(self.frame, other)
-        if not isinstance(other, RadialExpr):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return RadialExpr(self.frame)
-            n = other.numerator
-            return _reduced(self.frame, {k: v * n for k, v in self._terms.items()},
-                            self._den * other.denominator)
-        if isinstance(other, Multivector):
-            other = RadialExpr.constant(self.frame, other)
-        if not isinstance(other, RadialExpr):
-            return NotImplemented
+    def _mul(self, other: "RadialExpr") -> "RadialExpr":
         return re_mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        if isinstance(other, Multivector):
-            return re_mul(RadialExpr.constant(self.frame, other), self)
-        return NotImplemented
-
-    def __pow__(self, n: int) -> "RadialExpr":
-        if n < 0:
-            raise ValueError("expression power must be >= 0")
-        out = RadialExpr.scalar(self.frame, 1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     # -- normal form ----------------------------------------------------
 
     def _normal(self) -> dict[TermKey, int]:
         """The cached normal form's numerators over self._den; empty iff
         the expression is zero."""
-        cached = self._canonical_cache
-        if cached is None:
+        try:
+            return self._canonical_cache
+        except AttributeError:
             cached = _normal_form(self.frame, self._terms)
             object.__setattr__(self, "_canonical_cache", cached)
-        return cached
+            return cached
 
     def canonical_terms(self) -> dict[TermKey, Fraction]:
         """The normal form as a fresh dict, sorted by key."""
         return _as_fractions(self._normal(), self._den)
 
     def canonicalized(self) -> "RadialExpr":
-        return RadialExpr._from_merged(self.frame, dict(self._normal()), self._den)
+        return self._like(dict(self._normal()), self._den)
 
     def homogeneity_degree(self) -> int | None:
         """Common total degree (monomial + a + b), or None when mixed or zero."""
@@ -343,8 +232,7 @@ class RadialExpr:
         odd: dict[TermKey, int] = {}
         for key, c in self._terms.items():
             (even if len(key[1]) % 2 == 0 else odd)[key] = c
-        return (RadialExpr._from_merged(self.frame, even, self._den),
-                RadialExpr._from_merged(self.frame, odd, self._den))
+        return self._like(even, self._den), self._like(odd, self._den)
 
     def negate_group(self, group: str) -> "RadialExpr":
         """Substitute x -> -x (or y -> -y) coordinatewise; radii are unchanged."""
@@ -354,23 +242,12 @@ class RadialExpr:
             if sum(mono[i] for i in idxs) % 2 == 1:
                 c = -c
             acc[(mono, blade, a, b)] = c
-        return RadialExpr._from_merged(self.frame, acc, self._den)
+        return self._like(acc, self._den)
 
     def __repr__(self) -> str:
         from .formatting import format_expression
 
         return f"RadialExpr({format_expression(self)})"
-
-
-def _reduced(frame: AxisFrame, nums: dict[TermKey, int], den: int) -> RadialExpr:
-    """Wrap merged, zero-free numerators over den, after dividing out the
-    factor they all share with den."""
-    if den != 1:
-        g = gcd(den, *nums.values())
-        if g != 1:
-            nums = {k: c // g for k, c in nums.items()}
-            den //= g
-    return RadialExpr._from_merged(frame, nums, den)
 
 
 # -- normal form internals ------------------------------------------------
@@ -454,16 +331,7 @@ def proportionality_constant(got: RadialExpr, want: RadialExpr) -> Fraction | No
 def re_mul(f: RadialExpr, g: RadialExpr) -> RadialExpr:
     """Termwise product; coefficients multiply by the geometric product in
     the given order (left factor's coefficient on the left)."""
-    if f.frame != g.frame:
-        raise ValueError(f"frame mismatch: {f.frame} vs {g.frame}")
-
-    def products():
-        for (m1, b1, a1, r1), c1 in f._terms.items():
-            for (m2, b2, a2, r2), c2 in g._terms.items():
-                sign, blade = blade_product(b1, b2)
-                yield (_mono_mul(m1, m2), blade, a1 + a2, r1 + r2), sign * c1 * c2
-
-    return _reduced(f.frame, collect(products()), f._den * g._den)
+    return TermMap._mul(f, g)
 
 
 # -- differential operators ----------------------------------------------
@@ -499,7 +367,7 @@ def partial_derivative(f: RadialExpr, coord: str | int) -> RadialExpr:
                 m[idx] += 1
                 yield (tuple(m), blade, a, b - 2), b * c
 
-    return RadialExpr._from_merged(frame, collect(terms()), f._den)
+    return f._like(collect(terms()), f._den)
 
 
 def _scope_vector_coords(frame: AxisFrame, scope: str) -> list[int]:
@@ -532,7 +400,7 @@ def dirac(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
         if scope == SCOPE_CR:
             yield from partial_derivative(f, 0)._terms.items()
 
-    return RadialExpr._from_merged(frame, collect(terms()), f._den)
+    return f._like(collect(terms()), f._den)
 
 
 def laplacian(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
@@ -591,7 +459,7 @@ def laplacian(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
                     m[0] -= 2
                     yield (tuple(m), blade, a, b), e * (e - 1) * c
 
-    return RadialExpr._from_merged(frame, collect(terms()), f._den)
+    return f._like(collect(terms()), f._den)
 
 
 def laplacian_power(f: RadialExpr, n: int, scope: str = SCOPE_FULL) -> RadialExpr:
@@ -612,8 +480,8 @@ def is_monogenic(f: RadialExpr, scope: str = SCOPE_FULL) -> bool:
 
 def _unit_vector(frame: AxisFrame, indices: Iterable[int], a: int = 0, b: int = 0) -> RadialExpr:
     """sum_j x_j e_j r^a rho^b over the given coordinates."""
-    return RadialExpr._from_merged(frame, {(_unit_mono(frame, idx), (frame.generator_of(idx),), a, b): 1
-                                           for idx in indices})
+    return RadialExpr._from_merged({(_unit_mono(frame, idx), (frame.generator_of(idx),), a, b): 1
+                                    for idx in indices}, 1, frame)
 
 
 def vector_x(frame: AxisFrame) -> RadialExpr:
@@ -639,11 +507,10 @@ def nu(frame: AxisFrame) -> RadialExpr:
 
 def _inner(frame: AxisFrame, indices: range, vec: Iterable[Rational], size: str) -> RadialExpr:
     """sum_j vec_j x_j over the given coordinates; vec must match them in length."""
-    cs = [Fraction(c) for c in vec]
+    cs = list(vec)
     if len(cs) != len(indices):
         raise ValueError(f"vector length {len(cs)} does not match {size}={len(indices)}")
-    return RadialExpr._from_rationals(frame, {(_unit_mono(frame, idx), SCALAR_BLADE, 0, 0): c
-                                              for idx, c in zip(indices, cs) if c})
+    return RadialExpr(frame, {(_unit_mono(frame, idx), SCALAR_BLADE, 0, 0): c for idx, c in zip(indices, cs)})
 
 
 def inner_x(frame: AxisFrame, t: Iterable[Rational]) -> RadialExpr:

@@ -1,178 +1,101 @@
 """Wirtinger calculus on polynomial seeds w(z, zbar).
 
-Seeds are stored as bivariate polynomials in the real coordinates (x, y)
-with complex-rational coefficients; z and zbar constructors expand at
-build time.  This keeps the real/imaginary split and the planar Laplacian
-single-pass.  Only polynomial seeds are supported: they cover every
-closed-form construction the engine produces, and transcendental seeds
-would break exactness.
+Seeds are stored as bivariate polynomials in the real coordinates (x, y);
+z and zbar constructors expand at build time.  This keeps the
+real/imaginary split and the planar Laplacian single-pass.  Only
+polynomial seeds are supported: they cover every closed-form
+construction the engine produces, and transcendental seeds would break
+exactness.
+
+The complex unit i is the generator e_1 of the Clifford algebra Cl(0,1):
+i^2 = e_1^2 = -1, the same rule the engine applies to the units omega and
+nu of the Fueter maps.  So a seed needs no complex number type.  Its
+term key is (i, j, blade) for x^i y^j with blade () for a real and (1,)
+for an imaginary coefficient, the sign of a product comes from
+``clifford.blade_product``, and the real and imaginary parts u, v are the
+partition of the terms by blade.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .bivariate import BivariateRadial
+from .clifford import Blade, blade_product
 from .errors import PreconditionError
-from .sparse import collect
-
-Rational = Union[int, Fraction]
+from .sparse import Rational, TermMap, collect, items_of
 
 DZ = "dz"
 DZBAR = "dzbar"
 
+# The blade of the complex unit i = e_1 in Cl(0,1).
+_I: Blade = (1,)
 
-@dataclass(frozen=True)
-class ComplexRational:
-    """Exact complex number re + i*im with rational parts."""
-
-    re: Fraction
-    im: Fraction
-
-    @classmethod
-    def of(cls, re: Rational = 0, im: Rational = 0) -> "ComplexRational":
-        return cls(Fraction(re), Fraction(im))
-
-    def __add__(self, other: "ComplexRational") -> "ComplexRational":
-        return ComplexRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexRational") -> "ComplexRational":
-        return ComplexRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "ComplexRational":
-        return ComplexRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return ComplexRational(self.re * c, self.im * c)
-        return ComplexRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def times_i(self) -> "ComplexRational":
-        return ComplexRational(-self.im, self.re)
-
-    def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+SeedKey = tuple[int, int, Blade]
 
 
-_ONE = ComplexRational.of(1)
-_I = ComplexRational.of(0, 1)
-_HALF = Fraction(1, 2)
+class ComplexBivarPoly(TermMap):
+    """Polynomial in (x, y) with complex-rational coefficients; immutable.
 
+    Keys are (i, j, blade): the monomial x^i y^j times 1 (blade ()) or
+    i (blade (1,)).
+    """
 
-class ComplexBivarPoly:
-    """Polynomial in (x, y) with ComplexRational coefficients; immutable."""
+    __slots__ = ()
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, int], ComplexRational] | Iterable[tuple[tuple[int, int], ComplexRational]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        object.__setattr__(self, "_terms", collect(items))
+    def __init__(self, terms: Mapping[SeedKey, Rational] | Iterable[tuple[SeedKey, Rational]] = ()):
+        super().__init__(_checked_seed_terms(items_of(terms)))
 
     @classmethod
-    def _from_merged(cls, terms: dict[tuple[int, int], ComplexRational]) -> "ComplexBivarPoly":
-        """Wrap a dict that is already merged and zero-free, without a copy."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "_terms", terms)
-        return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexBivarPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "ComplexBivarPoly":
-        return cls()
-
-    @classmethod
-    def constant(cls, c: ComplexRational | Rational) -> "ComplexBivarPoly":
-        if not isinstance(c, ComplexRational):
-            c = ComplexRational.of(c)
-        return cls({(0, 0): c})
+    def constant(cls, c: Rational) -> "ComplexBivarPoly":
+        return cls({(0, 0, ()): c})
 
     @classmethod
     def coordinate(cls, which: str) -> "ComplexBivarPoly":
-        return cls._from_merged({(0, 1) if _slot(which) else (1, 0): _ONE})
+        return cls._from_merged({(0, 1, ()) if _slot(which) else (1, 0, ()): 1})
+
+    @classmethod
+    def i(cls) -> "ComplexBivarPoly":
+        return cls._from_merged({(0, 0, _I): 1})
 
     @classmethod
     def z(cls) -> "ComplexBivarPoly":
-        return cls._from_merged({(1, 0): _ONE, (0, 1): _I})
+        return cls._from_merged({(1, 0, ()): 1, (0, 1, _I): 1})
 
     @classmethod
     def zbar(cls) -> "ComplexBivarPoly":
-        return cls._from_merged({(1, 0): _ONE, (0, 1): -_I})
+        return cls._from_merged({(1, 0, ()): 1, (0, 1, _I): -1})
 
-    @property
-    def terms(self) -> Mapping[tuple[int, int], ComplexRational]:
-        return dict(self._terms)
+    def _unit_key(self) -> SeedKey:
+        return (0, 0, ())
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ComplexBivarPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "ComplexBivarPoly") -> "ComplexBivarPoly":
-        return ComplexBivarPoly._from_merged(collect(other._terms.items(), self._terms))
-
-    def __sub__(self, other: "ComplexBivarPoly") -> "ComplexBivarPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "ComplexBivarPoly":
-        return ComplexBivarPoly._from_merged({k: -c for k, c in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ComplexBivarPoly.constant(other)
-        if isinstance(other, ComplexRational):
-            other = ComplexBivarPoly.constant(other)
-        if not isinstance(other, ComplexBivarPoly):
-            return NotImplemented
-        return ComplexBivarPoly._from_merged(collect(
-            ((i1 + i2, j1 + j2), c1 * c2)
-            for (i1, j1), c1 in self._terms.items() for (i2, j2), c2 in other._terms.items()))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, n: int) -> "ComplexBivarPoly":
-        if n < 0:
-            raise ValueError("polynomial power must be >= 0")
-        out = ComplexBivarPoly.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
+    def _products(self, other: "ComplexBivarPoly"):
+        for (i1, j1, b1), c1 in self._terms.items():
+            for (i2, j2, b2), c2 in other._terms.items():
+                sign, blade = blade_product(b1, b2)
+                yield (i1 + i2, j1 + j2, blade), sign * c1 * c2
 
     def degree(self) -> int:
-        return max((i + j for (i, j) in self._terms), default=-1)
+        return max((i + j for (i, j, _b) in self._terms), default=-1)
 
     def __repr__(self) -> str:
         if not self._terms:
             return "ComplexBivarPoly(0)"
-        bits = []
-        for (i, j) in sorted(self._terms):
-            c = self._terms[(i, j)]
-            bits.append(f"({c.re}+{c.im}i)*x^{i}*y^{j}")
+        terms = self.terms
+        bits = [f"{terms[key]}*{'i*' if key[2] else ''}x^{key[0]}*y^{key[1]}" for key in sorted(terms)]
         return "ComplexBivarPoly(" + " + ".join(bits) + ")"
+
+
+def _checked_seed_terms(items: Iterable[tuple[SeedKey, Rational]]) -> Iterable[tuple[SeedKey, Rational]]:
+    for (i, j, blade), c in items:
+        blade = tuple(blade)
+        if i < 0 or j < 0:
+            raise ValueError("seed monomial exponents must be >= 0")
+        if blade not in ((), _I):
+            raise ValueError(f"seed coefficient blade must be () or (1,), got {blade}")
+        yield (i, j, blade), c
 
 
 def _slot(which: str) -> int:
@@ -185,19 +108,25 @@ def _slot(which: str) -> int:
 
 def _diff(w: ComplexBivarPoly, which: str) -> ComplexBivarPoly:
     slot = _slot(which)
-    return ComplexBivarPoly._from_merged(collect(
-        ((i - 1, j) if slot == 0 else (i, j - 1), c * (i if slot == 0 else j))
-        for (i, j), c in w._terms.items()))
+    return w._like(collect(((i - 1, j, b) if slot == 0 else (i, j - 1, b), c * (i if slot == 0 else j))
+                           for (i, j, b), c in w._terms.items()), w._den)
 
 
 def wirtinger(w: ComplexBivarPoly, which: str) -> ComplexBivarPoly:
     """d/dz = (d/dx - i d/dy)/2 or d/dzbar = (d/dx + i d/dy)/2."""
     if which not in (DZ, DZBAR):
         raise ValueError(f"which must be {DZ!r} or {DZBAR!r}")
-    dx = _diff(w, "x")
-    i_dy = ComplexBivarPoly._from_merged({k: c.times_i() for k, c in _diff(w, "y")._terms.items()})
-    base = dx - i_dy if which == DZ else dx + i_dy
-    return ComplexBivarPoly._from_merged({k: c * _HALF for k, c in base._terms.items()})
+    sign = -1 if which == DZ else 1
+
+    def terms():
+        for (i, j, b), c in w._terms.items():
+            if i:
+                yield (i - 1, j, b), i * c
+            if j:
+                s, blade = blade_product(_I, b)
+                yield (i, j - 1, blade), sign * s * j * c
+
+    return w._like(collect(terms()), 2 * w._den)
 
 
 def laplace2(w: ComplexBivarPoly) -> ComplexBivarPoly:
@@ -254,7 +183,7 @@ def holo_power(n: int) -> SeedFunction:
 
 
 def times_i(seed: SeedFunction) -> SeedFunction:
-    return SeedFunction.create(seed.w * _I)
+    return SeedFunction.create(seed.w * ComplexBivarPoly.i())
 
 
 def parity_monomial(n1: int, n2: int) -> ComplexBivarPoly:
@@ -267,19 +196,9 @@ def parity_monomial(n1: int, n2: int) -> ComplexBivarPoly:
     """
     if n1 < 0 or n2 < 0:
         raise ValueError("exponents must be >= 0")
-    mono = ComplexBivarPoly._from_merged({(n1, n2): _ONE})
-    tot = n1 + n2
-    if tot % 2 == 0:
-        if n1 % 2 == 0:
-            sign = (-1) ** (tot // 2)
-            return mono * sign
-        sign = (-1) ** ((tot - 2) // 2)
-        return mono * (_I * sign)
-    if n1 % 2 == 1:
-        sign = (-1) ** ((tot - 1) // 2)
-        return mono * sign
-    sign = (-1) ** ((tot - 1) // 2)
-    return mono * (_I * sign)
+    odd = n2 % 2
+    sign = -1 if (n1 + n2 - odd) // 2 % 2 else 1
+    return ComplexBivarPoly._from_merged({(n1, n2, _I if odd else ()): sign})
 
 
 def seed_times_monomial(seed: SeedFunction, n1: int, n2: int) -> SeedFunction:
@@ -289,17 +208,15 @@ def seed_times_monomial(seed: SeedFunction, n1: int, n2: int) -> SeedFunction:
 
 
 def split_uv(w: ComplexBivarPoly) -> tuple[dict[tuple[int, int], Fraction], dict[tuple[int, int], Fraction]]:
-    """Real and imaginary parts as real-rational bivariate polynomials."""
+    """Real and imaginary parts as real-rational bivariate polynomials: the
+    partition of the terms by blade."""
     u: dict[tuple[int, int], Fraction] = {}
     v: dict[tuple[int, int], Fraction] = {}
-    for key, c in w._terms.items():
-        if c.re:
-            u[key] = c.re
-        if c.im:
-            v[key] = c.im
+    for (i, j, blade), c in w.terms.items():
+        (v if blade else u)[(i, j)] = c
     return u, v
 
 
 def lift_to_radial(poly: Mapping[tuple[int, int], Fraction]) -> BivariateRadial:
     """Substitute x -> r, y -> rho: monomial (i, j) becomes the key (a=i, b=j)."""
-    return BivariateRadial({(i, j): c for (i, j), c in poly.items()})
+    return BivariateRadial(poly)

@@ -48,7 +48,6 @@ from .radial import (
 )
 from .seeds import (
     ComplexBivarPoly,
-    ComplexRational,
     conj_power,
     holo_power,
     laplace2,
@@ -236,8 +235,9 @@ def check_seed_identities(seed: int = 4, rounds: int = 30) -> Check:
     for _ in range(rounds):
         terms = {}
         for _ in range(rng.randint(1, 4)):
-            key = (rng.randint(0, 3), rng.randint(0, 3))
-            terms[key] = ComplexRational.of(_rand_fraction(rng), _rand_fraction(rng))
+            i, j = rng.randint(0, 3), rng.randint(0, 3)
+            terms[(i, j, ())] = _rand_fraction(rng)
+            terms[(i, j, (1,))] = _rand_fraction(rng)
         w = ComplexBivarPoly(terms)
         if w.is_zero():
             continue
@@ -246,8 +246,8 @@ def check_seed_identities(seed: int = 4, rounds: int = 30) -> Check:
         if lhs != rhs:
             return ("seed-identities", False, "Laplacian is not 4 dz dzbar")
         u, v = split_uv(w)
-        recombined = (ComplexBivarPoly({k: ComplexRational.of(c) for k, c in u.items()})
-                      + ComplexBivarPoly({k: ComplexRational.of(0, c) for k, c in v.items()}))
+        recombined = (ComplexBivarPoly({(i, j, ()): c for (i, j), c in u.items()})
+                      + ComplexBivarPoly({(i, j, (1,)): c for (i, j), c in v.items()}))
         if recombined != w:
             return ("seed-identities", False, "u + iv does not recombine")
         n = rng.randint(0, 5)

@@ -1,21 +1,48 @@
 """The sparse core shared by every term-map class.
 
-RadialExpr, BivariateRadial, ComplexBivarPoly and Multivector all store a
-dict from an exact key to a nonzero coefficient.  Every operator on them
-produces a stream of (key, coefficient) contributions, and ``collect`` is
-the one place that turns such a stream into a stored dict: it sums equal
-keys in arrival order and drops zeros once, at the end.  Cancellation in
-the middle of a stream therefore costs nothing, and coefficients of any
-type with ``+`` and truth testing work alike (int, Fraction,
-ComplexRational), with no per-caller zero value.
+RadialExpr, BivariateRadial, ComplexBivarPoly and Multivector are all
+``TermMap``s: a dict from an exact key to a nonzero coefficient, plus an
+optional context (the frame of a RadialExpr, the dimension of a
+Multivector) that two operands must share.  Every operator produces a
+stream of (key, coefficient) contributions, and ``collect`` is the one
+place that turns such a stream into a stored dict: it sums equal keys in
+arrival order and drops zeros once, at the end.  Cancellation in the
+middle of a stream therefore costs nothing.
+
+Coefficients: integer numerators over one denominator
+-----------------------------------------------------
+Every coefficient that the Laplacian, the Dirac operator, partial and
+Wirtinger derivatives, blade products and the radial operators contribute
+is an integer (e(e-1), a(p + 2d + a - 2), a blade sign), so a term map
+stores its coefficients as nonzero ``int`` numerators over one shared
+positive ``int`` denominator, and those loops run on ``int`` alone.
+``Fraction`` is touched only at the edges, once per value:
+
+* in: the validating public constructors bring their rational
+  coefficients over the least common denominator;
+* out: ``terms`` (``raw_terms`` of a RadialExpr) returns ``Fraction``
+  values, as do the few accessors that return one coefficient.
+
+Derivatives, negation and splits keep the denominator and skip the gcd
+pass, so numerators may share a factor with it; equality compares by
+cross-multiplication and the hash divides that factor out, so neither
+depends on it.  A product multiplies the denominators, a sum brings both
+sides to their lcm, and a scalar multiple takes the scalar's denominator;
+each of these ends with one gcd pass (``_reduced``).
+
+The complex unit of a seed is not a separate number type: it is e_1 of
+Cl(0,1), a blade like any other, so seeds use the same shell.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping, TypeVar
+from fractions import Fraction
+from math import gcd, lcm
+from typing import Hashable, Iterable, Mapping, TypeVar, Union
 
 K = TypeVar("K", bound=Hashable)
 C = TypeVar("C")
+Rational = Union[int, Fraction]
 
 
 def collect(pairs: Iterable[tuple[K, C]], start: Mapping[K, C] | None = None) -> dict[K, C]:
@@ -33,3 +60,165 @@ def collect(pairs: Iterable[tuple[K, C]], start: Mapping[K, C] | None = None) ->
     for key in [key for key, c in acc.items() if not c]:
         del acc[key]
     return acc
+
+
+def items_of(terms: Mapping[K, C] | Iterable[tuple[K, C]]) -> Iterable[tuple[K, C]]:
+    """The (key, coefficient) pairs of a mapping or of a pair iterable."""
+    return terms.items() if isinstance(terms, Mapping) else terms
+
+
+def _over_common_denominator(terms: Mapping[K, Fraction]) -> tuple[dict[K, int], int]:
+    """Merged, zero-free rational coefficients as integer numerators over
+    their least common denominator (reduced, since each input is)."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+
+def _as_fractions(nums: Mapping[K, int], den: int) -> dict[K, Fraction]:
+    return {k: Fraction(c, den) for k, c in nums.items()}
+
+
+class TermMap:
+    """Immutable sparse map from keys to nonzero int numerators over ``_den``.
+
+    A subclass supplies its validating public constructor (which calls
+    ``TermMap.__init__`` with checked pairs), ``_unit_key`` (the key of the
+    constant 1), ``_products`` (the key product over all pairs of terms, as
+    one generator) and ``_CONTEXT_NAME`` when it has a context.
+    """
+
+    __slots__ = ("_context", "_terms", "_den")
+
+    _CONTEXT_NAME = "context"
+
+    def __init__(self, pairs: Iterable[tuple[K, Rational]], context=None):
+        """Sum checked (key, rational) pairs, drop zeros and bring them over
+        their least common denominator."""
+        nums, den = _over_common_denominator(collect((k, Fraction(c)) for k, c in pairs))
+        setattr_ = object.__setattr__
+        setattr_(self, "_context", context)
+        setattr_(self, "_terms", nums)
+        setattr_(self, "_den", den)
+
+    @classmethod
+    def _from_merged(cls, nums: dict, den: int = 1, context=None):
+        """Wrap merged, zero-free int numerators over den > 0, without a copy."""
+        out = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(out, "_context", context)
+        setattr_(out, "_terms", nums)
+        setattr_(out, "_den", den)
+        return out
+
+    def _like(self, nums: dict, den: int = 1):
+        """``_from_merged`` in self's class and context."""
+        return self._from_merged(nums, den, self._context)
+
+    def _reduced(self, nums: dict, den: int):
+        """``_like`` after dividing out the factor all numerators share with den."""
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                nums = {k: c // g for k, c in nums.items()}
+                den //= g
+        return self._like(nums, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, context=None):
+        return cls._from_merged({}, 1, context)
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as a fresh dict of ``Fraction`` values."""
+        return _as_fractions(self._terms, self._den)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def _check_context(self, other: "TermMap") -> None:
+        if self._context != other._context:
+            raise ValueError(f"{self._CONTEXT_NAME} mismatch: {self._context} vs {other._context}")
+
+    def _coerce(self, other):
+        """``other`` as a value of self's class, or None for a foreign type."""
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self._like({self._unit_key(): other.numerator} if other else {}, other.denominator)
+        return None
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b = self._terms, other._terms
+        da, db = self._den, other._den
+        return (self._context == other._context and a.keys() == b.keys()
+                and all(c * db == b[k] * da for k, c in a.items()))
+
+    def __hash__(self) -> int:
+        g = gcd(self._den, *self._terms.values())
+        return hash((self._context, self._den // g, frozenset((k, c // g) for k, c in self._terms.items())))
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self._terms.items()}, self._den)
+
+    def _add(self, other):
+        self._check_context(other)
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            return self._reduced(collect(other._terms.items(), self._terms), d1)
+        den = lcm(d1, d2)
+        m1, m2 = den // d1, den // d2
+        return self._reduced(collect(((k, c * m2) for k, c in other._terms.items()),
+                                     {k: c * m1 for k, c in self._terms.items()}), den)
+
+    def _mul(self, other):
+        self._check_context(other)
+        return self._reduced(collect(self._products(other)), self._den * other._den)
+
+    def _scaled(self, c: Rational):
+        if not c:
+            return self._like({})
+        n = c.numerator
+        return self._reduced({k: v * n for k, v in self._terms.items()}, self._den * c.denominator)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else self._add(other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else self._add(-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else other._add(-self)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        other = self._coerce(other)
+        return NotImplemented if other is None else self._mul(other)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        other = self._coerce(other)
+        return NotImplemented if other is None else other._mul(self)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"{type(self).__name__} power must be >= 0")
+        out = self._coerce(1)
+        for _ in range(n):
+            out = out * self
+        return out

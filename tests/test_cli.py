@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fueterkit.cli import main
+from fueterkit.cli import _build_parser, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -73,6 +73,17 @@ class TestApply:
         _code, out1, _ = run(capsys, *argv)
         _code, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+    def test_parser_is_built_once_per_process(self, capsys):
+        argv = ("apply", "--p", "3", "--q", "3", "--variant", "plus",
+                "--seed", "zbar^5", "--Hk", "ip(x,t)", "--Hl", "ip(y,s)",
+                "--t", "1,2,-1", "--s", "1/2,0,3", "--format", "json")
+        _code, first, _ = run(capsys, *argv)
+        assert run(capsys, "lemma5", "--h", "r^2", "--n", "1", "--s1", "0", "--s2", "0",
+                   "--k", "0", "--l", "0")[:2] == (0, "6\n")
+        _code, again, _ = run(capsys, *argv)
+        assert first and again == first
+        assert _build_parser() is _build_parser()
 
     def test_negative_leading_component_in_spaced_form(self, capsys):
         apply = ("apply", "--p", "3", "--q", "3", "--variant", "plus")

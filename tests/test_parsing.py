@@ -9,7 +9,7 @@ from fueterkit.formatting import format_expression
 from fueterkit.frame import AxisFrame
 from fueterkit.parsing import MAX_DEPTH, parse_bivariate, parse_expression, parse_seed, parse_vector
 from fueterkit.radial import RadialExpr, inner_x
-from fueterkit.seeds import ComplexBivarPoly, ComplexRational
+from fueterkit.seeds import ComplexBivarPoly
 
 F33 = AxisFrame(3, 3)
 
@@ -205,17 +205,17 @@ class TestSeedGrammar:
         assert parse_seed("z^2*zbar^5") == ComplexBivarPoly.z() ** 2 * ComplexBivarPoly.zbar() ** 5
 
     def test_i_coefficient(self):
-        assert parse_seed("i*zbar^2") == ComplexBivarPoly.zbar() ** 2 * ComplexRational.of(0, 1)
+        assert parse_seed("i*zbar^2") == ComplexBivarPoly.zbar() ** 2 * ComplexBivarPoly.i()
 
     def test_rational_combination(self):
         got = parse_seed("3/2*zbar^5 - i*zbar^3")
         want = (ComplexBivarPoly.zbar() ** 5 * Fraction(3, 2)
-                - ComplexBivarPoly.zbar() ** 3 * ComplexRational.of(0, 1))
+                - ComplexBivarPoly.zbar() ** 3 * ComplexBivarPoly.i())
         assert got == want
 
     def test_xy_atoms(self):
         got = parse_seed("x^2 - y^2")
-        assert got == ComplexBivarPoly({(2, 0): ComplexRational.of(1), (0, 2): ComplexRational.of(-1)})
+        assert got == ComplexBivarPoly({(2, 0, ()): 1, (0, 2, ()): -1})
 
     def test_seed_errors(self):
         with pytest.raises(ParseError):
