@@ -170,12 +170,11 @@ def _cmd_examples(args) -> int:
 
 def _cmd_selftest(args) -> int:
     results = run_all(args.seed)
-    ok = True
-    for name, passed, detail in results:
-        print(f"{'PASS' if passed else 'FAIL'} {name} ({detail})")
-        ok = ok and passed
-    print(f"{sum(1 for _, p, _ in results if p)}/{len(results)} suites passed")
-    return 0 if ok else 3
+    for name, ok, detail in results:
+        print(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")
+    passed = sum(ok for _, ok, _ in results)
+    print(f"{passed}/{len(results)} suites passed")
+    return 0 if passed == len(results) else 3
 
 
 # Built once per process: building takes longer than parsing, and a

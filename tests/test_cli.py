@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from fueterkit import selfcheck
 from fueterkit.cli import _build_parser, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -197,7 +198,29 @@ class TestSelftest:
     def test_runs_green(self, capsys):
         code, out, _ = run(capsys, "selftest")
         assert code == 0
-        assert "8/8 suites passed" in out
+        lines = out.splitlines()
+        assert lines[-1] == "11/11 suites passed"
+        assert len(lines) == 12 and all(line.startswith("PASS ") for line in lines[:-1])
+
+    def test_seed_249_draws_nonzero_vectors(self, capsys):
+        # The reference suite once drew t = 0 here and crashed building <x,t>.
+        code, out, _ = run(capsys, "selftest", "--seed", "249")
+        assert code == 0
+        assert "11/11 suites passed" in out
+
+    def test_every_suite_runs_once(self):
+        suites = {fn for name, fn in vars(selfcheck).items() if name.startswith("check_")}
+        assert len(set(selfcheck.ALL_CHECKS)) == len(selfcheck.ALL_CHECKS)
+        assert set(selfcheck.ALL_CHECKS) == suites
+
+    def test_a_crashing_suite_is_one_fail_line(self, capsys, monkeypatch):
+        def check_broken(seed, size=1):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(selfcheck, "ALL_CHECKS", (selfcheck.check_classical_map, check_broken))
+        code, out, _ = run(capsys, "selftest")
+        assert code == 3
+        assert out.splitlines()[1:] == ["FAIL broken (crash: boom)", "1/2 suites passed"]
 
 
 class TestHostileInput:
