@@ -3,62 +3,78 @@
 Terms are emitted sorted by (parity sector, radial exponents, monomial,
 blade), so identical expressions always print identically.  The plain
 form reparses to an equal expression.
+
+An expression is printed from its normal form's ``int`` numerators and
+shared denominator: each coefficient is brought to lowest terms by one
+gcd, and the text of each monomial, blade and (r, rho) power is built
+once per call.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+from math import gcd
 
 from .bivariate import BivariateRadial
 from .clifford import Multivector, blade_text
-from .frame import AxisFrame
 from .radial import RadialExpr
+from .sparse import Memo
 
 STYLES = ("plain", "json", "latex")
 
-
-def _sorted_canonical(f: RadialExpr):
-    items = f.canonical_terms().items()
-    return sorted(items, key=lambda kv: ((kv[0][2] % 2, kv[0][3] % 2), kv[0][2], kv[0][3], kv[0][0], kv[0][1]))
+# The separator between the factors of a term, per text style.
+_SEP = {"plain": "*", "latex": r"\,"}
 
 
-def _coeff_plain(c: Fraction) -> str:
-    return str(c)
+def _check_style(style: str) -> None:
+    if style not in STYLES:
+        raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
 
 
-def _plain_term(frame: AxisFrame, mono, blade, a: int, b: int, c: Fraction) -> str:
-    pieces: list[str] = []
-    mag = abs(c)
-    for i, e in enumerate(mono):
-        if e:
-            name = frame.coord_name(i)
-            pieces.append(name if e == 1 else f"{name}^{e}")
-    if blade:
-        pieces.append(blade_text(blade, frame.m))
-    if a:
-        pieces.append("r" if a == 1 else f"r^{a}")
-    if b:
-        pieces.append("rho" if b == 1 else f"rho^{b}")
-    if mag != 1 or not pieces:
-        pieces.insert(0, _coeff_plain(mag))
-    return "*".join(pieces)
+def _display_order(f: RadialExpr):
+    """f's normal-form (key, numerator) pairs in print order, and the denominator.
+
+    The normal form is sorted by (monomial, blade, a, b), so a stable sort
+    on (parity sector, a, b) gives (sector, a, b, monomial, blade)."""
+    nums, den = f.normal_numerators()
+    keys = sorted(nums, key=lambda k: (k[2] & 1, k[3] & 1, k[2], k[3]))
+    return [(k, nums[k]) for k in keys], den
+
+
+def _signed(num: int, den: int, body: str, style: str) -> tuple[int, str]:
+    """(sign, text) of the term num/den * body; the magnitude is written
+    unless it is 1 and the body is not empty."""
+    mag = abs(num)
+    if mag != den or not body:
+        g = gcd(mag, den)
+        mag, d = mag // g, den // g
+        coeff = str(mag) if d == 1 else (f"{mag}/{d}" if style == "plain" else rf"\frac{{{mag}}}{{{d}}}")
+        body = f"{coeff}{_SEP[style]}{body}" if body else coeff
+    return (1 if num > 0 else -1), body
 
 
 def _join_signed(parts: list[tuple[int, str]]) -> str:
-    out = []
-    for i, (sign, body) in enumerate(parts):
-        if i == 0:
-            out.append(("-" if sign < 0 else "") + body)
-        else:
-            out.append((" - " if sign < 0 else " + ") + body)
-    return "".join(out)
+    text = "".join((" - " if sign < 0 else " + ") + body for sign, body in parts)
+    return ("-" if parts[0][0] < 0 else "") + text[3:]
 
 
-def _latex_frac(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c)
-    return rf"\frac{{{c.numerator}}}{{{c.denominator}}}"
+def _power(base: str, e: int, style: str) -> str:
+    if e == 1:
+        return base
+    return f"{base}^{e}" if style == "plain" else f"{base}^{{{e}}}"
+
+
+def _radial_text(a: int, b: int, style: str) -> str:
+    rho = "rho" if style == "plain" else r"\rho"
+    return _SEP[style].join(_power(base, e, style) for base, e in (("r", a), (rho, b)) if e)
+
+
+def _blade_text(blade, dim: int, style: str) -> str:
+    if not blade:
+        return ""
+    if style == "plain":
+        return blade_text(blade, dim)
+    return "e_{" + ("," if dim > 9 else "").join(map(str, blade)) + "}"
 
 
 def _latex_coord(name: str) -> str:
@@ -67,58 +83,36 @@ def _latex_coord(name: str) -> str:
     return f"{name[0]}_{{{name[1:]}}}"
 
 
-def _latex_term(frame: AxisFrame, mono, blade, a: int, b: int, c: Fraction) -> str:
-    pieces: list[str] = []
-    mag = abs(c)
-    if mag != 1:
-        pieces.append(_latex_frac(mag))
-    for i, e in enumerate(mono):
-        if e:
-            base = _latex_coord(frame.coord_name(i))
-            pieces.append(base if e == 1 else f"{base}^{{{e}}}")
-    if blade:
-        pieces.append(rf"e_{{{','.join(str(j) for j in blade) if frame.m > 9 else ''.join(str(j) for j in blade)}}}")
-    if a:
-        pieces.append("r" if a == 1 else f"r^{{{a}}}")
-    if b:
-        pieces.append(r"\rho" if b == 1 else rf"\rho^{{{b}}}")
-    if not pieces:
-        pieces.append(_latex_frac(mag))
-    return r"\,".join(pieces)
-
-
 def _json_terms(f: RadialExpr, radial_keys: tuple[str, str]) -> list[dict]:
-    frame = f.frame
     ka, kb = radial_keys
+    names = f.frame.coord_names()
+    mono_items = Memo(lambda mono: [(names[i], e) for i, e in enumerate(mono) if e])
+    items, den = _display_order(f)
     out = []
-    for (mono, blade, a, b), c in _sorted_canonical(f):
-        entry = {
-            "mono": {frame.coord_name(i): e for i, e in enumerate(mono) if e},
-            "blade": list(blade),
-            "coeff": {"num": c.numerator, "den": c.denominator},
-            ka: a,
-            kb: b,
-        }
-        out.append(entry)
+    for (mono, blade, a, b), c in items:
+        g = gcd(c, den)
+        out.append({"mono": dict(mono_items[mono]), "blade": list(blade),
+                    "coeff": {"num": c // g, "den": den // g}, ka: a, kb: b})
     return out
 
 
 def format_expression(f: RadialExpr, style: str = "plain") -> str:
     """Render an expression; the plain style round-trips through the parser."""
-    if style not in STYLES:
-        raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
-    items = _sorted_canonical(f)
+    _check_style(style)
     if style == "json":
         return json.dumps(_json_terms(f, ("a", "b")), separators=(",", ":"))
+    items, den = _display_order(f)
     if not items:
         return "0"
-    frame = f.frame
-    if style == "plain":
-        parts = [(1 if c > 0 else -1, _plain_term(frame, mono, blade, a, b, c))
-                 for (mono, blade, a, b), c in items]
-        return _join_signed(parts)
-    parts = [(1 if c > 0 else -1, _latex_term(frame, mono, blade, a, b, c))
-             for (mono, blade, a, b), c in items]
+    frame, sep = f.frame, _SEP[style]
+    names = frame.coord_names() if style == "plain" else [_latex_coord(n) for n in frame.coord_names()]
+    mono_text = Memo(lambda mono: sep.join(_power(names[i], e, style) for i, e in enumerate(mono) if e))
+    blade_text_ = Memo(lambda blade: _blade_text(blade, frame.m, style))
+    radial_text = Memo(lambda ab: _radial_text(*ab, style))
+    parts = []
+    for (mono, blade, a, b), c in items:
+        body = sep.join(filter(None, (mono_text[mono], blade_text_[blade], radial_text[a, b])))
+        parts.append(_signed(c, den, body, style))
     return _join_signed(parts)
 
 
@@ -132,8 +126,7 @@ def expression_json_object(f: RadialExpr) -> dict:
 
 
 def format_bivariate(h: BivariateRadial, style: str = "plain") -> str:
-    if style not in STYLES:
-        raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
+    _check_style(style)
     items = h.items()
     if style == "json":
         return json.dumps(
@@ -142,35 +135,12 @@ def format_bivariate(h: BivariateRadial, style: str = "plain") -> str:
             separators=(",", ":"))
     if not items:
         return "0"
-    parts: list[tuple[int, str]] = []
-    for (a, b), c in items:
-        mag = abs(c)
-        if style == "plain":
-            pieces = []
-            if a:
-                pieces.append("r" if a == 1 else f"r^{a}")
-            if b:
-                pieces.append("rho" if b == 1 else f"rho^{b}")
-            if mag != 1 or not pieces:
-                pieces.insert(0, str(mag))
-            parts.append((1 if c > 0 else -1, "*".join(pieces)))
-        else:
-            pieces = []
-            if mag != 1:
-                pieces.append(_latex_frac(mag))
-            if a:
-                pieces.append("r" if a == 1 else f"r^{{{a}}}")
-            if b:
-                pieces.append(r"\rho" if b == 1 else rf"\rho^{{{b}}}")
-            if not pieces:
-                pieces.append(_latex_frac(mag))
-            parts.append((1 if c > 0 else -1, r"\,".join(pieces)))
-    return _join_signed(parts)
+    return _join_signed([_signed(c.numerator, c.denominator, _radial_text(a, b, style), style)
+                         for (a, b), c in items])
 
 
 def format_multivector(mv: Multivector, style: str = "plain") -> str:
-    if style not in STYLES:
-        raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
+    _check_style(style)
     items = sorted(mv.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
     if style == "json":
         return json.dumps(
@@ -178,23 +148,8 @@ def format_multivector(mv: Multivector, style: str = "plain") -> str:
             separators=(",", ":"))
     if not items:
         return "0"
-    parts: list[tuple[int, str]] = []
-    for blade, c in items:
-        mag = abs(c)
-        if style == "plain":
-            body = blade_text(blade, mv.dim) if blade else ""
-            if mag != 1 or not body:
-                body = f"{mag}*{body}" if body else str(mag)
-            parts.append((1 if c > 0 else -1, body))
-        else:
-            bits = []
-            if mag != 1 or not blade:
-                bits.append(_latex_frac(mag))
-            if blade:
-                joined = ",".join(str(j) for j in blade) if mv.dim > 9 else "".join(str(j) for j in blade)
-                bits.append(rf"e_{{{joined}}}")
-            parts.append((1 if c > 0 else -1, r"\,".join(bits)))
-    return _join_signed(parts)
+    return _join_signed([_signed(c.numerator, c.denominator, _blade_text(blade, mv.dim, style), style)
+                         for blade, c in items])
 
 
 def format_components(comp, style: str = "plain") -> str:

@@ -35,6 +35,16 @@ difference is, and the sorted normal form is what gets printed.
 Operators keep terms merged by exact key only; the normal form is
 computed at the first zero test, equality or display and then cached.
 
+Each coordinate monomial of a map's integrand carries a whole Laurent
+polynomial in r and rho spread over several blades, so an expression has
+far fewer distinct monomials than terms (281 for 4625 terms in one
+Laplacian step of the (5,5) zbar^9 <x,t> <y,s> map).  The Laplacian,
+the Dirac operator and the normal form therefore work out what a
+monomial contributes once per call, in a table (``sparse.Memo``) that
+lives only for that call, and replay it for every term that carries the
+monomial; the Dirac operator does the same for each blade's products
+with the generators.
+
 Coefficients are integer numerators over one denominator (see ``sparse``):
 the differential operators, negation, the parity split and the normal
 form keep the denominator, so the zero test is integer-only, and
@@ -49,13 +59,14 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .bivariate import BivariateRadial
 from .clifford import Blade, Multivector, SCALAR_BLADE, blade_product, vector_embed
 from .errors import PreconditionError
 from .frame import AxisFrame
-from .sparse import Rational, TermMap, _as_fractions, collect, items_of
+from .sparse import Memo, Rational, TermMap, _as_fractions, collect, items_of
 
 Mono = tuple[int, ...]
 TermKey = tuple[Mono, Blade, int, int]
@@ -216,6 +227,11 @@ class RadialExpr(TermMap):
         """The normal form as a fresh dict, sorted by key."""
         return _as_fractions(self._normal(), self._den)
 
+    def normal_numerators(self) -> tuple[Mapping[TermKey, int], int]:
+        """The normal form's int numerators, sorted by key, as a read-only
+        view of the cache, and their shared denominator."""
+        return MappingProxyType(self._normal()), self._den
+
     def canonicalized(self) -> "RadialExpr":
         return self._like(dict(self._normal()), self._den)
 
@@ -281,23 +297,31 @@ def _normal_form(frame: AxisFrame, terms: Mapping[TermKey, Rational]) -> dict[Te
     xp = frame.x_indices[-1]
     yq = frame.y_indices[-1] if frame.q else None
 
+    def rewrite(mono: Mono) -> list[tuple[Mono, int, int, int]] | None:
+        """mono's rewrite as (monomial, r shift, rho shift, coefficient)
+        rows, or None when mono is already reduced."""
+        kx = mono[xp] // 2
+        ky = mono[yq] // 2 if yq is not None else 0
+        if not kx and not ky:
+            return None
+        base = list(mono)
+        base[xp] -= 2 * kx
+        if ky:
+            base[yq] -= 2 * ky
+        py = _lead_square_power(frame, "y", ky)
+        return [(_mono_mul(_mono_mul(base, mx), my), ea, eb, cx * cy)
+                for mx, ea, cx in _lead_square_power(frame, "x", kx) for my, eb, cy in py]
+
     def rewritten():
+        rows_of = Memo(rewrite)
         for key, c in terms.items():
             mono, blade, a, b = key
-            kx = mono[xp] // 2
-            ky = mono[yq] // 2 if yq is not None else 0
-            if not kx and not ky:
+            rows = rows_of[mono]
+            if rows is None:
                 yield key, c
                 continue
-            base = list(mono)
-            base[xp] -= 2 * kx
-            if ky:
-                base[yq] -= 2 * ky
-            py = _lead_square_power(frame, "y", ky)
-            for mx, ea, cx in _lead_square_power(frame, "x", kx):
-                mbase = _mono_mul(base, mx)
-                for my, eb, cy in py:
-                    yield (_mono_mul(mbase, my), blade, a + ea, b + eb), c * cx * cy
+            for m, ea, eb, k in rows:
+                yield (m, blade, a + ea, b + eb), c * k
 
     acc = collect(rewritten())
     return {k: acc[k] for k in sorted(acc)}
@@ -370,9 +394,14 @@ def partial_derivative(f: RadialExpr, coord: str | int) -> RadialExpr:
     return f._like(collect(terms()), f._den)
 
 
-def _scope_vector_coords(frame: AxisFrame, scope: str) -> list[int]:
+def _check_scope(frame: AxisFrame, scope: str) -> None:
     if scope not in _SCOPES:
         raise ValueError(f"unknown scope {scope!r}; expected one of {_SCOPES}")
+    if scope == SCOPE_CR and not frame.scalar_axis:
+        raise PreconditionError("cauchy-riemann scope needs a frame with the scalar axis X0")
+
+
+def _scope_vector_coords(frame: AxisFrame, scope: str) -> list[int]:
     if scope == SCOPE_FIRST:
         return list(frame.x_indices)
     if scope == SCOPE_SECOND:
@@ -384,21 +413,40 @@ def dirac(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
     """Left Dirac operator sum_j e_j d_j over the scope's vector coordinates.
 
     The cauchy-riemann scope adds d/dX0 with unit coefficient and needs a
-    frame with the scalar axis.
+    frame with the scalar axis.  One pass applies the term rule of
+    ``partial_derivative`` in every coordinate, with each monomial's
+    lowered and raised monomials and each blade's products with the
+    generators worked out once per call.
     """
     frame = f.frame
-    if scope == SCOPE_CR and not frame.scalar_axis:
-        raise PreconditionError("cauchy-riemann scope needs a frame with the scalar axis X0")
-    coords = _scope_vector_coords(frame, scope)
+    _check_scope(frame, scope)
+    # (coordinate, its generator as a blade, the radius its derivative lowers)
+    axes = [(i, (frame.generator_of(i),), "x" if i in frame.x_indices else "y")
+            for i in _scope_vector_coords(frame, scope)]
+    if scope == SCOPE_CR:
+        axes.append((0, SCALAR_BLADE, None))
+
+    def rows(mono: Mono) -> list[tuple[int, Mono, Mono, str | None]]:
+        """Per axis: (exponent, mono lowered and raised in that coordinate, radius)."""
+        out = []
+        for i, _gen, radius in axes:
+            lowered, raised = list(mono), list(mono)
+            lowered[i] -= 1
+            raised[i] += 1
+            out.append((mono[i], tuple(lowered), tuple(raised), radius))
+        return out
 
     def terms():
-        for idx in coords:
-            gen = (frame.generator_of(idx),)
-            for (mono, blade, a, b), c in partial_derivative(f, idx)._terms.items():
-                sign, nb = blade_product(gen, blade)
-                yield (mono, nb, a, b), sign * c
-        if scope == SCOPE_CR:
-            yield from partial_derivative(f, 0)._terms.items()
+        rows_of = Memo(rows)
+        products_of = Memo(lambda blade: [blade_product(gen, blade) for _i, gen, _r in axes])
+        for (mono, blade, a, b), c in f._terms.items():
+            for (e, lowered, raised, radius), (sign, nb) in zip(rows_of[mono], products_of[blade]):
+                if e:
+                    yield (lowered, nb, a, b), sign * e * c
+                if radius == "x" and a:
+                    yield (raised, nb, a - 2, b), sign * a * c
+                elif radius == "y" and b:
+                    yield (raised, nb, a, b - 2), sign * b * c
 
     return f._like(collect(terms()), f._den)
 
@@ -410,54 +458,40 @@ def laplacian(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
     mu c r^a rho^b, the x-part contributes (Delta_x mu) r^a plus
     a (p + 2d + a - 2) mu r^{a-2}; likewise in y, plus d^2/dX0^2 in the
     cauchy-riemann scope.  Equivalent to composing partial derivatives,
-    just without the intermediate blowup.
+    just without the intermediate blowup.  Each monomial's lowered
+    monomials and p + 2d - 2 are worked out once per call.
     """
     frame = f.frame
-    if scope == SCOPE_CR and not frame.scalar_axis:
-        raise PreconditionError("cauchy-riemann scope needs a frame with the scalar axis X0")
-    xs = tuple(frame.x_indices)
-    ys = tuple(frame.y_indices)
-    do_x = scope in (SCOPE_FIRST, SCOPE_FULL, SCOPE_CR)
-    do_y = scope in (SCOPE_SECOND, SCOPE_FULL, SCOPE_CR) and frame.q > 0
-    do_x0 = scope == SCOPE_CR
-    p, q = frame.p, frame.q
+    _check_scope(frame, scope)
+    do_x = scope != SCOPE_SECOND
+    do_y = scope != SCOPE_FIRST and frame.q > 0
+    lowering = [*(frame.x_indices if do_x else ()), *(frame.y_indices if do_y else ()),
+                *((0,) if scope == SCOPE_CR else ())]
+
+    def row(mono: Mono) -> tuple[list[tuple[Mono, int]], int | None, int | None]:
+        """((mono lowered by x_i^2, e(e-1)) pairs, p + 2d_x - 2, q + 2d_y - 2),
+        a radial entry being None when its group is outside the scope."""
+        lowered = []
+        for i in lowering:
+            e = mono[i]
+            if e > 1:
+                m = list(mono)
+                m[i] -= 2
+                lowered.append((tuple(m), e * (e - 1)))
+        return (lowered,
+                frame.p + 2 * sum(mono[i] for i in frame.x_indices) - 2 if do_x else None,
+                frame.q + 2 * sum(mono[i] for i in frame.y_indices) - 2 if do_y else None)
 
     def terms():
+        rows_of = Memo(row)
         for (mono, blade, a, b), c in f._terms.items():
-            if do_x:
-                dx = 0
-                for i in xs:
-                    e = mono[i]
-                    if e:
-                        dx += e
-                        if e > 1:
-                            m = list(mono)
-                            m[i] -= 2
-                            yield (tuple(m), blade, a, b), e * (e - 1) * c
-                if a:
-                    coeff = a * (p + 2 * dx + a - 2)
-                    if coeff:
-                        yield (mono, blade, a - 2, b), coeff * c
-            if do_y:
-                dy = 0
-                for i in ys:
-                    e = mono[i]
-                    if e:
-                        dy += e
-                        if e > 1:
-                            m = list(mono)
-                            m[i] -= 2
-                            yield (tuple(m), blade, a, b), e * (e - 1) * c
-                if b:
-                    coeff = b * (q + 2 * dy + b - 2)
-                    if coeff:
-                        yield (mono, blade, a, b - 2), coeff * c
-            if do_x0:
-                e = mono[0]
-                if e > 1:
-                    m = list(mono)
-                    m[0] -= 2
-                    yield (tuple(m), blade, a, b), e * (e - 1) * c
+            lowered, px, qy = rows_of[mono]
+            for m, k in lowered:
+                yield (m, blade, a, b), k * c
+            if a and px is not None and px + a:
+                yield (mono, blade, a - 2, b), a * (px + a) * c
+            if b and qy is not None and qy + b:
+                yield (mono, blade, a, b - 2), b * (qy + b) * c
 
     return f._like(collect(terms()), f._den)
 

@@ -43,10 +43,12 @@ from .radial import (
     SCOPE_CR,
     SCOPE_FIRST,
     SCOPE_FULL,
+    SCOPE_SECOND,
     dirac,
     evaluate_terms,
     inner_x,
     inner_y,
+    laplacian,
     laplacian_power,
     nu,
     omega,
@@ -202,7 +204,48 @@ def check_radial_calculus(seed: int, size: int = 40) -> Result:
         euler = euler + re_mul(RadialExpr.coordinate(frame, name), partial_derivative(hom, name))
     if deg != -2 or not (euler - deg * hom).is_zero():
         return False, "Euler identity failed"
-    return True, f"{size} randomized rounds"
+    ok, kernels = _check_kernels(rng)
+    if not ok:
+        return False, kernels
+    return True, f"{size} randomized rounds, {kernels}"
+
+
+def _dense_expr(rng: random.Random, frame: AxisFrame) -> RadialExpr:
+    """One monomial, carrying x_p^3 and y_q^2, with 36 (blade, a, b) terms;
+    the frame needs both groups."""
+    mono = [rng.randint(0, 2) for _ in range(frame.ncoords)]
+    mono[frame.x_indices[-1]] = 3
+    mono[frame.y_indices[-1]] = 2
+    return RadialExpr(frame, [((tuple(mono), blade, a, b), _rand_fraction(rng) or 1)
+                              for blade in ((), (1,), (2, frame.m), (1, 2, 3))
+                              for a in (-2, 1, 3) for b in (-1, 0, 2)])
+
+
+def _check_kernels(rng: random.Random) -> Result:
+    """``dirac`` against sum_j e_j d_j f (plus d_0 f for cauchy-riemann) and
+    ``laplacian`` against sum_j d_j^2 f, both built from ``partial_derivative``,
+    in every scope at (3,3), (5,5) and (3,2) with X0."""
+    checked = 0
+    for frame in (AxisFrame(3, 3), AxisFrame(5, 5), AxisFrame(3, 2, scalar_axis=True)):
+        vector_coords = {SCOPE_FIRST: frame.x_indices, SCOPE_SECOND: frame.y_indices}
+        for scope in (SCOPE_FIRST, SCOPE_SECOND, SCOPE_FULL) + ((SCOPE_CR,) if frame.scalar_axis else ()):
+            coords = vector_coords.get(scope, [*frame.x_indices, *frame.y_indices])
+            for f in (_dense_expr(rng, frame), _rand_expr(rng, frame)):
+                zero = RadialExpr.zero(frame)
+                d_of = {i: partial_derivative(f, i) for i in coords}
+                want_dirac = sum((re_mul(RadialExpr.constant(frame, Multivector.basis_vector(
+                    frame.generator_of(i), frame.m)), d) for i, d in d_of.items()), zero)
+                if scope == SCOPE_CR:
+                    d_of[0] = partial_derivative(f, 0)
+                    want_dirac = want_dirac + d_of[0]
+                want_laplacian = sum((partial_derivative(d, i) for i, d in d_of.items()), zero)
+                where = f"({frame.p},{frame.q}) {scope}, {len(f.raw_terms)} terms"
+                if dirac(f, scope) != want_dirac:
+                    return False, f"dirac differs from sum e_j d_j at {where}"
+                if laplacian(f, scope) != want_laplacian:
+                    return False, f"laplacian differs from sum d_j^2 at {where}"
+                checked += 2
+    return True, f"{checked} kernel-against-definition checks"
 
 
 def check_operator_identities(seed: int, size: int = 27) -> Result:

@@ -62,6 +62,21 @@ def collect(pairs: Iterable[tuple[K, C]], start: Mapping[K, C] | None = None) ->
     return acc
 
 
+class Memo(dict):
+    """A table that fills itself: ``memo[key]`` is ``fn(key)``, computed on
+    the first lookup.  Kernels make one per call, so it never outlives it."""
+
+    __slots__ = ("_fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self._fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self._fn(key)
+        return value
+
+
 def items_of(terms: Mapping[K, C] | Iterable[tuple[K, C]]) -> Iterable[tuple[K, C]]:
     """The (key, coefficient) pairs of a mapping or of a pair iterable."""
     return terms.items() if isinstance(terms, Mapping) else terms

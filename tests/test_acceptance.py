@@ -73,3 +73,8 @@ def test_criterion_9_classical_map():
 def test_criterion_10_algebra_core():
     _accept(10, "algebra core", selfcheck.check_algebra_core(1010, 250),
             "1250 randomized checks, 60 exact point evaluations")
+
+
+def test_criterion_11_radial_calculus():
+    _accept(11, "radial calculus and kernels", selfcheck.check_radial_calculus(1111, 120),
+            "120 randomized rounds, 40 kernel-against-definition checks")

@@ -15,7 +15,7 @@ from fueterkit.formatting import (
 from fueterkit.frame import AxisFrame
 from fueterkit.fueter import BiaxialComponents
 from fueterkit.parsing import parse_expression
-from fueterkit.radial import RadialExpr
+from fueterkit.radial import RadialExpr, partial_derivative
 
 F33 = AxisFrame(3, 3)
 
@@ -65,6 +65,23 @@ class TestExpressionStyles:
     def test_plain_reparses(self):
         expr = parse_expression("-2*x1*x2*e13*r^-5*rho + 7*y2^2 - 1/3", F33)
         assert parse_expression(format_expression(expr), F33) == expr
+
+    def test_numerators_sharing_a_factor_with_the_denominator(self):
+        # The derivative keeps the denominator 2 over the numerator 2, so the
+        # printers must reduce the coefficient 2/2 to 1 (and 3*2/2 to 3).
+        expr = partial_derivative(parse_expression("1/2*x1^2 + 3/2*x1^2*y1*e14", F33), "x1")
+        assert expr.normal_numerators()[1] == 2
+        assert format_expression(expr) == "x1 + 3*x1*y1*e14"
+        assert format_expression(expr, "latex") == r"x_{1} + 3\,x_{1}\,y_{1}\,e_{14}"
+        coeffs = [term["coeff"] for term in json.loads(format_expression(expr, "json"))]
+        assert coeffs == [{"num": 1, "den": 1}, {"num": 3, "den": 1}]
+
+    def test_wide_blades_and_fractions(self):
+        frame = AxisFrame(5, 5)
+        expr = parse_expression("-5/6*x1*e{1,10}*r^-3 + 7/4*y4^3*e{10}*rho^-1", frame)
+        assert format_expression(expr) == "7/4*y4^3*e{10}*rho^-1 - 5/6*x1*e{1,10}*r^-3"
+        assert format_expression(expr, "latex") == (
+            r"\frac{7}{4}\,y_{4}^{3}\,e_{10}\,\rho^{-1} - \frac{5}{6}\,x_{1}\,e_{1,10}\,r^{-3}")
 
 
 class TestBivariateAndMultivector:

@@ -24,6 +24,11 @@ def _apply_argv(case, fmt):
             "--Hk", hk, "--Hl", "ip(y,s)", "--t", T, "--s", S, "--format", fmt)
 
 
+def _apply_55_argv(variant, seed, fmt):
+    return ("apply", "--p", "5", "--q", "5", "--variant", variant, "--seed", seed,
+            "--Hk", "ip(x,t)", "--Hl", "ip(y,s)", "--t", T5, "--s", S5, "--format", fmt)
+
+
 ARGVS = {
     **{f"apply-{case.index}-{fmt}": _apply_argv(case, fmt)
        for case in REFERENCE_CASES for fmt in ("plain", "json", "latex")},
@@ -31,9 +36,13 @@ ARGVS = {
     "lemma5": ("lemma5", "--h", "r^4*rho^-1 + 3/2*r^2*rho^2", "--n", "2",
                "--s1", "1", "--s2", "0", "--k", "1", "--l", "2", "--p", "3", "--q", "5"),
     "fischer": ("fischer", "--p", "3", "--H", "ip(x,t)^3", "--t", T),
-    # One large output: (5,5) frame, ten-digit coefficients, about 29 KB.
-    "apply-55-minus-plain": ("apply", "--p", "5", "--q", "5", "--variant", "minus", "--seed", "zbar^10",
-                             "--Hk", "ip(x,t)", "--Hl", "ip(y,s)", "--t", T5, "--s", S5, "--format", "plain"),
+    # One large output in each style: (5,5) frame (m = 10, so e{10} and
+    # e_{10}), ten-digit coefficients, 29-76 KB.
+    "apply-55-minus-plain": _apply_55_argv("minus", "zbar^10", "plain"),
+    "apply-55-latex": _apply_55_argv("minus", "zbar^10", "latex"),
+    "apply-55-json": _apply_55_argv("minus", "zbar^10", "json"),
+    # The plus variant carries the bivectors e{1,10} and e_{1,10}.
+    **{f"apply-55-plus-{fmt}": _apply_55_argv("plus", "zbar^9", fmt) for fmt in ("plain", "latex")},
 }
 
 # name -> (sha256 of stdout, byte length of stdout)
@@ -53,7 +62,11 @@ GOLDEN = {
     "apply-5-json": ("762086a81ff37771737ffcd57a8c59b2ccf44a8f4e16b6feaac97caba05547ff", 8068),
     "apply-5-latex": ("2b1db1047647546fddf1a691ee75bbd9f10b2c40cfa7d26878446ac632c5728b", 3380),
     "apply-5-plain": ("356059e65e89e03838efeb5b08bc06e02eba5b452f5448a16137d1d7e786524a", 2054),
+    "apply-55-json": ("20a5dae53078c73da7fdff56189ca3486bdd117b0c1756b1880d92ae86fd7f3c", 76173),
+    "apply-55-latex": ("4f7170c2784a3ae694211ed563a69b53f83b52bcb8b05ee36d6351e5d5d9d866", 43665),
     "apply-55-minus-plain": ("0d9d0fcb3f3dc57881b0a180c9b1653d7e967611b30e79b860084d6a5bb32e79", 28780),
+    "apply-55-plus-latex": ("6b9a190bc449740ce56897bfe3467acbfa3ca6d84d578d90e6a8ca1afa72f289", 133132),
+    "apply-55-plus-plain": ("82e7f93cf929af10decac20eec5e84ab8d17f695431ffcddf796a01622749119", 87280),
     "apply-6-json": ("31746d556d2436a9b1ce15bd30817858e5826c3567473d33111c411c2159d8c9", 16795),
     "apply-6-latex": ("4d69200a203e48073a2a7fe582f5d89c70a157dbb71dbd6e4a1483e0fc0f8e7a", 8045),
     "apply-6-plain": ("0aab8c46e8e05fa24351caabbb12556ffbe5257d648084bbe92b5a9bbe91945e", 4990),

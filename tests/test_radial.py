@@ -17,6 +17,7 @@ from fueterkit.radial import (
     evaluate_terms,
     inner_x,
     is_monogenic,
+    laplacian,
     laplacian_power,
     nu,
     omega,
@@ -60,6 +61,14 @@ class TestCanonicalize:
         folded = RadialExpr(F33, [((mono6(x1=2), (), -2, 0), 1), ((mono6(x2=2), (), -2, 0), 1),
                                   ((mono6(x3=2), (), -2, 0), 1)])
         assert folded == RadialExpr.scalar(F33, 1)
+
+    def test_normal_numerators_are_a_read_only_view(self):
+        expr = partial_derivative(RadialExpr(F33, [((mono6(x3=3), (1,), 1, 0), Fraction(1, 6))]), "x3")
+        nums, den = expr.normal_numerators()
+        assert {k: Fraction(c, den) for k, c in nums.items()} == expr.canonical_terms()
+        assert list(nums) == sorted(nums)
+        with pytest.raises(TypeError):
+            nums[next(iter(nums))] = 0
 
     def test_single_axis_frame_rejects_rho(self):
         frame = AxisFrame(3, 0)
@@ -164,6 +173,10 @@ class TestLaplacian:
                             Fraction(rng.randint(-3, 3) or 1)))
             f = RadialExpr(F33, raw)
             assert (dirac(dirac(f, SCOPE_FULL), SCOPE_FULL) + laplacian_power(f, 1, SCOPE_FULL)).is_zero()
+
+    def test_unknown_scope_is_rejected(self):
+        with pytest.raises(ValueError):
+            laplacian(RadialExpr.radial(F33, 3, 2), "all")
 
     def test_fourth_dirac_power_is_squared_laplacian(self):
         f = re_mul(inner_x(F33, [1, 2, 0]), RadialExpr.radial(F33, 1, 2))

@@ -14,6 +14,7 @@ from fueterkit.clifford import Multivector
 from fueterkit.frame import AxisFrame
 from fueterkit.radial import RadialExpr
 from fueterkit.seeds import ComplexBivarPoly
+from fueterkit.sparse import Memo
 
 F33 = AxisFrame(3, 3)
 
@@ -40,3 +41,10 @@ def test_scalar_operands_and_foreign_types(name):
                lambda: x * "a", lambda: x * 1.5):
         with pytest.raises(TypeError):
             op()
+
+
+def test_memo_computes_each_key_once():
+    calls = []
+    table = Memo(lambda key: calls.append(key) or key * 2)
+    assert [table[k] for k in (3, 4, 3, 3)] == [6, 8, 6, 6]
+    assert calls == [3, 4]
