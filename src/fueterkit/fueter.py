@@ -14,7 +14,7 @@ Four pipelines are implemented and cross-checked against each other:
   Pk Pl) with A, B, C, D produced by the one-dimensional radial operators.
 * ``ft_general_via_fischer``: replays the reduction of general factors to
   monogenic ones through the Fischer decomposition and parity routing,
-  and evaluates every layer pair by ``ft_closed_form``; it takes no
+  and evaluates every layer pair by the closed form; it takes no
   Laplacian, and must agree with the direct maps exactly.
 
 A single-axis pipeline (``fueter_classical`` and its closed form) covers
@@ -163,6 +163,12 @@ def _verified_monogenic(out: RadialExpr, what: str) -> RadialExpr:
     return out
 
 
+def _verified_cauchy_riemann(out: RadialExpr, what: str) -> RadialExpr:
+    if not dirac(out, SCOPE_CR).is_zero():
+        raise VerificationError(f"{what} output failed its Cauchy-Riemann assertion")
+    return out
+
+
 def _direct_map_preconditions(seed: SeedFunction, frame: AxisFrame) -> None:
     _check_odd_groups(frame)
     if not seed.is_antiholomorphic():
@@ -232,7 +238,15 @@ def ft_mu(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: AxisFrame,
 def ft_closed_form(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: AxisFrame,
                    variant: str, mu: int | None = None) -> RadialExpr:
     """Closed form of ``ft_mu``: (2k+p-1)!! (2l+q-1)!! multinomial(n; j1, j2)
-    times the component pair built from the one-dimensional operators."""
+    times the component pair built from the one-dimensional operators.
+
+    The output is verified to be monogenic before it is returned."""
+    return _verified_monogenic(_closed_form(seed, pk, pl, frame, variant, mu), f"{variant} closed form")
+
+
+def _closed_form(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: AxisFrame,
+                 variant: str, mu: int | None) -> RadialExpr:
+    """``ft_closed_form`` without the final monogenicity check."""
     mu_eff, k, l = _mu_map_preconditions(seed, pk, pl, frame, variant, mu)
     p, q = frame.p, frame.q
     j1 = k + (p - 1) // 2
@@ -264,9 +278,7 @@ def fueter_classical(seed: SeedFunction, pk: RadialExpr, m: int) -> RadialExpr:
     ue, ve = _classical_uv(seed, frame)
     integrand = (ue + omega(frame) * ve) * pk
     out = laplacian_power(integrand, deg_k + (m - 1) // 2, SCOPE_CR)
-    if not dirac(out, SCOPE_CR).is_zero():
-        raise VerificationError("classical map output failed its Cauchy-Riemann assertion")
-    return out
+    return _verified_cauchy_riemann(out, "classical map")
 
 
 def classical_closed_form(seed: SeedFunction, pk: RadialExpr, m: int) -> RadialExpr:
@@ -281,7 +293,7 @@ def classical_closed_form(seed: SeedFunction, pk: RadialExpr, m: int) -> RadialE
     head = (RadialExpr.from_bivariate_classical(frame, first)
             + omega(frame) * RadialExpr.from_bivariate_classical(frame, second))
     constant = double_factorial(2 * deg_k + m - 1)
-    return constant * (head * pk)
+    return _verified_cauchy_riemann(constant * (head * pk), "classical closed form")
 
 
 def _classical_preconditions(seed: SeedFunction, pk: RadialExpr, m: int) -> tuple[AxisFrame, int]:
@@ -378,9 +390,10 @@ def ft_general_via_fischer(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
 
     Each pair of Fischer layers contributes a higher-order map with the
     seed multiplied by a signed monomial h(x, y), evaluated by its closed
-    form ``ft_closed_form``; even/odd valued layer pieces commute or
-    anticommute past the second-group vector powers, which the parity sign
-    accounts for.  The sum, verified on its normal form, equals the direct
+    form (``ft_closed_form`` without its own check: only the sum is
+    verified); even/odd valued layer pieces commute or anticommute past
+    the second-group vector powers, which the parity sign accounts for.
+    The sum, verified on its normal form, equals the direct
     ``ft_plus`` / ``ft_minus`` output exactly.  The route takes no
     Laplacian, so it shares no differentiation code with the direct maps.
     """
@@ -414,7 +427,7 @@ def ft_general_via_fischer(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
                 if piece.is_zero():
                     continue
                 sigma = 1 if parity == 0 else (-1) ** n2
-                term = ft_closed_form(routed, piece, ly.component, frame, target, mu=tot)
+                term = _closed_form(routed, piece, ly.component, frame, target, mu=tot)
                 total = total + sigma * term
     return _verified_monogenic(total.canonicalized(), "fischer-routed map")
 

@@ -210,27 +210,49 @@ def check_radial_calculus(seed: int, size: int = 40) -> Result:
     return True, f"{size} randomized rounds, {kernels}"
 
 
-def _dense_expr(rng: random.Random, frame: AxisFrame) -> RadialExpr:
-    """One monomial, carrying x_p^3 and y_q^2, with 36 (blade, a, b) terms;
-    the frame needs both groups."""
+def _dense_block(rng: random.Random, frame: AxisFrame) -> tuple[tuple[int, ...], list]:
+    """One monomial, carrying x_p^3 and y_q^2, and 36 ((blade, a, b),
+    coefficient) rows to put on it; the frame needs both groups."""
     mono = [rng.randint(0, 2) for _ in range(frame.ncoords)]
     mono[frame.x_indices[-1]] = 3
     mono[frame.y_indices[-1]] = 2
-    return RadialExpr(frame, [((tuple(mono), blade, a, b), _rand_fraction(rng) or 1)
-                              for blade in ((), (1,), (2, frame.m), (1, 2, 3))
-                              for a in (-2, 1, 3) for b in (-1, 0, 2)])
+    return tuple(mono), [((blade, a, b), _rand_fraction(rng) or 1)
+                         for blade in ((), (1,), (2, frame.m), (1, 2, 3))
+                         for a in (-2, 1, 3) for b in (-1, 0, 2)]
+
+
+def _dense_expr(rng: random.Random, frame: AxisFrame) -> RadialExpr:
+    """One monomial with 36 (blade, a, b) terms."""
+    mono, rows = _dense_block(rng, frame)
+    return RadialExpr(frame, [((mono, *key), c) for key, c in rows])
+
+
+def _spread_expr(rng: random.Random, frame: AxisFrame) -> RadialExpr:
+    """The 36 rows of ``_dense_block`` on its monomial mu and on mu x_i^2
+    and mu x_i for every coordinate x_i, so several source monomials feed
+    each target monomial.  The copy on mu x_i^2 is scaled by
+    +-1/((e_i + 2)(e_i + 1)), the sign alternating over the coordinates:
+    the Laplacian's rows from consecutive copies onto mu cancel, and in a
+    scope with an even number of coordinates so do whole target keys."""
+    mono, rows = _dense_block(rng, frame)
+    copies = [(mono, 1)]
+    for i, e in enumerate(mono):
+        copies.append((mono[:i] + (e + 2,) + mono[i + 1:], Fraction((-1) ** i, (e + 2) * (e + 1))))
+        copies.append((mono[:i] + (e + 1,) + mono[i + 1:], 1))
+    return RadialExpr(frame, [((m, *key), w * c) for m, w in copies for key, c in rows])
 
 
 def _check_kernels(rng: random.Random) -> Result:
     """``dirac`` against sum_j e_j d_j f (plus d_0 f for cauchy-riemann) and
     ``laplacian`` against sum_j d_j^2 f, both built from ``partial_derivative``,
-    in every scope at (3,3), (5,5) and (3,2) with X0."""
+    in every scope at (3,3), (5,5) and (3,2) with X0, on a one-monomial, a
+    many-monomial and a random input."""
     checked = 0
     for frame in (AxisFrame(3, 3), AxisFrame(5, 5), AxisFrame(3, 2, scalar_axis=True)):
         vector_coords = {SCOPE_FIRST: frame.x_indices, SCOPE_SECOND: frame.y_indices}
         for scope in (SCOPE_FIRST, SCOPE_SECOND, SCOPE_FULL) + ((SCOPE_CR,) if frame.scalar_axis else ()):
             coords = vector_coords.get(scope, [*frame.x_indices, *frame.y_indices])
-            for f in (_dense_expr(rng, frame), _rand_expr(rng, frame)):
+            for f in (_dense_expr(rng, frame), _spread_expr(rng, frame), _rand_expr(rng, frame)):
                 zero = RadialExpr.zero(frame)
                 d_of = {i: partial_derivative(f, i) for i in coords}
                 want_dirac = sum((re_mul(RadialExpr.constant(frame, Multivector.basis_vector(

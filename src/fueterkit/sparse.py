@@ -3,11 +3,13 @@
 RadialExpr, BivariateRadial, ComplexBivarPoly and Multivector are all
 ``TermMap``s: a dict from an exact key to a nonzero coefficient, plus an
 optional context (the frame of a RadialExpr, the dimension of a
-Multivector) that two operands must share.  Every operator produces a
-stream of (key, coefficient) contributions, and ``collect`` is the one
-place that turns such a stream into a stored dict: it sums equal keys in
-arrival order and drops zeros once, at the end.  Cancellation in the
-middle of a stream therefore costs nothing.
+Multivector) that two operands must share.  An operator produces a
+stream of (key, coefficient) contributions, and ``collect`` turns such a
+stream into a stored dict: it sums equal keys in arrival order and drops
+zeros once, at the end.  Cancellation in the middle of a stream therefore
+costs nothing.  The Laplacian, the Dirac operator and the normal form of
+``radial`` sum per coordinate monomial instead, into a dict per monomial,
+and drop zeros once when they flatten it.
 
 Coefficients: integer numerators over one denominator
 -----------------------------------------------------

@@ -77,4 +77,4 @@ def test_criterion_10_algebra_core():
 
 def test_criterion_11_radial_calculus():
     _accept(11, "radial calculus and kernels", selfcheck.check_radial_calculus(1111, 120),
-            "120 randomized rounds, 40 kernel-against-definition checks")
+            "120 randomized rounds, 60 kernel-against-definition checks")

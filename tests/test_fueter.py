@@ -6,7 +6,7 @@ import pytest
 from fueterkit import fueter, radial
 from fueterkit.bivariate import BiaxialParams, BivariateRadial
 from fueterkit.clifford import Multivector
-from fueterkit.errors import PreconditionError, ShapeError
+from fueterkit.errors import PreconditionError, ShapeError, VerificationError
 from fueterkit.frame import AxisFrame
 from fueterkit.fueter import (
     BiaxialComponents,
@@ -189,6 +189,14 @@ class TestClosedForm:
         closed = ft_closed_form(seed, rot_x(), one(), F33, "plus", mu=1)
         assert (direct - closed).is_zero()
 
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    def test_broken_radial_operator_fails_verification(self, monkeypatch, variant):
+        """The closed form checks its own output: with (d/dr r^{-1})^n
+        replaced by (r^{-1} d/dr)^n it is no longer monogenic."""
+        monkeypatch.setattr(fueter, "apply_dx_xinv", fueter.apply_xinv_dx)
+        with pytest.raises(VerificationError, match="closed form"):
+            ft_closed_form(conj_power(8), rot_x(), rot_y(), F33, variant)
+
 
 class TestFischer:
     def test_linear_coordinate(self):
@@ -359,6 +367,11 @@ class TestClassical:
                 direct = fueter_classical(holo_power(n), pk, 3)
                 closed = classical_closed_form(holo_power(n), pk, 3)
                 assert (direct - closed).is_zero()
+
+    def test_broken_closed_form_fails_verification(self, monkeypatch):
+        monkeypatch.setattr(fueter, "apply_dx_xinv", fueter.apply_xinv_dx)
+        with pytest.raises(VerificationError, match="Cauchy-Riemann"):
+            classical_closed_form(holo_power(4), self.rot_cl(), 3)
 
     def test_cauchy_riemann_kernel(self):
         out = fueter_classical(holo_power(4), self.rot_cl(), 3)

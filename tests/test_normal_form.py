@@ -39,6 +39,8 @@ from fueterkit.radial import (
     proportionality_constant,
     rational_point,
     re_mul,
+    vector_x,
+    vector_y,
 )
 from fueterkit.seeds import ComplexBivarPoly, _diff, conj_power, laplace2, parity_monomial, wirtinger
 
@@ -248,7 +250,14 @@ class TestIntegerNumerators:
                 w + zbar, w - zbar, w * zbar, Fraction(4, 9) * w, -w, w ** 3, _diff(w, "x"), _diff(w, "y"),
                 wirtinger(w, "dz"), wirtinger(w, "dzbar"), laplace2(w), parity_monomial(3, 1),
                 conj_power(6).w, ComplexBivarPoly.z() ** 4]
-        for out in outs:
+        frame = AxisFrame(3, 3)
+        x1, x2, x3 = (RadialExpr.coordinate(frame, name) for name in ("x1", "x2", "x3"))
+        # kernel outputs whose contributions all cancel: stored empty, not as zeros
+        cancelled = [laplacian(x1 * x1 - x2 * x2), dirac(vector_x(frame) - vector_y(frame)),
+                     (x1 * x1 + x2 * x2 + x3 * x3 - RadialExpr.radial(frame, 2, 0)).canonicalized()]
+        for out in cancelled:
+            assert out._terms == {}
+        for out in outs + cancelled:
             assert_integer_form(out)
         for value in (h, g, mv, nv, w):
             assert_integer_form(value, reduced=True)

@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from fueterkit import radial
 from fueterkit.clifford import Multivector
 from fueterkit.errors import PreconditionError
 from fueterkit.frame import AxisFrame
@@ -177,6 +178,25 @@ class TestLaplacian:
     def test_unknown_scope_is_rejected(self):
         with pytest.raises(ValueError):
             laplacian(RadialExpr.radial(F33, 3, 2), "all")
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_power_takes_one_module_level_laplacian_per_step(self, monkeypatch, n):
+        """Tracing records one span per Laplacian step, so the power must
+        go through ``radial.laplacian`` once per step, not fuse steps."""
+        calls = []
+        step = radial.laplacian
+
+        def counted(f, scope=SCOPE_FULL):
+            calls.append(scope)
+            return step(f, scope)
+
+        monkeypatch.setattr(radial, "laplacian", counted)
+        f = re_mul(inner_x(F33, [1, 2, 0]), RadialExpr.radial(F33, 3, 2))
+        want = f
+        for _ in range(n):
+            want = step(want, SCOPE_FIRST)
+        assert laplacian_power(f, n, SCOPE_FIRST) == want
+        assert calls == [SCOPE_FIRST] * n
 
     def test_fourth_dirac_power_is_squared_laplacian(self):
         f = re_mul(inner_x(F33, [1, 2, 0]), RadialExpr.radial(F33, 1, 2))
