@@ -6,6 +6,8 @@ Fueter-type maps with their closed forms, Fischer decomposition, and the
 first-order component systems, plus a parser and CLI.
 """
 
+import types
+
 from .bivariate import (
     BiaxialParams,
     BivariateRadial,
@@ -83,82 +85,6 @@ from .seeds import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxisFrame",
-    "BiaxialComponents",
-    "BiaxialParams",
-    "BivariateRadial",
-    "Blade",
-    "ComplexBivarPoly",
-    "EngineError",
-    "FischerLayer",
-    "Multivector",
-    "ParseError",
-    "PreconditionError",
-    "RadialExpr",
-    "SCOPE_CR",
-    "SCOPE_FIRST",
-    "SCOPE_FULL",
-    "SCOPE_SECOND",
-    "SeedFunction",
-    "ShapeError",
-    "VerificationError",
-    "apply_dx_xinv",
-    "apply_map",
-    "apply_xinv_dx",
-    "blade_product",
-    "blade_text",
-    "classical_closed_form",
-    "conj_power",
-    "constant_vector_x",
-    "constant_vector_y",
-    "delta2_power",
-    "dirac",
-    "double_factorial",
-    "evaluate_terms",
-    "expansion_coefficient",
-    "expression_json_object",
-    "extract_components",
-    "fischer_decompose",
-    "format_bivariate",
-    "format_components",
-    "format_expression",
-    "format_multivector",
-    "ft_closed_form",
-    "ft_general_via_fischer",
-    "ft_minus",
-    "ft_mu",
-    "ft_plus",
-    "fueter_classical",
-    "geometric_product",
-    "holo_power",
-    "inner_x",
-    "inner_y",
-    "is_monogenic",
-    "laplace2",
-    "laplacian",
-    "laplacian_expansion",
-    "laplacian_power",
-    "lift_to_radial",
-    "multinomial",
-    "nu",
-    "omega",
-    "operator_term",
-    "parity_monomial",
-    "parity_split",
-    "parse_bivariate",
-    "parse_expression",
-    "parse_seed",
-    "parse_vector",
-    "partial_derivative",
-    "re_mul",
-    "seed_order",
-    "seed_times_monomial",
-    "split_uv",
-    "times_i",
-    "vector_embed",
-    "vector_x",
-    "vector_y",
-    "vekua_check",
-    "wirtinger",
-]
+# Every public name imported above, and nothing else, is the package's API.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

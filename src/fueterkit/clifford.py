@@ -109,9 +109,6 @@ class Multivector(TermMap):
     def scalar_part(self) -> Fraction:
         return self.coefficient(SCALAR_BLADE)
 
-    def is_scalar(self) -> bool:
-        return all(b == SCALAR_BLADE for b in self._terms)
-
     def blades(self) -> Iterator[Blade]:
         return iter(sorted(self._terms))
 

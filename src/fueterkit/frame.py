@@ -37,10 +37,6 @@ class AxisFrame:
         return self.m + (1 if self.scalar_axis else 0)
 
     @property
-    def x0_index(self) -> int | None:
-        return 0 if self.scalar_axis else None
-
-    @property
     def x_indices(self) -> range:
         base = 1 if self.scalar_axis else 0
         return range(base, base + self.p)

@@ -139,8 +139,8 @@ def _require_group_monogenic(expr: RadialExpr, group: str, what: str) -> None:
 
 
 def _lifted_uv(seed: SeedFunction) -> tuple[BivariateRadial, BivariateRadial]:
-    u_poly, v_poly = split_uv(seed.w)
-    return lift_to_radial(u_poly), lift_to_radial(v_poly)
+    u, v, den = split_uv(seed.w)
+    return lift_to_radial(u, den), lift_to_radial(v, den)
 
 
 def _integrand(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
@@ -474,11 +474,11 @@ def _match_series(g: RadialExpr, base: RadialExpr, k: int, l: int) -> BivariateR
     frame = g.frame
     xs, ys = set(frame.x_indices), set(frame.y_indices)
     groups: dict[tuple[int, int], dict] = {}
-    for key, c in g._terms.items():
-        mono, _blade, a, b = key
-        d1 = sum(mono[i] for i in xs) + a
-        d2 = sum(mono[i] for i in ys) + b
-        groups.setdefault((d1, d2), {})[key] = c
+    for mono, inner in g._terms.items():
+        dx = sum(mono[i] for i in xs)
+        dy = sum(mono[i] for i in ys)
+        for key, c in inner.items():
+            groups.setdefault((dx + key[1], dy + key[2]), {}).setdefault(mono, {})[key] = c
     series: dict[tuple[int, int], Fraction] = {}
     for (d1, d2) in sorted(groups):
         part = g._like(groups[(d1, d2)], g._den)

@@ -34,21 +34,26 @@ difference is, and the sorted normal form is what gets printed.
 
 Operators keep terms merged by exact key only; the normal form is
 computed at the first zero test, equality or display and then cached.
+The zero test only asks whether it is empty; it is sorted and flattened
+only for display, ``canonical_terms`` and ``normal_numerators``.
 
+Storage: monomial groups
+------------------------
 Each coordinate monomial of a map's integrand carries a whole Laurent
 polynomial in r and rho spread over several blades, so an expression has
 far fewer distinct monomials than terms: over one pass of the
 large_apply benchmark, 3102 distinct monomials in 40632 Laplacian input
-terms and 543 in 4071 Dirac input terms.  The Laplacian, the Dirac
-operator and the normal form therefore work monomial by monomial.  They
-regroup their input once as monomial -> {(blade, a, b): numerator}
-(``_by_monomial``), work out what a monomial contributes once per group
-(its lowered and raised monomials, e(e-1) and p + 2d - 2, its rewrite
-rows), add every row straight into the target monomial's inner dict, and
-flatten once at the end, dropping zeros (``_flattened``); the Dirac
-operator also takes each blade's product with a generator once per call.
-No key built per contribution holds the monomial, and no table outlives
-its call.
+terms and 543 in 4071 Dirac input terms.  So an expression stores its
+terms grouped, monomial -> {(blade, a, b): numerator}, and every operator
+reads and writes that form.  The Laplacian, the Dirac operator and the
+normal form work out what a monomial contributes once per group (its
+lowered and raised monomials, e(e-1) and p + 2d - 2, its rewrite rows)
+and add each row straight into the target monomial's dict; ``re_mul``
+forms one monomial product per pair of groups.  Zeros are dropped at the
+end by rebuilding only the groups that hold one (``_nonzero``).  A
+stored group is never written to: results may share an operand's groups
+(``negate_group``, the cached normal form), so an operator adds only
+into dicts it made.  ``raw_terms`` is the flat view for callers outside.
 
 Coefficients are integer numerators over one denominator (see ``sparse``):
 the differential operators, negation, the parity split and the normal
@@ -64,7 +69,8 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import isqrt
+from itertools import chain
+from math import gcd, isqrt, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -76,8 +82,8 @@ from .sparse import Memo, Rational, TermMap, _as_fractions, collect, items_of
 
 Mono = tuple[int, ...]
 TermKey = tuple[Mono, Blade, int, int]
-# A kernel's accumulator: monomial -> {(blade, r exponent, rho exponent): coefficient}
-_Groups = dict[Mono, dict[tuple[Blade, int, int], Rational]]
+# The stored form and a kernel's accumulator: monomial -> {(blade, r exponent, rho exponent): numerator}
+_Groups = dict[Mono, dict[tuple[Blade, int, int], int]]
 
 SCOPE_FIRST = "first-group"
 SCOPE_SECOND = "second-group"
@@ -112,22 +118,31 @@ def _checked_terms(frame: AxisFrame, items: Iterable[tuple[TermKey, Rational]]) 
         yield (mono, tuple(blade), a, b), coeff
 
 
-def _by_monomial(terms: Mapping[TermKey, Rational]) -> _Groups:
-    """The terms regrouped as monomial -> {(blade, a, b): coefficient}."""
-    groups: _Groups = defaultdict(dict)
-    for (mono, blade, a, b), c in terms.items():
-        groups[mono][blade, a, b] = c
-    return groups
+def _add_rows(out: dict, rows: Mapping, k: int) -> None:
+    """out += k * rows, key by key."""
+    get = out.get
+    for key, c in rows.items():
+        out[key] = get(key, 0) + k * c
 
 
-def _flattened(groups: _Groups) -> dict[TermKey, Rational]:
-    """A kernel's accumulator as flat terms, zeros dropped."""
-    return {(mono, blade, a, b): c for mono, inner in groups.items()
-            for (blade, a, b), c in inner.items() if c}
+def _nonzero(acc: _Groups) -> _Groups:
+    """An accumulator as stored groups: zero rows and empty groups dropped.
+    Only a group that holds a zero is rebuilt."""
+    out = {}
+    for mono, inner in acc.items():
+        if 0 in inner.values():
+            inner = {key: c for key, c in inner.items() if c}
+        if inner:
+            out[mono] = inner
+    return out
 
 
 class RadialExpr(TermMap):
-    """Immutable Clifford-valued Laurent-radial expression."""
+    """Immutable Clifford-valued Laurent-radial expression.
+
+    ``_terms`` holds monomial -> {(blade, a, b): nonzero int numerator}
+    over ``_den``, no group empty; ``raw_terms`` is the flat view.
+    """
 
     __slots__ = ("_canonical_cache",)
 
@@ -138,6 +153,10 @@ class RadialExpr(TermMap):
     def __init__(self, frame: AxisFrame,
                  terms: Mapping[TermKey, Rational] | Iterable[tuple[TermKey, Rational]] = ()):
         super().__init__(_checked_terms(frame, items_of(terms)), frame)
+        groups: _Groups = {}
+        for (mono, blade, a, b), c in self._terms.items():
+            groups.setdefault(mono, {})[blade, a, b] = c
+        object.__setattr__(self, "_terms", groups)
 
     # -- constructors -------------------------------------------------
 
@@ -149,13 +168,13 @@ class RadialExpr(TermMap):
     def constant(cls, frame: AxisFrame, mv: Multivector) -> "RadialExpr":
         if mv.dim != frame.m:
             raise ValueError(f"multivector dimension {mv.dim} does not match frame m={frame.m}")
-        mono = (0,) * frame.ncoords
-        return cls._from_merged({(mono, blade, 0, 0): c for blade, c in mv._terms.items()}, mv._den, frame)
+        rows = {(blade, 0, 0): c for blade, c in mv._terms.items()}
+        return cls._from_merged({(0,) * frame.ncoords: rows} if rows else {}, mv._den, frame)
 
     @classmethod
     def coordinate(cls, frame: AxisFrame, name: str) -> "RadialExpr":
         mono = _unit_mono(frame, frame.coord_index(name))
-        return cls._from_merged({(mono, SCALAR_BLADE, 0, 0): 1}, 1, frame)
+        return cls._from_merged({mono: {(SCALAR_BLADE, 0, 0): 1}}, 1, frame)
 
     @classmethod
     def monomial(cls, frame: AxisFrame, exponents: Mapping[str, int],
@@ -180,8 +199,8 @@ class RadialExpr(TermMap):
         """Embed a scalar Laurent function of (r, rho)."""
         if frame.q == 0 and any(b for _a, b in h._terms):
             raise ValueError("rho exponent must be 0 in a single-axis frame")
-        mono = (0,) * frame.ncoords
-        return cls._from_merged({(mono, SCALAR_BLADE, a, b): c for (a, b), c in h._terms.items()}, h._den, frame)
+        rows = {(SCALAR_BLADE, a, b): c for (a, b), c in h._terms.items()}
+        return cls._from_merged({(0,) * frame.ncoords: rows} if rows else {}, h._den, frame)
 
     @classmethod
     def from_bivariate_classical(cls, frame: AxisFrame, h: BivariateRadial) -> "RadialExpr":
@@ -191,15 +210,20 @@ class RadialExpr(TermMap):
         if any(i < 0 for i, _j in h._terms):
             raise ValueError("X0 powers must be >= 0")
         zeros = (0,) * (frame.ncoords - 1)
-        return cls._from_merged({((i,) + zeros, SCALAR_BLADE, j, 0): c for (i, j), c in h._terms.items()},
-                                h._den, frame)
+        groups: _Groups = {}
+        for (i, j), c in h._terms.items():
+            groups.setdefault((i,) + zeros, {})[SCALAR_BLADE, j, 0] = c
+        return cls._from_merged(groups, h._den, frame)
 
     # -- basic structure ----------------------------------------------
 
-    raw_terms = TermMap.terms
+    @property
+    def terms(self) -> dict[TermKey, Fraction]:
+        """The stored terms as a fresh flat dict of ``Fraction`` values."""
+        den = self._den
+        return {(mono, *key): Fraction(c, den) for mono, inner in self._terms.items() for key, c in inner.items()}
 
-    def _unit_key(self) -> TermKey:
-        return ((0,) * self.frame.ncoords, SCALAR_BLADE, 0, 0)
+    raw_terms = terms
 
     def __bool__(self) -> bool:
         return bool(self._normal())
@@ -210,6 +234,9 @@ class RadialExpr(TermMap):
     def _coerce(self, other):
         if isinstance(other, Multivector):
             return RadialExpr.constant(self.frame, other) if other.dim == self.frame.m else None
+        if isinstance(other, (int, Fraction)):
+            zero = (0,) * self.frame.ncoords
+            return self._like({zero: {(SCALAR_BLADE, 0, 0): other.numerator}} if other else {}, other.denominator)
         return super()._coerce(other)
 
     def __eq__(self, other) -> bool:
@@ -222,22 +249,50 @@ class RadialExpr(TermMap):
 
     __hash__ = None  # equality is functional, not structural
 
-    # -- arithmetic ----------------------------------------------------
+    # -- arithmetic on stored groups -------------------------------------
 
-    def _products(self, other: "RadialExpr"):
-        for (m1, b1, a1, r1), c1 in self._terms.items():
-            for (m2, b2, a2, r2), c2 in other._terms.items():
-                sign, blade = blade_product(b1, b2)
-                yield (_mono_mul(m1, m2), blade, a1 + a2, r1 + r2), sign * c1 * c2
+    def _reduced(self, groups: _Groups, den: int) -> "RadialExpr":
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(inner.values() for inner in groups.values()))
+            if g != 1:
+                groups = {mono: {key: c // g for key, c in inner.items()} for mono, inner in groups.items()}
+                den //= g
+        return self._like(groups, den)
+
+    def __neg__(self) -> "RadialExpr":
+        return self._like({mono: {key: -c for key, c in inner.items()} for mono, inner in self._terms.items()},
+                          self._den)
+
+    def _add(self, other: "RadialExpr") -> "RadialExpr":
+        self._check_context(other)
+        d1, d2 = self._den, other._den
+        den = lcm(d1, d2)
+        m1, m2 = den // d1, den // d2
+        acc = {mono: {key: c * m1 for key, c in inner.items()} if m1 != 1 else dict(inner)
+               for mono, inner in self._terms.items()}
+        for mono, inner in other._terms.items():
+            out = acc.get(mono)
+            if out is None:
+                acc[mono] = {key: c * m2 for key, c in inner.items()}
+            else:
+                _add_rows(out, inner, m2)
+        return self._reduced(_nonzero(acc), den)
 
     def _mul(self, other: "RadialExpr") -> "RadialExpr":
         return re_mul(self, other)
 
+    def _scaled(self, c: Rational) -> "RadialExpr":
+        if not c:
+            return self._like({})
+        n = c.numerator
+        return self._reduced({mono: {key: v * n for key, v in inner.items()} for mono, inner in self._terms.items()},
+                             self._den * c.denominator)
+
     # -- normal form ----------------------------------------------------
 
-    def _normal(self) -> dict[TermKey, int]:
-        """The cached normal form's numerators over self._den; empty iff
-        the expression is zero."""
+    def _normal(self) -> _Groups:
+        """The cached normal form's groups of numerators over self._den;
+        empty iff the expression is zero."""
         try:
             return self._canonical_cache
         except AttributeError:
@@ -245,42 +300,42 @@ class RadialExpr(TermMap):
             object.__setattr__(self, "_canonical_cache", cached)
             return cached
 
+    def normal_numerators(self) -> tuple[Mapping[TermKey, int], int]:
+        """The normal form's int numerators as a read-only flat mapping sorted
+        by key, and their shared denominator."""
+        groups = self._normal()
+        return MappingProxyType({(mono, *key): c for mono in sorted(groups)
+                                 for key, c in sorted(groups[mono].items())}), self._den
+
     def canonical_terms(self) -> dict[TermKey, Fraction]:
         """The normal form as a fresh dict, sorted by key."""
-        return _as_fractions(self._normal(), self._den)
-
-    def normal_numerators(self) -> tuple[Mapping[TermKey, int], int]:
-        """The normal form's int numerators, sorted by key, as a read-only
-        view of the cache, and their shared denominator."""
-        return MappingProxyType(self._normal()), self._den
+        nums, den = self.normal_numerators()
+        return _as_fractions(nums, den)
 
     def canonicalized(self) -> "RadialExpr":
-        return self._like(dict(self._normal()), self._den)
+        return self._like(self._normal(), self._den)
 
     def homogeneity_degree(self) -> int | None:
         """Common total degree (monomial + a + b), or None when mixed or zero."""
-        degs = {sum(mono) + a + b for (mono, _blade, a, b) in self._normal()}
+        degs = {sum(mono) + a + b for mono, inner in self._normal().items() for (_blade, a, b) in inner}
         if len(degs) == 1:
             return degs.pop()
         return None
 
     def blade_parity_split(self) -> tuple["RadialExpr", "RadialExpr"]:
         """Split by coefficient blade cardinality into even/odd valued parts."""
-        even: dict[TermKey, int] = {}
-        odd: dict[TermKey, int] = {}
-        for key, c in self._terms.items():
-            (even if len(key[1]) % 2 == 0 else odd)[key] = c
+        even: _Groups = {}
+        odd: _Groups = {}
+        for mono, inner in self._terms.items():
+            for key, c in inner.items():
+                (odd if len(key[0]) % 2 else even).setdefault(mono, {})[key] = c
         return self._like(even, self._den), self._like(odd, self._den)
 
     def negate_group(self, group: str) -> "RadialExpr":
         """Substitute x -> -x (or y -> -y) coordinatewise; radii are unchanged."""
         idxs = self.frame.x_indices if group == "x" else self.frame.y_indices
-        acc: dict[TermKey, int] = {}
-        for (mono, blade, a, b), c in self._terms.items():
-            if sum(mono[i] for i in idxs) % 2 == 1:
-                c = -c
-            acc[(mono, blade, a, b)] = c
-        return self._like(acc, self._den)
+        return self._like({mono: {key: -c for key, c in inner.items()} if sum(mono[i] for i in idxs) % 2 else inner
+                           for mono, inner in self._terms.items()}, self._den)
 
     def __repr__(self) -> str:
         from .formatting import format_expression
@@ -312,23 +367,26 @@ def _lead_square_power(frame: AxisFrame, group: str, k: int) -> tuple[tuple[Mono
     return tuple((mono, e, c) for (mono, e), c in out.items())
 
 
-def _normal_form(frame: AxisFrame, terms: Mapping[TermKey, Rational]) -> dict[TermKey, Rational]:
-    """Rewrite x_p^2 and y_q^2 away, merge by exact key, drop zeros, sort.
+def _normal_form(frame: AxisFrame, groups: _Groups) -> _Groups:
+    """Rewrite x_p^2 and y_q^2 away, merge by exact key and drop zeros.
 
-    Linear in the coefficients, which may be int numerators or rationals."""
+    Linear in the numerators.  A monomial without x_p^2 or y_q^2 keeps its
+    rows; the rewritten ones are added into copies."""
     xp = frame.x_indices[-1]
     yq = frame.y_indices[-1] if frame.q else None
-    acc: _Groups = defaultdict(dict)
-    for mono, inner in _by_monomial(terms).items():
+    acc: _Groups = {}
+    rewrites = []
+    for mono, inner in groups.items():
         kx = mono[xp] // 2
         ky = mono[yq] // 2 if yq is not None else 0
-        if not kx and not ky:
-            out = acc.setdefault(mono, inner)
-            if out is not inner:
-                get = out.get
-                for key, c in inner.items():
-                    out[key] = get(key, 0) + c
-            continue
+        if kx or ky:
+            rewrites.append((mono, inner, kx, ky))
+        else:
+            acc[mono] = inner
+    if not rewrites:
+        return groups
+    copied = set()
+    for mono, inner, kx, ky in rewrites:
         base = list(mono)
         base[xp] -= 2 * kx
         if ky:
@@ -336,34 +394,41 @@ def _normal_form(frame: AxisFrame, terms: Mapping[TermKey, Rational]) -> dict[Te
         py = _lead_square_power(frame, "y", ky)
         for mx, ea, cx in _lead_square_power(frame, "x", kx):
             for my, eb, cy in py:
-                out = acc[_mono_mul(_mono_mul(base, mx), my)]
+                target = _mono_mul(_mono_mul(base, mx), my)
+                if target in copied:
+                    out = acc[target]
+                else:
+                    # never add into an operand's stored rows
+                    out = acc[target] = dict(acc.get(target, ()))
+                    copied.add(target)
                 get = out.get
                 k = cx * cy
                 for (blade, a, b), c in inner.items():
                     key = (blade, a + ea, b + eb)
                     out[key] = get(key, 0) + k * c
-    # keys sort by monomial first: sort the monomials, then each one's rows
-    return _flattened({mono: dict(sorted(acc[mono].items())) for mono in sorted(acc)})
+    return _nonzero(acc)
 
 
 def proportionality_constant(got: RadialExpr, want: RadialExpr) -> Fraction | None:
     """The scalar lam with got = lam * want, or None when there is none.
 
-    lam is read off the first key of want's normal form; got = lam * want
-    exactly when both normal forms have the same keys and every pair of
-    numerators has the ratio of the first pair.
+    lam is read off one row of want's normal form; got = lam * want exactly
+    when both normal forms have the same keys and every pair of numerators
+    has the ratio of that pair.
     """
-    want_terms = want._normal()
-    got_terms = got._normal()
-    if not want_terms:
-        return Fraction(0) if not got_terms else None
-    if not got_terms:
+    want_groups = want._normal()
+    got_groups = got._normal()
+    if not want_groups:
+        return Fraction(0) if not got_groups else None
+    if not got_groups:
         return Fraction(0)
-    if got_terms.keys() != want_terms.keys():
+    if got_groups.keys() != want_groups.keys() or any(
+            got_groups[mono].keys() != inner.keys() for mono, inner in want_groups.items()):
         return None
-    key = next(iter(want_terms))
-    g0, w0 = got_terms[key], want_terms[key]
-    if any(got_terms[k] * w0 != w * g0 for k, w in want_terms.items()):
+    mono, inner = next(iter(want_groups.items()))
+    key = next(iter(inner))
+    g0, w0 = got_groups[mono][key], inner[key]
+    if any(got_groups[mono][k] * w0 != w * g0 for mono, inner in want_groups.items() for k, w in inner.items()):
         return None
     return Fraction(g0 * want._den, w0 * got._den)
 
@@ -373,8 +438,21 @@ def proportionality_constant(got: RadialExpr, want: RadialExpr) -> Fraction | No
 
 def re_mul(f: RadialExpr, g: RadialExpr) -> RadialExpr:
     """Termwise product; coefficients multiply by the geometric product in
-    the given order (left factor's coefficient on the left)."""
-    return TermMap._mul(f, g)
+    the given order (left factor's coefficient on the left).  One monomial
+    product per pair of groups, then the rows multiply inside."""
+    f._check_context(g)
+    acc: _Groups = defaultdict(dict)
+    right = list(g._terms.items())
+    for m1, in1 in f._terms.items():
+        for m2, in2 in right:
+            out = acc[_mono_mul(m1, m2)]
+            get = out.get
+            for (b1, a1, r1), c1 in in1.items():
+                for (b2, a2, r2), c2 in in2.items():
+                    sign, blade = blade_product(b1, b2)
+                    key = (blade, a1 + a2, r1 + r2)
+                    out[key] = get(key, 0) + sign * c1 * c2
+    return f._reduced(_nonzero(acc), f._den * g._den)
 
 
 # -- differential operators ----------------------------------------------
@@ -393,24 +471,26 @@ def partial_derivative(f: RadialExpr, coord: str | int) -> RadialExpr:
         raise ValueError(f"coordinate index {idx} out of range")
     in_x = idx in frame.x_indices
     in_y = idx in frame.y_indices
-
-    def terms():
-        for (mono, blade, a, b), c in f._terms.items():
-            e = mono[idx]
-            if e:
-                m = list(mono)
-                m[idx] -= 1
-                yield (tuple(m), blade, a, b), e * c
-            if in_x and a:
-                m = list(mono)
-                m[idx] += 1
-                yield (tuple(m), blade, a - 2, b), a * c
-            elif in_y and b:
-                m = list(mono)
-                m[idx] += 1
-                yield (tuple(m), blade, a, b - 2), b * c
-
-    return f._like(collect(terms()), f._den)
+    acc: _Groups = defaultdict(dict)
+    for mono, inner in f._terms.items():
+        e = mono[idx]
+        if e:
+            m = list(mono)
+            m[idx] -= 1
+            _add_rows(acc[tuple(m)], inner, e)
+        if in_x or in_y:
+            m = list(mono)
+            m[idx] += 1
+            out = acc[tuple(m)]
+            get = out.get
+            for (blade, a, b), c in inner.items():
+                if in_x and a:
+                    key = (blade, a - 2, b)
+                    out[key] = get(key, 0) + a * c
+                elif in_y and b:
+                    key = (blade, a, b - 2)
+                    out[key] = get(key, 0) + b * c
+    return f._like(_nonzero(acc), f._den)
 
 
 def _check_scope(frame: AxisFrame, scope: str) -> None:
@@ -433,9 +513,10 @@ def dirac(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
 
     The cauchy-riemann scope adds d/dX0 with unit coefficient and needs a
     frame with the scalar axis.  One pass applies the term rule of
-    ``partial_derivative`` in every coordinate, monomial by monomial: each
-    monomial's lowered and raised monomials are formed once, and each
-    blade's product with a generator once per call.
+    ``partial_derivative`` in every coordinate, group by group: each
+    monomial's lowered and raised monomials and the rows that lower r or
+    rho are formed once, and each blade's product with a generator once
+    per call.
     """
     frame = f.frame
     _check_scope(frame, scope)
@@ -445,7 +526,10 @@ def dirac(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
     if scope == SCOPE_CR:
         axes.append((0, None, Memo(partial(blade_product, SCALAR_BLADE))))
     acc: _Groups = defaultdict(dict)
-    for mono, inner in _by_monomial(f._terms).items():
+    for mono, inner in f._terms.items():
+        # the rows a derivative adds by lowering r (or rho), shared by the group's axes
+        raised_rows = {"x": [(blade, a - 2, b, a * c) for (blade, a, b), c in inner.items() if a],
+                       "y": [(blade, a, b - 2, b * c) for (blade, a, b), c in inner.items() if b]}
         for i, radius, product in axes:
             e = mono[i]
             if e:
@@ -463,19 +547,11 @@ def dirac(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
             raised[i] += 1
             out = acc[tuple(raised)]
             get = out.get
-            if radius == "x":
-                for (blade, a, b), c in inner.items():
-                    if a:
-                        sign, nb = product[blade]
-                        key = (nb, a - 2, b)
-                        out[key] = get(key, 0) + sign * a * c
-            else:
-                for (blade, a, b), c in inner.items():
-                    if b:
-                        sign, nb = product[blade]
-                        key = (nb, a, b - 2)
-                        out[key] = get(key, 0) + sign * b * c
-    return f._like(_flattened(acc), f._den)
+            for blade, a, b, c in raised_rows[radius]:
+                sign, nb = product[blade]
+                key = (nb, a, b)
+                out[key] = get(key, 0) + sign * c
+    return f._like(_nonzero(acc), f._den)
 
 
 def laplacian(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
@@ -494,7 +570,7 @@ def laplacian(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
     do_y = scope != SCOPE_FIRST and frame.q > 0
     lowering = [*(frame.x_indices if do_x else ()), *(frame.y_indices if do_y else ()),
                 *((0,) if scope == SCOPE_CR else ())]
-    groups = _by_monomial(f._terms)
+    groups = f._terms
     acc: _Groups = {}
     # A monomial's radial rows land on the monomial itself, so they go first,
     # each group's into a fresh dict; the lowered rows are added after.
@@ -523,11 +599,9 @@ def laplacian(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
                 out = acc.get(m)
                 if out is None:
                     acc[m] = {key: k * c for key, c in inner.items()}
-                    continue
-                get = out.get
-                for key, c in inner.items():
-                    out[key] = get(key, 0) + k * c
-    return f._like(_flattened(acc), f._den)
+                else:
+                    _add_rows(out, inner, k)
+    return f._like(_nonzero(acc), f._den)
 
 
 def laplacian_power(f: RadialExpr, n: int, scope: str = SCOPE_FULL) -> RadialExpr:
@@ -548,7 +622,7 @@ def is_monogenic(f: RadialExpr, scope: str = SCOPE_FULL) -> bool:
 
 def _unit_vector(frame: AxisFrame, indices: Iterable[int], a: int = 0, b: int = 0) -> RadialExpr:
     """sum_j x_j e_j r^a rho^b over the given coordinates."""
-    return RadialExpr._from_merged({(_unit_mono(frame, idx), (frame.generator_of(idx),), a, b): 1
+    return RadialExpr._from_merged({_unit_mono(frame, idx): {((frame.generator_of(idx),), a, b): 1}
                                     for idx in indices}, 1, frame)
 
 
@@ -620,20 +694,38 @@ def evaluate_terms(frame: AxisFrame, terms: Iterable[tuple[TermKey, Rational]],
     The point must have rational radii r and rho (see ``rational_point``);
     ValueError otherwise.  Blades whose value is zero are omitted, so the
     terms sum to zero at the point exactly when the result is empty.
+
+    Over the common denominator D of the point, a coordinate is X/D, r is
+    R/D and rho is P/D, so c mu r^a rho^b is c X^mu R^a P^b / D^deg with
+    deg = |mu| + a + b.  Scaled by L D^top R^-amin P^-bmin (L clears the
+    coefficients' denominators, top is the largest deg, amin and bmin the
+    smallest negative exponents) every term is an integer, with X^mu read
+    off per-coordinate power tables; each blade's sum is divided back once.
     """
     coords = [Fraction(point[name]) for name in frame.coord_names()]
     r = _rational_root(sum(coords[i] ** 2 for i in frame.x_indices), "r")
     rho = _rational_root(sum(coords[i] ** 2 for i in frame.y_indices), "rho") if frame.q else Fraction(1)
-
-    def values():
-        for (mono, blade, a, b), c in terms:
-            val = Fraction(c) * r ** a * rho ** b
-            for x, e in zip(coords, mono):
-                if e:
-                    val *= x ** e
-            yield blade, val
-
-    return collect(values())
+    rows = [(mono, blade, a, b, c, sum(mono) + a + b) for (mono, blade, a, b), c in terms]
+    if not rows:
+        return {}
+    den = lcm(*(x.denominator for x in (*coords, r, rho)))
+    big_x = [x.numerator * (den // x.denominator) for x in coords]
+    big_r, big_p = (x.numerator * (den // x.denominator) for x in (r, rho))
+    x_pows = [[x ** e for e in range(max(row[0][i] for row in rows) + 1)] for i, x in enumerate(big_x)]
+    amin = min(0, *(row[2] for row in rows))
+    bmin = min(0, *(row[3] for row in rows))
+    top = max(row[5] for row in rows)
+    scale = lcm(*(row[4].denominator for row in rows))
+    sums: dict[Blade, int] = defaultdict(int)
+    for mono, blade, a, b, c, deg in rows:
+        v = c.numerator * (scale // c.denominator) * big_r ** (a - amin) * big_p ** (b - bmin) * den ** (top - deg)
+        for table, e in zip(x_pows, mono):
+            if e:
+                v *= table[e]
+        sums[blade] += v
+    num = den ** -top if top < 0 else 1
+    total = scale * den ** max(top, 0) * big_r ** -amin * big_p ** -bmin
+    return {blade: Fraction(v * num, total) for blade, v in sums.items() if v}
 
 
 def _sphere_point(rng: random.Random, n: int) -> list[Fraction]:

@@ -19,7 +19,6 @@ partition of the terms by blade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .bivariate import BivariateRadial
@@ -207,16 +206,19 @@ def seed_times_monomial(seed: SeedFunction, n1: int, n2: int) -> SeedFunction:
     return SeedFunction.create(seed.w * parity_monomial(n1, n2))
 
 
-def split_uv(w: ComplexBivarPoly) -> tuple[dict[tuple[int, int], Fraction], dict[tuple[int, int], Fraction]]:
-    """Real and imaginary parts as real-rational bivariate polynomials: the
-    partition of the terms by blade."""
-    u: dict[tuple[int, int], Fraction] = {}
-    v: dict[tuple[int, int], Fraction] = {}
-    for (i, j, blade), c in w.terms.items():
-        (v if blade else u)[(i, j)] = c
-    return u, v
+def split_uv(w: ComplexBivarPoly) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int], int]:
+    """Real and imaginary parts as int numerators over w's denominator,
+    which is the third value: the partition of the terms by blade."""
+    u: dict[tuple[int, int], int] = {}
+    v: dict[tuple[int, int], int] = {}
+    for (i, j, blade), c in w._terms.items():
+        (v if blade else u)[i, j] = c
+    return u, v, w._den
 
 
-def lift_to_radial(poly: Mapping[tuple[int, int], Fraction]) -> BivariateRadial:
-    """Substitute x -> r, y -> rho: monomial (i, j) becomes the key (a=i, b=j)."""
-    return BivariateRadial(poly)
+def lift_to_radial(nums: dict[tuple[int, int], int], den: int) -> BivariateRadial:
+    """Substitute x -> r, y -> rho: monomial (i, j) becomes the key (a=i, b=j).
+
+    ``nums`` are merged, zero-free int numerators over ``den`` > 0, as
+    ``split_uv`` returns them; they are wrapped without a copy."""
+    return BivariateRadial._from_merged(nums, den)

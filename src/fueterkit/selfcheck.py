@@ -332,9 +332,9 @@ def check_seed_identities(seed: int, size: int = 30) -> Result:
             continue
         if laplace2(w) != 4 * wirtinger(wirtinger(w, "dzbar"), "dz"):
             return False, "Laplacian is not 4 dz dzbar"
-        u, v = split_uv(w)
-        recombined = (ComplexBivarPoly({(i, j, ()): c for (i, j), c in u.items()})
-                      + ComplexBivarPoly({(i, j, (1,)): c for (i, j), c in v.items()}))
+        u, v, den = split_uv(w)
+        recombined = (ComplexBivarPoly({(i, j, ()): Fraction(c, den) for (i, j), c in u.items()})
+                      + ComplexBivarPoly({(i, j, (1,)): Fraction(c, den) for (i, j), c in v.items()}))
         if recombined != w:
             return False, "u + iv does not recombine"
         base = conj_power(rng.randint(0, 5))

@@ -7,9 +7,9 @@ Multivector) that two operands must share.  An operator produces a
 stream of (key, coefficient) contributions, and ``collect`` turns such a
 stream into a stored dict: it sums equal keys in arrival order and drops
 zeros once, at the end.  Cancellation in the middle of a stream therefore
-costs nothing.  The Laplacian, the Dirac operator and the normal form of
-``radial`` sum per coordinate monomial instead, into a dict per monomial,
-and drop zeros once when they flatten it.
+costs nothing.  RadialExpr stores its numerators grouped by coordinate
+monomial instead (see ``radial``): it keeps this shell's operator
+dispatch and overrides the operations that touch the stored dict.
 
 Coefficients: integer numerators over one denominator
 -----------------------------------------------------

@@ -29,7 +29,6 @@ from fueterkit.radial import (
     SCOPE_FULL,
     SCOPE_SECOND,
     RadialExpr,
-    _normal_form,
     dirac,
     evaluate_terms,
     inner_x,
@@ -125,7 +124,7 @@ class TestNormalFormAgainstPointValues:
     @given(frames_and_pairs())
     def test_normal_form_has_the_raw_values(self, case):
         frame, f, _g = case
-        assert values(frame, _normal_form(frame, f.raw_terms)) == values(frame, f.raw_terms)
+        assert values(frame, f.canonical_terms()) == values(frame, f.raw_terms)
 
     @settings(max_examples=150, deadline=None)
     @given(frames_and_pairs())
@@ -144,8 +143,10 @@ class TestNormalFormAgainstPointValues:
     @given(frames_and_pairs())
     def test_normal_form_is_idempotent(self, case):
         frame, f, _g = case
-        once = _normal_form(frame, f.raw_terms)
-        twice = _normal_form(frame, once)
+        once = f.canonical_terms()
+        # canonicalized() stores the normal form without its cache, so this
+        # takes the normal form of the normal form
+        twice = f.canonicalized().canonical_terms()
         assert list(twice.items()) == list(once.items())
         last_x = frame.x_indices[-1]
         last_y = frame.y_indices[-1] if frame.q else None
@@ -159,11 +160,21 @@ class TestNormalFormAgainstPointValues:
 
 def assert_integer_form(f, reduced=False):
     """The representation invariant: nonzero int numerators over one
-    positive int denominator; ``reduced`` also asks that they share no factor."""
+    positive int denominator; ``reduced`` also asks that they share no factor.
+    A RadialExpr stores them grouped as monomial -> {(blade, a, b): numerator}
+    in plain dicts, with no group empty."""
     assert type(f._den) is int and f._den > 0
-    assert all(type(c) is int and c != 0 for c in f._terms.values())
+    assert type(f._terms) is dict
+    if isinstance(f, RadialExpr):
+        assert all(len(mono) == f.frame.ncoords for mono in f._terms)
+        assert all(type(inner) is dict and inner for inner in f._terms.values())
+        assert all(len(key) == 3 for inner in f._terms.values() for key in inner)
+        nums = [c for inner in f._terms.values() for c in inner.values()]
+    else:
+        nums = list(f._terms.values())
+    assert all(type(c) is int and c != 0 for c in nums)
     if reduced:
-        assert gcd(f._den, *f._terms.values()) == 1
+        assert gcd(f._den, *nums) == 1
 
 
 @st.composite
@@ -252,11 +263,20 @@ class TestIntegerNumerators:
                 conj_power(6).w, ComplexBivarPoly.z() ** 4]
         frame = AxisFrame(3, 3)
         x1, x2, x3 = (RadialExpr.coordinate(frame, name) for name in ("x1", "x2", "x3"))
-        # kernel outputs whose contributions all cancel: stored empty, not as zeros
+        r2 = RadialExpr.radial(frame, 2, 0)
+        # kernel and operator outputs whose contributions all cancel: stored empty, not as zeros
         cancelled = [laplacian(x1 * x1 - x2 * x2), dirac(vector_x(frame) - vector_y(frame)),
-                     (x1 * x1 + x2 * x2 + x3 * x3 - RadialExpr.radial(frame, 2, 0)).canonicalized()]
+                     (x1 * x1 + x2 * x2 + x3 * x3 - r2).canonicalized(), x1 * x3 - x3 * x1,
+                     re_mul(x1 + x3, x1 - x3) - x1 * x1 + x3 * x3]
         for out in cancelled:
             assert out._terms == {}
+        # a group that keeps some rows when others cancel
+        partly = [x1 * r2 + x1 - x1, re_mul(x1 + x3, x1 - x3), partial_derivative(x3 * x3 * x3 * r2, "x3"),
+                  (x3 * x3 * x3 * r2 - x3 * x1 * x1 * r2).canonicalized()]
+        assert (x1 * r2 + x1 - x1)._terms == {(1, 0, 0, 0, 0, 0): {((), 2, 0): 1}}
+        outs += [*partly, RadialExpr.constant(frame, Multivector(6, {(): 2, (1, 4): Fraction(1, 3)})),
+                 RadialExpr.from_bivariate(frame, h), (x1 * r2).negate_group("x"),
+                 *(x1 * Multivector.basis_vector(1, 6) + x2).blade_parity_split()]
         for out in outs + cancelled:
             assert_integer_form(out)
         for value in (h, g, mv, nv, w):

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from fueterkit.radial import (
     SCOPE_CR,
     SCOPE_FIRST,
     SCOPE_FULL,
+    SCOPE_SECOND,
     dirac,
     evaluate_terms,
     inner_x,
@@ -23,6 +25,7 @@ from fueterkit.radial import (
     nu,
     omega,
     partial_derivative,
+    proportionality_constant,
     rational_point,
     re_mul,
     vector_x,
@@ -315,6 +318,65 @@ class TestHypothesisProperties:
     def test_product_distributes_over_sums(self, f, g):
         h = RadialExpr.radial(F33, -1, 1) + inner_x(F33, [1, 0, 2])
         assert (re_mul(h, f + g) - (re_mul(h, f) + re_mul(h, g))).is_zero()
+
+
+def _snapshot(f):
+    """A deep copy of what f stores: its groups, its denominator and, once
+    built, its cached normal form."""
+    return copy.deepcopy((f._terms, f._den, getattr(f, "_canonical_cache", None)))
+
+
+def _operands():
+    """Fresh expressions, and expressions whose stored rows share dicts with them."""
+    x1, x3 = RadialExpr.coordinate(F33, "x1"), RadialExpr.coordinate(F33, "x3")
+    # x3^2 -> r^2 - x1^2 - x2^2 lands on the key of the unrewritten x1^2.
+    aliased = x1 * x1 + x3 * x3
+    g = RadialExpr(F33, [((mono6(x1=1, x3=3), (1,), -1, 2), Fraction(1, 2)),
+                         ((mono6(x1=1, x3=3), (4,), 1, 0), -3), ((mono6(y2=2), (2, 5), 0, -1), 2),
+                         ((mono6(x1=2), (), 0, 0), 5)])
+    return [aliased, g, aliased.negate_group("x"), g.negate_group("y"), g.canonicalized()]
+
+
+OPERATIONS = {
+    "laplacian": lambda f, g: [laplacian(f, scope) for scope in (SCOPE_FULL, SCOPE_FIRST, SCOPE_SECOND)],
+    "laplacian_power": lambda f, g: [laplacian_power(f, 2)],
+    "dirac": lambda f, g: [dirac(f, scope) for scope in (SCOPE_FULL, SCOPE_FIRST, SCOPE_SECOND)],
+    "partial_derivative": lambda f, g: [partial_derivative(f, i) for i in range(F33.ncoords)],
+    "re_mul": lambda f, g: [re_mul(f, g), f * f, f ** 2],
+    "sum": lambda f, g: [f + g, f - g, Fraction(1, 3) * f + g, 2 + f, f - f],
+    "scale": lambda f, g: [Fraction(2, 3) * f, f * 3, -f, 0 * f],
+    "negate_group": lambda f, g: [f.negate_group("x"), f.negate_group("y")],
+    "blade_parity_split": lambda f, g: [*f.blade_parity_split()],
+    "normal_form": lambda f, g: [f.is_zero(), bool(g), f.canonicalized(), f.canonical_terms(),
+                                 f.normal_numerators(), f.homogeneity_degree(), f == g,
+                                 proportionality_constant(2 * f, f)],
+}
+
+
+class TestOperandPurity:
+    @pytest.mark.parametrize("name", sorted(OPERATIONS))
+    def test_operands_keep_their_stored_form(self, name):
+        op = OPERATIONS[name]
+        operands = _operands()
+        for f in operands:
+            for g in operands:
+                before = [_snapshot(h) for h in operands]
+                results = op(f, g)
+                # results built from shared rows must not write into them either
+                for out in results:
+                    if isinstance(out, RadialExpr):
+                        (out + out).is_zero()
+                        laplacian(out)
+                        out.canonicalized().canonical_terms()
+                for h, snap in zip(operands, before):
+                    terms, den, cache = snap
+                    assert (h._terms, h._den) == (terms, den)
+                    assert cache is None or h._canonical_cache == cache
+
+    def test_normal_form_copies_the_group_it_adds_into(self):
+        f = _operands()[0]
+        assert f.canonical_terms() == {(ZERO6, (), 2, 0): Fraction(1), (mono6(x2=2), (), 0, 0): Fraction(-1)}
+        assert f._terms[mono6(x1=2)] == {((), 0, 0): 1}
 
 
 class TestZeroSoundness:

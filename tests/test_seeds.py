@@ -107,24 +107,31 @@ class TestBuildSeed:
 
 class TestSplitAndLift:
     def test_zbar_squared(self):
-        u, v = split_uv(ZBAR ** 2)
-        assert u == {(2, 0): Fraction(1), (0, 2): Fraction(-1)}
-        assert v == {(1, 1): Fraction(-2)}
+        u, v, den = split_uv(ZBAR ** 2)
+        assert u == {(2, 0): 1, (0, 2): -1}
+        assert v == {(1, 1): -2}
+        assert den == 1
 
     def test_i_zbar(self):
-        u, v = split_uv(ZBAR * I)
-        assert u == {(0, 1): Fraction(1)}
-        assert v == {(1, 0): Fraction(1)}
+        u, v, den = split_uv(ZBAR * I)
+        assert u == {(0, 1): 1}
+        assert v == {(1, 0): 1}
+        assert den == 1
 
     def test_constant(self):
-        u, v = split_uv(ComplexBivarPoly.constant(3))
-        assert u == {(0, 0): Fraction(3)} and v == {}
+        u, v, den = split_uv(ComplexBivarPoly.constant(3))
+        assert u == {(0, 0): 3} and v == {} and den == 1
+
+    def test_numerators_keep_the_seed_denominator(self):
+        u, v, den = split_uv(ComplexBivarPoly({(1, 0, ()): Fraction(1, 2), (0, 1, (1,)): Fraction(-2, 3)}))
+        assert (u, v, den) == ({(1, 0): 3}, {(0, 1): -4}, 6)
+        assert all(type(c) is int for c in [*u.values(), *v.values()])
 
     def test_lift(self):
-        u, _v = split_uv(ZBAR ** 2)
-        assert lift_to_radial(u) == BivariateRadial({(2, 0): 1, (0, 2): -1})
-        assert lift_to_radial({(1, 1): Fraction(1)}) == BivariateRadial.monomial(1, 1)
-        assert lift_to_radial({}).is_zero()
+        u, _v, den = split_uv(ZBAR ** 2)
+        assert lift_to_radial(u, den) == BivariateRadial({(2, 0): 1, (0, 2): -1})
+        assert lift_to_radial({(1, 1): 3}, 3) == BivariateRadial.monomial(1, 1)
+        assert lift_to_radial({}, 1).is_zero()
 
     def test_recombination(self):
         rng = random.Random(3)
@@ -135,9 +142,9 @@ class TestSplitAndLift:
                 terms[(i, j, ())] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                 terms[(i, j, (1,))] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             w = ComplexBivarPoly(terms)
-            u, v = split_uv(w)
-            rebuilt = (ComplexBivarPoly({(i, j, ()): c for (i, j), c in u.items()})
-                       + ComplexBivarPoly({(i, j, (1,)): c for (i, j), c in v.items()}))
+            u, v, den = split_uv(w)
+            rebuilt = (ComplexBivarPoly({(i, j, ()): Fraction(c, den) for (i, j), c in u.items()})
+                       + ComplexBivarPoly({(i, j, (1,)): Fraction(c, den) for (i, j), c in v.items()}))
             assert rebuilt == w
 
 
