@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .frame import AxisFrame
-from .fueter import VARIANT_MINUS, VARIANT_PLUS, ft_minus, ft_plus
+from .fueter import VARIANT_MINUS, VARIANT_PLUS, apply_map
 from .radial import (
     RadialExpr,
     constant_vector_x,
@@ -55,10 +55,7 @@ class ReferenceCase:
     def run_engine(self, frame: AxisFrame, t: Sequence[Fraction], s: Sequence[Fraction]) -> RadialExpr:
         hk = inner_x(frame, t) ** self.hk_power
         hl = inner_y(frame, s)
-        seed = self.build_seed()
-        if self.variant == VARIANT_PLUS:
-            return ft_plus(seed, hk, hl, frame)
-        return ft_minus(seed, hk, hl, frame)
+        return apply_map(self.build_seed(), hk, hl, frame, self.variant)
 
 
 def _parts(frame: AxisFrame, t: Sequence[Fraction], s: Sequence[Fraction]):

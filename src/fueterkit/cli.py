@@ -22,21 +22,13 @@ from fractions import Fraction
 from .bivariate import BiaxialParams, laplacian_expansion
 from .catalog import REFERENCE_CASES, run_case
 from .errors import ParseError, PreconditionError, VerificationError
-from .formatting import expression_json_object, format_bivariate, format_expression
+from .formatting import STYLES, expression_json_object, format_bivariate, format_expression
 from .frame import AxisFrame
 from .fueter import apply_map, fischer_decompose
 from .parsing import parse_bivariate, parse_expression, parse_seed, parse_vector
 from .radial import SCOPE_CR, SCOPE_FIRST, SCOPE_FULL, SCOPE_SECOND, dirac
 from .seeds import SeedFunction
 from .selfcheck import run_all
-
-_SCOPE_ALIASES = {
-    "first-group": SCOPE_FIRST,
-    "second-group": SCOPE_SECOND,
-    "full": SCOPE_FULL,
-    "cauchy-riemann": SCOPE_CR,
-}
-
 
 def _rng(args_seed: int | None = None) -> random.Random:
     env = os.environ.get("FUETER_SEED")
@@ -106,8 +98,7 @@ def _cmd_apply(args) -> int:
 def _cmd_check_monogenic(args) -> int:
     frame = AxisFrame(args.p, args.q, scalar_axis=args.scalar_axis)
     expr = parse_expression(args.expr, frame, _bound_vectors(args, frame))
-    scope = _SCOPE_ALIASES[args.scope]
-    print("true" if dirac(expr, scope).is_zero() else "false")
+    print("true" if dirac(expr, args.scope).is_zero() else "false")
     return 0
 
 
@@ -129,6 +120,8 @@ def _cmd_lemma5(args) -> int:
 
 
 def _cmd_examples(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rng_box: list = []
     fixed_t = _vector(args.t, 3, rng_box, "t")
     fixed_s = _vector(args.s, 3, rng_box, "s")
@@ -196,14 +189,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_apply.add_argument("--Hl", required=True, help="second-group homogeneous factor expression")
     p_apply.add_argument("--t", help="comma-separated rationals or 'random'")
     p_apply.add_argument("--s", help="comma-separated rationals or 'random'")
-    p_apply.add_argument("--format", choices=["plain", "json", "latex"], default="plain")
+    p_apply.add_argument("--format", choices=STYLES, default="plain")
     p_apply.set_defaults(fn=_cmd_apply)
 
     p_check = sub.add_parser("check-monogenic", help="test an expression for monogenicity")
     p_check.add_argument("--p", type=int, required=True)
     p_check.add_argument("--q", type=int, required=True)
     p_check.add_argument("--expr", required=True)
-    p_check.add_argument("--scope", choices=list(_SCOPE_ALIASES), default="full")
+    p_check.add_argument("--scope", choices=(SCOPE_FIRST, SCOPE_SECOND, SCOPE_FULL, SCOPE_CR), default=SCOPE_FULL)
     p_check.add_argument("--scalar-axis", action="store_true")
     p_check.add_argument("--t")
     p_check.add_argument("--s")
@@ -213,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fischer.add_argument("--p", type=int, required=True)
     p_fischer.add_argument("--H", required=True)
     p_fischer.add_argument("--t")
-    p_fischer.add_argument("--format", choices=["plain", "json", "latex"], default="plain")
+    p_fischer.add_argument("--format", choices=STYLES, default="plain")
     p_fischer.set_defaults(fn=_cmd_fischer)
 
     p_exp = sub.add_parser("lemma5", help="expand a Laplacian power into radial operator terms")
@@ -225,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--l", type=int, required=True)
     p_exp.add_argument("--p", type=int, default=3)
     p_exp.add_argument("--q", type=int, default=3)
-    p_exp.add_argument("--format", choices=["plain", "json", "latex"], default="plain")
+    p_exp.add_argument("--format", choices=STYLES, default="plain")
     p_exp.set_defaults(fn=_cmd_lemma5)
 
     p_examples = sub.add_parser("examples", help="run the built-in reference catalog")

@@ -1,24 +1,35 @@
 """Monogenic function constructions over biaxial frames.
 
-Four pipelines are implemented and cross-checked against each other:
+Every biaxial map is one construction: Delta^{mu+k+l+(m-2)/2} of the
+seed's (u, v) put in the variant's shape and multiplied by Hk Hl.  The
+shape is (u + omega nu v) for the plus variant and (omega u + nu v) for
+the minus variant.  One core serves every path:
 
-* ``ft_plus`` / ``ft_minus``: the direct Laplacian-power maps
-  Delta^{k+l+(m-2)/2} applied to (u + omega nu v) Hk Hl, respectively
-  (omega u + nu v) Hk Hl, for antiholomorphic seeds and general
-  homogeneous factors.
-* ``ft_mu``: the same maps with exponent mu + k + l + (m-2)/2 for seeds
-  annihilated by d/dz after mu planar Laplacians; requires monogenic
-  factors.
-* ``ft_closed_form``: the closed form of ``ft_mu``, a double-factorial and
-  multinomial constant times (A + omega nu B) Pk Pl (or (omega C + nu D)
-  Pk Pl) with A, B, C, D produced by the one-dimensional radial operators.
-* ``ft_general_via_fischer``: replays the reduction of general factors to
-  monogenic ones through the Fischer decomposition and parity routing,
-  and evaluates every layer pair by the closed form; it takes no
-  Laplacian, and must agree with the direct maps exactly.
+* ``_map_inputs`` checks a map's inputs in one order (variant, odd group
+  dimensions, antiholomorphy or the mu lower bound, the two factor
+  degrees, monogenic factors where the theorem needs them) and returns
+  (mu, k, l);
+* ``_shape`` builds first + omega nu second or omega first + nu second,
+  for the integrand, the closed form and the rebuild in
+  ``extract_components`` alike;
+* ``_laplacian_map`` takes the Laplacian power of the integrand and
+  verifies the output.  ``ft_plus`` / ``ft_minus`` call it with mu = 0,
+  antiholomorphic seeds and general homogeneous factors; ``ft_mu`` with
+  the seed's order (or an upward override) and monogenic factors.
 
-A single-axis pipeline (``fueter_classical`` and its closed form) covers
-the generalized Cauchy-Riemann construction for holomorphic seeds.
+``ft_closed_form`` evaluates ``ft_mu`` as a double-factorial and
+multinomial constant times the shape of the pair built by the
+one-dimensional radial operators.  ``ft_general_via_fischer`` splits
+general factors into monogenic Fischer layers and evaluates each layer
+pair (n1, n2) by the closed form, with no Laplacian: the pair's target
+variant is the input variant when n1 + n2 is even and the other one when
+it is odd, its seed is multiplied by the parity monomial (with the sign
+(-1)^{n1} for the minus variant), and the odd-valued part of the x layer
+carries (-1)^{n2}.  It must agree with the direct maps exactly.
+
+A single-axis pipeline (``fueter_classical`` and its closed form, one
+shared body) covers the generalized Cauchy-Riemann construction for
+holomorphic seeds.
 """
 
 from __future__ import annotations
@@ -85,20 +96,14 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"variant must be 'plus' or 'minus', got {variant!r}")
 
 
-def _check_odd_groups(frame: AxisFrame) -> None:
-    if frame.q < 1:
-        raise PreconditionError("biaxial maps need a second axial group (q >= 1)")
-    if frame.p % 2 == 0 or frame.q % 2 == 0:
-        raise PreconditionError(f"group dimensions must both be odd, got p={frame.p}, q={frame.q}")
-
-
-def _group_data(frame: AxisFrame, group: str):
+def _group_data(frame: AxisFrame, group: str) -> tuple[range, str]:
+    """The group's coordinate indices and its Dirac scope."""
     if group == "x":
-        return tuple(frame.x_indices), SCOPE_FIRST, frame.p, set(range(1, frame.p + 1))
+        return frame.x_indices, SCOPE_FIRST
     if group == "y":
         if frame.q < 1:
             raise PreconditionError("frame has no second axial group")
-        return tuple(frame.y_indices), SCOPE_SECOND, frame.q, set(range(frame.p + 1, frame.m + 1))
+        return frame.y_indices, SCOPE_SECOND
     raise ValueError(f"group must be 'x' or 'y', got {group!r}")
 
 
@@ -110,8 +115,8 @@ def homogeneous_group_degree(expr: RadialExpr, group: str) -> int:
     factor can hold r^a and a y-group factor rho^b, with even exponents
     >= 0; they count towards the degree."""
     frame = expr.frame
-    idxs, _scope, _dim, allowed_gens = _group_data(frame, group)
-    idx_set = set(idxs)
+    idxs, _scope = _group_data(frame, group)
+    allowed_gens = {frame.generator_of(i) for i in idxs}
     terms = expr.canonical_terms()
     if not terms:
         raise PreconditionError(f"the zero expression is not a valid {group}-group factor")
@@ -121,7 +126,7 @@ def homogeneous_group_degree(expr: RadialExpr, group: str) -> int:
         if other != 0 or radial < 0 or radial % 2:
             raise PreconditionError(f"factor is not a polynomial (radial exponents {a}, {b} remain)")
         for i, e in enumerate(mono):
-            if e and i not in idx_set:
+            if e and i not in idxs:
                 raise PreconditionError(
                     f"factor uses coordinate {frame.coord_name(i)} outside the {group} group")
         if any(g not in allowed_gens for g in blade):
@@ -132,10 +137,35 @@ def homogeneous_group_degree(expr: RadialExpr, group: str) -> int:
     return degrees.pop()
 
 
-def _require_group_monogenic(expr: RadialExpr, group: str, what: str) -> None:
-    _idxs, scope, _dim, _gens = _group_data(expr.frame, group)
-    if not dirac(expr, scope).is_zero():
-        raise PreconditionError(f"{what} must be monogenic for its group Dirac operator")
+def _map_inputs(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: AxisFrame,
+                variant: str, mu: int | None, monogenic: bool) -> tuple[int, int, int]:
+    """Check the inputs of a biaxial map; returns (mu, k, l).
+
+    ``monogenic`` picks the theorem: False for the direct maps, which take
+    mu = 0, an antiholomorphic seed and any homogeneous factors; True for
+    the higher-order maps, where mu defaults to the seed's recomputed
+    order, may only be overridden upward, and both factors must be
+    monogenic for their group's Dirac operator.
+    """
+    _check_variant(variant)
+    if frame.q < 1:
+        raise PreconditionError("biaxial maps need a second axial group (q >= 1)")
+    if frame.p % 2 == 0 or frame.q % 2 == 0:
+        raise PreconditionError(f"group dimensions must both be odd, got p={frame.p}, q={frame.q}")
+    if not monogenic:
+        if not seed.is_antiholomorphic():
+            raise PreconditionError("seed must be antiholomorphic (d/dz w = 0) for this map")
+    elif mu is None:
+        mu = seed.mu
+    elif mu < seed.mu:
+        raise PreconditionError(f"declared order mu={mu} is below the seed's verified order {seed.mu}")
+    k = homogeneous_group_degree(hk, "x")
+    l = homogeneous_group_degree(hl, "y")
+    if monogenic:
+        for name, factor, scope in (("Pk", hk, SCOPE_FIRST), ("Pl", hl, SCOPE_SECOND)):
+            if not is_monogenic(factor, scope):
+                raise PreconditionError(f"{name} must be monogenic for its group Dirac operator")
+    return mu, k, l
 
 
 def _lifted_uv(seed: SeedFunction) -> tuple[BivariateRadial, BivariateRadial]:
@@ -143,18 +173,14 @@ def _lifted_uv(seed: SeedFunction) -> tuple[BivariateRadial, BivariateRadial]:
     return lift_to_radial(u, den), lift_to_radial(v, den)
 
 
-def _integrand(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
-               frame: AxisFrame, variant: str) -> RadialExpr:
-    u, v = _lifted_uv(seed)
-    ue = RadialExpr.from_bivariate(frame, u)
-    ve = RadialExpr.from_bivariate(frame, v)
-    om = omega(frame)
-    nv = nu(frame)
+def _shape(frame: AxisFrame, variant: str, first: BivariateRadial, second: BivariateRadial) -> RadialExpr:
+    """first + omega nu second for the plus variant, omega first + nu second
+    for the minus variant: the head of every biaxial map."""
+    a = RadialExpr.from_bivariate(frame, first)
+    b = RadialExpr.from_bivariate(frame, second)
     if variant == VARIANT_PLUS:
-        head = ue + om * nv * ve
-    else:
-        head = om * ue + nv * ve
-    return head * hk * hl
+        return a + omega(frame) * nu(frame) * b
+    return omega(frame) * a + nu(frame) * b
 
 
 def _verified_monogenic(out: RadialExpr, what: str) -> RadialExpr:
@@ -169,57 +195,25 @@ def _verified_cauchy_riemann(out: RadialExpr, what: str) -> RadialExpr:
     return out
 
 
-def _direct_map_preconditions(seed: SeedFunction, frame: AxisFrame) -> None:
-    _check_odd_groups(frame)
-    if not seed.is_antiholomorphic():
-        raise PreconditionError("seed must be antiholomorphic (d/dz w = 0) for this map")
-
-
-def _direct_map(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: AxisFrame,
-                variant: str) -> RadialExpr:
-    """Delta^{k+l+(m-2)/2} of the variant integrand for antiholomorphic seeds.
-
-    Hk and Hl only need to be homogeneous polynomials of their groups; the
-    output is verified to be monogenic before it is returned.
-    """
-    _direct_map_preconditions(seed, frame)
-    k = homogeneous_group_degree(hk, "x")
-    l = homogeneous_group_degree(hl, "y")
-    exponent = k + l + (frame.m - 2) // 2
-    out = laplacian_power(_integrand(seed, hk, hl, frame, variant), exponent, SCOPE_FULL)
-    return _verified_monogenic(out, f"{variant}-map")
+def _laplacian_map(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: AxisFrame,
+                   variant: str, mu: int | None, monogenic: bool) -> RadialExpr:
+    """Delta^{mu+k+l+(m-2)/2} of the variant's shape of (u, v) times Hk Hl,
+    verified to be monogenic before it is returned."""
+    mu, k, l = _map_inputs(seed, hk, hl, frame, variant, mu, monogenic)
+    n = mu + k + l + (frame.m - 2) // 2
+    # No local holds the integrand, so it is freed before the verification.
+    out = laplacian_power(_shape(frame, variant, *_lifted_uv(seed)) * hk * hl, n, SCOPE_FULL)
+    return _verified_monogenic(out, f"order-{mu} {variant}-map")
 
 
 def ft_plus(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: AxisFrame) -> RadialExpr:
     """Delta^{k+l+(m-2)/2} [(u + omega nu v) Hk Hl] for antiholomorphic seeds."""
-    return _direct_map(seed, hk, hl, frame, VARIANT_PLUS)
+    return _laplacian_map(seed, hk, hl, frame, VARIANT_PLUS, 0, monogenic=False)
 
 
 def ft_minus(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: AxisFrame) -> RadialExpr:
     """Delta^{k+l+(m-2)/2} [(omega u + nu v) Hk Hl] for antiholomorphic seeds."""
-    return _direct_map(seed, hk, hl, frame, VARIANT_MINUS)
-
-
-def _resolve_mu(seed: SeedFunction, mu: int | None) -> int:
-    if mu is None:
-        return seed.mu
-    if mu < seed.mu:
-        raise PreconditionError(
-            f"declared order mu={mu} is below the seed's verified order {seed.mu}")
-    return mu
-
-
-def _mu_map_preconditions(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: AxisFrame,
-                          variant: str, mu: int | None) -> tuple[int, int, int]:
-    """Check the inputs of the higher-order maps; returns (mu, k, l)."""
-    _check_variant(variant)
-    _check_odd_groups(frame)
-    mu_eff = _resolve_mu(seed, mu)
-    k = homogeneous_group_degree(pk, "x")
-    l = homogeneous_group_degree(pl, "y")
-    _require_group_monogenic(pk, "x", "Pk")
-    _require_group_monogenic(pl, "y", "Pl")
-    return mu_eff, k, l
+    return _laplacian_map(seed, hk, hl, frame, VARIANT_MINUS, 0, monogenic=False)
 
 
 def ft_mu(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: AxisFrame,
@@ -229,10 +223,7 @@ def ft_mu(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: AxisFrame,
     Pk and Pl must be homogeneous monogenic; mu defaults to the seed's
     recomputed order and may only be overridden upward.
     """
-    mu_eff, k, l = _mu_map_preconditions(seed, pk, pl, frame, variant, mu)
-    exponent = mu_eff + k + l + (frame.m - 2) // 2
-    out = laplacian_power(_integrand(seed, pk, pl, frame, variant), exponent, SCOPE_FULL)
-    return _verified_monogenic(out, f"order-{mu_eff} {variant}-map")
+    return _laplacian_map(seed, pk, pl, frame, variant, mu, monogenic=True)
 
 
 def ft_closed_form(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: AxisFrame,
@@ -247,57 +238,29 @@ def ft_closed_form(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: Ax
 def _closed_form(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: AxisFrame,
                  variant: str, mu: int | None) -> RadialExpr:
     """``ft_closed_form`` without the final monogenicity check."""
-    mu_eff, k, l = _mu_map_preconditions(seed, pk, pl, frame, variant, mu)
+    mu, k, l = _map_inputs(seed, pk, pl, frame, variant, mu, monogenic=True)
     p, q = frame.p, frame.q
     j1 = k + (p - 1) // 2
     j2 = l + (q - 1) // 2
-    n = mu_eff + k + l + (frame.m - 2) // 2
     constant = (double_factorial(2 * k + p - 1) * double_factorial(2 * l + q - 1)
-                * multinomial(n, j1, j2))
+                * multinomial(mu + k + l + (frame.m - 2) // 2, j1, j2))
     u, v = _lifted_uv(seed)
-    du = delta2_power(u, mu_eff)
-    dv = delta2_power(v, mu_eff)
-    om = omega(frame)
-    nv = nu(frame)
+    du = delta2_power(u, mu)
+    dv = delta2_power(v, mu)
     if variant == VARIANT_PLUS:
         first = apply_xinv_dx(apply_xinv_dx(du, j1, "r"), j2, "rho")
         second = apply_dx_xinv(apply_dx_xinv(dv, j1, "r"), j2, "rho")
-        head = RadialExpr.from_bivariate(frame, first) + om * nv * RadialExpr.from_bivariate(frame, second)
     else:
         first = apply_dx_xinv(apply_xinv_dx(du, j2, "rho"), j1, "r")
         second = apply_xinv_dx(apply_dx_xinv(dv, j2, "rho"), j1, "r")
-        head = om * RadialExpr.from_bivariate(frame, first) + nv * RadialExpr.from_bivariate(frame, second)
-    return constant * (head * pk * pl)
+    return constant * (_shape(frame, variant, first, second) * pk * pl)
 
 
-def fueter_classical(seed: SeedFunction, pk: RadialExpr, m: int) -> RadialExpr:
-    """(d2/dX0^2 + Delta_X)^{K+(m-1)/2} [(u(X0, R) + (X/R) v(X0, R)) PK]
-    for a holomorphic seed and odd m; output lies in the kernel of the
-    generalized Cauchy-Riemann operator d/dX0 + Dirac."""
-    frame, deg_k = _classical_preconditions(seed, pk, m)
-    ue, ve = _classical_uv(seed, frame)
-    integrand = (ue + omega(frame) * ve) * pk
-    out = laplacian_power(integrand, deg_k + (m - 1) // 2, SCOPE_CR)
-    return _verified_cauchy_riemann(out, "classical map")
-
-
-def classical_closed_form(seed: SeedFunction, pk: RadialExpr, m: int) -> RadialExpr:
-    """(2K+m-1)!! ((R^{-1} d_R)^{K+(m-1)/2} u + (X/R)(d_R R^{-1})^{K+(m-1)/2} v) PK."""
-    frame, deg_k = _classical_preconditions(seed, pk, m)
-    # slot 1 holds the X0 power, slot 2 the R power; the radial operators
-    # act in slot 2, which is the "rho" slot of BivariateRadial.
-    u2, v2 = _lifted_uv(seed)
-    n_op = deg_k + (m - 1) // 2
-    first = apply_xinv_dx(u2, n_op, "rho")
-    second = apply_dx_xinv(v2, n_op, "rho")
-    head = (RadialExpr.from_bivariate_classical(frame, first)
-            + omega(frame) * RadialExpr.from_bivariate_classical(frame, second))
-    constant = double_factorial(2 * deg_k + m - 1)
-    return _verified_cauchy_riemann(constant * (head * pk), "classical closed form")
-
-
-def _classical_preconditions(seed: SeedFunction, pk: RadialExpr, m: int) -> tuple[AxisFrame, int]:
-    """Check the inputs of the single-axis maps; returns (frame, K)."""
+def _classical(seed: SeedFunction, pk: RadialExpr, m: int, closed: bool) -> RadialExpr:
+    """The single-axis map of a holomorphic seed over (p, q) = (m, 0) with
+    the scalar axis: the Laplacian power of (u + omega v) PK, or with
+    ``closed`` its closed form.  Slot 1 of u and v holds the X0 power and
+    slot 2 the R power, so the radial operators act in the "rho" slot."""
     frame = pk.frame
     if frame.p != m or frame.q != 0 or not frame.scalar_axis:
         raise PreconditionError(
@@ -308,13 +271,29 @@ def _classical_preconditions(seed: SeedFunction, pk: RadialExpr, m: int) -> tupl
     if not seed.is_holomorphic():
         raise PreconditionError("seed must be holomorphic (d/dzbar w = 0) for the classical map")
     deg_k = homogeneous_group_degree(pk, "x")
-    _require_group_monogenic(pk, "x", "PK")
-    return frame, deg_k
-
-
-def _classical_uv(seed: SeedFunction, frame: AxisFrame) -> tuple[RadialExpr, RadialExpr]:
+    if not is_monogenic(pk, SCOPE_FIRST):
+        raise PreconditionError("PK must be monogenic for its group Dirac operator")
+    n = deg_k + (m - 1) // 2
     u, v = _lifted_uv(seed)
-    return RadialExpr.from_bivariate_classical(frame, u), RadialExpr.from_bivariate_classical(frame, v)
+    if closed:
+        u, v = apply_xinv_dx(u, n, "rho"), apply_dx_xinv(v, n, "rho")
+    head = (RadialExpr.from_bivariate_classical(frame, u)
+            + omega(frame) * RadialExpr.from_bivariate_classical(frame, v))
+    if closed:
+        return _verified_cauchy_riemann(double_factorial(2 * deg_k + m - 1) * (head * pk), "classical closed form")
+    return _verified_cauchy_riemann(laplacian_power(head * pk, n, SCOPE_CR), "classical map")
+
+
+def fueter_classical(seed: SeedFunction, pk: RadialExpr, m: int) -> RadialExpr:
+    """(d2/dX0^2 + Delta_X)^{K+(m-1)/2} [(u(X0, R) + (X/R) v(X0, R)) PK]
+    for a holomorphic seed and odd m; output lies in the kernel of the
+    generalized Cauchy-Riemann operator d/dX0 + Dirac."""
+    return _classical(seed, pk, m, closed=False)
+
+
+def classical_closed_form(seed: SeedFunction, pk: RadialExpr, m: int) -> RadialExpr:
+    """(2K+m-1)!! ((R^{-1} d_R)^{K+(m-1)/2} u + (X/R)(d_R R^{-1})^{K+(m-1)/2} v) PK."""
+    return _classical(seed, pk, m, closed=True)
 
 
 # -- Fischer decomposition --------------------------------------------------
@@ -326,29 +305,23 @@ def _monogenic_projection(h: RadialExpr, group: str, degree: int):
 
     The coefficients satisfy a_0 = 1, a_{j} = a_{j-1}/(dim + 2*degree - j - 1)
     for odd j and a_j = -a_{j-1}/j for even j; the divisors are positive, so
-    the series is always defined.  Returns (P, rest).
+    the series is always defined.  rest = -sum_{j>=1} a_j xvec^{j-1} Dirac^j h
+    is accumulated with one running Dirac power, and P = h - xvec * rest.
+    Returns (P, rest).
     """
     frame = h.frame
-    _idxs, scope, dim_g, _gens = _group_data(frame, group)
+    idxs, scope = _group_data(frame, group)
     xv = vector_x(frame) if group == "x" else vector_y(frame)
-    derivs = [h]
-    for _ in range(degree):
-        derivs.append(dirac(derivs[-1], scope))
-    coeffs = [Fraction(1)]
-    for j in range(1, degree + 1):
-        if j % 2 == 1:
-            s = (j - 1) // 2
-            coeffs.append(coeffs[-1] / (dim_g + 2 * degree - 2 * s - 2))
-        else:
-            coeffs.append(-coeffs[-1] / j)
+    coeff = Fraction(1)
+    deriv = h
     xpow = RadialExpr.scalar(frame, 1)
-    proj = derivs[0]
     rest = RadialExpr.zero(frame)
     for j in range(1, degree + 1):
-        rest = rest + coeffs[j] * (xpow * derivs[j])
+        coeff = coeff / (len(idxs) + 2 * degree - j - 1) if j % 2 else -coeff / j
+        deriv = dirac(deriv, scope)
+        rest = rest - coeff * (xpow * deriv)
         xpow = xpow * xv
-        proj = proj + coeffs[j] * (xpow * derivs[j])
-    return proj, -rest
+    return h - xv * rest, rest
 
 
 def fischer_decompose(h: RadialExpr, group: str = "x") -> list[FischerLayer]:
@@ -367,7 +340,7 @@ def fischer_decompose(h: RadialExpr, group: str = "x") -> list[FischerLayer]:
         proj, rest = _monogenic_projection(cur, group, degree - n)
         layers.append(FischerLayer(n, proj))
         cur = rest
-    _idxs, scope, _dim, _gens = _group_data(frame, group)
+    _idxs, scope = _group_data(frame, group)
     xv = vector_x(frame) if group == "x" else vector_y(frame)
     xpow = RadialExpr.scalar(frame, 1)
     total = RadialExpr.zero(frame)
@@ -388,47 +361,36 @@ def ft_general_via_fischer(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
                            frame: AxisFrame, variant: str = VARIANT_PLUS) -> RadialExpr:
     """Route general homogeneous factors through monogenic layers.
 
-    Each pair of Fischer layers contributes a higher-order map with the
-    seed multiplied by a signed monomial h(x, y), evaluated by its closed
-    form (``ft_closed_form`` without its own check: only the sum is
-    verified); even/odd valued layer pieces commute or anticommute past
-    the second-group vector powers, which the parity sign accounts for.
-    The sum, verified on its normal form, equals the direct
-    ``ft_plus`` / ``ft_minus`` output exactly.  The route takes no
-    Laplacian, so it shares no differentiation code with the direct maps.
+    The layer pair (n1, n2) contributes a higher-order map of order
+    n1 + n2 with the seed multiplied by the signed monomial h(x, y) of
+    ``parity_monomial``.  The rule: the target variant is the input variant
+    when n1 + n2 is even and the other one when it is odd; the seed is
+    multiplied by (-1)^{n1} h for the minus variant and by h for the plus
+    variant; and the odd-valued part of the x layer, which anticommutes
+    past the n2 second-group vectors, carries (-1)^{n2}.  Each term is
+    evaluated by its closed form (``ft_closed_form`` without its own check:
+    only the sum is verified).  The sum, verified on its normal form,
+    equals the direct ``ft_plus`` / ``ft_minus`` output exactly.  The
+    route takes no Laplacian, so it shares no differentiation code with
+    the direct maps.
     """
-    _check_variant(variant)
-    _direct_map_preconditions(seed, frame)
+    _map_inputs(seed, hk, hl, frame, variant, 0, monogenic=False)
     layers_x = fischer_decompose(hk, "x")
-    layers_y = fischer_decompose(hl, "y")
+    layers_y = [ly for ly in fischer_decompose(hl, "y") if not ly.component.is_zero()]
+    other = VARIANT_MINUS if variant == VARIANT_PLUS else VARIANT_PLUS
     total = RadialExpr.zero(frame)
     for lx in layers_x:
         if lx.component.is_zero():
             continue
         even_piece, odd_piece = lx.component.blade_parity_split()
         for ly in layers_y:
-            if ly.component.is_zero():
-                continue
             n1, n2 = lx.n, ly.n
-            tot = n1 + n2
+            target = variant if (n1 + n2) % 2 == 0 else other
             h = parity_monomial(n1, n2)
-            if variant == VARIANT_PLUS:
-                target = VARIANT_PLUS if tot % 2 == 0 else VARIANT_MINUS
-                hh = h
-            else:
-                if tot % 2 == 0:
-                    target = VARIANT_MINUS
-                    hh = h if n1 % 2 == 0 else -h
-                else:
-                    target = VARIANT_PLUS
-                    hh = -h if n1 % 2 == 1 else h
-            routed = SeedFunction.create(seed.w * hh)
-            for piece, parity in ((even_piece, 0), (odd_piece, 1)):
-                if piece.is_zero():
-                    continue
-                sigma = 1 if parity == 0 else (-1) ** n2
-                term = _closed_form(routed, piece, ly.component, frame, target, mu=tot)
-                total = total + sigma * term
+            routed = SeedFunction.create(seed.w * (-h if variant == VARIANT_MINUS and n1 % 2 else h))
+            for piece, sigma in ((even_piece, 1), (odd_piece, (-1) ** n2)):
+                if not piece.is_zero():
+                    total = total + sigma * _closed_form(routed, piece, ly.component, frame, target, mu=n1 + n2)
     return _verified_monogenic(total.canonicalized(), "fischer-routed map")
 
 
@@ -438,7 +400,8 @@ def ft_general_via_fischer(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
 def extract_components(f: RadialExpr, pk: RadialExpr, pl: RadialExpr, kind: str) -> BiaxialComponents:
     """Recover (A, B) or (C, D) from a biaxial monogenic function.
 
-    The x-parity of f separates the two structural shapes; within each
+    The x-parity of f separates the two structural shapes: the component
+    that omega multiplies has the opposite x-parity to Pk.  Within each
     part, terms grouped by (x, y) bidegree determine one Laurent
     coefficient each.  A final exact reconstruction guards against inputs
     that are not of the declared shape.
@@ -447,46 +410,28 @@ def extract_components(f: RadialExpr, pk: RadialExpr, pl: RadialExpr, kind: str)
     frame = f.frame
     k = homogeneous_group_degree(pk, "x")
     l = homogeneous_group_degree(pl, "y")
-    om = omega(frame)
-    nv = nu(frame)
     pkpl = pk * pl
     sign_k = (-1) ** k
     flipped = f.negate_group("x")
     like_k = Fraction(1, 2) * (f + sign_k * flipped)
     unlike_k = Fraction(1, 2) * (f - sign_k * flipped)
-    if kind == VARIANT_PLUS:
-        first = _match_series(like_k, pkpl, k, l)
-        second = _match_series(unlike_k, om * nv * pkpl, k, l)
-        rebuilt = (RadialExpr.from_bivariate(frame, first) + om * nv * RadialExpr.from_bivariate(frame, second)) * pk * pl
-        comp = BiaxialComponents(VARIANT_PLUS, first, second)
-    else:
-        first = _match_series(unlike_k, om * pkpl, k, l)
-        second = _match_series(like_k, nv * pkpl, k, l)
-        rebuilt = (om * RadialExpr.from_bivariate(frame, first) + nv * RadialExpr.from_bivariate(frame, second)) * pk * pl
-        comp = BiaxialComponents(VARIANT_MINUS, first, second)
-    if not (rebuilt - f).is_zero():
+    first_part, second_part = (like_k, unlike_k) if kind == VARIANT_PLUS else (unlike_k, like_k)
+    one, zero = BivariateRadial.constant(1), BivariateRadial.zero()
+    first = _match_series(first_part, _shape(frame, kind, one, zero) * pkpl, k, l)
+    second = _match_series(second_part, _shape(frame, kind, zero, one) * pkpl, k, l)
+    if not (_shape(frame, kind, first, second) * pk * pl - f).is_zero():
         raise ShapeError(f"expression is not biaxial of kind {kind!r} for the given factors")
-    return comp
+    return BiaxialComponents(kind, first, second)
 
 
 def _match_series(g: RadialExpr, base: RadialExpr, k: int, l: int) -> BivariateRadial:
     """Laurent series W with g = sum W_{ab} r^a rho^b * base, keyed by bidegree."""
-    frame = g.frame
-    xs, ys = set(frame.x_indices), set(frame.y_indices)
-    groups: dict[tuple[int, int], dict] = {}
-    for mono, inner in g._terms.items():
-        dx = sum(mono[i] for i in xs)
-        dy = sum(mono[i] for i in ys)
-        for key, c in inner.items():
-            groups.setdefault((dx + key[1], dy + key[2]), {}).setdefault(mono, {})[key] = c
     series: dict[tuple[int, int], Fraction] = {}
-    for (d1, d2) in sorted(groups):
-        part = g._like(groups[(d1, d2)], g._den)
+    for (d1, d2), part in sorted(g.bidegree_parts().items()):
         if part.is_zero():
             continue
         a, b = d1 - k, d2 - l
-        ref = RadialExpr.radial(frame, a, b) * base
-        lam = proportionality_constant(part, ref)
+        lam = proportionality_constant(part, RadialExpr.radial(g.frame, a, b) * base)
         if lam:
             series[(a, b)] = lam
     return BivariateRadial(series)
@@ -519,9 +464,6 @@ def apply_map(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: AxisFra
     An explicit mu is honoured the same way (0 demands antiholomorphy).
     """
     _check_variant(variant)
-    mu_eff = _resolve_mu(seed, mu)
-    if mu_eff == 0:
-        if variant == VARIANT_PLUS:
-            return ft_plus(seed, hk, hl, frame)
-        return ft_minus(seed, hk, hl, frame)
-    return ft_mu(seed, hk, hl, frame, variant, mu=mu_eff)
+    if mu in (None, 0) and seed.is_antiholomorphic():
+        return ft_plus(seed, hk, hl, frame) if variant == VARIANT_PLUS else ft_minus(seed, hk, hl, frame)
+    return ft_mu(seed, hk, hl, frame, variant, mu=mu)

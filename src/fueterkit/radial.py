@@ -334,8 +334,21 @@ class RadialExpr(TermMap):
     def negate_group(self, group: str) -> "RadialExpr":
         """Substitute x -> -x (or y -> -y) coordinatewise; radii are unchanged."""
         idxs = self.frame.x_indices if group == "x" else self.frame.y_indices
-        return self._like({mono: {key: -c for key, c in inner.items()} if sum(mono[i] for i in idxs) % 2 else inner
+        part = slice(idxs.start, idxs.stop)
+        return self._like({mono: {key: -c for key, c in inner.items()} if sum(mono[part]) % 2 else inner
                            for mono, inner in self._terms.items()}, self._den)
+
+    def bidegree_parts(self) -> dict[tuple[int, int], "RadialExpr"]:
+        """The terms split by (x, y) bidegree: a monomial's x-degree plus the
+        r exponent, and its y-degree plus the rho exponent."""
+        xs, ys = self.frame.x_indices, self.frame.y_indices
+        x_part, y_part = slice(xs.start, xs.stop), slice(ys.start, ys.stop)
+        parts: dict[tuple[int, int], _Groups] = {}
+        for mono, inner in self._terms.items():
+            dx, dy = sum(mono[x_part]), sum(mono[y_part])
+            for key, c in inner.items():
+                parts.setdefault((dx + key[1], dy + key[2]), {}).setdefault(mono, {})[key] = c
+        return {degrees: self._like(groups, self._den) for degrees, groups in parts.items()}
 
     def __repr__(self) -> str:
         from .formatting import format_expression
@@ -498,6 +511,8 @@ def _check_scope(frame: AxisFrame, scope: str) -> None:
         raise ValueError(f"unknown scope {scope!r}; expected one of {_SCOPES}")
     if scope == SCOPE_CR and not frame.scalar_axis:
         raise PreconditionError("cauchy-riemann scope needs a frame with the scalar axis X0")
+    if scope == SCOPE_SECOND and frame.q == 0:
+        raise PreconditionError("second-group scope needs a frame with a second axial group (q >= 1)")
 
 
 def _scope_vector_coords(frame: AxisFrame, scope: str) -> list[int]:
@@ -568,20 +583,21 @@ def laplacian(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
     _check_scope(frame, scope)
     do_x = scope != SCOPE_SECOND
     do_y = scope != SCOPE_FIRST and frame.q > 0
-    lowering = [*(frame.x_indices if do_x else ()), *(frame.y_indices if do_y else ()),
-                *((0,) if scope == SCOPE_CR else ())]
+    xs, ys = frame.x_indices, frame.y_indices
+    x_part, y_part = slice(xs.start, xs.stop), slice(ys.start, ys.stop)
+    lowering = [*(xs if do_x else ()), *(ys if do_y else ()), *((0,) if scope == SCOPE_CR else ())]
     groups = f._terms
     acc: _Groups = {}
     # A monomial's radial rows land on the monomial itself, so they go first,
     # each group's into a fresh dict; the lowered rows are added after.
     for mono, inner in groups.items():
         if do_x:
-            px = frame.p + 2 * sum(mono[i] for i in frame.x_indices) - 2
+            px = frame.p + 2 * sum(mono[x_part]) - 2
             out = {(blade, a - 2, b): a * (px + a) * c for (blade, a, b), c in inner.items() if a and px + a}
         else:
             out = {}
         if do_y:
-            qy = frame.q + 2 * sum(mono[i] for i in frame.y_indices) - 2
+            qy = frame.q + 2 * sum(mono[y_part]) - 2
             get = out.get
             for (blade, a, b), c in inner.items():
                 if b and qy + b:

@@ -144,6 +144,12 @@ class TestCheckMonogenic:
                            "--expr", "y1*e4 - y2*e5", "--scope", "second-group")
         assert code == 0 and out.strip() == "true"
 
+    def test_second_group_scope_without_second_group(self, capsys):
+        code, out, err = run(capsys, "check-monogenic", "--p", "3", "--q", "0",
+                             "--scope", "second-group", "--expr", "x1")
+        assert (code, out) == (1, "")
+        assert err.startswith("precondition violation:") and err.count("\n") == 1
+
     def test_cauchy_riemann_scope(self, capsys):
         code, out, _ = run(capsys, "check-monogenic", "--p", "3", "--q", "0",
                            "--scalar-axis", "--scope", "cauchy-riemann",
@@ -192,6 +198,12 @@ class TestExamples:
         monkeypatch.setenv("FUETER_SEED", "7")
         code, out, _ = run(capsys, "examples", "--trials", "2")
         assert code == 0 and "6/6 PASS" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_is_invalid_input(self, capsys, trials):
+        code, out, err = run(capsys, "examples", "--trials", trials, "--t", "1,2,-1", "--s", "1/2,1,3")
+        assert (code, out) == (1, "")
+        assert err == f"invalid input: --trials must be >= 1, got {trials}\n"
 
 
 class TestSelftest:

@@ -264,6 +264,11 @@ class TestGeneralViaFischer:
             routed = ft_general_via_fischer(conj_power(n), hk, hl, F33, variant)
             direct = direct_fn(conj_power(n), hk, hl, F33)
             assert (routed - direct).is_zero()
+        # <y,s>^2 has Fischer layers n2 = 0, 1, 2: both parities of n2 and
+        # of n1 + n2 meet the routing rule
+        routed = ft_general_via_fischer(conj_power(8), hk, hl ** 2, F33, variant)
+        assert not routed.is_zero()
+        assert routed == direct_fn(conj_power(8), hk, hl ** 2, F33)
 
     def test_monogenic_factors_single_route(self):
         routed = ft_general_via_fischer(conj_power(6), rot_x(), rot_y(), F33, "plus")

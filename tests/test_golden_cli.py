@@ -43,6 +43,11 @@ ARGVS = {
     "apply-55-json": _apply_55_argv("minus", "zbar^10", "json"),
     # The plus variant carries the bivectors e{1,10} and e_{1,10}.
     **{f"apply-55-plus-{fmt}": _apply_55_argv("plus", "zbar^9", fmt) for fmt in ("plain", "latex")},
+    # Seeds of order mu = 2, so apply goes through ft_mu with monogenic factors.
+    "apply-mu-33-minus": ("apply", "--p", "3", "--q", "3", "--variant", "minus", "--seed", "zbar^6*z^2",
+                          "--Hk", "x1*e1 - x2*e2", "--Hl", "y1*e4 - y2*e5"),
+    "apply-mu-55-plus": ("apply", "--p", "5", "--q", "5", "--variant", "plus", "--seed", "zbar^7*z^2",
+                         "--Hk", "x1*e{1} - x2*e{2}", "--Hl", "1"),
 }
 
 # name -> (sha256 of stdout, byte length of stdout)
@@ -70,6 +75,8 @@ GOLDEN = {
     "apply-6-json": ("31746d556d2436a9b1ce15bd30817858e5826c3567473d33111c411c2159d8c9", 16795),
     "apply-6-latex": ("4d69200a203e48073a2a7fe582f5d89c70a157dbb71dbd6e4a1483e0fc0f8e7a", 8045),
     "apply-6-plain": ("0aab8c46e8e05fa24351caabbb12556ffbe5257d648084bbe92b5a9bbe91945e", 4990),
+    "apply-mu-33-minus": ("0e10a659400143bdcbc1d094f71271dbcbc491b6ebe92721aad36ffe31b5fa13", 297),
+    "apply-mu-55-plus": ("2084054c702dc81b35b61f2e31260939d6f8a7ddd101ecd7e4f2403b9155d642", 1677),
     "examples": ("09688e1081a85e77ef3e299d9c4b69aa9fc58c0a8431df4e540126c16e157b8b", 460),
     "fischer": ("9e1755a0eb850cf8a132d377b4ac548b7c07d73c899bc90e7d6d46ac2e763173", 1015),
     "lemma5": ("57d52f6fa2231a45333c7cf0dd41677f35e924d91c6ee00f18d74a41b9333029", 67),

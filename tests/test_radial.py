@@ -136,6 +136,12 @@ class TestDirac:
         with pytest.raises(PreconditionError):
             dirac(RadialExpr.scalar(F33, 1), SCOPE_CR)
 
+    @pytest.mark.parametrize("kernel", [dirac, laplacian])
+    def test_second_group_scope_needs_a_second_group(self, kernel):
+        frame = AxisFrame(3, 0)
+        with pytest.raises(PreconditionError, match="second-group scope"):
+            kernel(RadialExpr.coordinate(frame, "x1"), SCOPE_SECOND)
+
 
 class TestLaplacian:
     def test_square_norm(self):
