@@ -10,12 +10,21 @@ the minus variant.  One core serves every path:
   degrees, monogenic factors where the theorem needs them) and returns
   (mu, k, l);
 * ``_shape`` builds first + omega nu second or omega first + nu second,
-  for the integrand, the closed form and the rebuild in
-  ``extract_components`` alike;
-* ``_laplacian_map`` takes the Laplacian power of the integrand and
-  verifies the output.  ``ft_plus`` / ``ft_minus`` call it with mu = 0,
-  antiholomorphic seeds and general homogeneous factors; ``ft_mu`` with
-  the seed's order (or an upward override) and monogenic factors.
+  for the closed form and the rebuild in ``extract_components`` alike;
+* ``_laplacian_map`` takes the Laplacian power by the paper's biaxial
+  calculus, one axial group at a time, and verifies the output.
+  ``_triples`` writes the integrand as two products W(r, rho) P(x) Q(y):
+  (u, Hk, Hl) and (v r^-1 rho^-1, x Hk*, y Hl) for plus, (u r^-1, x Hk, Hl)
+  and (v rho^-1, Hk*, y Hl) for minus, where Hk* is the grade involution
+  of Hk because nu anticommutes with every x generator.
+  ``radial.separated_laplacian_power`` takes Delta = Delta_x + Delta_y on
+  them with scalar (r, rho) tables and one group-scope Laplacian chain per
+  factor, never a full-scope Laplacian of the integrand.  ``ft_plus`` /
+  ``ft_minus`` call it with mu = 0, antiholomorphic seeds and general
+  homogeneous factors; ``ft_mu`` with the seed's order (or an upward
+  override) and monogenic factors.  The definition route, the full-scope
+  Laplacian power of the whole integrand, is ``selfcheck.definition_map``,
+  a cross-check.
 
 ``ft_closed_form`` evaluates ``ft_mu`` as a double-factorial and
 multinomial constant times the shape of the pair built by the
@@ -60,6 +69,7 @@ from .radial import (
     nu,
     omega,
     proportionality_constant,
+    separated_laplacian_power,
     vector_x,
     vector_y,
 )
@@ -195,14 +205,29 @@ def _verified_cauchy_riemann(out: RadialExpr, what: str) -> RadialExpr:
     return out
 
 
+def _triples(frame: AxisFrame, variant: str, u: BivariateRadial, v: BivariateRadial,
+             hk: RadialExpr, hl: RadialExpr) -> list[tuple[BivariateRadial, RadialExpr, RadialExpr]]:
+    """The integrand of the variant as triples (W, P, Q) for W(r, rho) P(x) Q(y).
+
+    plus: (u, Hk, Hl) and (v r^-1 rho^-1, x Hk*, y Hl); minus: (u r^-1, x Hk,
+    Hl) and (v rho^-1, Hk*, y Hl).  Hk* is the grade involution of Hk (even
+    part minus odd part): nu moves left past Hk's x generators."""
+    even, odd = hk.blade_parity_split()
+    hk_star = even - odd
+    x, y = vector_x(frame), vector_y(frame)
+    if variant == VARIANT_PLUS:
+        return [(u, hk, hl), (v.shift(-1, -1), x * hk_star, y * hl)]
+    return [(u.shift(-1, 0), x * hk, hl), (v.shift(0, -1), hk_star, y * hl)]
+
+
 def _laplacian_map(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: AxisFrame,
                    variant: str, mu: int | None, monogenic: bool) -> RadialExpr:
     """Delta^{mu+k+l+(m-2)/2} of the variant's shape of (u, v) times Hk Hl,
-    verified to be monogenic before it is returned."""
+    taken group by group on the integrand's triples and verified to be
+    monogenic before it is returned."""
     mu, k, l = _map_inputs(seed, hk, hl, frame, variant, mu, monogenic)
     n = mu + k + l + (frame.m - 2) // 2
-    # No local holds the integrand, so it is freed before the verification.
-    out = laplacian_power(_shape(frame, variant, *_lifted_uv(seed)) * hk * hl, n, SCOPE_FULL)
+    out = separated_laplacian_power(_triples(frame, variant, *_lifted_uv(seed), hk, hl), n)
     return _verified_monogenic(out, f"order-{mu} {variant}-map")
 
 
@@ -232,13 +257,14 @@ def ft_closed_form(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: Ax
     times the component pair built from the one-dimensional operators.
 
     The output is verified to be monogenic before it is returned."""
-    return _verified_monogenic(_closed_form(seed, pk, pl, frame, variant, mu), f"{variant} closed form")
+    mu, k, l = _map_inputs(seed, pk, pl, frame, variant, mu, monogenic=True)
+    return _verified_monogenic(_closed_form(seed, pk, pl, frame, variant, mu, k, l), f"{variant} closed form")
 
 
 def _closed_form(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: AxisFrame,
-                 variant: str, mu: int | None) -> RadialExpr:
-    """``ft_closed_form`` without the final monogenicity check."""
-    mu, k, l = _map_inputs(seed, pk, pl, frame, variant, mu, monogenic=True)
+                 variant: str, mu: int, k: int, l: int) -> RadialExpr:
+    """``ft_closed_form`` on inputs its caller has checked, with their order
+    mu and degrees (k, l), and without the final monogenicity check."""
     p, q = frame.p, frame.q
     j1 = k + (p - 1) // 2
     j2 = l + (q - 1) // 2
@@ -372,9 +398,11 @@ def ft_general_via_fischer(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
     only the sum is verified).  The sum, verified on its normal form,
     equals the direct ``ft_plus`` / ``ft_minus`` output exactly.  The
     route takes no Laplacian, so it shares no differentiation code with
-    the direct maps.
+    the direct maps.  The inputs are checked once, here: a pair's degrees
+    are (K - n1, L - n2), and each parity piece of a layer is monogenic
+    because Dirac maps even-valued to odd-valued expressions and back.
     """
-    _map_inputs(seed, hk, hl, frame, variant, 0, monogenic=False)
+    _mu, big_k, big_l = _map_inputs(seed, hk, hl, frame, variant, 0, monogenic=False)
     layers_x = fischer_decompose(hk, "x")
     layers_y = [ly for ly in fischer_decompose(hl, "y") if not ly.component.is_zero()]
     other = VARIANT_MINUS if variant == VARIANT_PLUS else VARIANT_PLUS
@@ -390,7 +418,8 @@ def ft_general_via_fischer(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
             routed = SeedFunction.create(seed.w * (-h if variant == VARIANT_MINUS and n1 % 2 else h))
             for piece, sigma in ((even_piece, 1), (odd_piece, (-1) ** n2)):
                 if not piece.is_zero():
-                    total = total + sigma * _closed_form(routed, piece, ly.component, frame, target, mu=n1 + n2)
+                    total = total + sigma * _closed_form(routed, piece, ly.component, frame, target,
+                                                         n1 + n2, big_k - n1, big_l - n2)
     return _verified_monogenic(total.canonicalized(), "fischer-routed map")
 
 

@@ -42,8 +42,9 @@ Storage: monomial groups
 Each coordinate monomial of a map's integrand carries a whole Laurent
 polynomial in r and rho spread over several blades, so an expression has
 far fewer distinct monomials than terms: over one pass of the
-large_apply benchmark, 3102 distinct monomials in 40632 Laplacian input
-terms and 543 in 4071 Dirac input terms.  So an expression stores its
+large_apply benchmark, 3102 distinct monomials in the 40632 terms that
+the full-scope Laplacian of the definition route takes in, and 543 in
+4071 Dirac input terms.  So an expression stores its
 terms grouped, monomial -> {(blade, a, b): numerator}, and every operator
 reads and writes that form.  The Laplacian, the Dirac operator and the
 normal form work out what a monomial contributes once per group (its
@@ -627,6 +628,131 @@ def laplacian_power(f: RadialExpr, n: int, scope: str = SCOPE_FULL) -> RadialExp
     for _ in range(n):
         cur = laplacian(cur, scope)
     return cur
+
+
+def _own_group_classes(groups: _Groups, frame: AxisFrame, group: str) -> dict[tuple[int, int], _Groups] | None:
+    """Rows R^e * (own-group polynomial of monomial degree d) keyed (e, d),
+    with R = r for group "x" and rho for group "y" and the rows stored at
+    exponent 0; None when a row leaves the group (a coordinate, a blade
+    generator or the other radius's exponent)."""
+    idxs = frame.x_indices if group == "x" else frame.y_indices
+    part = slice(idxs.start, idxs.stop)
+    lo, hi = frame.generator_of(idxs.start), frame.generator_of(idxs.stop - 1)
+    classes: dict[tuple[int, int], _Groups] = {}
+    for mono, inner in groups.items():
+        d = sum(mono[part])
+        if d != sum(mono):
+            return None
+        for (blade, a, b), c in inner.items():
+            e, other = (a, b) if group == "x" else (b, a)
+            if other or any(g < lo or g > hi for g in blade):
+                return None
+            classes.setdefault((e, d), {}).setdefault(mono, {})[blade, 0, 0] = c
+    return classes
+
+
+def _factor_chains(f: RadialExpr, group: str, n: int) -> list[tuple[int, int, list[RadialExpr]]]:
+    """(e, d, [P, Delta P, ..., Delta^i P]) per class of ``_own_group_classes``,
+    the chain taken with the group-scope Laplacian for at most n steps and
+    stopped at zero.  The stored rows are split when they all lie in the
+    group, and the normal form otherwise."""
+    classes = _own_group_classes(f._terms, f.frame, group)
+    if classes is None:
+        classes = _own_group_classes(f._normal(), f.frame, group)
+        if classes is None:
+            raise PreconditionError(f"factor is not supported on the {group} group")
+    scope = SCOPE_FIRST if group == "x" else SCOPE_SECOND
+    out = []
+    for (e, d), groups in classes.items():
+        steps = [f._like(groups, f._den)]
+        while len(steps) <= n:
+            nxt = laplacian(steps[-1], scope)
+            if not nxt._terms:
+                break
+            steps.append(nxt)
+        out.append((e, d, steps))
+    return out
+
+
+def separated_laplacian_power(triples: Iterable[tuple[BivariateRadial, RadialExpr, RadialExpr]],
+                              n: int) -> RadialExpr:
+    """Delta^n of sum W(r, rho) P(x) Q(y) over the triples (W, P, Q), group by group.
+
+    Delta = Delta_x + Delta_y, and for an x-polynomial P of degree d
+    Delta_x(r^E P) = E(p + 2d + E - 2) r^{E-2} P + r^E Delta_x P (likewise
+    in y), the term rule of ``laplacian``.  So each factor is split into
+    classes r^e P_{e,d}, each class gets its chain Delta_x^i P_{e,d}, and the
+    Laplacian power runs on scalar tables: the state (x chain, i, y chain, j)
+    holds {(E, F): numerator} for sum c r^E rho^F Delta_x^i P Delta_y^j Q.
+    A step lowers E (or F) in place with the coefficient above and moves the
+    table to i + 1 (or j + 1).  Each surviving state costs one
+    ``re_mul(Delta_x^i P, Delta_y^j Q)`` times its table.  The output has
+    the terms of the full-scope ``laplacian_power`` of the expanded
+    integrand, key for key.
+    """
+    if n < 0:
+        raise ValueError("Laplacian power must be >= 0")
+    triples = list(triples)
+    frame = triples[0][1].frame
+    den = lcm(*(w._den for w, _p, _q in triples))
+    xchains: list[tuple[int, int, list[RadialExpr]]] = []
+    ychains: list[tuple[int, int, list[RadialExpr]]] = []
+    state: dict[tuple[int, int, int, int], dict[tuple[int, int], int]] = {}
+    for w, p_factor, q_factor in triples:
+        p_factor._check_context(q_factor)
+        scale = den // w._den
+        xs, ys = _factor_chains(p_factor, "x", n), _factor_chains(q_factor, "y", n)
+        for ix, (e, _d, _steps) in enumerate(xs, len(xchains)):
+            for iy, (f, _d, _steps) in enumerate(ys, len(ychains)):
+                table = state.setdefault((ix, 0, iy, 0), {})
+                for (a, b), c in w._terms.items():
+                    key = (a + e, b + f)
+                    table[key] = table.get(key, 0) + scale * c
+        xchains += xs
+        ychains += ys
+    state = _nonzero(state)
+    p, q = frame.p, frame.q
+    for _ in range(n):
+        nxt: dict[tuple[int, int, int, int], dict[tuple[int, int], int]] = defaultdict(dict)
+        for (ix, i, iy, j), table in state.items():
+            (_e, dx, xchain), (_f, dy, ychain) = xchains[ix], ychains[iy]
+            px = p + 2 * (dx - 2 * i) - 2
+            qy = q + 2 * (dy - 2 * j) - 2
+            out = nxt[ix, i, iy, j]
+            get = out.get
+            for (e, f), c in table.items():
+                if e and px + e:
+                    key = (e - 2, f)
+                    out[key] = get(key, 0) + e * (px + e) * c
+                if f and qy + f:
+                    key = (e, f - 2)
+                    out[key] = get(key, 0) + f * (qy + f) * c
+            if i + 1 < len(xchain):
+                _add_rows(nxt[ix, i + 1, iy, j], table, 1)
+            if j + 1 < len(ychain):
+                _add_rows(nxt[ix, i, iy, j + 1], table, 1)
+        state = _nonzero(nxt)
+    # every product's denominator divides the product of its factors' denominators
+    pden = lcm(*(xchains[ix][2][0]._den * ychains[iy][2][0]._den for ix, _i, iy, _j in state))
+    acc: _Groups = defaultdict(dict)
+    for (ix, i, iy, j), table in state.items():
+        prod = re_mul(xchains[ix][2][i], ychains[iy][2][j])
+        scale = pden // prod._den
+        rows = [(e, f, scale * t) for (e, f), t in table.items()]
+        for mono, inner in prod._terms.items():
+            out = acc[mono]
+            get = out.get
+            for (blade, _a, _b), c in inner.items():
+                for e, f, t in rows:
+                    key = (blade, e, f)
+                    out[key] = get(key, 0) + c * t
+    groups, den = _nonzero(acc), pden * den
+    g = gcd(den, *chain.from_iterable(inner.values() for inner in groups.values()))
+    if g != 1:  # reduce in place: the output's dicts are this call's own
+        for inner in groups.values():
+            for key, c in inner.items():
+                inner[key] = c // g
+    return triples[0][1]._like(groups, den // g)
 
 
 def is_monogenic(f: RadialExpr, scope: str = SCOPE_FULL) -> bool:

@@ -37,6 +37,7 @@ from fueterkit.radial import (
     vector_x,
     vector_y,
 )
+from fueterkit.selfcheck import definition_map
 from fueterkit.seeds import (
     SeedFunction,
     ComplexBivarPoly,
@@ -144,6 +145,101 @@ class TestFtValues:
         higher = SeedFunction.create(ComplexBivarPoly.zbar() ** 5 * ComplexBivarPoly.z())
         assert (apply_map(higher, rot_x(), rot_y(), F33, "minus")
                 - ft_mu(higher, rot_x(), rot_y(), F33, "minus")).is_zero()
+
+
+T = [Fraction(v) for v in "1 -1 2 1/2 -3".split()]
+S = [Fraction(v) for v in "1/2 1 -1 2 1/3".split()]
+
+
+def _calculus_cases():
+    """(label, seed, Hk, Hl, frame, variant, mu) over the branches of the
+    group-by-group calculus: both variants, Clifford-valued factors with odd
+    blades (so Hk* != Hk), stored rows with r^2 or rho^2, Hl = 1, and mu > 0
+    seeds with monogenic factors (rotations and degree-preserving Fischer
+    layers).  The seed powers give nonzero outputs."""
+    zbar, z = ComplexBivarPoly.zbar(), ComplexBivarPoly.z()
+    cases = []
+    for p, q in ((1, 1), (1, 3), (3, 3), (5, 5)):
+        frame = AxisFrame(p, q)
+        xt, ys = inner_x(frame, T[:p]), inner_y(frame, S[:q])
+        x1, y1 = RadialExpr.coordinate(frame, "x1"), RadialExpr.coordinate(frame, "y1")
+        for name, hk, hl in (("<x,t> <y,s>", xt, ys),
+                             ("x<x,t> + <x,t>^2, 1", vector_x(frame) * xt + xt * xt, one(frame)),
+                             ("r^2 + x1^2, rho^2 - 3y1^2", RadialExpr.radial(frame, 2, 0) + x1 * x1,
+                              RadialExpr.radial(frame, 0, 2) - 3 * y1 * y1),
+                             ("x + <x,t>, y<y,s>", vector_x(frame) + xt, vector_y(frame) * ys)):
+            for variant, power in (("plus", 7), ("minus", 8)):
+                cases.append((f"({p},{q}) {name} {variant}", conj_power(power), hk, hl, frame, variant, 0))
+    for p, mu, k, powers in ((3, 0, 2, (5, 6)), (3, 1, 2, (6, 5)), (5, 2, 1, (7, 6))):
+        frame = AxisFrame(p, p)
+        layer_x = fischer_decompose(inner_x(frame, T[:p]) ** k, "x")[0].component
+        layer_y = fischer_decompose(inner_y(frame, S[:p]), "y")[0].component
+        pairs = [("Fischer layer, 1", layer_x, one(frame))]
+        if p == 3:  # at (5,5) these seeds map the other pairs to zero
+            pairs += [("rotations", rot_x(frame), rot_y(frame)), ("Fischer layers", layer_x, layer_y)]
+        for variant, power in zip(("plus", "minus"), powers):
+            seed = SeedFunction.create(zbar ** power * z ** mu)
+            for name, hk, hl in pairs:
+                cases.append((f"({p},{p}) mu={mu} {name} {variant}", seed, hk, hl, frame, variant, mu))
+    return cases
+
+
+class TestGroupByGroupCalculus:
+    """The direct maps take Delta^n group by group on (r, rho) tables; the
+    definition route takes it on the whole integrand.  Both must give the
+    same stored terms, key for key."""
+
+    @pytest.mark.parametrize("case", _calculus_cases(), ids=lambda case: case[0])
+    def test_same_terms_as_definition(self, case):
+        _label, seed, hk, hl, frame, variant, mu = case
+        if mu:
+            out = ft_mu(seed, hk, hl, frame, variant)
+        else:
+            out = (ft_plus if variant == "plus" else ft_minus)(seed, hk, hl, frame)
+        assert not out.is_zero()
+        assert out.raw_terms == definition_map(seed, hk, hl, frame, variant, mu).raw_terms
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    def test_factors_whose_rows_leave_their_group(self, variant):
+        """Stored rows in the other group that the normal form cancels: the
+        calculus splits the normal form instead, so only equality holds."""
+        def squares(group):
+            return sum((RadialExpr.coordinate(F33, f"{group}{j}") ** 2 for j in (1, 2, 3)), RadialExpr.zero(F33))
+
+        x1, y1 = RadialExpr.coordinate(F33, "x1"), RadialExpr.coordinate(F33, "y1")
+        hk = x1 + (squares("y") - RadialExpr.radial(F33, 0, 2)) * e(4)
+        hl = y1 + (squares("x") - RadialExpr.radial(F33, 2, 0)) * x1
+        assert hk == x1 and hl == y1
+        fn = ft_plus if variant == "plus" else ft_minus
+        out = fn(conj_power(8), hk, hl, F33)
+        assert not out.is_zero()
+        assert out == definition_map(conj_power(8), hk, hl, F33, variant)
+        assert out == fn(conj_power(8), x1, y1, F33)
+
+    def test_direct_maps_take_no_full_scope_laplacian(self, monkeypatch):
+        xt, ys = inner_x(F33, T[:3]), inner_y(F33, S[:3])
+        higher = SeedFunction.create(ComplexBivarPoly.zbar() ** 5 * ComplexBivarPoly.z())
+        maps = [lambda: ft_plus(conj_power(9), xt * xt, ys, F33),
+                lambda: ft_minus(conj_power(8), xt, ys, F33),
+                lambda: ft_mu(higher, rot_x(), rot_y(), F33, "minus")]
+        before = [fn() for fn in maps]
+        group_scopes = []
+        real = radial.laplacian
+
+        def group_scope_only(f, scope=SCOPE_FULL):
+            if scope == SCOPE_FULL:
+                raise AssertionError("a direct map took a full-scope Laplacian")
+            group_scopes.append(scope)
+            return real(f, scope)
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a direct map took laplacian_power")
+
+        monkeypatch.setattr(radial, "laplacian", group_scope_only)
+        monkeypatch.setattr(fueter, "laplacian_power", forbidden)
+        after = [fn() for fn in maps]
+        assert [out.raw_terms for out in after] == [out.raw_terms for out in before]
+        assert set(group_scopes) == {radial.SCOPE_FIRST, radial.SCOPE_SECOND}
 
 
 class TestClosedForm:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from fueterkit import radial
+from fueterkit.bivariate import BivariateRadial
 from fueterkit.clifford import Multivector
 from fueterkit.errors import PreconditionError
 from fueterkit.frame import AxisFrame
@@ -213,6 +214,43 @@ class TestLaplacian:
         for _ in range(4):
             four = dirac(four, SCOPE_FULL)
         assert (four - laplacian_power(f, 2, SCOPE_FULL)).is_zero()
+
+
+def _group_factor(rng, group):
+    """A random sum of own-group terms R^e * monomial * blade, e of either sign."""
+    idxs, gens = (range(0, 3), range(1, 4)) if group == "x" else (range(3, 6), range(4, 7))
+    raw = []
+    for _ in range(rng.randint(1, 3)):
+        mono = [0] * 6
+        for i in idxs:
+            mono[i] = rng.randint(0, 2)
+        blade = tuple(sorted(rng.sample(gens, rng.randint(0, 2))))
+        e = rng.randint(-3, 2)
+        raw.append(((tuple(mono), blade, *((e, 0) if group == "x" else (0, e))), Fraction(rng.randint(-3, 3) or 1)))
+    return RadialExpr(F33, raw)
+
+
+class TestSeparatedLaplacianPower:
+    @pytest.mark.parametrize("n", [0, 1, 2, 4])
+    def test_same_terms_as_full_scope_power(self, n):
+        rng = random.Random(40 + n)
+        for _ in range(6):
+            triples = []
+            for _ in range(rng.randint(1, 2)):
+                w = BivariateRadial({(rng.randint(-3, 3), rng.randint(-3, 3)): Fraction(rng.randint(1, 4), 3)
+                                     for _ in range(rng.randint(1, 3))})
+                triples.append((w, _group_factor(rng, "x"), _group_factor(rng, "y")))
+            integrand = sum((RadialExpr.from_bivariate(F33, w) * p * q for w, p, q in triples), RadialExpr.zero(F33))
+            want = laplacian_power(integrand, n, SCOPE_FULL)
+            assert radial.separated_laplacian_power(triples, n).raw_terms == want.raw_terms
+
+    def test_factor_outside_its_group_is_rejected(self):
+        one = BivariateRadial.constant(1)
+        x1 = RadialExpr.coordinate(F33, "x1")
+        with pytest.raises(PreconditionError):
+            radial.separated_laplacian_power([(one, RadialExpr.coordinate(F33, "y1"), x1)], 1)
+        with pytest.raises(ValueError):
+            radial.separated_laplacian_power([(one, x1, RadialExpr.scalar(F33, 1))], -1)
 
 
 class TestMonogenicity:
