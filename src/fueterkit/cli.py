@@ -123,8 +123,13 @@ def _cmd_examples(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rng_box: list = []
-    fixed_t = _vector(args.t, 3, rng_box, "t")
-    fixed_s = _vector(args.s, 3, rng_box, "s")
+    fixed = []
+    for name in ("t", "s"):
+        vec = _vector(getattr(args, name), 3, rng_box, name)
+        if vec is not None and not any(vec):
+            raise ValueError(f"--{name} must be a nonzero vector")
+        fixed.append(vec)
+    fixed_t, fixed_s = fixed
     if not rng_box:
         rng_box.append(_rng())
     rng = rng_box[0]

@@ -46,6 +46,14 @@ class AxisFrame:
         base = (1 if self.scalar_axis else 0) + self.p
         return range(base, base + self.q)
 
+    def group_indices(self, group: str) -> range:
+        """The coordinate indices of axial group "x" or "y"."""
+        if group == "x":
+            return self.x_indices
+        if group == "y":
+            return self.y_indices
+        raise ValueError(f"group must be 'x' or 'y', got {group!r}")
+
     def coord_name(self, index: int) -> str:
         base = 1 if self.scalar_axis else 0
         if self.scalar_axis and index == 0:

@@ -58,12 +58,13 @@ from .bivariate import (
 from .errors import PreconditionError, ShapeError, VerificationError
 from .frame import AxisFrame
 from .radial import (
+    GROUP_SCOPES,
     RadialExpr,
     SCOPE_CR,
     SCOPE_FIRST,
     SCOPE_FULL,
-    SCOPE_SECOND,
     dirac,
+    group_classes,
     is_monogenic,
     laplacian_power,
     nu,
@@ -106,42 +107,21 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"variant must be 'plus' or 'minus', got {variant!r}")
 
 
-def _group_data(frame: AxisFrame, group: str) -> tuple[range, str]:
-    """The group's coordinate indices and its Dirac scope."""
-    if group == "x":
-        return frame.x_indices, SCOPE_FIRST
-    if group == "y":
-        if frame.q < 1:
-            raise PreconditionError("frame has no second axial group")
-        return frame.y_indices, SCOPE_SECOND
-    raise ValueError(f"group must be 'x' or 'y', got {group!r}")
-
-
 def homogeneous_group_degree(expr: RadialExpr, group: str) -> int:
     """Degree of a nonzero homogeneous polynomial supported purely on one
     axial group (coordinates and coefficient blades alike).
 
     The normal form may carry the group's squared radius: an x-group
-    factor can hold r^a and a y-group factor rho^b, with even exponents
-    >= 0; they count towards the degree."""
-    frame = expr.frame
-    idxs, _scope = _group_data(frame, group)
-    allowed_gens = {frame.generator_of(i) for i in idxs}
-    terms = expr.canonical_terms()
-    if not terms:
+    factor can hold r^e and a y-group factor rho^e, with even exponents
+    e >= 0; they count towards the degree.  The factor is read in its
+    canonical form, so equal factors report the same fault."""
+    classes = group_classes(expr.canonical_terms().items(), expr.frame, group)
+    if not classes:
         raise PreconditionError(f"the zero expression is not a valid {group}-group factor")
-    degrees = set()
-    for (mono, blade, a, b), _c in terms.items():
-        radial, other = (a, b) if group == "x" else (b, a)
-        if other != 0 or radial < 0 or radial % 2:
-            raise PreconditionError(f"factor is not a polynomial (radial exponents {a}, {b} remain)")
-        for i, e in enumerate(mono):
-            if e and i not in idxs:
-                raise PreconditionError(
-                    f"factor uses coordinate {frame.coord_name(i)} outside the {group} group")
-        if any(g not in allowed_gens for g in blade):
-            raise PreconditionError(f"factor has coefficient blade {blade} outside the {group} group algebra")
-        degrees.add(sum(mono) + a + b)
+    for e, _d in classes:
+        if e < 0 or e % 2:
+            raise PreconditionError(f"factor is not a polynomial (its group's radius has exponent {e})")
+    degrees = {e + d for e, d in classes}
     if len(degrees) != 1:
         raise PreconditionError(f"factor is not homogeneous: degrees {sorted(degrees)}")
     return degrees.pop()
@@ -172,8 +152,8 @@ def _map_inputs(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: AxisF
     k = homogeneous_group_degree(hk, "x")
     l = homogeneous_group_degree(hl, "y")
     if monogenic:
-        for name, factor, scope in (("Pk", hk, SCOPE_FIRST), ("Pl", hl, SCOPE_SECOND)):
-            if not is_monogenic(factor, scope):
+        for name, factor, group in (("Pk", hk, "x"), ("Pl", hl, "y")):
+            if not is_monogenic(factor, GROUP_SCOPES[group]):
                 raise PreconditionError(f"{name} must be monogenic for its group Dirac operator")
     return mu, k, l
 
@@ -325,7 +305,7 @@ def classical_closed_form(seed: SeedFunction, pk: RadialExpr, m: int) -> RadialE
 # -- Fischer decomposition --------------------------------------------------
 
 
-def _monogenic_projection(h: RadialExpr, group: str, degree: int):
+def _monogenic_projection(h: RadialExpr, xvec: RadialExpr, dim: int, scope: str, degree: int):
     """Split a homogeneous polynomial of the given degree as P + xvec * rest
     with P monogenic, using the finite series P = sum_j a_j xvec^j Dirac^j h.
 
@@ -333,21 +313,20 @@ def _monogenic_projection(h: RadialExpr, group: str, degree: int):
     for odd j and a_j = -a_{j-1}/j for even j; the divisors are positive, so
     the series is always defined.  rest = -sum_{j>=1} a_j xvec^{j-1} Dirac^j h
     is accumulated with one running Dirac power, and P = h - xvec * rest.
-    Returns (P, rest).
+    xvec is the group's vector, dim its dimension and scope its Dirac
+    scope.  Returns (P, rest).
     """
     frame = h.frame
-    idxs, scope = _group_data(frame, group)
-    xv = vector_x(frame) if group == "x" else vector_y(frame)
     coeff = Fraction(1)
     deriv = h
     xpow = RadialExpr.scalar(frame, 1)
     rest = RadialExpr.zero(frame)
     for j in range(1, degree + 1):
-        coeff = coeff / (len(idxs) + 2 * degree - j - 1) if j % 2 else -coeff / j
+        coeff = coeff / (dim + 2 * degree - j - 1) if j % 2 else -coeff / j
         deriv = dirac(deriv, scope)
         rest = rest - coeff * (xpow * deriv)
-        xpow = xpow * xv
-    return h - xv * rest, rest
+        xpow = xpow * xvec
+    return h - xvec * rest, rest
 
 
 def fischer_decompose(h: RadialExpr, group: str = "x") -> list[FischerLayer]:
@@ -360,14 +339,14 @@ def fischer_decompose(h: RadialExpr, group: str = "x") -> list[FischerLayer]:
     """
     frame = h.frame
     degree = homogeneous_group_degree(h, group)
+    dim, scope = len(frame.group_indices(group)), GROUP_SCOPES[group]
+    xv = vector_x(frame) if group == "x" else vector_y(frame)
     layers: list[FischerLayer] = []
     cur = h
     for n in range(degree + 1):
-        proj, rest = _monogenic_projection(cur, group, degree - n)
+        proj, rest = _monogenic_projection(cur, xv, dim, scope, degree - n)
         layers.append(FischerLayer(n, proj))
         cur = rest
-    _idxs, scope = _group_data(frame, group)
-    xv = vector_x(frame) if group == "x" else vector_y(frame)
     xpow = RadialExpr.scalar(frame, 1)
     total = RadialExpr.zero(frame)
     for layer in layers:

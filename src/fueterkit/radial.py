@@ -93,6 +93,9 @@ SCOPE_CR = "cauchy-riemann"
 
 _SCOPES = (SCOPE_FIRST, SCOPE_SECOND, SCOPE_FULL, SCOPE_CR)
 
+# The Dirac and Laplacian scope of each axial group.
+GROUP_SCOPES = {"x": SCOPE_FIRST, "y": SCOPE_SECOND}
+
 # Bound on cached (R^2 - other squares)^k expansions; a run needs a few per frame.
 _SQUARE_CACHE_SIZE = 256
 
@@ -124,6 +127,11 @@ def _add_rows(out: dict, rows: Mapping, k: int) -> None:
     get = out.get
     for key, c in rows.items():
         out[key] = get(key, 0) + k * c
+
+
+def _rows(groups: _Groups) -> Iterator[tuple[TermKey, int]]:
+    """Stored groups as flat (term key, numerator) rows."""
+    return (((mono, *key), c) for mono, inner in groups.items() for key, c in inner.items())
 
 
 def _nonzero(acc: _Groups) -> _Groups:
@@ -222,7 +230,7 @@ class RadialExpr(TermMap):
     def terms(self) -> dict[TermKey, Fraction]:
         """The stored terms as a fresh flat dict of ``Fraction`` values."""
         den = self._den
-        return {(mono, *key): Fraction(c, den) for mono, inner in self._terms.items() for key, c in inner.items()}
+        return {key: Fraction(c, den) for key, c in _rows(self._terms)}
 
     raw_terms = terms
 
@@ -253,10 +261,14 @@ class RadialExpr(TermMap):
     # -- arithmetic on stored groups -------------------------------------
 
     def _reduced(self, groups: _Groups, den: int) -> "RadialExpr":
+        """``_like`` after dividing out the factor all numerators share with
+        den, in place: every caller passes dicts it has just built."""
         if den != 1:
             g = gcd(den, *chain.from_iterable(inner.values() for inner in groups.values()))
             if g != 1:
-                groups = {mono: {key: c // g for key, c in inner.items()} for mono, inner in groups.items()}
+                for inner in groups.values():
+                    for key, c in inner.items():
+                        inner[key] = c // g
                 den //= g
         return self._like(groups, den)
 
@@ -334,7 +346,7 @@ class RadialExpr(TermMap):
 
     def negate_group(self, group: str) -> "RadialExpr":
         """Substitute x -> -x (or y -> -y) coordinatewise; radii are unchanged."""
-        idxs = self.frame.x_indices if group == "x" else self.frame.y_indices
+        idxs = self.frame.group_indices(group)
         part = slice(idxs.start, idxs.stop)
         return self._like({mono: {key: -c for key, c in inner.items()} if sum(mono[part]) % 2 else inner
                            for mono, inner in self._terms.items()}, self._den)
@@ -365,7 +377,7 @@ def _lead_square_power(frame: AxisFrame, group: str, k: int) -> tuple[tuple[Mono
     """(R^2 - sum of the group's other squares)^k, the rewrite of the
     group's last coordinate to the power 2k, as (monomial, R exponent,
     coefficient) triples; R is r for group "x" and rho for group "y"."""
-    others = (frame.x_indices if group == "x" else frame.y_indices)[:-1]
+    others = frame.group_indices(group)[:-1]
 
     def times_factor(out):
         for (mono, e), c in out.items():
@@ -516,14 +528,6 @@ def _check_scope(frame: AxisFrame, scope: str) -> None:
         raise PreconditionError("second-group scope needs a frame with a second axial group (q >= 1)")
 
 
-def _scope_vector_coords(frame: AxisFrame, scope: str) -> list[int]:
-    if scope == SCOPE_FIRST:
-        return list(frame.x_indices)
-    if scope == SCOPE_SECOND:
-        return list(frame.y_indices)
-    return list(frame.x_indices) + list(frame.y_indices)
-
-
 def dirac(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
     """Left Dirac operator sum_j e_j d_j over the scope's vector coordinates.
 
@@ -536,9 +540,10 @@ def dirac(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
     """
     frame = f.frame
     _check_scope(frame, scope)
-    # (coordinate, the radius its derivative lowers, its generator's products)
-    axes = [(i, "x" if i in frame.x_indices else "y", Memo(partial(blade_product, (frame.generator_of(i),))))
-            for i in _scope_vector_coords(frame, scope)]
+    # (coordinate, the group whose radius its derivative lowers, its generator's products)
+    axes = [(i, group, Memo(partial(blade_product, (frame.generator_of(i),))))
+            for group, own in GROUP_SCOPES.items() if scope in (own, SCOPE_FULL, SCOPE_CR)
+            for i in frame.group_indices(group)]
     if scope == SCOPE_CR:
         axes.append((0, None, Memo(partial(blade_product, SCALAR_BLADE))))
     acc: _Groups = defaultdict(dict)
@@ -630,38 +635,46 @@ def laplacian_power(f: RadialExpr, n: int, scope: str = SCOPE_FULL) -> RadialExp
     return cur
 
 
-def _own_group_classes(groups: _Groups, frame: AxisFrame, group: str) -> dict[tuple[int, int], _Groups] | None:
-    """Rows R^e * (own-group polynomial of monomial degree d) keyed (e, d),
-    with R = r for group "x" and rho for group "y" and the rows stored at
-    exponent 0; None when a row leaves the group (a coordinate, a blade
-    generator or the other radius's exponent)."""
-    idxs = frame.x_indices if group == "x" else frame.y_indices
+def group_classes(rows: Iterable[tuple[TermKey, Rational]], frame: AxisFrame,
+                  group: str) -> dict[tuple[int, int], _Groups]:
+    """Split term rows of one axial group into R^e * (own-group polynomial
+    of monomial degree d), keyed (e, d), with R = r for group "x" and rho
+    for group "y" and the rows stored at exponent 0.
+
+    PreconditionError names the first row that leaves the group: a
+    coordinate outside it, a blade outside its algebra or a nonzero
+    exponent of the other radius; also when the frame has no second group.
+    ValueError for a group name other than "x" and "y"."""
+    idxs = frame.group_indices(group)
+    if not idxs:
+        raise PreconditionError("frame has no second axial group")
     part = slice(idxs.start, idxs.stop)
     lo, hi = frame.generator_of(idxs.start), frame.generator_of(idxs.stop - 1)
     classes: dict[tuple[int, int], _Groups] = {}
-    for mono, inner in groups.items():
+    for (mono, blade, a, b), c in rows:
         d = sum(mono[part])
         if d != sum(mono):
-            return None
-        for (blade, a, b), c in inner.items():
-            e, other = (a, b) if group == "x" else (b, a)
-            if other or any(g < lo or g > hi for g in blade):
-                return None
-            classes.setdefault((e, d), {}).setdefault(mono, {})[blade, 0, 0] = c
+            i = next(i for i, e in enumerate(mono) if e and i not in idxs)
+            raise PreconditionError(f"factor uses coordinate {frame.coord_name(i)} outside the {group} group")
+        if any(g < lo or g > hi for g in blade):
+            raise PreconditionError(f"factor has coefficient blade {blade} outside the {group} group algebra")
+        e, other = (a, b) if group == "x" else (b, a)
+        if other:
+            raise PreconditionError(f"factor is not a polynomial (radial exponents {a}, {b} remain)")
+        classes.setdefault((e, d), {}).setdefault(mono, {})[blade, 0, 0] = c
     return classes
 
 
 def _factor_chains(f: RadialExpr, group: str, n: int) -> list[tuple[int, int, list[RadialExpr]]]:
-    """(e, d, [P, Delta P, ..., Delta^i P]) per class of ``_own_group_classes``,
+    """(e, d, [P, Delta P, ..., Delta^i P]) per class of ``group_classes``,
     the chain taken with the group-scope Laplacian for at most n steps and
     stopped at zero.  The stored rows are split when they all lie in the
     group, and the normal form otherwise."""
-    classes = _own_group_classes(f._terms, f.frame, group)
-    if classes is None:
-        classes = _own_group_classes(f._normal(), f.frame, group)
-        if classes is None:
-            raise PreconditionError(f"factor is not supported on the {group} group")
-    scope = SCOPE_FIRST if group == "x" else SCOPE_SECOND
+    try:
+        classes = group_classes(_rows(f._terms), f.frame, group)
+    except PreconditionError:
+        classes = group_classes(_rows(f._normal()), f.frame, group)
+    scope = GROUP_SCOPES[group]
     out = []
     for (e, d), groups in classes.items():
         steps = [f._like(groups, f._den)]
@@ -746,13 +759,7 @@ def separated_laplacian_power(triples: Iterable[tuple[BivariateRadial, RadialExp
                 for e, f, t in rows:
                     key = (blade, e, f)
                     out[key] = get(key, 0) + c * t
-    groups, den = _nonzero(acc), pden * den
-    g = gcd(den, *chain.from_iterable(inner.values() for inner in groups.values()))
-    if g != 1:  # reduce in place: the output's dicts are this call's own
-        for inner in groups.values():
-            for key, c in inner.items():
-                inner[key] = c // g
-    return triples[0][1]._like(groups, den // g)
+    return triples[0][1]._reduced(_nonzero(acc), pden * den)
 
 
 def is_monogenic(f: RadialExpr, scope: str = SCOPE_FULL) -> bool:

@@ -111,7 +111,7 @@ def _rand_expr(rng: random.Random, frame: AxisFrame) -> RadialExpr:
 
 def _rotation(frame: AxisFrame, group: str) -> RadialExpr:
     """x1 e1 - x2 e2, or y1 e_{p+1} - y2 e_{p+2}: degree 1 and monogenic in its group."""
-    g = 1 if group == "x" else frame.p + 1
+    g = frame.generator_of(frame.group_indices(group)[0])
     e = lambda j: Multivector.basis_vector(j, frame.m)
     return (RadialExpr.coordinate(frame, f"{group}1") * e(g)
             - RadialExpr.coordinate(frame, f"{group}2") * e(g + 1))

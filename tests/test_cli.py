@@ -199,6 +199,16 @@ class TestExamples:
         code, out, _ = run(capsys, "examples", "--trials", "2")
         assert code == 0 and "6/6 PASS" in out
 
+    @pytest.mark.parametrize("argv, name", [
+        (("--t", "0,0,0", "--s", "1/2,1,3"), "t"),
+        (("--t", "1,2,-1", "--s", "0,0,0"), "s"),
+        (("--t", "0,0,0", "--s", "random"), "t"),
+    ])
+    def test_zero_fixed_vector_is_invalid_input(self, capsys, argv, name):
+        code, out, err = run(capsys, "examples", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"invalid input: --{name} must be a nonzero vector\n"
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_no_trials_is_invalid_input(self, capsys, trials):
         code, out, err = run(capsys, "examples", "--trials", trials, "--t", "1,2,-1", "--s", "1/2,1,3")

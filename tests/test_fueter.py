@@ -98,6 +98,39 @@ class TestFtPreconditions:
         with pytest.raises(PreconditionError):
             homogeneous_group_degree(RadialExpr.radial(F33, 2, 0), "y")
 
+    @pytest.mark.parametrize("factor, group, message", [
+        (lambda: inner_x(F33, [1, 0, 0]) * inner_y(F33, [0, 1, 0]), "x",
+         "factor uses coordinate y2 outside the x group"),
+        (lambda: inner_x(F33, [1, 0, 0]) * e(4), "x",
+         r"factor has coefficient blade \(4,\) outside the x group algebra"),
+        (lambda: inner_y(F33, [1, 0, 0]) * RadialExpr.radial(F33, 2, 0), "y",
+         r"factor is not a polynomial \(radial exponents 2, 0 remain\)"),
+        (lambda: RadialExpr.radial(F33, 1, 0), "x",
+         r"factor is not a polynomial \(its group's radius has exponent 1\)"),
+        (lambda: RadialExpr.radial(F33, 0, -2), "y",
+         r"factor is not a polynomial \(its group's radius has exponent -2\)"),
+        (lambda: inner_x(F33, [1, 0, 0]) + RadialExpr.radial(F33, 2, 0), "x",
+         r"factor is not homogeneous: degrees \[1, 2\]"),
+        (lambda: inner_y(F33, [1, 0, 0]) - inner_y(F33, [1, 0, 0]), "y",
+         "the zero expression is not a valid y-group factor"),
+        (lambda: RadialExpr.scalar(AxisFrame(3), 1), "y", "frame has no second axial group"),
+    ], ids=["coordinate", "blade", "other-radius", "odd-exponent", "negative-exponent", "mixed-degrees",
+            "zero", "no-second-group"])
+    def test_factor_rejections_name_their_reason(self, factor, group, message):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            homogeneous_group_degree(factor(), group)
+
+    @pytest.mark.parametrize("call", [
+        lambda f, group: f.negate_group(group),
+        lambda f, group: homogeneous_group_degree(f, group),
+        lambda f, group: fischer_decompose(f, group),
+        lambda f, group: radial.group_classes(f.raw_terms.items(), f.frame, group),
+    ], ids=["negate_group", "homogeneous_group_degree", "fischer_decompose", "group_classes"])
+    @pytest.mark.parametrize("group", ["z", "X", ""])
+    def test_unknown_group_name_rejected(self, call, group):
+        with pytest.raises(ValueError, match="group must be 'x' or 'y'"):
+            call(inner_x(F33, [1, 2, 0]), group)
+
     def test_non_monogenic_factor_rejected_for_higher_order(self):
         seed = SeedFunction.create(ComplexBivarPoly.zbar() ** 5 * ComplexBivarPoly.z())
         xt = inner_x(F33, [1, 2, 0])
