@@ -1,12 +1,12 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 precondition violation (parity, monogenicity,
-seed order), 2 parse error, 3 internal verification failure or any other
-unexpected error, reported on one stderr line, 141 (128 + SIGPIPE) when
-the reader closes stdout early, with nothing on stderr.  Random
-vector draws are seeded from the FUETER_SEED environment variable when
-set; the seed actually used is announced on stderr so runs can be
-reproduced.
+seed order, a radial exponent beyond +-2^62), 2 parse error, 3 internal
+verification failure or any other unexpected error, reported on one
+stderr line, 141 (128 + SIGPIPE) when the reader closes stdout early,
+with nothing on stderr.  Random vector draws are seeded from the
+FUETER_SEED environment variable when set; the seed actually used is
+announced on stderr at the first draw so runs can be reproduced.
 """
 
 from __future__ import annotations
@@ -42,7 +42,12 @@ def _rng(args_seed: int | None = None) -> random.Random:
     return random.Random(seed)
 
 
-def _draw_vector(rng: random.Random, length: int) -> list[Fraction]:
+def _draw_vector(rng_box: list, length: int) -> list[Fraction]:
+    """A random nonzero vector.  The generator is made on the first draw,
+    so the seed is announced only when something is drawn."""
+    if not rng_box:
+        rng_box.append(_rng())
+    rng = rng_box[0]
     while True:
         vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(length)]
         if any(vec):
@@ -53,9 +58,7 @@ def _vector(text: str | None, length: int, rng_box: list, what: str) -> list[Fra
     if text is None:
         return None
     if text == "random":
-        if not rng_box:
-            rng_box.append(_rng())
-        vec = _draw_vector(rng_box[0], length)
+        vec = _draw_vector(rng_box, length)
         print(f"# {what} = {','.join(str(c) for c in vec)}", file=sys.stderr)
         return vec
     vec = parse_vector(text)
@@ -130,9 +133,6 @@ def _cmd_examples(args) -> int:
             raise ValueError(f"--{name} must be a nonzero vector")
         fixed.append(vec)
     fixed_t, fixed_s = fixed
-    if not rng_box:
-        rng_box.append(_rng())
-    rng = rng_box[0]
     passed = 0
     for case in REFERENCE_CASES:
         ok = True
@@ -140,8 +140,8 @@ def _cmd_examples(args) -> int:
         last = None
         detail = None
         for _ in range(args.trials):
-            t = fixed_t or _draw_vector(rng, 3)
-            s = fixed_s or _draw_vector(rng, 3)
+            t = fixed_t or _draw_vector(rng_box, 3)
+            s = fixed_s or _draw_vector(rng_box, 3)
             try:
                 result = run_case(case, t, s)
             except Exception as exc:

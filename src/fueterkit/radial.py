@@ -37,24 +37,57 @@ computed at the first zero test, equality or display and then cached.
 The zero test only asks whether it is empty; it is sorted and flattened
 only for display, ``canonical_terms`` and ``normal_numerators``.
 
-Storage: monomial groups
-------------------------
+Storage: monomial groups of packed rows
+---------------------------------------
 Each coordinate monomial of a map's integrand carries a whole Laurent
 polynomial in r and rho spread over several blades, so an expression has
 far fewer distinct monomials than terms: over one pass of the
 large_apply benchmark, 3102 distinct monomials in the 40632 terms that
 the full-scope Laplacian of the definition route takes in, and 543 in
-4071 Dirac input terms.  So an expression stores its
-terms grouped, monomial -> {(blade, a, b): numerator}, and every operator
-reads and writes that form.  The Laplacian, the Dirac operator and the
-normal form work out what a monomial contributes once per group (its
-lowered and raised monomials, e(e-1) and p + 2d - 2, its rewrite rows)
-and add each row straight into the target monomial's dict; ``re_mul``
-forms one monomial product per pair of groups.  Zeros are dropped at the
-end by rebuilding only the groups that hold one (``_nonzero``).  A
-stored group is never written to: results may share an operand's groups
+4071 Dirac input terms.  So an expression stores its terms grouped,
+monomial -> {row key: numerator}, and every operator reads and writes
+that form.  The Laplacian, the Dirac operator and the normal form work
+out what a monomial contributes once per group (its lowered and raised
+monomials, e(e-1) and p + 2d - 2, its rewrite rows) and add each row
+straight into the target monomial's dict; ``re_mul`` forms one monomial
+product per pair of groups.  Zeros are dropped at the end by rebuilding
+only the groups that keep rows beside a zero (``_nonzero``).  A stored
+group is never written to: results may share an operand's groups
 (``negate_group``, the cached normal form), so an operator adds only
-into dicts it made.  ``raw_terms`` is the flat view for callers outside.
+into dicts it made.
+
+A row key is one int that packs the coefficient blade and both radial
+exponents, with m = frame.m:
+
+    key = mask | ((a + 2^63) << m) | (b << (m + 64))
+
+Bit g-1 of ``mask`` stands for e_g (see ``clifford.blade_mask``); a sits
+in a 64-bit field above it, offset by 2^63, and b is the signed top
+field, which ``>>`` decodes exactly because it floors.  So the kernels
+shift and hash ints instead of building (blade, a, b) tuples:
+
+* Dirac with generator e_g maps a key to ``key ^ bit`` with the sign
+  ``clifford.mask_sign(bit, mask)``, memoized per call over the masks
+  present (no table of size 2^m: a frame may have m = 80);
+* lowering r or rho subtracts ``2 << m`` or ``2 << (m + 64)``, and the
+  normal-form rewrite adds ``(ea << m) + (eb << (m + 64))``;
+* ``re_mul`` adds the two radial parts, less one offset, and multiplies
+  the blades by ``mask_sign`` and XOR;
+* the parity of a blade is the parity of its mask's popcount.
+
+Every radial exponent satisfies |e| <= 2^62 (``EXPONENT_LIMIT``).  It is
+checked where rows enter (the validating constructor, ``radial``,
+``monomial``, ``constant``, ``from_bivariate*``, number coercion and the
+separated Laplacian's tables), in ``re_mul`` from the extreme exponents
+of its operands, and in the normal form before a rewrite raises an
+exponent by 2k; a violation raises ``PreconditionError``.  That is
+enough to keep a from leaving its field: the operators that do not check
+only lower an exponent by 2 per step, and it would take 2^61 steps to go
+from -2^62 below -2^63.  Only the edges decode a key: ``raw_terms`` (the
+flat view for callers outside), ``normal_numerators``, ``bidegree_parts``
+and ``homogeneity_degree``; ``group_classes`` tests a key's mask against
+the group's generator bits and decodes only to name a fault.  The public
+constructors take (monomial, blade, a, b) rows.
 
 Coefficients are integer numerators over one denominator (see ``sparse``):
 the differential operators, negation, the parity split and the normal
@@ -76,15 +109,15 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .bivariate import BivariateRadial
-from .clifford import Blade, Multivector, SCALAR_BLADE, blade_product, vector_embed
+from .clifford import Blade, Multivector, SCALAR_BLADE, _validate_blade, blade_mask, mask_blade, mask_sign, vector_embed
 from .errors import PreconditionError
 from .frame import AxisFrame
 from .sparse import Memo, Rational, TermMap, _as_fractions, collect, items_of
 
 Mono = tuple[int, ...]
 TermKey = tuple[Mono, Blade, int, int]
-# The stored form and a kernel's accumulator: monomial -> {(blade, r exponent, rho exponent): numerator}
-_Groups = dict[Mono, dict[tuple[Blade, int, int], int]]
+# The stored form and a kernel's accumulator: monomial -> {packed row key: numerator}
+_Groups = dict[Mono, dict[int, int]]
 
 SCOPE_FIRST = "first-group"
 SCOPE_SECOND = "second-group"
@@ -99,6 +132,12 @@ GROUP_SCOPES = {"x": SCOPE_FIRST, "y": SCOPE_SECOND}
 # Bound on cached (R^2 - other squares)^k expansions; a run needs a few per frame.
 _SQUARE_CACHE_SIZE = 256
 
+# Row key layout (module docstring): the r exponent's offset and field
+# above the blade mask, and the bound on every radial exponent.
+_A_OFFSET = 1 << 63
+_A_FIELD = (1 << 64) - 1
+EXPONENT_LIMIT = 1 << 62
+
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(map(operator.add, a, b))
@@ -108,9 +147,34 @@ def _unit_mono(frame: AxisFrame, idx: int) -> Mono:
     return tuple(1 if i == idx else 0 for i in range(frame.ncoords))
 
 
-def _checked_terms(frame: AxisFrame, items: Iterable[tuple[TermKey, Rational]]) -> Iterator[tuple[TermKey, Rational]]:
-    """Validate outside terms against the frame."""
-    n = frame.ncoords
+def _check_exponent(e: int) -> int:
+    if not -EXPONENT_LIMIT <= e <= EXPONENT_LIMIT:
+        raise PreconditionError(f"radial exponent {e} is beyond the limit |e| <= 2^62")
+    return e
+
+
+def _radial_bits(m: int, a: int, b: int) -> int:
+    """The radial part of a row key for r^a rho^b; checks the exponent limit."""
+    return ((_check_exponent(a) + _A_OFFSET) << m) | (_check_exponent(b) << (m + 64))
+
+
+def _exponents(m: int, key: int) -> tuple[int, int]:
+    """The (r, rho) exponents of a row key."""
+    return ((key >> m) & _A_FIELD) - _A_OFFSET, key >> (m + 64)
+
+
+def _exponent_range(m: int, groups: _Groups) -> tuple[int, int, int, int]:
+    """The least and greatest r and rho exponents of stored groups, as
+    (amin, amax, bmin, bmax), read off their few distinct radial parts
+    (a key shifted right by m); a part orders by its rho power first."""
+    parts = {key >> m for inner in groups.values() for key in inner}
+    a_fields = [part & _A_FIELD for part in parts]
+    return min(a_fields) - _A_OFFSET, max(a_fields) - _A_OFFSET, min(parts) >> 64, max(parts) >> 64
+
+
+def _checked_terms(frame: AxisFrame, items: Iterable[tuple[TermKey, Rational]]) -> Iterator[tuple[tuple[Mono, int], Rational]]:
+    """Validate outside terms against the frame, as (monomial, row key) pairs."""
+    n, m = frame.ncoords, frame.m
     for (mono, blade, a, b), coeff in items:
         mono = tuple(mono)
         if len(mono) != n:
@@ -119,7 +183,7 @@ def _checked_terms(frame: AxisFrame, items: Iterable[tuple[TermKey, Rational]]) 
             raise ValueError("monomial exponents must be >= 0")
         if frame.q == 0 and b != 0:
             raise ValueError("rho exponent must be 0 in a single-axis frame")
-        yield (mono, tuple(blade), a, b), coeff
+        yield (mono, blade_mask(_validate_blade(tuple(blade), m)) | _radial_bits(m, a, b)), coeff
 
 
 def _add_rows(out: dict, rows: Mapping, k: int) -> None:
@@ -129,17 +193,29 @@ def _add_rows(out: dict, rows: Mapping, k: int) -> None:
         out[key] = get(key, 0) + k * c
 
 
-def _rows(groups: _Groups) -> Iterator[tuple[TermKey, int]]:
-    """Stored groups as flat (term key, numerator) rows."""
-    return (((mono, *key), c) for mono, inner in groups.items() for key, c in inner.items())
+def _decoded(m: int, inner: Mapping[int, int], blades: Memo) -> list[tuple[tuple[Blade, int, int], int]]:
+    """One stored group's rows as ((blade, a, b), numerator) pairs;
+    ``blades`` is the caller's ``Memo(mask_blade)``."""
+    low, mb = (1 << m) - 1, m + 64
+    return [((blades[key & low], ((key >> m) & _A_FIELD) - _A_OFFSET, key >> mb), c) for key, c in inner.items()]
+
+
+def _rows(m: int, groups: _Groups) -> Iterator[tuple[TermKey, int]]:
+    """Stored groups as flat ((monomial, blade, a, b), numerator) rows."""
+    blades = Memo(mask_blade)
+    return (((mono, *row), c) for mono, inner in groups.items() for row, c in _decoded(m, inner, blades))
 
 
 def _nonzero(acc: _Groups) -> _Groups:
     """An accumulator as stored groups: zero rows and empty groups dropped.
-    Only a group that holds a zero is rebuilt."""
+    Only a group that holds both zero and nonzero rows is rebuilt; one
+    that cancelled completely (a verified zero test cancels them all) is
+    just left out."""
     out = {}
     for mono, inner in acc.items():
         if 0 in inner.values():
+            if not any(inner.values()):
+                continue
             inner = {key: c for key, c in inner.items() if c}
         if inner:
             out[mono] = inner
@@ -149,8 +225,9 @@ def _nonzero(acc: _Groups) -> _Groups:
 class RadialExpr(TermMap):
     """Immutable Clifford-valued Laurent-radial expression.
 
-    ``_terms`` holds monomial -> {(blade, a, b): nonzero int numerator}
-    over ``_den``, no group empty; ``raw_terms`` is the flat view.
+    ``_terms`` holds monomial -> {packed row key: nonzero int numerator}
+    over ``_den``, no group empty (module docstring); ``raw_terms`` is the
+    flat view.
     """
 
     __slots__ = ("_canonical_cache",)
@@ -163,8 +240,8 @@ class RadialExpr(TermMap):
                  terms: Mapping[TermKey, Rational] | Iterable[tuple[TermKey, Rational]] = ()):
         super().__init__(_checked_terms(frame, items_of(terms)), frame)
         groups: _Groups = {}
-        for (mono, blade, a, b), c in self._terms.items():
-            groups.setdefault(mono, {})[blade, a, b] = c
+        for (mono, key), c in self._terms.items():
+            groups.setdefault(mono, {})[key] = c
         object.__setattr__(self, "_terms", groups)
 
     # -- constructors -------------------------------------------------
@@ -177,13 +254,14 @@ class RadialExpr(TermMap):
     def constant(cls, frame: AxisFrame, mv: Multivector) -> "RadialExpr":
         if mv.dim != frame.m:
             raise ValueError(f"multivector dimension {mv.dim} does not match frame m={frame.m}")
-        rows = {(blade, 0, 0): c for blade, c in mv._terms.items()}
+        zero = _radial_bits(frame.m, 0, 0)
+        rows = {blade_mask(blade) | zero: c for blade, c in mv._terms.items()}
         return cls._from_merged({(0,) * frame.ncoords: rows} if rows else {}, mv._den, frame)
 
     @classmethod
     def coordinate(cls, frame: AxisFrame, name: str) -> "RadialExpr":
         mono = _unit_mono(frame, frame.coord_index(name))
-        return cls._from_merged({mono: {(SCALAR_BLADE, 0, 0): 1}}, 1, frame)
+        return cls._from_merged({mono: {_radial_bits(frame.m, 0, 0): 1}}, 1, frame)
 
     @classmethod
     def monomial(cls, frame: AxisFrame, exponents: Mapping[str, int],
@@ -208,7 +286,7 @@ class RadialExpr(TermMap):
         """Embed a scalar Laurent function of (r, rho)."""
         if frame.q == 0 and any(b for _a, b in h._terms):
             raise ValueError("rho exponent must be 0 in a single-axis frame")
-        rows = {(SCALAR_BLADE, a, b): c for (a, b), c in h._terms.items()}
+        rows = {_radial_bits(frame.m, a, b): c for (a, b), c in h._terms.items()}
         return cls._from_merged({(0,) * frame.ncoords: rows} if rows else {}, h._den, frame)
 
     @classmethod
@@ -221,7 +299,7 @@ class RadialExpr(TermMap):
         zeros = (0,) * (frame.ncoords - 1)
         groups: _Groups = {}
         for (i, j), c in h._terms.items():
-            groups.setdefault((i,) + zeros, {})[SCALAR_BLADE, j, 0] = c
+            groups.setdefault((i,) + zeros, {})[_radial_bits(frame.m, j, 0)] = c
         return cls._from_merged(groups, h._den, frame)
 
     # -- basic structure ----------------------------------------------
@@ -230,7 +308,7 @@ class RadialExpr(TermMap):
     def terms(self) -> dict[TermKey, Fraction]:
         """The stored terms as a fresh flat dict of ``Fraction`` values."""
         den = self._den
-        return {key: Fraction(c, den) for key, c in _rows(self._terms)}
+        return {key: Fraction(c, den) for key, c in _rows(self.frame.m, self._terms)}
 
     raw_terms = terms
 
@@ -245,7 +323,8 @@ class RadialExpr(TermMap):
             return RadialExpr.constant(self.frame, other) if other.dim == self.frame.m else None
         if isinstance(other, (int, Fraction)):
             zero = (0,) * self.frame.ncoords
-            return self._like({zero: {(SCALAR_BLADE, 0, 0): other.numerator}} if other else {}, other.denominator)
+            return self._like({zero: {_radial_bits(self.frame.m, 0, 0): other.numerator}} if other else {},
+                              other.denominator)
         return super()._coerce(other)
 
     def __eq__(self, other) -> bool:
@@ -317,8 +396,9 @@ class RadialExpr(TermMap):
         """The normal form's int numerators as a read-only flat mapping sorted
         by key, and their shared denominator."""
         groups = self._normal()
-        return MappingProxyType({(mono, *key): c for mono in sorted(groups)
-                                 for key, c in sorted(groups[mono].items())}), self._den
+        m, blades = self.frame.m, Memo(mask_blade)
+        return MappingProxyType({(mono, *row): c for mono in sorted(groups)
+                                 for row, c in sorted(_decoded(m, groups[mono], blades))}), self._den
 
     def canonical_terms(self) -> dict[TermKey, Fraction]:
         """The normal form as a fresh dict, sorted by key."""
@@ -330,18 +410,20 @@ class RadialExpr(TermMap):
 
     def homogeneity_degree(self) -> int | None:
         """Common total degree (monomial + a + b), or None when mixed or zero."""
-        degs = {sum(mono) + a + b for mono, inner in self._normal().items() for (_blade, a, b) in inner}
+        m = self.frame.m
+        degs = {sum(mono) + sum(_exponents(m, key)) for mono, inner in self._normal().items() for key in inner}
         if len(degs) == 1:
             return degs.pop()
         return None
 
     def blade_parity_split(self) -> tuple["RadialExpr", "RadialExpr"]:
         """Split by coefficient blade cardinality into even/odd valued parts."""
+        low = (1 << self.frame.m) - 1
         even: _Groups = {}
         odd: _Groups = {}
         for mono, inner in self._terms.items():
             for key, c in inner.items():
-                (odd if len(key[0]) % 2 else even).setdefault(mono, {})[key] = c
+                (odd if (key & low).bit_count() & 1 else even).setdefault(mono, {})[key] = c
         return self._like(even, self._den), self._like(odd, self._den)
 
     def negate_group(self, group: str) -> "RadialExpr":
@@ -354,13 +436,15 @@ class RadialExpr(TermMap):
     def bidegree_parts(self) -> dict[tuple[int, int], "RadialExpr"]:
         """The terms split by (x, y) bidegree: a monomial's x-degree plus the
         r exponent, and its y-degree plus the rho exponent."""
+        m = self.frame.m
         xs, ys = self.frame.x_indices, self.frame.y_indices
         x_part, y_part = slice(xs.start, xs.stop), slice(ys.start, ys.stop)
         parts: dict[tuple[int, int], _Groups] = {}
         for mono, inner in self._terms.items():
             dx, dy = sum(mono[x_part]), sum(mono[y_part])
             for key, c in inner.items():
-                parts.setdefault((dx + key[1], dy + key[2]), {}).setdefault(mono, {})[key] = c
+                a, b = _exponents(m, key)
+                parts.setdefault((dx + a, dy + b), {}).setdefault(mono, {})[key] = c
         return {degrees: self._like(groups, self._den) for degrees, groups in parts.items()}
 
     def __repr__(self) -> str:
@@ -397,9 +481,12 @@ def _normal_form(frame: AxisFrame, groups: _Groups) -> _Groups:
     """Rewrite x_p^2 and y_q^2 away, merge by exact key and drop zeros.
 
     Linear in the numerators.  A monomial without x_p^2 or y_q^2 keeps its
-    rows; the rewritten ones are added into copies."""
+    rows; the rewritten ones are added into copies.  PreconditionError when
+    a rewrite would raise a radial exponent beyond ``EXPONENT_LIMIT``."""
     xp = frame.x_indices[-1]
     yq = frame.y_indices[-1] if frame.q else None
+    m = frame.m
+    r_field = _A_FIELD << m
     acc: _Groups = {}
     rewrites = []
     for mono, inner in groups.items():
@@ -413,14 +500,20 @@ def _normal_form(frame: AxisFrame, groups: _Groups) -> _Groups:
         return groups
     copied = set()
     for mono, inner, kx, ky in rewrites:
+        # the rewrite raises r by up to 2kx and rho by up to 2ky
+        if kx:
+            _check_exponent((max(map(r_field.__and__, inner)) >> m) - _A_OFFSET + 2 * kx)
+        if ky:
+            _check_exponent((max(inner) >> (m + 64)) + 2 * ky)
         base = list(mono)
         base[xp] -= 2 * kx
         if ky:
             base[yq] -= 2 * ky
         py = _lead_square_power(frame, "y", ky)
         for mx, ea, cx in _lead_square_power(frame, "x", kx):
+            bx = _mono_mul(base, mx)
             for my, eb, cy in py:
-                target = _mono_mul(_mono_mul(base, mx), my)
+                target = _mono_mul(bx, my) if ky else bx
                 if target in copied:
                     out = acc[target]
                 else:
@@ -429,8 +522,9 @@ def _normal_form(frame: AxisFrame, groups: _Groups) -> _Groups:
                     copied.add(target)
                 get = out.get
                 k = cx * cy
-                for (blade, a, b), c in inner.items():
-                    key = (blade, a + ea, b + eb)
+                shift = (ea << m) + (eb << (m + 64))
+                for key, c in inner.items():
+                    key += shift
                     out[key] = get(key, 0) + k * c
     return _nonzero(acc)
 
@@ -465,19 +559,34 @@ def proportionality_constant(got: RadialExpr, want: RadialExpr) -> Fraction | No
 def re_mul(f: RadialExpr, g: RadialExpr) -> RadialExpr:
     """Termwise product; coefficients multiply by the geometric product in
     the given order (left factor's coefficient on the left).  One monomial
-    product per pair of groups, then the rows multiply inside."""
+    product per pair of groups, then the rows multiply inside: the radial
+    parts of two keys add, less one offset, and the blade masks multiply
+    by ``mask_sign`` and XOR.
+    PreconditionError when the extreme exponents of the operands would sum
+    beyond ``EXPONENT_LIMIT``."""
     f._check_context(g)
+    m = f.frame.m
     acc: _Groups = defaultdict(dict)
-    right = list(g._terms.items())
-    for m1, in1 in f._terms.items():
-        for m2, in2 in right:
-            out = acc[_mono_mul(m1, m2)]
-            get = out.get
-            for (b1, a1, r1), c1 in in1.items():
-                for (b2, a2, r2), c2 in in2.items():
-                    sign, blade = blade_product(b1, b2)
-                    key = (blade, a1 + a2, r1 + r2)
-                    out[key] = get(key, 0) + sign * c1 * c2
+    if f._terms and g._terms:
+        fa0, fa1, fb0, fb1 = _exponent_range(m, f._terms)
+        ga0, ga1, gb0, gb1 = _exponent_range(m, g._terms)
+        _check_exponent(min(fa0 + ga0, fb0 + gb0))
+        _check_exponent(max(fa1 + ga1, fb1 + gb1))
+        low = (1 << m) - 1
+        high, offset = ~low, _A_OFFSET << m
+        # right rows as (blade mask, radial part less the offset, numerator),
+        # so a left key XOR the right mask plus the right part is the product key
+        right_groups = [(m2, [(k & low, (k & high) - offset, c) for k, c in in2.items()])
+                        for m2, in2 in g._terms.items()]
+        for m1, in1 in f._terms.items():
+            rows1 = [(k & low, k, c) for k, c in in1.items()]
+            for m2, rows2 in right_groups:
+                out = acc[_mono_mul(m1, m2)]
+                get = out.get
+                for b1, k1, c1 in rows1:
+                    for b2, r2, c2 in rows2:
+                        key = (k1 ^ b2) + r2
+                        out[key] = get(key, 0) + mask_sign(b1, b2) * c1 * c2
     return f._reduced(_nonzero(acc), f._den * g._den)
 
 
@@ -495,27 +604,28 @@ def partial_derivative(f: RadialExpr, coord: str | int) -> RadialExpr:
     idx = frame.coord_index(coord) if isinstance(coord, str) else coord
     if not 0 <= idx < frame.ncoords:
         raise ValueError(f"coordinate index {idx} out of range")
-    in_x = idx in frame.x_indices
-    in_y = idx in frame.y_indices
+    m = frame.m
+    # the radius the coordinate's derivative lowers (0 for r, 1 for rho, None
+    # for X0) and the step that lowers it by 2 in a key
+    radius = 0 if idx in frame.x_indices else 1 if idx in frame.y_indices else None
+    step = 2 << (m + 64 * (radius or 0))
     acc: _Groups = defaultdict(dict)
     for mono, inner in f._terms.items():
         e = mono[idx]
         if e:
-            m = list(mono)
-            m[idx] -= 1
-            _add_rows(acc[tuple(m)], inner, e)
-        if in_x or in_y:
-            m = list(mono)
-            m[idx] += 1
-            out = acc[tuple(m)]
+            lowered = list(mono)
+            lowered[idx] -= 1
+            _add_rows(acc[tuple(lowered)], inner, e)
+        if radius is not None:
+            raised = list(mono)
+            raised[idx] += 1
+            out = acc[tuple(raised)]
             get = out.get
-            for (blade, a, b), c in inner.items():
-                if in_x and a:
-                    key = (blade, a - 2, b)
-                    out[key] = get(key, 0) + a * c
-                elif in_y and b:
-                    key = (blade, a, b - 2)
-                    out[key] = get(key, 0) + b * c
+            for key, c in inner.items():
+                er = _exponents(m, key)[radius]
+                if er:
+                    key -= step
+                    out[key] = get(key, 0) + er * c
     return f._like(_nonzero(acc), f._den)
 
 
@@ -535,43 +645,52 @@ def dirac(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
     frame with the scalar axis.  One pass applies the term rule of
     ``partial_derivative`` in every coordinate, group by group: each
     monomial's lowered and raised monomials and the rows that lower r or
-    rho are formed once, and each blade's product with a generator once
-    per call.
+    rho are formed once.  Multiplying a row by the generator e_g flips bit
+    g-1 of its key, with the sign ``mask_sign(bit, mask)`` memoized per
+    call over the masks present.
     """
     frame = f.frame
     _check_scope(frame, scope)
-    # (coordinate, the group whose radius its derivative lowers, its generator's products)
-    axes = [(i, group, Memo(partial(blade_product, (frame.generator_of(i),))))
-            for group, own in GROUP_SCOPES.items() if scope in (own, SCOPE_FULL, SCOPE_CR)
+    m = frame.m
+    low, r_step, rho_step = (1 << m) - 1, 2 << m, 2 << (m + 64)
+    # (coordinate, the radius its derivative lowers: 0 for r, 1 for rho and
+    # 2 for none, its generator's bit)
+    bits = [(i, radius, 1 << (frame.generator_of(i) - 1))
+            for radius, group in enumerate(("x", "y")) if scope in (GROUP_SCOPES[group], SCOPE_FULL, SCOPE_CR)
             for i in frame.group_indices(group)]
     if scope == SCOPE_CR:
-        axes.append((0, None, Memo(partial(blade_product, SCALAR_BLADE))))
+        bits.append((0, 2, 0))
+    axes = [(i, radius, bit, Memo(partial(mask_sign, bit))) for i, radius, bit in bits]
+    radii = {radius for _i, radius, _bit in bits}
     acc: _Groups = defaultdict(dict)
     for mono, inner in f._terms.items():
-        # the rows a derivative adds by lowering r (or rho), shared by the group's axes
-        raised_rows = {"x": [(blade, a - 2, b, a * c) for (blade, a, b), c in inner.items() if a],
-                       "y": [(blade, a, b - 2, b * c) for (blade, a, b), c in inner.items() if b]}
-        for i, radius, product in axes:
+        rows = [(key, key & low, c) for key, c in inner.items()]
+        # the rows a derivative adds by lowering r or rho, shared by the group's axes
+        raised_rows = ([(key - r_step, mask, a * c) for key, mask, c in rows
+                        if (a := ((key >> m) & _A_FIELD) - _A_OFFSET)] if 0 in radii else (),
+                       [(key - rho_step, mask, b * c) for key, mask, c in rows
+                        if (b := key >> (m + 64))] if 1 in radii else (),
+                       ())
+        for i, radius, bit, signs in axes:
             e = mono[i]
             if e:
                 lowered = list(mono)
                 lowered[i] -= 1
                 out = acc[tuple(lowered)]
                 get = out.get
-                for (blade, a, b), c in inner.items():
-                    sign, nb = product[blade]
-                    key = (nb, a, b)
-                    out[key] = get(key, 0) + sign * e * c
-            if radius is None:
+                for key, mask, c in rows:
+                    key ^= bit
+                    out[key] = get(key, 0) + signs[mask] * e * c
+            raised_here = raised_rows[radius]
+            if not raised_here:
                 continue
             raised = list(mono)
             raised[i] += 1
             out = acc[tuple(raised)]
             get = out.get
-            for blade, a, b, c in raised_rows[radius]:
-                sign, nb = product[blade]
-                key = (nb, a, b)
-                out[key] = get(key, 0) + sign * c
+            for key, mask, c in raised_here:
+                key ^= bit
+                out[key] = get(key, 0) + signs[mask] * c
     return f._like(_nonzero(acc), f._den)
 
 
@@ -592,6 +711,8 @@ def laplacian(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
     xs, ys = frame.x_indices, frame.y_indices
     x_part, y_part = slice(xs.start, xs.stop), slice(ys.start, ys.stop)
     lowering = [*(xs if do_x else ()), *(ys if do_y else ()), *((0,) if scope == SCOPE_CR else ())]
+    m = frame.m
+    r_step, rho_step = 2 << m, 2 << (m + 64)
     groups = f._terms
     acc: _Groups = {}
     # A monomial's radial rows land on the monomial itself, so they go first,
@@ -599,28 +720,30 @@ def laplacian(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
     for mono, inner in groups.items():
         if do_x:
             px = frame.p + 2 * sum(mono[x_part]) - 2
-            out = {(blade, a - 2, b): a * (px + a) * c for (blade, a, b), c in inner.items() if a and px + a}
+            out = {key - r_step: a * (px + a) * c for key, c in inner.items()
+                   if (a := ((key >> m) & _A_FIELD) - _A_OFFSET) and px + a}
         else:
             out = {}
         if do_y:
             qy = frame.q + 2 * sum(mono[y_part]) - 2
             get = out.get
-            for (blade, a, b), c in inner.items():
+            for key, c in inner.items():
+                b = key >> (m + 64)
                 if b and qy + b:
-                    key = (blade, a, b - 2)
+                    key -= rho_step
                     out[key] = get(key, 0) + b * (qy + b) * c
         acc[mono] = out
     for mono, inner in groups.items():
         for i in lowering:
             e = mono[i]
             if e > 1:
-                m = list(mono)
-                m[i] -= 2
-                m = tuple(m)
+                lowered = list(mono)
+                lowered[i] -= 2
+                lowered = tuple(lowered)
                 k = e * (e - 1)
-                out = acc.get(m)
+                out = acc.get(lowered)
                 if out is None:
-                    acc[m] = {key: k * c for key, c in inner.items()}
+                    acc[lowered] = {key: k * c for key, c in inner.items()}
                 else:
                     _add_rows(out, inner, k)
     return f._like(_nonzero(acc), f._den)
@@ -645,23 +768,40 @@ def group_classes(rows: Iterable[tuple[TermKey, Rational]], frame: AxisFrame,
     coordinate outside it, a blade outside its algebra or a nonzero
     exponent of the other radius; also when the frame has no second group.
     ValueError for a group name other than "x" and "y"."""
+    groups: _Groups = {}
+    for (mono, key), c in _checked_terms(frame, rows):
+        groups.setdefault(mono, {})[key] = c
+    return _stored_group_classes(frame, groups, group)
+
+
+def _stored_group_classes(frame: AxisFrame, groups: _Groups, group: str) -> dict[tuple[int, int], _Groups]:
+    """``group_classes`` of stored groups, read off the int keys: a blade
+    lies in the group's algebra when its mask has no bit outside the
+    group's generators."""
     idxs = frame.group_indices(group)
     if not idxs:
         raise PreconditionError("frame has no second axial group")
     part = slice(idxs.start, idxs.stop)
+    m = frame.m
+    low = (1 << m) - 1
     lo, hi = frame.generator_of(idxs.start), frame.generator_of(idxs.stop - 1)
+    outside = low ^ ((1 << hi) - (1 << (lo - 1)))
+    zero = _radial_bits(m, 0, 0)
     classes: dict[tuple[int, int], _Groups] = {}
-    for (mono, blade, a, b), c in rows:
+    for mono, inner in groups.items():
         d = sum(mono[part])
         if d != sum(mono):
             i = next(i for i, e in enumerate(mono) if e and i not in idxs)
             raise PreconditionError(f"factor uses coordinate {frame.coord_name(i)} outside the {group} group")
-        if any(g < lo or g > hi for g in blade):
-            raise PreconditionError(f"factor has coefficient blade {blade} outside the {group} group algebra")
-        e, other = (a, b) if group == "x" else (b, a)
-        if other:
-            raise PreconditionError(f"factor is not a polynomial (radial exponents {a}, {b} remain)")
-        classes.setdefault((e, d), {}).setdefault(mono, {})[blade, 0, 0] = c
+        for key, c in inner.items():
+            mask = key & low
+            if mask & outside:
+                raise PreconditionError(f"factor has coefficient blade {mask_blade(mask)} outside the {group} group algebra")
+            a, b = _exponents(m, key)
+            e, other = (a, b) if group == "x" else (b, a)
+            if other:
+                raise PreconditionError(f"factor is not a polynomial (radial exponents {a}, {b} remain)")
+            classes.setdefault((e, d), {}).setdefault(mono, {})[mask | zero] = c
     return classes
 
 
@@ -671,9 +811,9 @@ def _factor_chains(f: RadialExpr, group: str, n: int) -> list[tuple[int, int, li
     stopped at zero.  The stored rows are split when they all lie in the
     group, and the normal form otherwise."""
     try:
-        classes = group_classes(_rows(f._terms), f.frame, group)
+        classes = _stored_group_classes(f.frame, f._terms, group)
     except PreconditionError:
-        classes = group_classes(_rows(f._normal()), f.frame, group)
+        classes = _stored_group_classes(f.frame, f._normal(), group)
     scope = GROUP_SCOPES[group]
     out = []
     for (e, d), groups in classes.items():
@@ -747,17 +887,20 @@ def separated_laplacian_power(triples: Iterable[tuple[BivariateRadial, RadialExp
         state = _nonzero(nxt)
     # every product's denominator divides the product of its factors' denominators
     pden = lcm(*(xchains[ix][2][0]._den * ychains[iy][2][0]._den for ix, _i, iy, _j in state))
+    m = frame.m
+    low = (1 << m) - 1
     acc: _Groups = defaultdict(dict)
     for (ix, i, iy, j), table in state.items():
         prod = re_mul(xchains[ix][2][i], ychains[iy][2][j])
         scale = pden // prod._den
-        rows = [(e, f, scale * t) for (e, f), t in table.items()]
+        rows = [(_radial_bits(m, e, f), scale * t) for (e, f), t in table.items()]
         for mono, inner in prod._terms.items():
             out = acc[mono]
             get = out.get
-            for (blade, _a, _b), c in inner.items():
-                for e, f, t in rows:
-                    key = (blade, e, f)
+            for key, c in inner.items():
+                mask = key & low
+                for part, t in rows:
+                    key = mask | part
                     out[key] = get(key, 0) + c * t
     return triples[0][1]._reduced(_nonzero(acc), pden * den)
 
@@ -771,7 +914,8 @@ def is_monogenic(f: RadialExpr, scope: str = SCOPE_FULL) -> bool:
 
 def _unit_vector(frame: AxisFrame, indices: Iterable[int], a: int = 0, b: int = 0) -> RadialExpr:
     """sum_j x_j e_j r^a rho^b over the given coordinates."""
-    return RadialExpr._from_merged({_unit_mono(frame, idx): {((frame.generator_of(idx),), a, b): 1}
+    part = _radial_bits(frame.m, a, b)
+    return RadialExpr._from_merged({_unit_mono(frame, idx): {1 << (frame.generator_of(idx) - 1) | part: 1}
                                     for idx in indices}, 1, frame)
 
 

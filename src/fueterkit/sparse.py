@@ -233,9 +233,16 @@ class TermMap:
         return NotImplemented if other is None else other._mul(self)
 
     def __pow__(self, n: int):
+        """self^n by repeated squaring: about log2(n) products, so a huge
+        power of a single term is cheap and only its size limits it."""
         if n < 0:
             raise ValueError(f"{type(self).__name__} power must be >= 0")
         out = self._coerce(1)
-        for _ in range(n):
-            out = out * self
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out

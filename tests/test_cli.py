@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,29 @@ class TestCheckMonogenic:
         assert code == 0 and out.strip() == "true"
 
 
+class TestExponentLimit:
+    @pytest.mark.parametrize("expr", [
+        "x3^1180591620717411303424*e1",
+        "y3^1180591620717411303424*e4",
+        "r^-1180591620717411303424*x1*e1",
+        "rho^1180591620717411303424",
+    ])
+    def test_radial_exponent_beyond_the_limit_exits_1(self, capsys, expr):
+        # The first two once hung (a power loop, then a huge rewrite); the
+        # last two printed "false".
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check-monogenic", "--p", "3", "--q", "3", "--expr", expr)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (1, "")
+        assert err.startswith("precondition violation: radial exponent ") and err.count("\n") == 1
+        assert "1180591620717411303424 is beyond the limit |e| <= 2^62" in err
+
+    def test_a_huge_power_below_the_rewrite_stays_exact(self, capsys):
+        code, out, _ = run(capsys, "check-monogenic", "--p", "3", "--q", "3",
+                           "--expr", "x1^1180591620717411303424*e1")
+        assert (code, out.strip()) == (0, "false")
+
+
 class TestFischer:
     def test_linear_example(self, capsys):
         code, out, _ = run(capsys, "fischer", "--p", "3", "--H", "x1")
@@ -193,6 +217,17 @@ class TestExamples:
         assert code == 0
         assert "6/6 PASS" in out
         assert out.count("PASS (engine =") == 6
+
+    def test_fixed_vectors_draw_no_seed(self, capsys):
+        code, _out, err = run(capsys, "examples", "--trials", "1", "--t", "1,2,-1", "--s", "1/2,1,3")
+        assert code == 0
+        assert "# rng-seed" not in err
+
+    def test_one_fixed_vector_still_announces_the_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("FUETER_SEED", "5")
+        code, out, err = run(capsys, "examples", "--trials", "1", "--t", "1,2,-1")
+        assert code == 0 and "6/6 PASS" in out
+        assert err.count("# rng-seed: 5\n") == 1
 
     def test_seeded_random_trials(self, capsys, monkeypatch):
         monkeypatch.setenv("FUETER_SEED", "7")

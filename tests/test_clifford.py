@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -6,9 +7,12 @@ from hypothesis import given, settings
 
 from fueterkit.clifford import (
     Multivector,
+    blade_mask,
     blade_product,
     blade_text,
     geometric_product,
+    mask_blade,
+    mask_sign,
     parity_split,
     vector_embed,
 )
@@ -34,6 +38,62 @@ def test_blade_product_sign_rule():
     assert (sign, blade) == (-1, ())
     sign, blade = blade_product((2,), (1,))
     assert (sign, blade) == (-1, (1, 2))
+
+
+@pytest.mark.parametrize("a, b", [((2, 1), ()), ((1, 1), ()), ((), (3, 2)), ((0, 1), (1,))],
+                         ids=["unsorted", "repeated", "unsorted-right", "zero-index"])
+def test_blade_product_rejects_non_canonical_blades(a, b):
+    # the mask rule reads a blade as a set of generators, so order and
+    # repeats must be rejected rather than silently dropped
+    with pytest.raises(ValueError, match="strictly increasing"):
+        blade_product(a, b)
+
+
+def swap_count_product(a, b):
+    """Oracle for the blade product, sharing no code with the mask rule:
+    sort the concatenated indices by adjacent swaps, one sign flip per
+    swap, then cancel each adjacent equal pair with one more (e_j^2 = -1)."""
+    idx = list(a) + list(b)
+    sign = 1
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    out = []
+    i = 0
+    while i < len(idx):
+        if i + 1 < len(idx) and idx[i] == idx[i + 1]:
+            sign = -sign
+            i += 2
+        else:
+            out.append(idx[i])
+            i += 1
+    return sign, tuple(out)
+
+
+def _blade_of(mask):
+    return tuple(g + 1 for g in range(mask.bit_length()) if mask >> g & 1)
+
+
+def test_mask_rule_matches_swap_count_on_every_pair_of_cl6():
+    for ma in range(64):
+        for mb in range(64):
+            a, b = _blade_of(ma), _blade_of(mb)
+            want = swap_count_product(a, b)
+            assert (mask_sign(ma, mb), mask_blade(ma ^ mb)) == want
+            assert blade_product(a, b) == want
+
+
+@pytest.mark.parametrize("dim, pairs", [(10, 400), (80, 60)])
+def test_mask_rule_matches_swap_count_on_random_pairs(dim, pairs):
+    rng = random.Random(dim)
+    for _ in range(pairs):
+        a, b = (tuple(sorted(rng.sample(range(1, dim + 1), rng.randint(0, dim)))) for _ in range(2))
+        ma, mb = blade_mask(a), blade_mask(b)
+        assert mask_blade(ma) == a and mask_blade(mb) == b
+        assert (mask_sign(ma, mb), mask_blade(ma ^ mb)) == swap_count_product(a, b)
 
 
 def test_vector_embed_examples():

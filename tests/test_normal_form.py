@@ -21,6 +21,7 @@ from hypothesis import assume, given, settings
 
 from fueterkit.bivariate import BivariateRadial, apply_dx_xinv, apply_xinv_dx, delta2_power
 from fueterkit.clifford import Multivector
+from fueterkit.errors import PreconditionError
 from fueterkit.frame import AxisFrame
 from fueterkit.fueter import ft_closed_form, ft_general_via_fischer, ft_mu, ft_plus
 from fueterkit.radial import (
@@ -158,17 +159,24 @@ class TestNormalFormAgainstPointValues:
 # -- integer numerators over one denominator ---------------------------------
 
 
+def row_key(m, blade, a, b):
+    """The stored row key of blade * r^a * rho^b in a frame with m generators:
+    bit g-1 for e_g, then a offset by 2^63 in 64 bits, then b."""
+    mask = sum(1 << (g - 1) for g in blade)
+    return mask | ((a + 2**63) << m) | (b << (m + 64))
+
+
 def assert_integer_form(f, reduced=False):
     """The representation invariant: nonzero int numerators over one
     positive int denominator; ``reduced`` also asks that they share no factor.
-    A RadialExpr stores them grouped as monomial -> {(blade, a, b): numerator}
-    in plain dicts, with no group empty."""
+    A RadialExpr stores them grouped as monomial -> {row key: numerator}
+    in plain dicts, with no group empty; a row key is one int (``row_key``)."""
     assert type(f._den) is int and f._den > 0
     assert type(f._terms) is dict
     if isinstance(f, RadialExpr):
         assert all(len(mono) == f.frame.ncoords for mono in f._terms)
         assert all(type(inner) is dict and inner for inner in f._terms.values())
-        assert all(len(key) == 3 for inner in f._terms.values() for key in inner)
+        assert all(type(key) is int for inner in f._terms.values() for key in inner)
         nums = [c for inner in f._terms.values() for c in inner.values()]
     else:
         nums = list(f._terms.values())
@@ -273,7 +281,7 @@ class TestIntegerNumerators:
         # a group that keeps some rows when others cancel
         partly = [x1 * r2 + x1 - x1, re_mul(x1 + x3, x1 - x3), partial_derivative(x3 * x3 * x3 * r2, "x3"),
                   (x3 * x3 * x3 * r2 - x3 * x1 * x1 * r2).canonicalized()]
-        assert (x1 * r2 + x1 - x1)._terms == {(1, 0, 0, 0, 0, 0): {((), 2, 0): 1}}
+        assert (x1 * r2 + x1 - x1)._terms == {(1, 0, 0, 0, 0, 0): {row_key(6, (), 2, 0): 1}}
         outs += [*partly, RadialExpr.constant(frame, Multivector(6, {(): 2, (1, 4): Fraction(1, 3)})),
                  RadialExpr.from_bivariate(frame, h), (x1 * r2).negate_group("x"),
                  *(x1 * Multivector.basis_vector(1, 6) + x2).blade_parity_split()]
@@ -300,3 +308,77 @@ class TestIntegerNumerators:
             assert not out.is_zero()
             assert_integer_form(out)
         assert direct == routed and mu == closed
+
+
+# -- packed row keys and the exponent limit ------------------------------------
+
+LIMIT = 2**62
+
+
+class TestRowKeys:
+    @pytest.mark.parametrize("frame", FRAMES + (AxisFrame(40, 40),), ids=str)
+    def test_raw_terms_round_trip_through_the_constructor(self, frame):
+        rng = random.Random(frame.ncoords * 10 + frame.q)
+        terms = {}
+        for i in range(24):
+            mono = tuple(rng.randint(0, 3) for _ in range(frame.ncoords))
+            blade = tuple(sorted(rng.sample(range(1, frame.m + 1), rng.randint(0, frame.m))))
+            # negative exponents, and the limit itself on two rows
+            a = (LIMIT, -LIMIT)[i % 2] if i < 2 else rng.randint(-7, 7)
+            b = 0 if not frame.q else (-LIMIT, LIMIT)[i % 2] if i < 2 else rng.randint(-7, 7)
+            terms[(mono, blade, a, b)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+        f = RadialExpr(frame, terms)
+        assert f.raw_terms == terms
+        assert RadialExpr(frame, f.raw_terms).raw_terms == terms
+        stored = {(mono, key) for mono, inner in f._terms.items() for key in inner}
+        assert stored == {(mono, row_key(frame.m, blade, a, b)) for mono, blade, a, b in terms}
+
+    def test_a_frame_with_80_generators(self):
+        frame = AxisFrame(40, 40)
+        x, y = vector_x(frame), vector_y(frame)
+        assert dirac(x) == -40 and dirac(y) == -40
+        # sum_k e_k x e_k = 40 x, because e_k e_j e_k = e_j for j != k
+        assert dirac(re_mul(x, y)) == 40 * x - 40 * y
+        assert (re_mul(x, x) + RadialExpr.radial(frame, 2, 0)).is_zero()
+
+    def test_limit_is_accepted_at_construction(self):
+        frame = AxisFrame(3, 3)
+        for a, b in ((LIMIT, -LIMIT), (-LIMIT, LIMIT)):
+            f = RadialExpr.radial(frame, a, b)
+            assert f.raw_terms == {((0,) * 6, (), a, b): 1}
+            assert f._terms == {(0,) * 6: {row_key(6, (), a, b): 1}}
+
+    @pytest.mark.parametrize("build", [
+        lambda frame: RadialExpr.radial(frame, LIMIT + 1, 0),
+        lambda frame: RadialExpr.radial(frame, 0, -LIMIT - 1),
+        lambda frame: RadialExpr(frame, {((1, 0, 0, 0, 0, 0), (1,), -LIMIT - 1, 0): 1}),
+        lambda frame: RadialExpr.monomial(frame, {"y2": 1}, 2, b=LIMIT + 1),
+        lambda frame: RadialExpr.from_bivariate(frame, BivariateRadial({(LIMIT + 1, 0): 1})),
+    ], ids=["radial-r", "radial-rho", "constructor", "monomial", "from-bivariate"])
+    def test_one_past_the_limit_is_rejected_at_construction(self, build):
+        with pytest.raises(PreconditionError, match=f"radial exponent -?{LIMIT + 1} "):
+            build(AxisFrame(3, 3))
+
+    def test_a_product_across_the_limit_is_rejected(self):
+        frame = AxisFrame(3, 3)
+        x1 = RadialExpr.coordinate(frame, "x1")
+        radial = lambda a, b: RadialExpr.radial(frame, a, b)
+        assert re_mul(radial(LIMIT - 1, 0), x1 * radial(1, -3)).raw_terms == {
+            ((1, 0, 0, 0, 0, 0), (), LIMIT, -3): 1}
+        for f, g, e in ((radial(LIMIT, 0), radial(1, 0), LIMIT + 1),
+                        (radial(-3, -LIMIT), x1 * radial(2, -1), -LIMIT - 1),
+                        (radial(0, 5) + radial(-LIMIT, 0), radial(-2, 0) + x1, -LIMIT - 2)):
+            with pytest.raises(PreconditionError, match=f"radial exponent {e} "):
+                re_mul(f, g)
+
+    def test_a_normal_form_rewrite_across_the_limit_is_rejected(self):
+        frame = AxisFrame(3, 3)
+        x3, y3 = RadialExpr.coordinate(frame, "x3"), RadialExpr.coordinate(frame, "y3")
+        # x3^2 r^(L-2) -> r^L - (x1^2 + x2^2) r^(L-2): at the limit, accepted
+        at_limit = x3 * x3 * RadialExpr.radial(frame, LIMIT - 2, 0)
+        assert not at_limit.is_zero()
+        assert ((0,) * 6, (), LIMIT, 0) in at_limit.canonical_terms()
+        for f, e in ((x3 * x3 * RadialExpr.radial(frame, LIMIT - 1, 0), LIMIT + 1),
+                     (y3 ** 4 * RadialExpr.radial(frame, 0, LIMIT - 3), LIMIT + 1)):
+            with pytest.raises(PreconditionError, match=f"radial exponent {e} "):
+                f.is_zero()

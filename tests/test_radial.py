@@ -420,7 +420,8 @@ class TestOperandPurity:
     def test_normal_form_copies_the_group_it_adds_into(self):
         f = _operands()[0]
         assert f.canonical_terms() == {(ZERO6, (), 2, 0): Fraction(1), (mono6(x2=2), (), 0, 0): Fraction(-1)}
-        assert f._terms[mono6(x1=2)] == {((), 0, 0): 1}
+        # the scalar row r^0 rho^0: the offset 2^63 of the r field, above m = 6 blade bits
+        assert f._terms[mono6(x1=2)] == {2**63 << 6: 1}
 
 
 class TestZeroSoundness:

@@ -48,3 +48,13 @@ def test_memo_computes_each_key_once():
     table = Memo(lambda key: calls.append(key) or key * 2)
     assert [table[k] for k in (3, 4, 3, 3)] == [6, 8, 6, 6]
     assert calls == [3, 4]
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_power_by_squaring_stores_the_repeated_product(name):
+    x = VALUES[name]()
+    want = x._coerce(1)
+    for n in range(10):
+        got = x ** n
+        assert (got._terms, got._den) == (want._terms, want._den), n
+        want = want * x
