@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 from .frame import AxisFrame
 from .fueter import VARIANT_MINUS, VARIANT_PLUS, apply_map
+from .parsing import parse_seed
 from .radial import (
     RadialExpr,
     constant_vector_x,
@@ -48,8 +49,6 @@ class ReferenceCase:
         return f"Ft{sign}[{self.seed_text}, {hk}, ip(y,s)]"
 
     def build_seed(self) -> SeedFunction:
-        from .parsing import parse_seed
-
         return SeedFunction.create(parse_seed(self.seed_text))
 
     def run_engine(self, frame: AxisFrame, t: Sequence[Fraction], s: Sequence[Fraction]) -> RadialExpr:
@@ -143,9 +142,8 @@ class CaseResult:
     reference_output: RadialExpr
 
 
-def run_case(case: ReferenceCase, t: Sequence[Fraction], s: Sequence[Fraction],
-             frame: AxisFrame = FRAME_33) -> CaseResult:
-    got = case.run_engine(frame, t, s)
-    want = case.build_reference(frame, t, s)
+def run_case(case: ReferenceCase, t: Sequence[Fraction], s: Sequence[Fraction]) -> CaseResult:
+    got = case.run_engine(FRAME_33, t, s)
+    want = case.build_reference(FRAME_33, t, s)
     lam = proportionality_constant(got, want)
     return CaseResult(case, lam == case.scale, lam, got, want)

@@ -30,50 +30,51 @@ from .radial import SCOPE_CR, SCOPE_FIRST, SCOPE_FULL, SCOPE_SECOND, dirac
 from .seeds import SeedFunction
 from .selfcheck import run_all
 
-def _rng(args_seed: int | None = None) -> random.Random:
-    env = os.environ.get("FUETER_SEED")
-    if args_seed is not None:
-        seed = args_seed
-    elif env is not None:
-        seed = int(env)
-    else:
-        seed = random.SystemRandom().randint(0, 2**31 - 1)
-    print(f"# rng-seed: {seed}", file=sys.stderr)
-    return random.Random(seed)
 
+class _VectorReader:
+    """The one reader of --t and --s, and the source of random vectors.
 
-def _draw_vector(rng_box: list, length: int) -> list[Fraction]:
-    """A random nonzero vector.  The generator is made on the first draw,
-    so the seed is announced only when something is drawn."""
-    if not rng_box:
-        rng_box.append(_rng())
-    rng = rng_box[0]
-    while True:
-        vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(length)]
-        if any(vec):
+    One generator serves a command's draws.  It is made, and its seed
+    announced as ``# rng-seed: N`` on stderr, at the first draw, so a
+    command that draws nothing prints no seed line."""
+
+    def __init__(self) -> None:
+        self._rng: random.Random | None = None
+
+    def draw(self, length: int) -> list[Fraction]:
+        """A random nonzero vector."""
+        if self._rng is None:
+            env = os.environ.get("FUETER_SEED")
+            seed = int(env) if env is not None else random.SystemRandom().randint(0, 2**31 - 1)
+            print(f"# rng-seed: {seed}", file=sys.stderr)
+            self._rng = random.Random(seed)
+        while True:
+            vec = [Fraction(self._rng.randint(-3, 3), self._rng.randint(1, 3)) for _ in range(length)]
+            if any(vec):
+                return vec
+
+    def read(self, text: str | None, length: int, what: str) -> list[Fraction] | None:
+        """The vector an option gives: None when absent, one announced draw
+        for "random", else the parsed vector of the given length."""
+        if text is None:
+            return None
+        if text == "random":
+            vec = self.draw(length)
+            print(f"# {what} = {','.join(str(c) for c in vec)}", file=sys.stderr)
             return vec
-
-
-def _vector(text: str | None, length: int, rng_box: list, what: str) -> list[Fraction] | None:
-    if text is None:
-        return None
-    if text == "random":
-        vec = _draw_vector(rng_box, length)
-        print(f"# {what} = {','.join(str(c) for c in vec)}", file=sys.stderr)
+        vec = parse_vector(text)
+        if len(vec) != length:
+            raise ParseError(f"vector {what} must have {length} components, got {len(vec)}")
         return vec
-    vec = parse_vector(text)
-    if len(vec) != length:
-        raise ParseError(f"vector {what} must have {length} components, got {len(vec)}")
-    return vec
 
 
 def _bound_vectors(args, frame: AxisFrame) -> dict[str, list[Fraction]]:
     """The vectors that --t and --s (where the command has it) bind for
     ip(x,t) and ip(y,s); a random t is drawn before a random s."""
-    rng_box: list = []
+    reader = _VectorReader()
     vectors = {}
     for name, length in (("t", frame.p), ("s", frame.q)):
-        vec = _vector(getattr(args, name, None), length, rng_box, name)
+        vec = reader.read(getattr(args, name, None), length, name)
         if vec is not None:
             vectors[name] = vec
     return vectors
@@ -125,43 +126,35 @@ def _cmd_lemma5(args) -> int:
 def _cmd_examples(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    rng_box: list = []
+    reader = _VectorReader()
     fixed = []
     for name in ("t", "s"):
-        vec = _vector(getattr(args, name), 3, rng_box, name)
+        vec = reader.read(getattr(args, name), 3, name)
         if vec is not None and not any(vec):
             raise ValueError(f"--{name} must be a nonzero vector")
         fixed.append(vec)
     fixed_t, fixed_s = fixed
     passed = 0
     for case in REFERENCE_CASES:
-        ok = True
-        scale = None
-        last = None
-        detail = None
+        # One result per case: the last trial's CaseResult, or the exception
+        # that ended the trials.
         for _ in range(args.trials):
-            t = fixed_t or _draw_vector(rng_box, 3)
-            s = fixed_s or _draw_vector(rng_box, 3)
             try:
-                result = run_case(case, t, s)
+                result = run_case(case, fixed_t or reader.draw(3), fixed_s or reader.draw(3))
             except Exception as exc:
-                ok = False
-                detail = str(exc)
+                result = exc
+            if isinstance(result, Exception) or not result.passed:
                 break
-            last = result
-            scale = result.scale_found
-            if not result.passed:
-                ok = False
-                break
-        if ok:
+        if isinstance(result, Exception):
+            print(f"example {case.index} {case.name}: FAIL ({result})")
+        elif result.passed:
             passed += 1
-            print(f"example {case.index} {case.name}: PASS (engine = {scale} * formula)")
+            print(f"example {case.index} {case.name}: PASS (engine = {result.scale_found} * formula)")
         else:
             print(f"example {case.index} {case.name}: FAIL "
-                  f"({detail or f'proportionality {scale}, expected {case.scale}'})")
-            if last is not None:
-                print(f"  engine:  {format_expression(last.engine_output)}")
-                print(f"  formula: {format_expression(last.reference_output)}")
+                  f"(proportionality {result.scale_found}, expected {case.scale})")
+            print(f"  engine:  {format_expression(result.engine_output)}")
+            print(f"  formula: {format_expression(result.reference_output)}")
     print(f"{passed}/{len(REFERENCE_CASES)} PASS")
     return 0 if passed == len(REFERENCE_CASES) else 3
 
@@ -260,6 +253,16 @@ def _join_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+# Exit code and stderr prefix of each error a command raises, tried in
+# order; any other exception exits 3 with its type name.
+_EXIT_CODES = (
+    (ParseError, 2, "parse error"),
+    (PreconditionError, 1, "precondition violation"),
+    (VerificationError, 3, "internal verification failure"),
+    (ValueError, 1, "invalid input"),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else list(argv)))
@@ -275,19 +278,11 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"precondition violation: {exc}", file=sys.stderr)
-        return 1
-    except VerificationError as exc:
-        print(f"internal verification failure: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
+        for kind, exit_code, prefix in _EXIT_CODES:
+            if isinstance(exc, kind):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return exit_code
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -118,7 +118,9 @@ class Multivector(TermMap):
                 yield blade, sign * ca * cb
 
     def coefficient(self, blade: Iterable[int]) -> Fraction:
-        return Fraction(self._terms.get(tuple(blade), 0), self._den)
+        """The coefficient of a basis blade; ValueError unless the blade is
+        strictly increasing and inside the algebra."""
+        return Fraction(self._terms.get(_validate_blade(tuple(blade), self.dim), 0), self._den)
 
     def scalar_part(self) -> Fraction:
         return self.coefficient(SCALAR_BLADE)

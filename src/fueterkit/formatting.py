@@ -83,8 +83,8 @@ def _latex_coord(name: str) -> str:
     return f"{name[0]}_{{{name[1:]}}}"
 
 
-def _json_terms(f: RadialExpr, radial_keys: tuple[str, str]) -> list[dict]:
-    ka, kb = radial_keys
+def _json_terms(f: RadialExpr) -> list[dict]:
+    """The JSON terms of an expression, its radial exponents under "r" and "rho"."""
     names = f.frame.coord_names()
     mono_items = Memo(lambda mono: [(names[i], e) for i, e in enumerate(mono) if e])
     items, den = _display_order(f)
@@ -92,7 +92,7 @@ def _json_terms(f: RadialExpr, radial_keys: tuple[str, str]) -> list[dict]:
     for (mono, blade, a, b), c in items:
         g = gcd(c, den)
         out.append({"mono": dict(mono_items[mono]), "blade": list(blade),
-                    "coeff": {"num": c // g, "den": den // g}, ka: a, kb: b})
+                    "coeff": {"num": c // g, "den": den // g}, "r": a, "rho": b})
     return out
 
 
@@ -100,7 +100,7 @@ def format_expression(f: RadialExpr, style: str = "plain") -> str:
     """Render an expression; the plain style round-trips through the parser."""
     _check_style(style)
     if style == "json":
-        return json.dumps(_json_terms(f, ("a", "b")), separators=(",", ":"))
+        return json.dumps(_json_terms(f), separators=(",", ":"))
     items, den = _display_order(f)
     if not items:
         return "0"
@@ -117,11 +117,11 @@ def format_expression(f: RadialExpr, style: str = "plain") -> str:
 
 
 def expression_json_object(f: RadialExpr) -> dict:
-    """CLI wire form: frame header plus terms with r/rho exponent keys."""
+    """CLI wire form: frame header plus the terms of ``format_expression``'s JSON."""
     frame = f.frame
     return {
         "frame": {"p": frame.p, "q": frame.q, "scalar_axis": frame.scalar_axis},
-        "terms": _json_terms(f, ("r", "rho")),
+        "terms": _json_terms(f),
     }
 
 

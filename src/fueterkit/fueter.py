@@ -30,11 +30,11 @@ the minus variant.  One core serves every path:
 multinomial constant times the shape of the pair built by the
 one-dimensional radial operators.  ``ft_general_via_fischer`` splits
 general factors into monogenic Fischer layers and evaluates each layer
-pair (n1, n2) by the closed form, with no Laplacian: the pair's target
+pair (n1, n2) by one closed form, with no Laplacian: the pair's target
 variant is the input variant when n1 + n2 is even and the other one when
 it is odd, its seed is multiplied by the parity monomial (with the sign
-(-1)^{n1} for the minus variant), and the odd-valued part of the x layer
-carries (-1)^{n2}.  It must agree with the direct maps exactly.
+(-1)^{n1} for the minus variant), and the x layer enters as its n2-fold
+grade involution.  It must agree with the direct maps exactly.
 
 A single-axis pipeline (``fueter_classical`` and its closed form, one
 shared body) covers the generalized Cauchy-Riemann construction for
@@ -61,7 +61,6 @@ from .radial import (
     GROUP_SCOPES,
     RadialExpr,
     SCOPE_CR,
-    SCOPE_FIRST,
     SCOPE_FULL,
     dirac,
     group_classes,
@@ -152,10 +151,14 @@ def _map_inputs(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: AxisF
     k = homogeneous_group_degree(hk, "x")
     l = homogeneous_group_degree(hl, "y")
     if monogenic:
-        for name, factor, group in (("Pk", hk, "x"), ("Pl", hl, "y")):
-            if not is_monogenic(factor, GROUP_SCOPES[group]):
-                raise PreconditionError(f"{name} must be monogenic for its group Dirac operator")
+        _require_monogenic("Pk", hk, "x")
+        _require_monogenic("Pl", hl, "y")
     return mu, k, l
+
+
+def _require_monogenic(name: str, factor: RadialExpr, group: str) -> None:
+    if not is_monogenic(factor, GROUP_SCOPES[group]):
+        raise PreconditionError(f"{name} must be monogenic for its group Dirac operator")
 
 
 def _lifted_uv(seed: SeedFunction) -> tuple[BivariateRadial, BivariateRadial]:
@@ -173,15 +176,14 @@ def _shape(frame: AxisFrame, variant: str, first: BivariateRadial, second: Bivar
     return omega(frame) * a + nu(frame) * b
 
 
-def _verified_monogenic(out: RadialExpr, what: str) -> RadialExpr:
-    if not is_monogenic(out, SCOPE_FULL):
-        raise VerificationError(f"{what} output failed its monogenicity assertion")
-    return out
+# The assertion that a zero Dirac image in each verifying scope makes.
+_ASSERTIONS = {SCOPE_FULL: "monogenicity", SCOPE_CR: "Cauchy-Riemann"}
 
 
-def _verified_cauchy_riemann(out: RadialExpr, what: str) -> RadialExpr:
-    if not dirac(out, SCOPE_CR).is_zero():
-        raise VerificationError(f"{what} output failed its Cauchy-Riemann assertion")
+def _verified(out: RadialExpr, scope: str, what: str) -> RadialExpr:
+    """out, once its Dirac image in ``scope`` is zero: every map's output check."""
+    if not is_monogenic(out, scope):
+        raise VerificationError(f"{what} output failed its {_ASSERTIONS[scope]} assertion")
     return out
 
 
@@ -192,8 +194,7 @@ def _triples(frame: AxisFrame, variant: str, u: BivariateRadial, v: BivariateRad
     plus: (u, Hk, Hl) and (v r^-1 rho^-1, x Hk*, y Hl); minus: (u r^-1, x Hk,
     Hl) and (v rho^-1, Hk*, y Hl).  Hk* is the grade involution of Hk (even
     part minus odd part): nu moves left past Hk's x generators."""
-    even, odd = hk.blade_parity_split()
-    hk_star = even - odd
+    hk_star = hk.grade_involution()
     x, y = vector_x(frame), vector_y(frame)
     if variant == VARIANT_PLUS:
         return [(u, hk, hl), (v.shift(-1, -1), x * hk_star, y * hl)]
@@ -208,7 +209,7 @@ def _laplacian_map(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: Ax
     mu, k, l = _map_inputs(seed, hk, hl, frame, variant, mu, monogenic)
     n = mu + k + l + (frame.m - 2) // 2
     out = separated_laplacian_power(_triples(frame, variant, *_lifted_uv(seed), hk, hl), n)
-    return _verified_monogenic(out, f"order-{mu} {variant}-map")
+    return _verified(out, SCOPE_FULL, f"order-{mu} {variant}-map")
 
 
 def ft_plus(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: AxisFrame) -> RadialExpr:
@@ -238,7 +239,7 @@ def ft_closed_form(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: Ax
 
     The output is verified to be monogenic before it is returned."""
     mu, k, l = _map_inputs(seed, pk, pl, frame, variant, mu, monogenic=True)
-    return _verified_monogenic(_closed_form(seed, pk, pl, frame, variant, mu, k, l), f"{variant} closed form")
+    return _verified(_closed_form(seed, pk, pl, frame, variant, mu, k, l), SCOPE_FULL, f"{variant} closed form")
 
 
 def _closed_form(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: AxisFrame,
@@ -277,8 +278,7 @@ def _classical(seed: SeedFunction, pk: RadialExpr, m: int, closed: bool) -> Radi
     if not seed.is_holomorphic():
         raise PreconditionError("seed must be holomorphic (d/dzbar w = 0) for the classical map")
     deg_k = homogeneous_group_degree(pk, "x")
-    if not is_monogenic(pk, SCOPE_FIRST):
-        raise PreconditionError("PK must be monogenic for its group Dirac operator")
+    _require_monogenic("PK", pk, "x")
     n = deg_k + (m - 1) // 2
     u, v = _lifted_uv(seed)
     if closed:
@@ -286,8 +286,8 @@ def _classical(seed: SeedFunction, pk: RadialExpr, m: int, closed: bool) -> Radi
     head = (RadialExpr.from_bivariate_classical(frame, u)
             + omega(frame) * RadialExpr.from_bivariate_classical(frame, v))
     if closed:
-        return _verified_cauchy_riemann(double_factorial(2 * deg_k + m - 1) * (head * pk), "classical closed form")
-    return _verified_cauchy_riemann(laplacian_power(head * pk, n, SCOPE_CR), "classical map")
+        return _verified(double_factorial(2 * deg_k + m - 1) * (head * pk), SCOPE_CR, "classical closed form")
+    return _verified(laplacian_power(head * pk, n, SCOPE_CR), SCOPE_CR, "classical map")
 
 
 def fueter_classical(seed: SeedFunction, pk: RadialExpr, m: int) -> RadialExpr:
@@ -371,15 +371,16 @@ def ft_general_via_fischer(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
     ``parity_monomial``.  The rule: the target variant is the input variant
     when n1 + n2 is even and the other one when it is odd; the seed is
     multiplied by (-1)^{n1} h for the minus variant and by h for the plus
-    variant; and the odd-valued part of the x layer, which anticommutes
-    past the n2 second-group vectors, carries (-1)^{n2}.  Each term is
-    evaluated by its closed form (``ft_closed_form`` without its own check:
-    only the sum is verified).  The sum, verified on its normal form,
-    equals the direct ``ft_plus`` / ``ft_minus`` output exactly.  The
-    route takes no Laplacian, so it shares no differentiation code with
-    the direct maps.  The inputs are checked once, here: a pair's degrees
-    are (K - n1, L - n2), and each parity piece of a layer is monogenic
-    because Dirac maps even-valued to odd-valued expressions and back.
+    variant; and the x layer enters as its n2-fold grade involution,
+    because its odd-valued part anticommutes past the n2 second-group
+    vectors.  Each pair is one closed form (``ft_closed_form`` without its
+    own check: only the sum is verified), which is linear in the x layer.
+    The sum, verified on its normal form, equals the direct ``ft_plus`` /
+    ``ft_minus`` output exactly.  The route takes no Laplacian, so it
+    shares no differentiation code with the direct maps.  The inputs are
+    checked once, here: a pair's degrees are (K - n1, L - n2), and the
+    grade involution of a monogenic layer is monogenic, because Dirac maps
+    even-valued to odd-valued expressions and back.
     """
     _mu, big_k, big_l = _map_inputs(seed, hk, hl, frame, variant, 0, monogenic=False)
     layers_x = fischer_decompose(hk, "x")
@@ -389,17 +390,14 @@ def ft_general_via_fischer(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
     for lx in layers_x:
         if lx.component.is_zero():
             continue
-        even_piece, odd_piece = lx.component.blade_parity_split()
         for ly in layers_y:
             n1, n2 = lx.n, ly.n
             target = variant if (n1 + n2) % 2 == 0 else other
             h = parity_monomial(n1, n2)
             routed = SeedFunction.create(seed.w * (-h if variant == VARIANT_MINUS and n1 % 2 else h))
-            for piece, sigma in ((even_piece, 1), (odd_piece, (-1) ** n2)):
-                if not piece.is_zero():
-                    total = total + sigma * _closed_form(routed, piece, ly.component, frame, target,
-                                                         n1 + n2, big_k - n1, big_l - n2)
-    return _verified_monogenic(total.canonicalized(), "fischer-routed map")
+            pk = lx.component.grade_involution() if n2 % 2 else lx.component
+            total = total + _closed_form(routed, pk, ly.component, frame, target, n1 + n2, big_k - n1, big_l - n2)
+    return _verified(total.canonicalized(), SCOPE_FULL, "fischer-routed map")
 
 
 # -- component extraction and the first-order systems ------------------------

@@ -73,7 +73,7 @@ shift and hash ints instead of building (blade, a, b) tuples:
   normal-form rewrite adds ``(ea << m) + (eb << (m + 64))``;
 * ``re_mul`` adds the two radial parts, less one offset, and multiplies
   the blades by ``mask_sign`` and XOR;
-* the parity of a blade is the parity of its mask's popcount.
+* the grade involution negates a row whose mask has odd popcount.
 
 Every radial exponent satisfies |e| <= 2^62 (``EXPONENT_LIMIT``).  It is
 checked where rows enter (the validating constructor, ``radial``,
@@ -90,7 +90,7 @@ the group's generator bits and decodes only to name a fault.  The public
 constructors take (monomial, blade, a, b) rows.
 
 Coefficients are integer numerators over one denominator (see ``sparse``):
-the differential operators, negation, the parity split and the normal
+the differential operators, negation, the grade involution and the normal
 form keep the denominator, so the zero test is integer-only, and
 ``raw_terms``, ``canonical_terms`` and ``proportionality_constant`` are
 the ``Fraction`` outputs.
@@ -416,15 +416,12 @@ class RadialExpr(TermMap):
             return degs.pop()
         return None
 
-    def blade_parity_split(self) -> tuple["RadialExpr", "RadialExpr"]:
-        """Split by coefficient blade cardinality into even/odd valued parts."""
+    def grade_involution(self) -> "RadialExpr":
+        """The main involution of the coefficient algebra: every odd-grade
+        blade negated, so the even-valued part minus the odd-valued part."""
         low = (1 << self.frame.m) - 1
-        even: _Groups = {}
-        odd: _Groups = {}
-        for mono, inner in self._terms.items():
-            for key, c in inner.items():
-                (odd if (key & low).bit_count() & 1 else even).setdefault(mono, {})[key] = c
-        return self._like(even, self._den), self._like(odd, self._den)
+        return self._like({mono: {key: -c if (key & low).bit_count() & 1 else c for key, c in inner.items()}
+                           for mono, inner in self._terms.items()}, self._den)
 
     def negate_group(self, group: str) -> "RadialExpr":
         """Substitute x -> -x (or y -> -y) coordinatewise; radii are unchanged."""
@@ -762,7 +759,8 @@ def group_classes(rows: Iterable[tuple[TermKey, Rational]], frame: AxisFrame,
                   group: str) -> dict[tuple[int, int], _Groups]:
     """Split term rows of one axial group into R^e * (own-group polynomial
     of monomial degree d), keyed (e, d), with R = r for group "x" and rho
-    for group "y" and the rows stored at exponent 0.
+    for group "y" and the rows stored at exponent 0.  Rows with equal keys
+    are summed and zero sums dropped, as every constructor does.
 
     PreconditionError names the first row that leaves the group: a
     coordinate outside it, a blade outside its algebra or a nonzero
@@ -770,8 +768,9 @@ def group_classes(rows: Iterable[tuple[TermKey, Rational]], frame: AxisFrame,
     ValueError for a group name other than "x" and "y"."""
     groups: _Groups = {}
     for (mono, key), c in _checked_terms(frame, rows):
-        groups.setdefault(mono, {})[key] = c
-    return _stored_group_classes(frame, groups, group)
+        inner = groups.setdefault(mono, {})
+        inner[key] = inner.get(key, 0) + c
+    return _stored_group_classes(frame, _nonzero(groups), group)
 
 
 def _stored_group_classes(frame: AxisFrame, groups: _Groups, group: str) -> dict[tuple[int, int], _Groups]:

@@ -9,7 +9,8 @@ stream into a stored dict: it sums equal keys in arrival order and drops
 zeros once, at the end.  Cancellation in the middle of a stream therefore
 costs nothing.  RadialExpr stores its numerators grouped by coordinate
 monomial instead (see ``radial``): it keeps this shell's operator
-dispatch and overrides the operations that touch the stored dict.
+dispatch, supplies its own operators for everything that touches the
+stored dict, and never streams into ``collect``.
 
 Coefficients: integer numerators over one denominator
 -----------------------------------------------------

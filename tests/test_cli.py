@@ -1,13 +1,16 @@
+import dataclasses
 import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from fueterkit import selfcheck
+from fueterkit import catalog, selfcheck
 from fueterkit.cli import _build_parser, main
+from fueterkit.errors import ParseError, PreconditionError, ShapeError, VerificationError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -189,6 +192,12 @@ class TestFischer:
         assert lines[0].startswith("n=0:") and lines[1].startswith("n=1:")
         assert "-1/3*e1" in lines[1]
 
+    def test_json_terms_use_the_radial_keys(self, capsys):
+        code, out, _ = run(capsys, "fischer", "--p", "3", "--H", "x1", "--format", "json")
+        assert code == 0
+        layers = [json.loads(line.split(": ", 1)[1]) for line in out.splitlines()]
+        assert layers[1] == [{"mono": {}, "blade": [1], "coeff": {"num": -1, "den": 3}, "r": 0, "rho": 0}]
+
     def test_inner_product_factor(self, capsys):
         code, out, _ = run(capsys, "fischer", "--p", "5", "--H", "ip(x,t)^2",
                            "--t", "1,0,2,0,1")
@@ -244,6 +253,25 @@ class TestExamples:
         assert (code, out) == (1, "")
         assert err == f"invalid input: --{name} must be a nonzero vector\n"
 
+    def test_a_wrong_scale_fails_with_both_outputs(self, capsys, monkeypatch):
+        wrong = dataclasses.replace(catalog.REFERENCE_CASES[1], scale=Fraction(1))
+        monkeypatch.setattr("fueterkit.cli.REFERENCE_CASES", (wrong,))
+        code, out, _ = run(capsys, "examples", "--trials", "2", "--t", "1,2,-1", "--s", "1/2,1,3")
+        lines = out.splitlines()
+        assert code == 3 and len(lines) == 4 and lines[-1] == "0/1 PASS"
+        assert lines[0] == f"example 2 {wrong.name}: FAIL (proportionality 172032, expected 1)"
+        assert lines[1].startswith("  engine:  ") and lines[2].startswith("  formula: ")
+
+    def test_a_raising_case_is_one_fail_line(self, capsys, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("fueterkit.cli.run_case", broken)
+        code, out, _ = run(capsys, "examples", "--trials", "3", "--t", "1,2,-1", "--s", "1/2,1,3")
+        assert code == 3
+        assert out.splitlines() == [f"example {case.index} {case.name}: FAIL (boom)"
+                                    for case in catalog.REFERENCE_CASES] + ["0/6 PASS"]
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_no_trials_is_invalid_input(self, capsys, trials):
         code, out, err = run(capsys, "examples", "--trials", trials, "--t", "1,2,-1", "--s", "1/2,1,3")
@@ -289,6 +317,20 @@ class TestHostileInput:
             code, _out, err = run(capsys, *argv)
             assert code == 2
             assert err.startswith("parse error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("exc, code, prefix", [
+        (ParseError("bad"), 2, "parse error: bad"),
+        (ShapeError("bad"), 1, "precondition violation: bad"),
+        (PreconditionError("bad"), 1, "precondition violation: bad"),
+        (VerificationError("bad"), 3, "internal verification failure: bad"),
+        (ValueError("bad"), 1, "invalid input: bad"),
+    ], ids=["parse", "shape", "precondition", "verification", "value"])
+    def test_each_error_has_its_exit_code(self, capsys, monkeypatch, exc, code, prefix):
+        def broken(*args):
+            raise exc
+
+        monkeypatch.setattr("fueterkit.cli.dirac", broken)
+        assert run(capsys, "check-monogenic", "--p", "3", "--q", "3", "--expr", "x1") == (code, "", prefix + "\n")
 
     def test_unexpected_exception_is_a_one_line_exit_3(self, capsys, monkeypatch):
         def broken(*args):

@@ -49,6 +49,17 @@ def test_blade_product_rejects_non_canonical_blades(a, b):
         blade_product(a, b)
 
 
+@pytest.mark.parametrize("blade, message", [((2, 1), "strictly increasing"), ((1, 1), "strictly increasing"),
+                                            ((4,), "exceeds algebra dimension 3")],
+                         ids=["unsorted", "repeated", "outside"])
+def test_coefficient_rejects_a_blade_it_cannot_hold(blade, message):
+    # e2 e1 = -e12, so reading the unsorted key as absent would report 0
+    mv = Multivector(3, {(1, 2): 5})
+    assert mv.coefficient((1, 2)) == 5 and mv.coefficient((3,)) == 0
+    with pytest.raises(ValueError, match=message):
+        mv.coefficient(blade)
+
+
 def swap_count_product(a, b):
     """Oracle for the blade product, sharing no code with the mask rule:
     sort the concatenated indices by adjacent swaps, one sign flip per

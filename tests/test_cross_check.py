@@ -36,10 +36,15 @@ def test_zbar8_map_matches_sympy_componentwise():
     v_sub = subst_even(sp.cancel(v / (X * Y)))
     xt, ys_ip = x1, y2  # t = (1,0,0), s = (0,1,0)
 
+    coords = xs + ys
+
     def lap_power(f, n):
+        # polynomial arithmetic in the six coordinates: the same operator
+        # as summing sp.diff(f, c, 2), without re-expanding a tree per step
+        p = sp.Poly(f, *coords)
         for _ in range(n):
-            f = sp.expand(sum(sp.diff(f, c, 2) for c in xs + ys))
-        return f
+            p = sum((p.diff(c).diff(c) for c in coords[1:]), p.diff(coords[0]).diff(coords[0]))
+        return p.as_expr()
 
     # blade components of (u + sum x_i y_j e_i e_{3+j} v/(r rho)) * xt * ys
     expected = {

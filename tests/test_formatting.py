@@ -40,7 +40,7 @@ class TestExpressionStyles:
         expr = parse_expression("x1*e1*r^-1", F33)
         data = json.loads(format_expression(expr, "json"))
         assert data == [{"mono": {"x1": 1}, "blade": [1],
-                         "coeff": {"num": 1, "den": 1}, "a": -1, "b": 0}]
+                         "coeff": {"num": 1, "den": 1}, "r": -1, "rho": 0}]
 
     def test_json_object_schema(self):
         expr = parse_expression("x1*e1*r^-1", F33)

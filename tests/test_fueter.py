@@ -131,6 +131,22 @@ class TestFtPreconditions:
         with pytest.raises(ValueError, match="group must be 'x' or 'y'"):
             call(inner_x(F33, [1, 2, 0]), group)
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda: ft_mu(conj_power(5), inner_x(F33, [1, 2, 0]), rot_y(), F33, "plus"), "Pk"),
+        (lambda: ft_closed_form(conj_power(5), rot_x(), inner_y(F33, [1, 2, 0]), F33, "minus"), "Pl"),
+        (lambda: fueter_classical(holo_power(3), inner_x(AxisFrame(3, 0, scalar_axis=True), [1, 2, 0]), 3), "PK"),
+    ], ids=["ft_mu", "ft_closed_form", "fueter_classical"])
+    def test_non_monogenic_factor_message(self, call, name):
+        with pytest.raises(PreconditionError, match=f"^{name} must be monogenic for its group Dirac operator$"):
+            call()
+
+    @pytest.mark.parametrize("scope, assertion", [(SCOPE_FULL, "monogenicity"), (SCOPE_CR, "Cauchy-Riemann")])
+    def test_output_check_names_its_assertion(self, scope, assertion):
+        frame = AxisFrame(3, 0, scalar_axis=True)
+        assert fueter._verified(RadialExpr.scalar(frame, 2), scope, "map") == 2
+        with pytest.raises(VerificationError, match=f"^map output failed its {assertion} assertion$"):
+            fueter._verified(RadialExpr.coordinate(frame, "x1"), scope, "map")
+
     def test_non_monogenic_factor_rejected_for_higher_order(self):
         seed = SeedFunction.create(ComplexBivarPoly.zbar() ** 5 * ComplexBivarPoly.z())
         xt = inner_x(F33, [1, 2, 0])
@@ -398,6 +414,30 @@ class TestGeneralViaFischer:
         routed = ft_general_via_fischer(conj_power(8), hk, hl ** 2, F33, variant)
         assert not routed.is_zero()
         assert routed == direct_fn(conj_power(8), hk, hl ** 2, F33)
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    def test_one_closed_form_per_layer_pair(self, monkeypatch, variant):
+        """x1 e1 + x2 has an even-valued and an odd-valued part in its
+        layers, and <y,s>^2 has layers n2 = 0, 1, 2: the six nonzero layer
+        pairs take one closed form each, the x layer entering as its
+        n2-fold grade involution."""
+        hk = RadialExpr.coordinate(F33, "x1") * e(1) + RadialExpr.coordinate(F33, "x2")
+        hl = inner_y(F33, [Fraction(2), Fraction(1), Fraction(-1)]) ** 2
+        assert all(not layer.component.is_zero() for layer in fischer_decompose(hk, "x"))
+        calls = []
+        closed_form = fueter._closed_form
+
+        def counted(*args):
+            calls.append(args)
+            return closed_form(*args)
+
+        monkeypatch.setattr(fueter, "_closed_form", counted)
+        direct_fn = ft_plus if variant == "plus" else ft_minus
+        for n in (7, 8, 9):
+            calls.clear()
+            routed = ft_general_via_fischer(conj_power(n), hk, hl, F33, variant)
+            assert len(calls) == 6
+            assert not routed.is_zero() and routed == direct_fn(conj_power(n), hk, hl, F33)
 
     def test_monogenic_factors_single_route(self):
         routed = ft_general_via_fischer(conj_power(6), rot_x(), rot_y(), F33, "plus")

@@ -234,7 +234,7 @@ class TestIntegerNumerators:
         scopes = [SCOPE_FULL, SCOPE_FIRST] + ([SCOPE_SECOND] if frame.q else [])
         scopes += [SCOPE_CR] if frame.scalar_axis else []
         outs = [f + g, f - g, Fraction(2, 3) * f, re_mul(f, g), -f, f.canonicalized(),
-                f.negate_group("x"), *f.blade_parity_split(), dirac(f)]
+                f.negate_group("x"), f.grade_involution(), dirac(f)]
         outs += [laplacian(f, scope) for scope in scopes]
         outs += [partial_derivative(f, i) for i in range(frame.ncoords)]
         for out in outs:
@@ -284,7 +284,7 @@ class TestIntegerNumerators:
         assert (x1 * r2 + x1 - x1)._terms == {(1, 0, 0, 0, 0, 0): {row_key(6, (), 2, 0): 1}}
         outs += [*partly, RadialExpr.constant(frame, Multivector(6, {(): 2, (1, 4): Fraction(1, 3)})),
                  RadialExpr.from_bivariate(frame, h), (x1 * r2).negate_group("x"),
-                 *(x1 * Multivector.basis_vector(1, 6) + x2).blade_parity_split()]
+                 (x1 * Multivector.basis_vector(1, 6) + x2).grade_involution()]
         for out in outs + cancelled:
             assert_integer_form(out)
         for value in (h, g, mv, nv, w):

@@ -267,6 +267,37 @@ class TestMonogenicity:
         assert is_monogenic(c, SCOPE_FULL)
 
 
+class TestGradeInvolution:
+    def test_negates_the_odd_grade_blades(self):
+        e = lambda j: Multivector.basis_vector(j, 6)
+        x1, x2 = RadialExpr.coordinate(F33, "x1"), RadialExpr.coordinate(F33, "x2")
+        f = Fraction(1, 3) * (x1 * e(1) + x2 + x2 * e(1) * e(4) + e(1) * e(2) * e(4) * RadialExpr.radial(F33, -1, 2))
+        want = Fraction(1, 3) * (-x1 * e(1) + x2 + x2 * e(1) * e(4) - e(1) * e(2) * e(4) * RadialExpr.radial(F33, -1, 2))
+        star = f.grade_involution()
+        assert star._den == f._den and star.raw_terms == want.raw_terms
+        assert star.grade_involution().raw_terms == f.raw_terms
+
+    def test_is_an_automorphism(self):
+        e = lambda j: Multivector.basis_vector(j, 6)
+        x1, y2 = RadialExpr.coordinate(F33, "x1"), RadialExpr.coordinate(F33, "y2")
+        f = x1 * e(1) + y2 * e(2) * e(5) + 3
+        g = y2 * e(4) - x1 * e(1) * e(3) * e(6) + RadialExpr.radial(F33, 1, -1)
+        assert (f * g).grade_involution() == f.grade_involution() * g.grade_involution()
+        assert dirac(f.grade_involution()) == -dirac(f).grade_involution()
+
+
+class TestGroupClasses:
+    def test_rows_are_summed_and_zero_sums_dropped(self):
+        x1, x2 = mono6(x1=1), mono6(x2=1)
+        rows = [((x1, (1,), 0, 0), 1), ((x1, (1,), 0, 0), -1), ((x2, (), 0, 0), 0),
+                ((x2, (2,), 2, 0), Fraction(1, 2)), ((x2, (2,), 2, 0), Fraction(1, 2)),
+                ((x1, (), 2, 0), 3), ((x1, (), 2, 0), -3)]
+        classes = radial.group_classes(rows, F33, "x")
+        assert list(classes) == [(2, 1)]
+        assert [list(inner.values()) for inner in classes[(2, 1)].values()] == [[1]]
+        assert radial.group_classes(rows[:2], F33, "x") == {}
+
+
 class TestHomogeneity:
     def test_inner_square(self):
         xt = inner_x(F33, [1, 2, 3])
@@ -390,7 +421,7 @@ OPERATIONS = {
     "sum": lambda f, g: [f + g, f - g, Fraction(1, 3) * f + g, 2 + f, f - f],
     "scale": lambda f, g: [Fraction(2, 3) * f, f * 3, -f, 0 * f],
     "negate_group": lambda f, g: [f.negate_group("x"), f.negate_group("y")],
-    "blade_parity_split": lambda f, g: [*f.blade_parity_split()],
+    "grade_involution": lambda f, g: [f.grade_involution()],
     "normal_form": lambda f, g: [f.is_zero(), bool(g), f.canonicalized(), f.canonical_terms(),
                                  f.normal_numerators(), f.homogeneity_degree(), f == g,
                                  proportionality_constant(2 * f, f)],
