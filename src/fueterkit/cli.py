@@ -146,7 +146,7 @@ def _cmd_examples(args) -> int:
             if isinstance(result, Exception) or not result.passed:
                 break
         if isinstance(result, Exception):
-            print(f"example {case.index} {case.name}: FAIL ({result})")
+            print(f"example {case.index} {case.name}: FAIL ({_error_report(result)[1]})")
         elif result.passed:
             passed += 1
             print(f"example {case.index} {case.name}: PASS (engine = {result.scale_found} * formula)")
@@ -263,6 +263,14 @@ _EXIT_CODES = (
 )
 
 
+def _error_report(exc: Exception) -> tuple[int, str]:
+    """The exit code and the one-line text of an exception a command raised."""
+    for kind, exit_code, prefix in _EXIT_CODES:
+        if isinstance(exc, kind):
+            return exit_code, f"{prefix}: {exc}"
+    return 3, f"internal error: {type(exc).__name__}: {exc}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else list(argv)))
@@ -279,12 +287,9 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return 141
     except Exception as exc:
-        for kind, exit_code, prefix in _EXIT_CODES:
-            if isinstance(exc, kind):
-                print(f"{prefix}: {exc}", file=sys.stderr)
-                return exit_code
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        code, text = _error_report(exc)
+        print(text, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -4,20 +4,23 @@ Terms are emitted sorted by (parity sector, radial exponents, monomial,
 blade), so identical expressions always print identically.  The plain
 form reparses to an equal expression.
 
-An expression is printed from its normal form's ``int`` numerators and
-shared denominator: each coefficient is brought to lowest terms by one
-gcd, and the text of each monomial, blade and (r, rho) power is built
-once per call.
+An expression is printed from its cached normal form, read straight off
+the int row keys: the rows are bucketed by radial part, the few buckets
+sorted by (parity sector, a, b) and each bucket's rows by (monomial,
+blade).  Each coefficient, an ``int`` numerator over the shared
+denominator, is brought to lowest terms by one gcd, and the text of each
+monomial, blade and (r, rho) power is built once per call.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from math import gcd
 
 from .bivariate import BivariateRadial
-from .clifford import Multivector, blade_text
-from .radial import RadialExpr
+from .clifford import Blade, Multivector, blade_text, mask_blade
+from .radial import Mono, RadialExpr, _exponents
 from .sparse import Memo
 
 STYLES = ("plain", "json", "latex")
@@ -31,14 +34,27 @@ def _check_style(style: str) -> None:
         raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
 
 
-def _display_order(f: RadialExpr):
-    """f's normal-form (key, numerator) pairs in print order, and the denominator.
+def _display_order(f: RadialExpr) -> tuple[list[tuple[int, int, list[tuple[Mono, Blade, int]]]], int]:
+    """f's normal form in print order, as (a, b, rows) buckets of
+    (monomial, blade, numerator) rows, and the shared denominator.
 
-    The normal form is sorted by (monomial, blade, a, b), so a stable sort
-    on (parity sector, a, b) gives (sector, a, b, monomial, blade)."""
-    nums, den = f.normal_numerators()
-    keys = sorted(nums, key=lambda k: (k[2] & 1, k[3] & 1, k[2], k[3]))
-    return [(k, nums[k]) for k in keys], den
+    The rows are bucketed straight off their int keys by radial part (a
+    key shifted right by m).  The few buckets are sorted by (parity sector,
+    a, b), and each bucket's rows by (monomial, blade), with the blade tuple
+    from a per-call ``mask_blade`` memo: masks do not sort as blades do
+    (e{1,10} comes before e2, but its mask is larger)."""
+    m = f.frame.m
+    low = (1 << m) - 1
+    blades = Memo(mask_blade)
+    buckets: dict[int, list[tuple[Mono, Blade, int]]] = defaultdict(list)
+    for mono, inner in f._normal().items():
+        for key, c in inner.items():
+            buckets[key >> m].append((mono, blades[key & low], c))
+    # a radial part decodes as a key with no blade bits
+    parts = [(*_exponents(0, part), part) for part in buckets]
+    parts.sort(key=lambda abp: (abp[0] & 1, abp[1] & 1, abp[0], abp[1]))
+    # (monomial, blade) is unique within a bucket, so rows sort as tuples
+    return [(a, b, sorted(buckets[part])) for a, b, part in parts], f._den
 
 
 def _signed(num: int, den: int, body: str, style: str) -> tuple[int, str]:
@@ -87,12 +103,13 @@ def _json_terms(f: RadialExpr) -> list[dict]:
     """The JSON terms of an expression, its radial exponents under "r" and "rho"."""
     names = f.frame.coord_names()
     mono_items = Memo(lambda mono: [(names[i], e) for i, e in enumerate(mono) if e])
-    items, den = _display_order(f)
+    buckets, den = _display_order(f)
     out = []
-    for (mono, blade, a, b), c in items:
-        g = gcd(c, den)
-        out.append({"mono": dict(mono_items[mono]), "blade": list(blade),
-                    "coeff": {"num": c // g, "den": den // g}, "r": a, "rho": b})
+    for a, b, rows in buckets:
+        for mono, blade, c in rows:
+            g = gcd(c, den)
+            out.append({"mono": dict(mono_items[mono]), "blade": list(blade),
+                        "coeff": {"num": c // g, "den": den // g}, "r": a, "rho": b})
     return out
 
 
@@ -101,18 +118,19 @@ def format_expression(f: RadialExpr, style: str = "plain") -> str:
     _check_style(style)
     if style == "json":
         return json.dumps(_json_terms(f), separators=(",", ":"))
-    items, den = _display_order(f)
-    if not items:
+    buckets, den = _display_order(f)
+    if not buckets:
         return "0"
     frame, sep = f.frame, _SEP[style]
     names = frame.coord_names() if style == "plain" else [_latex_coord(n) for n in frame.coord_names()]
     mono_text = Memo(lambda mono: sep.join(_power(names[i], e, style) for i, e in enumerate(mono) if e))
     blade_text_ = Memo(lambda blade: _blade_text(blade, frame.m, style))
-    radial_text = Memo(lambda ab: _radial_text(*ab, style))
     parts = []
-    for (mono, blade, a, b), c in items:
-        body = sep.join(filter(None, (mono_text[mono], blade_text_[blade], radial_text[a, b])))
-        parts.append(_signed(c, den, body, style))
+    for a, b, rows in buckets:
+        radial = _radial_text(a, b, style)
+        for mono, blade, c in rows:
+            body = sep.join(filter(None, (mono_text[mono], blade_text_[blade], radial)))
+            parts.append(_signed(c, den, body, style))
     return _join_signed(parts)
 
 

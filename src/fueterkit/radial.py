@@ -34,8 +34,9 @@ difference is, and the sorted normal form is what gets printed.
 
 Operators keep terms merged by exact key only; the normal form is
 computed at the first zero test, equality or display and then cached.
-The zero test only asks whether it is empty; it is sorted and flattened
-only for display, ``canonical_terms`` and ``normal_numerators``.
+The zero test only asks whether it is empty; the printers bucket its
+rows by radial part, and only ``canonical_terms`` and
+``normal_numerators`` sort and flatten it.
 
 Storage: monomial groups of packed rows
 ---------------------------------------
@@ -72,20 +73,26 @@ shift and hash ints instead of building (blade, a, b) tuples:
 * lowering r or rho subtracts ``2 << m`` or ``2 << (m + 64)``, and the
   normal-form rewrite adds ``(ea << m) + (eb << (m + 64))``;
 * ``re_mul`` adds the two radial parts, less one offset, and multiplies
-  the blades by ``mask_sign`` and XOR;
-* the grade involution negates a row whose mask has odd popcount.
+  the blades by ``mask_sign`` and XOR; the separated Laplacian power ORs
+  an x mask, a y mask and a radial part, since its blades never share a
+  generator and come in generator order;
+* the grade involution negates a row whose mask has odd popcount;
+* the printers bucket rows by radial part, ``key >> m``.
 
 Every radial exponent satisfies |e| <= 2^62 (``EXPONENT_LIMIT``).  It is
 checked where rows enter (the validating constructor, ``radial``,
 ``monomial``, ``constant``, ``from_bivariate*``, number coercion and the
 separated Laplacian's tables), in ``re_mul`` from the extreme exponents
 of its operands, and in the normal form before a rewrite raises an
-exponent by 2k; a violation raises ``PreconditionError``.  That is
+exponent by 2k (once per call against the largest exponent and the
+largest rewrite, then group by group only when that fails); a violation
+raises ``PreconditionError``.  That is
 enough to keep a from leaving its field: the operators that do not check
 only lower an exponent by 2 per step, and it would take 2^61 steps to go
 from -2^62 below -2^63.  Only the edges decode a key: ``raw_terms`` (the
-flat view for callers outside), ``normal_numerators``, ``bidegree_parts``
-and ``homogeneity_degree``; ``group_classes`` tests a key's mask against
+flat view for callers outside), ``normal_numerators``, ``bidegree_parts``,
+``homogeneity_degree`` and the printers (a bucket's radial part, and
+each mask once per call); ``group_classes`` tests a key's mask against
 the group's generator bits and decodes only to name a fault.  The public
 constructors take (monomial, blade, a, b) rows.
 
@@ -112,7 +119,7 @@ from .bivariate import BivariateRadial
 from .clifford import Blade, Multivector, SCALAR_BLADE, _validate_blade, blade_mask, mask_blade, mask_sign, vector_embed
 from .errors import PreconditionError
 from .frame import AxisFrame
-from .sparse import Memo, Rational, TermMap, _as_fractions, collect, items_of
+from .sparse import Memo, Rational, TermMap, _as_fractions, items_of
 
 Mono = tuple[int, ...]
 TermKey = tuple[Mono, Blade, int, int]
@@ -163,11 +170,11 @@ def _exponents(m: int, key: int) -> tuple[int, int]:
     return ((key >> m) & _A_FIELD) - _A_OFFSET, key >> (m + 64)
 
 
-def _exponent_range(m: int, groups: _Groups) -> tuple[int, int, int, int]:
-    """The least and greatest r and rho exponents of stored groups, as
+def _exponent_range(m: int, inners: Iterable[Mapping[int, int]]) -> tuple[int, int, int, int]:
+    """The least and greatest r and rho exponents of groups' rows, as
     (amin, amax, bmin, bmax), read off their few distinct radial parts
     (a key shifted right by m); a part orders by its rho power first."""
-    parts = {key >> m for inner in groups.values() for key in inner}
+    parts = {key >> m for inner in inners for key in inner}
     a_fields = [part & _A_FIELD for part in parts]
     return min(a_fields) - _A_OFFSET, max(a_fields) - _A_OFFSET, min(parts) >> 64, max(parts) >> 64
 
@@ -457,21 +464,22 @@ class RadialExpr(TermMap):
 def _lead_square_power(frame: AxisFrame, group: str, k: int) -> tuple[tuple[Mono, int, int], ...]:
     """(R^2 - sum of the group's other squares)^k, the rewrite of the
     group's last coordinate to the power 2k, as (monomial, R exponent,
-    coefficient) triples; R is r for group "x" and rho for group "y"."""
-    others = frame.group_indices(group)[:-1]
+    coefficient) triples; R is r for group "x" and rho for group "y".
 
-    def times_factor(out):
-        for (mono, e), c in out.items():
-            yield (mono, e + 2), c
-            for i in others:
-                m = list(mono)
-                m[i] += 2
-                yield (tuple(m), e), -c
-
-    out: dict[tuple[Mono, int], int] = {((0,) * frame.ncoords, 0): 1}
-    for _ in range(k):
-        out = collect(times_factor(out))
-    return tuple((mono, e, c) for (mono, e), c in out.items())
+    By the multinomial theorem the term R^(2 j0) prod_i x_i^(2 j_i), with
+    j0 + sum j_i = k, has the coefficient (-1)^(sum j_i) k! / (j0! prod j_i!):
+    each other coordinate in turn takes j_i of the k factors left, in
+    binomial(left, j_i) ways, and R^2 takes the rest."""
+    terms = [((0,) * frame.ncoords, k, 1)]  # (monomial, factors left, coefficient)
+    for i in frame.group_indices(group)[:-1]:
+        nxt = []
+        for mono, left, c in terms:
+            for j in range(left + 1):
+                nxt.append((mono[:i] + (2 * j,) + mono[i + 1:], left - j, c))
+                # c (-1)^j binomial(left, j), each from the one before
+                c = -c * (left - j) // (j + 1)
+        terms = nxt
+    return tuple((mono, 2 * left, c) for mono, left, c in terms)
 
 
 def _normal_form(frame: AxisFrame, groups: _Groups) -> _Groups:
@@ -483,7 +491,6 @@ def _normal_form(frame: AxisFrame, groups: _Groups) -> _Groups:
     xp = frame.x_indices[-1]
     yq = frame.y_indices[-1] if frame.q else None
     m = frame.m
-    r_field = _A_FIELD << m
     acc: _Groups = {}
     rewrites = []
     for mono, inner in groups.items():
@@ -495,13 +502,21 @@ def _normal_form(frame: AxisFrame, groups: _Groups) -> _Groups:
             acc[mono] = inner
     if not rewrites:
         return groups
+    # A rewrite raises r by up to 2kx and rho by up to 2ky.  One check of
+    # the largest exponents against the largest raises clears every group
+    # at once; only when it fails is each group checked on its own.
+    _amin, amax, _bmin, bmax = _exponent_range(m, [inner for _mono, inner, _kx, _ky in rewrites])
+    kx_max = max(kx for _mono, _inner, kx, _ky in rewrites)
+    ky_max = max(ky for _mono, _inner, _kx, ky in rewrites)
+    if max(amax + 2 * kx_max, bmax + 2 * ky_max) > EXPONENT_LIMIT:
+        for _mono, inner, kx, ky in rewrites:
+            _amin, amax, _bmin, bmax = _exponent_range(m, [inner])
+            if kx:
+                _check_exponent(amax + 2 * kx)
+            if ky:
+                _check_exponent(bmax + 2 * ky)
     copied = set()
     for mono, inner, kx, ky in rewrites:
-        # the rewrite raises r by up to 2kx and rho by up to 2ky
-        if kx:
-            _check_exponent((max(map(r_field.__and__, inner)) >> m) - _A_OFFSET + 2 * kx)
-        if ky:
-            _check_exponent((max(inner) >> (m + 64)) + 2 * ky)
         base = list(mono)
         base[xp] -= 2 * kx
         if ky:
@@ -565,8 +580,8 @@ def re_mul(f: RadialExpr, g: RadialExpr) -> RadialExpr:
     m = f.frame.m
     acc: _Groups = defaultdict(dict)
     if f._terms and g._terms:
-        fa0, fa1, fb0, fb1 = _exponent_range(m, f._terms)
-        ga0, ga1, gb0, gb1 = _exponent_range(m, g._terms)
+        fa0, fa1, fb0, fb1 = _exponent_range(m, f._terms.values())
+        ga0, ga1, gb0, gb1 = _exponent_range(m, g._terms.values())
         _check_exponent(min(fa0 + ga0, fb0 + gb0))
         _check_exponent(max(fa1 + ga1, fb1 + gb1))
         low = (1 << m) - 1
@@ -837,10 +852,12 @@ def separated_laplacian_power(triples: Iterable[tuple[BivariateRadial, RadialExp
     Laplacian power runs on scalar tables: the state (x chain, i, y chain, j)
     holds {(E, F): numerator} for sum c r^E rho^F Delta_x^i P Delta_y^j Q.
     A step lowers E (or F) in place with the coefficient above and moves the
-    table to i + 1 (or j + 1).  Each surviving state costs one
-    ``re_mul(Delta_x^i P, Delta_y^j Q)`` times its table.  The output has
-    the terms of the full-scope ``laplacian_power`` of the expanded
-    integrand, key for key.
+    table to i + 1 (or j + 1).  The output is assembled from the surviving
+    states' tables and chain rows directly, with no ``re_mul``: it relies
+    on the frame putting every x generator e_1..e_p before every y
+    generator e_{p+1}..e_{p+q}, so the product of an x blade and a y blade
+    is their union with sign +1.  The output has the terms of the
+    full-scope ``laplacian_power`` of the expanded integrand, key for key.
     """
     if n < 0:
         raise ValueError("Laplacian power must be >= 0")
@@ -884,23 +901,42 @@ def separated_laplacian_power(triples: Iterable[tuple[BivariateRadial, RadialExp
             if j + 1 < len(ychain):
                 _add_rows(nxt[ix, i, iy, j + 1], table, 1)
         state = _nonzero(nxt)
-    # every product's denominator divides the product of its factors' denominators
-    pden = lcm(*(xchains[ix][2][0]._den * ychains[iy][2][0]._den for ix, _i, iy, _j in state))
+    # Chain rows sit at r^0 rho^0 (``_stored_group_classes``), so a table
+    # entry r^E rho^F only sets the radial part.  Each x chain entry's states
+    # are summed over the y side first, over the common denominator pden,
+    # and then multiplied once by the entry's rows.
+    x_states: dict[tuple[int, int], list[tuple[int, int, dict[tuple[int, int], int]]]] = defaultdict(list)
+    for (ix, i, iy, j), table in state.items():
+        x_states[ix, i].append((iy, j, table))
+    pden = lcm(*(xchains[ix][2][i]._den * ychains[iy][2][j]._den for ix, i, iy, j in state))
     m = frame.m
     low = (1 << m) - 1
     acc: _Groups = defaultdict(dict)
-    for (ix, i, iy, j), table in state.items():
-        prod = re_mul(xchains[ix][2][i], ychains[iy][2][j])
-        scale = pden // prod._den
-        rows = [(_radial_bits(m, e, f), scale * t) for (e, f), t in table.items()]
-        for mono, inner in prod._terms.items():
-            out = acc[mono]
-            get = out.get
-            for key, c in inner.items():
-                mask = key & low
-                for part, t in rows:
-                    key = mask | part
-                    out[key] = get(key, 0) + c * t
+    for (ix, i), ys in x_states.items():
+        x_elem = xchains[ix][2][i]
+        y_sum: _Groups = defaultdict(dict)
+        for iy, j, table in ys:
+            y_elem = ychains[iy][2][j]
+            scale = pden // (x_elem._den * y_elem._den)
+            parts = [(_radial_bits(m, e, f), scale * t) for (e, f), t in table.items()]
+            for mono, inner in y_elem._terms.items():
+                out = y_sum[mono]
+                get = out.get
+                for key, c in inner.items():
+                    mask = key & low
+                    for part, t in parts:
+                        key = mask | part
+                        out[key] = get(key, 0) + c * t
+        y_rows = [(mono, list(inner.items())) for mono, inner in _nonzero(y_sum).items()]
+        for x_mono, x_inner in x_elem._terms.items():
+            x_rows = [(key & low, c) for key, c in x_inner.items()]
+            for y_mono, rows in y_rows:
+                out = acc[_mono_mul(x_mono, y_mono)]
+                get = out.get
+                for x_mask, cx in x_rows:
+                    for key, cy in rows:
+                        key |= x_mask
+                        out[key] = get(key, 0) + cx * cy
     return triples[0][1]._reduced(_nonzero(acc), pden * den)
 
 

@@ -269,7 +269,7 @@ class TestExamples:
         monkeypatch.setattr("fueterkit.cli.run_case", broken)
         code, out, _ = run(capsys, "examples", "--trials", "3", "--t", "1,2,-1", "--s", "1/2,1,3")
         assert code == 3
-        assert out.splitlines() == [f"example {case.index} {case.name}: FAIL (boom)"
+        assert out.splitlines() == [f"example {case.index} {case.name}: FAIL (internal error: RuntimeError: boom)"
                                     for case in catalog.REFERENCE_CASES] + ["0/6 PASS"]
 
     @pytest.mark.parametrize("trials", ["0", "-3"])

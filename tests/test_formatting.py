@@ -1,5 +1,7 @@
 import json
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -18,6 +20,7 @@ from fueterkit.parsing import parse_expression
 from fueterkit.radial import RadialExpr, partial_derivative
 
 F33 = AxisFrame(3, 3)
+F55 = AxisFrame(5, 5)
 
 
 class TestExpressionStyles:
@@ -82,6 +85,52 @@ class TestExpressionStyles:
         assert format_expression(expr) == "7/4*y4^3*e{10}*rho^-1 - 5/6*x1*e{1,10}*r^-3"
         assert format_expression(expr, "latex") == (
             r"\frac{7}{4}\,y_{4}^{3}\,e_{10}\,\rho^{-1} - \frac{5}{6}\,x_{1}\,e_{1,10}\,r^{-3}")
+
+
+def _random_expression(rng, frame):
+    """A derivative of random terms: negative and odd radial powers, x_p
+    and y_q squares for the normal form to rewrite, blades whose masks sort
+    differently from their tuples (e{1,m} against e2), and numerators that
+    share a factor with the kept denominator."""
+    m = frame.m
+    blades = [(), (2,), (1, m), (1, 2), (m,), (2, m - 1), (1, 2, m)]
+    terms = []
+    for _ in range(rng.randint(2, 8)):
+        mono = tuple(rng.randint(0, 3) for _ in range(frame.ncoords))
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        for blade in rng.sample(blades, rng.randint(1, 3)):
+            terms.append(((mono, blade, a, b), Fraction(rng.randint(-5, 5) or 1, rng.choice((1, 2, 6)))))
+    return partial_derivative(RadialExpr(frame, terms), rng.choice(frame.coord_names()))
+
+
+def _joined(texts):
+    """Single-term texts joined the way the printers join signed terms."""
+    if not texts:
+        return "0"
+    return texts[0] + "".join(f" - {t[1:]}" if t.startswith("-") else f" + {t}" for t in texts[1:])
+
+
+class TestDisplayOrder:
+    """Every printer emits the normal form's terms sorted by
+    (a&1, b&1, a, b, monomial, blade)."""
+
+    @pytest.mark.parametrize("frame", [F33, F55], ids=["3,3", "5,5"])
+    def test_terms_come_in_sector_order(self, frame):
+        rng = random.Random(1700 + frame.m)
+        names = frame.coord_names()
+        for _ in range(25):
+            expr = _random_expression(rng, frame)
+            want = sorted(expr.canonical_terms().items(),
+                          key=lambda kv: (kv[0][2] & 1, kv[0][3] & 1, kv[0][2], kv[0][3], kv[0][0], kv[0][1]))
+            terms = json.loads(format_expression(expr, "json"))
+            assert terms == expression_json_object(expr)["terms"]
+            assert all(t["coeff"]["den"] > 0 and gcd(t["coeff"]["num"], t["coeff"]["den"]) == 1 for t in terms)
+            got = [((tuple(t["mono"].get(name, 0) for name in names), tuple(t["blade"]), t["r"], t["rho"]),
+                    Fraction(t["coeff"]["num"], t["coeff"]["den"])) for t in terms]
+            assert got == want
+            for style in ("plain", "latex"):
+                singles = [format_expression(RadialExpr(frame, [term]), style) for term in want]
+                assert format_expression(expr, style) == _joined(singles)
 
 
 class TestBivariateAndMultivector:

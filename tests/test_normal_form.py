@@ -11,7 +11,9 @@ denominator that every operator works on, with an evaluation that shares
 none of their code.
 """
 
+import functools
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -19,6 +21,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
+from fueterkit import radial
 from fueterkit.bivariate import BivariateRadial, apply_dx_xinv, apply_xinv_dx, delta2_power
 from fueterkit.clifford import Multivector
 from fueterkit.errors import PreconditionError
@@ -382,3 +385,55 @@ class TestRowKeys:
                      (y3 ** 4 * RadialExpr.radial(frame, 0, LIMIT - 3), LIMIT + 1)):
             with pytest.raises(PreconditionError, match=f"radial exponent {e} "):
                 f.is_zero()
+
+    def test_the_limit_holds_for_each_rewritten_group_on_its_own(self):
+        # The largest exponent and the largest rewrite sit in different
+        # groups: together they pass the limit, but no group's rewrite does.
+        frame = AxisFrame(3, 3)
+        x3, y3 = RadialExpr.coordinate(frame, "x3"), RadialExpr.coordinate(frame, "y3")
+        radial = lambda a, b: RadialExpr.radial(frame, a, b)
+        f = x3 * x3 * radial(LIMIT - 2, 0) + x3 ** 4 + y3 * y3 * radial(0, LIMIT - 2) + y3 ** 4
+        terms = f.canonical_terms()
+        zero = (0,) * 6
+        assert {(zero, (), LIMIT, 0), (zero, (), 0, LIMIT), (zero, (), 4, 0), (zero, (), 0, 4)} <= terms.keys()
+
+
+@functools.cache
+def _repeated_square_powers(others, kmax):
+    """(R^2 - x_1^2 - ... - x_others^2)^k for k = 0..kmax, one factor at a
+    time, as {(exponents of x_1..x_others, R exponent): coefficient} dicts."""
+    cur = {((0,) * others, 0): 1}
+    out = [cur]
+    for _ in range(kmax):
+        nxt = {}
+        for (mono, e), c in cur.items():
+            nxt[mono, e + 2] = nxt.get((mono, e + 2), 0) + c
+            for i in range(others):
+                key = (mono[:i] + (mono[i] + 2,) + mono[i + 1:], e)
+                nxt[key] = nxt.get(key, 0) - c
+        cur = {key: c for key, c in nxt.items() if c}
+        out.append(cur)
+    return out
+
+
+class TestLeadSquarePower:
+    """The multinomial expansion behind the normal-form rewrite."""
+
+    @pytest.mark.parametrize("p", [1, 3, 5])
+    @pytest.mark.parametrize("group", ["x", "y"])
+    def test_triples_equal_the_repeated_product(self, p, group):
+        frame = AxisFrame(p, p)
+        others = frame.group_indices(group)[:-1]
+        lo, hi = others.start, others.stop
+        for k, want in enumerate(_repeated_square_powers(len(others), 30)):
+            got = radial._lead_square_power.__wrapped__(frame, group, k)
+            assert not any(any(mono[:lo]) or any(mono[hi:]) for mono, _e, _c in got)
+            local = {(mono[lo:hi], e): c for mono, e, c in got}
+            assert len(local) == len(got)
+            assert local == want
+
+    def test_a_high_power_is_quick(self):
+        start = time.perf_counter()
+        got = radial._lead_square_power.__wrapped__(AxisFrame(3, 3), "x", 200)
+        assert time.perf_counter() - start < 1
+        assert len(got) == 201 * 202 // 2

@@ -34,6 +34,7 @@ from fueterkit.radial import (
 )
 
 F33 = AxisFrame(3, 3)
+F55 = AxisFrame(5, 5)
 ZERO6 = (0,) * 6
 
 
@@ -216,18 +217,19 @@ class TestLaplacian:
         assert (four - laplacian_power(f, 2, SCOPE_FULL)).is_zero()
 
 
-def _group_factor(rng, group):
+def _group_factor(rng, group, frame=F33):
     """A random sum of own-group terms R^e * monomial * blade, e of either sign."""
-    idxs, gens = (range(0, 3), range(1, 4)) if group == "x" else (range(3, 6), range(4, 7))
+    idxs = frame.group_indices(group)
+    gens = range(frame.generator_of(idxs.start), frame.generator_of(idxs.stop - 1) + 1)
     raw = []
     for _ in range(rng.randint(1, 3)):
-        mono = [0] * 6
+        mono = [0] * frame.ncoords
         for i in idxs:
             mono[i] = rng.randint(0, 2)
         blade = tuple(sorted(rng.sample(gens, rng.randint(0, 2))))
         e = rng.randint(-3, 2)
         raw.append(((tuple(mono), blade, *((e, 0) if group == "x" else (0, e))), Fraction(rng.randint(-3, 3) or 1)))
-    return RadialExpr(F33, raw)
+    return RadialExpr(frame, raw)
 
 
 class TestSeparatedLaplacianPower:
@@ -243,6 +245,24 @@ class TestSeparatedLaplacianPower:
             integrand = sum((RadialExpr.from_bivariate(F33, w) * p * q for w, p, q in triples), RadialExpr.zero(F33))
             want = laplacian_power(integrand, n, SCOPE_FULL)
             assert radial.separated_laplacian_power(triples, n).raw_terms == want.raw_terms
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 4])
+    def test_same_terms_as_full_scope_power_at_5_5(self, n):
+        # Blades across e1..e10: the assembly ORs an x mask and a y mask, so
+        # blades such as e{1,10} check that the union is the product.
+        rng = random.Random(80 + n)
+        for _ in range(4):
+            triples = []
+            for _ in range(rng.randint(1, 2)):
+                w = BivariateRadial({(rng.randint(-3, 3), rng.randint(-3, 3)): Fraction(rng.randint(1, 4), 3)
+                                     for _ in range(rng.randint(1, 3))})
+                # factors over different denominators, as <x,t>^k with a rational t
+                triples.append((w, Fraction(1, rng.randint(1, 4)) * _group_factor(rng, "x", F55),
+                                Fraction(1, rng.randint(1, 4)) * _group_factor(rng, "y", F55)))
+            integrand = sum((RadialExpr.from_bivariate(F55, w) * p * q for w, p, q in triples), RadialExpr.zero(F55))
+            want = laplacian_power(integrand, n, SCOPE_FULL)
+            got = radial.separated_laplacian_power(triples, n)
+            assert got.raw_terms == want.raw_terms
 
     def test_factor_outside_its_group_is_rejected(self):
         one = BivariateRadial.constant(1)
