@@ -15,12 +15,11 @@ monomial, blade and (r, rho) power is built once per call.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from math import gcd
 
 from .bivariate import BivariateRadial
-from .clifford import Blade, Multivector, blade_text, mask_blade
-from .radial import Mono, RadialExpr, _exponents
+from .clifford import Multivector, blade_text
+from .radial import RadialExpr
 from .sparse import Memo
 
 STYLES = ("plain", "json", "latex")
@@ -32,29 +31,6 @@ _SEP = {"plain": "*", "latex": r"\,"}
 def _check_style(style: str) -> None:
     if style not in STYLES:
         raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
-
-
-def _display_order(f: RadialExpr) -> tuple[list[tuple[int, int, list[tuple[Mono, Blade, int]]]], int]:
-    """f's normal form in print order, as (a, b, rows) buckets of
-    (monomial, blade, numerator) rows, and the shared denominator.
-
-    The rows are bucketed straight off their int keys by radial part (a
-    key shifted right by m).  The few buckets are sorted by (parity sector,
-    a, b), and each bucket's rows by (monomial, blade), with the blade tuple
-    from a per-call ``mask_blade`` memo: masks do not sort as blades do
-    (e{1,10} comes before e2, but its mask is larger)."""
-    m = f.frame.m
-    low = (1 << m) - 1
-    blades = Memo(mask_blade)
-    buckets: dict[int, list[tuple[Mono, Blade, int]]] = defaultdict(list)
-    for mono, inner in f._normal().items():
-        for key, c in inner.items():
-            buckets[key >> m].append((mono, blades[key & low], c))
-    # a radial part decodes as a key with no blade bits
-    parts = [(*_exponents(0, part), part) for part in buckets]
-    parts.sort(key=lambda abp: (abp[0] & 1, abp[1] & 1, abp[0], abp[1]))
-    # (monomial, blade) is unique within a bucket, so rows sort as tuples
-    return [(a, b, sorted(buckets[part])) for a, b, part in parts], f._den
 
 
 def _signed(num: int, den: int, body: str, style: str) -> tuple[int, str]:
@@ -103,7 +79,7 @@ def _json_terms(f: RadialExpr) -> list[dict]:
     """The JSON terms of an expression, its radial exponents under "r" and "rho"."""
     names = f.frame.coord_names()
     mono_items = Memo(lambda mono: [(names[i], e) for i, e in enumerate(mono) if e])
-    buckets, den = _display_order(f)
+    buckets, den = f.display_order()
     out = []
     for a, b, rows in buckets:
         for mono, blade, c in rows:
@@ -118,7 +94,7 @@ def format_expression(f: RadialExpr, style: str = "plain") -> str:
     _check_style(style)
     if style == "json":
         return json.dumps(_json_terms(f), separators=(",", ":"))
-    buckets, den = _display_order(f)
+    buckets, den = f.display_order()
     if not buckets:
         return "0"
     frame, sep = f.frame, _SEP[style]

@@ -34,9 +34,9 @@ difference is, and the sorted normal form is what gets printed.
 
 Operators keep terms merged by exact key only; the normal form is
 computed at the first zero test, equality or display and then cached.
-The zero test only asks whether it is empty; the printers bucket its
-rows by radial part, and only ``canonical_terms`` and
-``normal_numerators`` sort and flatten it.
+The zero test only asks whether it is empty; ``display_order`` buckets
+its rows by radial part for the printers, and only ``canonical_terms``
+and ``normal_numerators`` sort and flatten it.
 
 Storage: monomial groups of packed rows
 ---------------------------------------
@@ -77,22 +77,20 @@ shift and hash ints instead of building (blade, a, b) tuples:
   an x mask, a y mask and a radial part, since its blades never share a
   generator and come in generator order;
 * the grade involution negates a row whose mask has odd popcount;
-* the printers bucket rows by radial part, ``key >> m``.
+* ``display_order`` buckets rows by radial part, ``key >> m``.
 
 Every radial exponent satisfies |e| <= 2^62 (``EXPONENT_LIMIT``).  It is
 checked where rows enter (the validating constructor, ``radial``,
 ``monomial``, ``constant``, ``from_bivariate*``, number coercion and the
 separated Laplacian's tables), in ``re_mul`` from the extreme exponents
 of its operands, and in the normal form before a rewrite raises an
-exponent by 2k (once per call against the largest exponent and the
-largest rewrite, then group by group only when that fails); a violation
-raises ``PreconditionError``.  That is
+exponent by 2k; a violation raises ``PreconditionError``.  That is
 enough to keep a from leaving its field: the operators that do not check
 only lower an exponent by 2 per step, and it would take 2^61 steps to go
 from -2^62 below -2^63.  Only the edges decode a key: ``raw_terms`` (the
 flat view for callers outside), ``normal_numerators``, ``bidegree_parts``,
-``homogeneity_degree`` and the printers (a bucket's radial part, and
-each mask once per call); ``group_classes`` tests a key's mask against
+``homogeneity_degree`` and ``display_order`` (a bucket's radial part,
+and each mask once per call); ``group_classes`` tests a key's mask against
 the group's generator bits and decodes only to name a fault.  The public
 constructors take (monomial, blade, a, b) rows.
 
@@ -170,11 +168,11 @@ def _exponents(m: int, key: int) -> tuple[int, int]:
     return ((key >> m) & _A_FIELD) - _A_OFFSET, key >> (m + 64)
 
 
-def _exponent_range(m: int, inners: Iterable[Mapping[int, int]]) -> tuple[int, int, int, int]:
-    """The least and greatest r and rho exponents of groups' rows, as
+def _exponent_range(m: int, groups: _Groups) -> tuple[int, int, int, int]:
+    """The least and greatest r and rho exponents of stored groups, as
     (amin, amax, bmin, bmax), read off their few distinct radial parts
     (a key shifted right by m); a part orders by its rho power first."""
-    parts = {key >> m for inner in inners for key in inner}
+    parts = {key >> m for inner in groups.values() for key in inner}
     a_fields = [part & _A_FIELD for part in parts]
     return min(a_fields) - _A_OFFSET, max(a_fields) - _A_OFFSET, min(parts) >> 64, max(parts) >> 64
 
@@ -407,6 +405,29 @@ class RadialExpr(TermMap):
         return MappingProxyType({(mono, *row): c for mono in sorted(groups)
                                  for row, c in sorted(_decoded(m, groups[mono], blades))}), self._den
 
+    def display_order(self) -> tuple[list[tuple[int, int, list[tuple[Mono, Blade, int]]]], int]:
+        """The normal form in print order, as (a, b, rows) buckets of
+        (monomial, blade, numerator) rows, and the shared denominator.
+
+        The rows are bucketed straight off their int keys by radial part
+        (a key shifted right by m).  The few buckets are sorted by (parity
+        sector, a, b), and each bucket's rows by (monomial, blade), with
+        the blade tuple from a per-call ``mask_blade`` memo: masks do not
+        sort as blades do (e{1,10} comes before e2, but its mask is
+        larger)."""
+        m = self.frame.m
+        low = (1 << m) - 1
+        blades = Memo(mask_blade)
+        buckets: dict[int, list[tuple[Mono, Blade, int]]] = defaultdict(list)
+        for mono, inner in self._normal().items():
+            for key, c in inner.items():
+                buckets[key >> m].append((mono, blades[key & low], c))
+        # a radial part decodes as a key with no blade bits
+        parts = [(*_exponents(0, part), part) for part in buckets]
+        parts.sort(key=lambda abp: (abp[0] & 1, abp[1] & 1, abp[0], abp[1]))
+        # (monomial, blade) is unique within a bucket, so rows sort as tuples
+        return [(a, b, sorted(buckets[part])) for a, b, part in parts], self._den
+
     def canonical_terms(self) -> dict[TermKey, Fraction]:
         """The normal form as a fresh dict, sorted by key."""
         nums, den = self.normal_numerators()
@@ -491,6 +512,7 @@ def _normal_form(frame: AxisFrame, groups: _Groups) -> _Groups:
     xp = frame.x_indices[-1]
     yq = frame.y_indices[-1] if frame.q else None
     m = frame.m
+    r_field = _A_FIELD << m
     acc: _Groups = {}
     rewrites = []
     for mono, inner in groups.items():
@@ -502,21 +524,13 @@ def _normal_form(frame: AxisFrame, groups: _Groups) -> _Groups:
             acc[mono] = inner
     if not rewrites:
         return groups
-    # A rewrite raises r by up to 2kx and rho by up to 2ky.  One check of
-    # the largest exponents against the largest raises clears every group
-    # at once; only when it fails is each group checked on its own.
-    _amin, amax, _bmin, bmax = _exponent_range(m, [inner for _mono, inner, _kx, _ky in rewrites])
-    kx_max = max(kx for _mono, _inner, kx, _ky in rewrites)
-    ky_max = max(ky for _mono, _inner, _kx, ky in rewrites)
-    if max(amax + 2 * kx_max, bmax + 2 * ky_max) > EXPONENT_LIMIT:
-        for _mono, inner, kx, ky in rewrites:
-            _amin, amax, _bmin, bmax = _exponent_range(m, [inner])
-            if kx:
-                _check_exponent(amax + 2 * kx)
-            if ky:
-                _check_exponent(bmax + 2 * ky)
     copied = set()
     for mono, inner, kx, ky in rewrites:
+        # the rewrite raises r by up to 2kx and rho by up to 2ky
+        if kx:
+            _check_exponent((max(map(r_field.__and__, inner)) >> m) - _A_OFFSET + 2 * kx)
+        if ky:
+            _check_exponent((max(inner) >> (m + 64)) + 2 * ky)
         base = list(mono)
         base[xp] -= 2 * kx
         if ky:
@@ -580,8 +594,8 @@ def re_mul(f: RadialExpr, g: RadialExpr) -> RadialExpr:
     m = f.frame.m
     acc: _Groups = defaultdict(dict)
     if f._terms and g._terms:
-        fa0, fa1, fb0, fb1 = _exponent_range(m, f._terms.values())
-        ga0, ga1, gb0, gb1 = _exponent_range(m, g._terms.values())
+        fa0, fa1, fb0, fb1 = _exponent_range(m, f._terms)
+        ga0, ga1, gb0, gb1 = _exponent_range(m, g._terms)
         _check_exponent(min(fa0 + ga0, fb0 + gb0))
         _check_exponent(max(fa1 + ga1, fb1 + gb1))
         low = (1 << m) - 1

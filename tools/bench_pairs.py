@@ -165,7 +165,6 @@ def _parse_args(argv):
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--description", default="")
     parser.add_argument("--out", required=True, help="the JSON file to write")
-    parser.add_argument("--workdir", help="where the two copies go; default the system's temporary directory")
     return parser.parse_args(argv)
 
 
@@ -194,7 +193,7 @@ def main(argv=None) -> int:
     def write(runs: list[dict]) -> None:
         out.write_text(json.dumps(report(runs, directions, header), indent=1) + "\n")
 
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_", dir=args.workdir) as tmp:
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         dirs = {side: Path(tmp) / side for side in SIDES}
         export_parent(parent, dirs["parent"])
         copy_working_tree(dirs["change"])
