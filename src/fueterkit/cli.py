@@ -93,10 +93,22 @@ def _cmd_apply(args) -> int:
     seed = SeedFunction.create(parse_seed(args.seed))
     hk = parse_expression(args.Hk, frame, vectors)
     hl = parse_expression(args.Hl, frame, vectors)
-    mu = None if args.mu == "auto" else int(args.mu)
-    out = apply_map(seed, hk, hl, frame, args.variant, mu=mu)
+    out = apply_map(seed, hk, hl, frame, args.variant, mu=args.mu)
     _print_expression(out, args.format)
     return 0
+
+
+def _order(text: str) -> int | None:
+    """The value of --mu: None for "auto", else an int >= 0."""
+    if text == "auto":
+        return None
+    try:
+        mu = int(text)
+    except ValueError:
+        mu = -1
+    if mu < 0:
+        raise argparse.ArgumentTypeError(f"expected auto or a nonnegative integer, got {text!r}")
+    return mu
 
 
 def _cmd_check_monogenic(args) -> int:
@@ -181,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_apply.add_argument("--p", type=int, required=True)
     p_apply.add_argument("--q", type=int, required=True)
     p_apply.add_argument("--variant", choices=["plus", "minus"], required=True)
-    p_apply.add_argument("--mu", default="auto", help="annihilation order: auto or a nonnegative integer")
+    p_apply.add_argument("--mu", type=_order, default="auto", help="annihilation order: auto or a nonnegative integer")
     p_apply.add_argument("--seed", required=True, help="seed polynomial, e.g. 'zbar^8' or '3/2*zbar^5 - i*zbar^3'")
     p_apply.add_argument("--Hk", required=True, help="first-group homogeneous factor expression")
     p_apply.add_argument("--Hl", required=True, help="second-group homogeneous factor expression")

@@ -1,11 +1,17 @@
 """Exact arithmetic in the real Clifford algebra R_m.
 
 The algebra is generated by e_1 .. e_m with e_j^2 = -1 and
-e_j e_k = -e_k e_j for j != k.  Basis blades are strictly increasing
-tuples of generator indices, the empty tuple being the scalar unit.
-Elements are sparse blade -> coefficient maps (integer numerators over one
-denominator, see ``sparse``); every coefficient is an arbitrary-precision
-rational and no floating point enters anywhere.
+e_j e_k = -e_k e_j for j != k.  A basis blade is a strictly increasing
+tuple of generator indices at the public edges, the empty tuple being
+the scalar unit; inside the engine it is the blade's generator mask, bit
+g-1 standing for e_g (the bitmap representation of Dorst, Fontijne and
+Mann, *Geometric Algebra for Computer Science*, ch. 19).  ``blade_mask``
+encodes and validates, ``mask_blade`` decodes, and two blades multiply to
+the mask a ^ b with the sign ``mask_sign(a, b)``: every term map keys its
+blades this way, so that is the one product rule.  Elements are sparse
+mask -> coefficient maps (integer numerators over one denominator, see
+``sparse``); every coefficient is an arbitrary-precision rational and no
+floating point enters anywhere.
 """
 
 from __future__ import annotations
@@ -21,15 +27,24 @@ Blade = tuple[int, ...]
 
 SCALAR_BLADE: Blade = ()
 
-# Distinct blade pairs a run touches: about 1,400 on the largest benchmark workload.
+# Distinct mask pairs a run touches: about 1,400 on the largest benchmark workload.
 _BLADE_CACHE_SIZE = 4096
 
 
-def blade_mask(blade: Blade) -> int:
-    """The generator mask of a basis blade: bit g-1 stands for e_g."""
-    mask = 0
+def blade_mask(blade: Iterable[int], dim: int | None = None) -> int:
+    """The generator mask of a basis blade: bit g-1 stands for e_g.
+
+    ValueError unless the indices are strictly increasing from 1 and, when
+    ``dim`` is given, at most ``dim``."""
+    blade = tuple(blade)
+    mask = last = 0
     for g in blade:
+        if g <= last:
+            raise ValueError(f"blade indices must be strictly increasing: {blade}")
+        if dim is not None and g > dim:
+            raise ValueError(f"blade index {g} exceeds algebra dimension {dim}")
         mask |= 1 << (g - 1)
+        last = g
     return mask
 
 
@@ -45,9 +60,7 @@ def mask_sign(a: int, b: int) -> int:
     The product's blade has mask a ^ b.  Sorting the concatenated
     generators swaps every generator of a past each smaller one of b, and
     every generator the two share squares to -1, so the sign is -1 to the
-    number of such pairs plus popcount(a & b) (the bitmap representation of
-    Dorst, Fontijne and Mann, *Geometric Algebra for Computer Science*,
-    ch. 19).
+    number of such pairs plus popcount(a & b).
     """
     n = (a & b).bit_count()
     a >>= 1
@@ -57,29 +70,9 @@ def mask_sign(a: int, b: int) -> int:
     return -1 if n & 1 else 1
 
 
-def _validate_blade(blade: Blade, dim: int | None = None) -> Blade:
-    last = 0
-    for j in blade:
-        if j <= last:
-            raise ValueError(f"blade indices must be strictly increasing: {blade}")
-        if dim is not None and j > dim:
-            raise ValueError(f"blade index {j} exceeds algebra dimension {dim}")
-        last = j
-    return blade
-
-
-@lru_cache(maxsize=_BLADE_CACHE_SIZE)
-def blade_product(a: Blade, b: Blade) -> tuple[int, Blade]:
-    """Product of two basis blades as ``(sign, blade)``, by ``mask_sign``.
-
-    ValueError unless both blades are strictly increasing tuples of
-    positive generator indices."""
-    ma, mb = blade_mask(_validate_blade(a)), blade_mask(_validate_blade(b))
-    return mask_sign(ma, mb), mask_blade(ma ^ mb)
-
-
 class Multivector(TermMap):
-    """Element of R_m as a sparse mapping from blades to rationals.
+    """Element of R_m as a sparse mapping from blade masks to rationals;
+    ``terms``, ``coefficient`` and ``blades`` speak blade tuples.
 
     Instances are immutable; all operations return new values, so they are
     safe to share between concurrent tasks.
@@ -94,7 +87,7 @@ class Multivector(TermMap):
     def __init__(self, dim: int, terms: Mapping[Blade, Rational] | Iterable[tuple[Blade, Rational]] = ()):
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
-        super().__init__(((_validate_blade(tuple(blade), dim), c) for blade, c in items_of(terms)), dim)
+        super().__init__(((blade_mask(blade, dim), c) for blade, c in items_of(terms)), dim)
 
     @classmethod
     def scalar(cls, value: Rational, dim: int) -> "Multivector":
@@ -108,32 +101,37 @@ class Multivector(TermMap):
     def basis_vector(cls, j: int, dim: int) -> "Multivector":
         return cls(dim, {(j,): 1})
 
-    def _unit_key(self) -> Blade:
-        return SCALAR_BLADE
+    def _unit_key(self) -> int:
+        return 0
 
     def _products(self, other: "Multivector"):
-        for ba, ca in self._terms.items():
-            for bb, cb in other._terms.items():
-                sign, blade = blade_product(ba, bb)
-                yield blade, sign * ca * cb
+        for ma, ca in self._terms.items():
+            for mb, cb in other._terms.items():
+                yield ma ^ mb, mask_sign(ma, mb) * ca * cb
+
+    @property
+    def terms(self) -> dict[Blade, Fraction]:
+        """The coefficients as a fresh blade -> ``Fraction`` dict."""
+        den = self._den
+        return {mask_blade(mask): Fraction(c, den) for mask, c in self._terms.items()}
 
     def coefficient(self, blade: Iterable[int]) -> Fraction:
         """The coefficient of a basis blade; ValueError unless the blade is
         strictly increasing and inside the algebra."""
-        return Fraction(self._terms.get(_validate_blade(tuple(blade), self.dim), 0), self._den)
+        return Fraction(self._terms.get(blade_mask(blade, self.dim), 0), self._den)
 
     def scalar_part(self) -> Fraction:
         return self.coefficient(SCALAR_BLADE)
 
     def blades(self) -> Iterator[Blade]:
-        return iter(sorted(self._terms))
+        return iter(sorted(map(mask_blade, self._terms)))
 
     def parity_split(self) -> tuple["Multivector", "Multivector"]:
         """Split by blade cardinality into (even, odd) graded parts."""
-        even: dict[Blade, int] = {}
-        odd: dict[Blade, int] = {}
-        for blade, coeff in self._terms.items():
-            (even if len(blade) % 2 == 0 else odd)[blade] = coeff
+        even: dict[int, int] = {}
+        odd: dict[int, int] = {}
+        for mask, coeff in self._terms.items():
+            (odd if mask.bit_count() & 1 else even)[mask] = coeff
         return self._like(even, self._den), self._like(odd, self._den)
 
     def __repr__(self) -> str:

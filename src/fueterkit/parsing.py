@@ -198,57 +198,46 @@ class _Parser:
         return _parse_int(self.tz)
 
 
-def _parse_blade_name(name: str, pos: int, frame: AxisFrame) -> tuple[int, ...]:
+def _parse_blade_name(name: str, pos: int) -> tuple[int, ...]:
     digits = name[1:]
     if not digits.isdecimal():
         raise ParseError(f"invalid blade name {name!r}", pos)
-    indices = []
-    for ch in digits:
-        j = int(ch)
-        if j == 0:
-            raise ParseError("blade index 0 is invalid", pos)
-        indices.append(j)
-    return _validate_blade_indices(indices, pos, frame)
-
-
-def _validate_blade_indices(indices: Sequence[int], pos: int, frame: AxisFrame) -> tuple[int, ...]:
-    last = 0
-    for j in indices:
-        if j <= last:
-            raise ParseError(f"blade indices must be strictly increasing, got {list(indices)}", pos)
-        if j > frame.m:
-            raise ParseError(f"blade index {j} exceeds frame dimension m={frame.m}", pos)
-        last = j
-    return tuple(indices)
+    if "0" in digits:
+        raise ParseError("blade index 0 is invalid", pos)
+    return tuple(map(int, digits))
 
 
 def _expression_atom(frame: AxisFrame, vectors: Mapping[str, Sequence[Fraction]],
                      tz: _Tokenizer, name: str, pos: int) -> RadialExpr:
-    """Coordinates, ``e``-blades and ``ip(x|y, name)``."""
+    """Coordinates, ``e``-blades and ``ip(x|y, name)``; ``Multivector.blade``
+    checks a blade's indices."""
     if name == "ip":
         return _inner(tz, pos, frame, vectors)
     if name.startswith("e") and (len(name) > 1 and name[1:].isdigit() or tz.peek()[0] == "{"):
         if len(name) > 1:
             if frame.m > 9:
                 raise ParseError("use e{...} blade syntax for frames with m >= 10", pos)
-            blade = _parse_blade_name(name, pos, frame)
+            blade = _parse_blade_name(name, pos)
         else:
-            blade = _braced_blade(tz, pos, frame)
-        return RadialExpr.constant(frame, Multivector.blade(blade, frame.m))
+            blade = _braced_blade(tz)
+        try:
+            return RadialExpr.constant(frame, Multivector.blade(blade, frame.m))
+        except ValueError as exc:
+            raise ParseError(str(exc), pos) from None
     try:
         return RadialExpr.coordinate(frame, name)
     except ValueError as exc:
         raise ParseError(str(exc), pos) from None
 
 
-def _braced_blade(tz: _Tokenizer, pos: int, frame: AxisFrame) -> tuple[int, ...]:
+def _braced_blade(tz: _Tokenizer) -> tuple[int, ...]:
     tz.expect("{")
     indices = [int(tz.expect("num")[1])]
     while tz.peek()[0] == ",":
         tz.next()
         indices.append(int(tz.expect("num")[1]))
     tz.expect("}")
-    return _validate_blade_indices(indices, pos, frame)
+    return tuple(indices)
 
 
 def _inner(tz: _Tokenizer, pos: int, frame: AxisFrame, vectors: Mapping[str, Sequence[Fraction]]) -> RadialExpr:

@@ -36,7 +36,7 @@ Operators keep terms merged by exact key only; the normal form is
 computed at the first zero test, equality or display and then cached.
 The zero test only asks whether it is empty; ``display_order`` buckets
 its rows by radial part for the printers, and only ``canonical_terms``
-and ``normal_numerators`` sort and flatten it.
+sorts and flattens it.
 
 Storage: monomial groups of packed rows
 ---------------------------------------
@@ -62,7 +62,8 @@ exponents, with m = frame.m:
 
     key = mask | ((a + 2^63) << m) | (b << (m + 64))
 
-Bit g-1 of ``mask`` stands for e_g (see ``clifford.blade_mask``); a sits
+``mask`` is the blade's generator mask, bit g-1 for e_g, the one blade
+encoding of ``clifford`` (``Multivector`` keys by it too); a sits
 in a 64-bit field above it, offset by 2^63, and b is the signed top
 field, which ``>>`` decodes exactly because it floors.  So the kernels
 shift and hash ints instead of building (blade, a, b) tuples:
@@ -87,8 +88,8 @@ of its operands, and in the normal form before a rewrite raises an
 exponent by 2k; a violation raises ``PreconditionError``.  That is
 enough to keep a from leaving its field: the operators that do not check
 only lower an exponent by 2 per step, and it would take 2^61 steps to go
-from -2^62 below -2^63.  Only the edges decode a key: ``raw_terms`` (the
-flat view for callers outside), ``normal_numerators``, ``bidegree_parts``,
+from -2^62 below -2^63.  Only the edges decode a key: ``_rows`` (the
+flat view behind ``raw_terms`` and ``canonical_terms``), ``bidegree_parts``,
 ``homogeneity_degree`` and ``display_order`` (a bucket's radial part,
 and each mask once per call); ``group_classes`` tests a key's mask against
 the group's generator bits and decodes only to name a fault.  The public
@@ -110,14 +111,13 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
 from math import gcd, isqrt, lcm
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .bivariate import BivariateRadial
-from .clifford import Blade, Multivector, SCALAR_BLADE, _validate_blade, blade_mask, mask_blade, mask_sign, vector_embed
+from .clifford import Blade, Multivector, SCALAR_BLADE, blade_mask, mask_blade, mask_sign, vector_embed
 from .errors import PreconditionError
 from .frame import AxisFrame
-from .sparse import Memo, Rational, TermMap, _as_fractions, items_of
+from .sparse import Memo, Rational, TermMap, items_of
 
 Mono = tuple[int, ...]
 TermKey = tuple[Mono, Blade, int, int]
@@ -188,7 +188,7 @@ def _checked_terms(frame: AxisFrame, items: Iterable[tuple[TermKey, Rational]]) 
             raise ValueError("monomial exponents must be >= 0")
         if frame.q == 0 and b != 0:
             raise ValueError("rho exponent must be 0 in a single-axis frame")
-        yield (mono, blade_mask(_validate_blade(tuple(blade), m)) | _radial_bits(m, a, b)), coeff
+        yield (mono, blade_mask(blade, m) | _radial_bits(m, a, b)), coeff
 
 
 def _add_rows(out: dict, rows: Mapping, k: int) -> None:
@@ -198,17 +198,13 @@ def _add_rows(out: dict, rows: Mapping, k: int) -> None:
         out[key] = get(key, 0) + k * c
 
 
-def _decoded(m: int, inner: Mapping[int, int], blades: Memo) -> list[tuple[tuple[Blade, int, int], int]]:
-    """One stored group's rows as ((blade, a, b), numerator) pairs;
-    ``blades`` is the caller's ``Memo(mask_blade)``."""
-    low, mb = (1 << m) - 1, m + 64
-    return [((blades[key & low], ((key >> m) & _A_FIELD) - _A_OFFSET, key >> mb), c) for key, c in inner.items()]
-
-
 def _rows(m: int, groups: _Groups) -> Iterator[tuple[TermKey, int]]:
-    """Stored groups as flat ((monomial, blade, a, b), numerator) rows."""
+    """Stored groups as flat ((monomial, blade, a, b), numerator) rows,
+    each mask decoded once per call."""
     blades = Memo(mask_blade)
-    return (((mono, *row), c) for mono, inner in groups.items() for row, c in _decoded(m, inner, blades))
+    low, mb = (1 << m) - 1, m + 64
+    return (((mono, blades[key & low], ((key >> m) & _A_FIELD) - _A_OFFSET, key >> mb), c)
+            for mono, inner in groups.items() for key, c in inner.items())
 
 
 def _nonzero(acc: _Groups) -> _Groups:
@@ -260,7 +256,7 @@ class RadialExpr(TermMap):
         if mv.dim != frame.m:
             raise ValueError(f"multivector dimension {mv.dim} does not match frame m={frame.m}")
         zero = _radial_bits(frame.m, 0, 0)
-        rows = {blade_mask(blade) | zero: c for blade, c in mv._terms.items()}
+        rows = {mask | zero: c for mask, c in mv._terms.items()}
         return cls._from_merged({(0,) * frame.ncoords: rows} if rows else {}, mv._den, frame)
 
     @classmethod
@@ -397,14 +393,6 @@ class RadialExpr(TermMap):
             object.__setattr__(self, "_canonical_cache", cached)
             return cached
 
-    def normal_numerators(self) -> tuple[Mapping[TermKey, int], int]:
-        """The normal form's int numerators as a read-only flat mapping sorted
-        by key, and their shared denominator."""
-        groups = self._normal()
-        m, blades = self.frame.m, Memo(mask_blade)
-        return MappingProxyType({(mono, *row): c for mono in sorted(groups)
-                                 for row, c in sorted(_decoded(m, groups[mono], blades))}), self._den
-
     def display_order(self) -> tuple[list[tuple[int, int, list[tuple[Mono, Blade, int]]]], int]:
         """The normal form in print order, as (a, b, rows) buckets of
         (monomial, blade, numerator) rows, and the shared denominator.
@@ -430,8 +418,8 @@ class RadialExpr(TermMap):
 
     def canonical_terms(self) -> dict[TermKey, Fraction]:
         """The normal form as a fresh dict, sorted by key."""
-        nums, den = self.normal_numerators()
-        return _as_fractions(nums, den)
+        den = self._den
+        return {key: Fraction(c, den) for key, c in sorted(_rows(self.frame.m, self._normal()))}
 
     def canonicalized(self) -> "RadialExpr":
         return self._like(self._normal(), self._den)

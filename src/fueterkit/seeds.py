@@ -10,27 +10,29 @@ exactness.
 The complex unit i is the generator e_1 of the Clifford algebra Cl(0,1):
 i^2 = e_1^2 = -1, the same rule the engine applies to the units omega and
 nu of the Fueter maps.  So a seed needs no complex number type.  Its
-term key is (i, j, blade) for x^i y^j with blade () for a real and (1,)
-for an imaginary coefficient, the sign of a product comes from
-``clifford.blade_product``, and the real and imaginary parts u, v are the
-partition of the terms by blade.
+term key is (i, j, mask) for x^i y^j with the generator mask 0 for a real
+and 1 for an imaginary coefficient (``clifford.blade_mask`` of () and
+(1,), the blades the constructor takes and ``terms`` returns), a product
+multiplies masks by ``clifford.mask_sign`` and XOR, and the real and
+imaginary parts u, v are the partition of the terms by mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .bivariate import BivariateRadial
-from .clifford import Blade, blade_product
+from .clifford import Blade, blade_mask, mask_blade, mask_sign
 from .errors import PreconditionError
 from .sparse import Rational, TermMap, collect, items_of
 
 DZ = "dz"
 DZBAR = "dzbar"
 
-# The blade of the complex unit i = e_1 in Cl(0,1).
-_I: Blade = (1,)
+# The generator mask of the complex unit i = e_1 in Cl(0,1).
+_I = 1
 
 SeedKey = tuple[int, int, Blade]
 
@@ -38,8 +40,8 @@ SeedKey = tuple[int, int, Blade]
 class ComplexBivarPoly(TermMap):
     """Polynomial in (x, y) with complex-rational coefficients; immutable.
 
-    Keys are (i, j, blade): the monomial x^i y^j times 1 (blade ()) or
-    i (blade (1,)).
+    Public keys are (i, j, blade): the monomial x^i y^j times 1 (blade
+    ()) or i (blade (1,)); stored keys carry the blade's mask.
     """
 
     __slots__ = ()
@@ -53,7 +55,7 @@ class ComplexBivarPoly(TermMap):
 
     @classmethod
     def coordinate(cls, which: str) -> "ComplexBivarPoly":
-        return cls._from_merged({(0, 1, ()) if _slot(which) else (1, 0, ()): 1})
+        return cls._from_merged({(0, 1, 0) if _slot(which) else (1, 0, 0): 1})
 
     @classmethod
     def i(cls) -> "ComplexBivarPoly":
@@ -61,20 +63,25 @@ class ComplexBivarPoly(TermMap):
 
     @classmethod
     def z(cls) -> "ComplexBivarPoly":
-        return cls._from_merged({(1, 0, ()): 1, (0, 1, _I): 1})
+        return cls._from_merged({(1, 0, 0): 1, (0, 1, _I): 1})
 
     @classmethod
     def zbar(cls) -> "ComplexBivarPoly":
-        return cls._from_merged({(1, 0, ()): 1, (0, 1, _I): -1})
+        return cls._from_merged({(1, 0, 0): 1, (0, 1, _I): -1})
 
-    def _unit_key(self) -> SeedKey:
-        return (0, 0, ())
+    def _unit_key(self) -> tuple[int, int, int]:
+        return (0, 0, 0)
 
     def _products(self, other: "ComplexBivarPoly"):
         for (i1, j1, b1), c1 in self._terms.items():
             for (i2, j2, b2), c2 in other._terms.items():
-                sign, blade = blade_product(b1, b2)
-                yield (i1 + i2, j1 + j2, blade), sign * c1 * c2
+                yield (i1 + i2, j1 + j2, b1 ^ b2), mask_sign(b1, b2) * c1 * c2
+
+    @property
+    def terms(self) -> dict[SeedKey, Fraction]:
+        """The coefficients as a fresh (i, j, blade) -> ``Fraction`` dict."""
+        den = self._den
+        return {(i, j, mask_blade(mask)): Fraction(c, den) for (i, j, mask), c in self._terms.items()}
 
     def degree(self) -> int:
         return max((i + j for (i, j, _b) in self._terms), default=-1)
@@ -87,14 +94,14 @@ class ComplexBivarPoly(TermMap):
         return "ComplexBivarPoly(" + " + ".join(bits) + ")"
 
 
-def _checked_seed_terms(items: Iterable[tuple[SeedKey, Rational]]) -> Iterable[tuple[SeedKey, Rational]]:
+def _checked_seed_terms(items: Iterable[tuple[SeedKey, Rational]]) -> Iterable[tuple[tuple[int, int, int], Rational]]:
     for (i, j, blade), c in items:
         blade = tuple(blade)
         if i < 0 or j < 0:
             raise ValueError("seed monomial exponents must be >= 0")
-        if blade not in ((), _I):
+        if blade not in ((), (1,)):
             raise ValueError(f"seed coefficient blade must be () or (1,), got {blade}")
-        yield (i, j, blade), c
+        yield (i, j, blade_mask(blade)), c
 
 
 def _slot(which: str) -> int:
@@ -122,8 +129,7 @@ def wirtinger(w: ComplexBivarPoly, which: str) -> ComplexBivarPoly:
             if i:
                 yield (i - 1, j, b), i * c
             if j:
-                s, blade = blade_product(_I, b)
-                yield (i, j - 1, blade), sign * s * j * c
+                yield (i, j - 1, _I ^ b), sign * mask_sign(_I, b) * j * c
 
     return w._like(collect(terms()), 2 * w._den)
 
@@ -197,7 +203,7 @@ def parity_monomial(n1: int, n2: int) -> ComplexBivarPoly:
         raise ValueError("exponents must be >= 0")
     odd = n2 % 2
     sign = -1 if (n1 + n2 - odd) // 2 % 2 else 1
-    return ComplexBivarPoly._from_merged({(n1, n2, _I if odd else ()): sign})
+    return ComplexBivarPoly._from_merged({(n1, n2, _I if odd else 0): sign})
 
 
 def seed_times_monomial(seed: SeedFunction, n1: int, n2: int) -> SeedFunction:
@@ -208,11 +214,11 @@ def seed_times_monomial(seed: SeedFunction, n1: int, n2: int) -> SeedFunction:
 
 def split_uv(w: ComplexBivarPoly) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int], int]:
     """Real and imaginary parts as int numerators over w's denominator,
-    which is the third value: the partition of the terms by blade."""
+    which is the third value: the partition of the terms by mask."""
     u: dict[tuple[int, int], int] = {}
     v: dict[tuple[int, int], int] = {}
-    for (i, j, blade), c in w._terms.items():
-        (v if blade else u)[i, j] = c
+    for (i, j, mask), c in w._terms.items():
+        (v if mask else u)[i, j] = c
     return u, v, w._den
 
 

@@ -80,3 +80,28 @@ class TestBenchPairs:
         directions = bench_pairs.metric_directions(benchmark)
         assert directions["calls_per_s"] == "higher" and directions["wall_s"] == "lower"
         assert directions["formatting.ms"] == "lower"
+
+
+class TestTreeDigest:
+    def _tree(self, root, files):
+        for rel, data in files.items():
+            path = root / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+        return bench_pairs.tree_sha256(root)
+
+    def test_the_digest_covers_paths_and_bytes_but_not_bytecode(self, tmp_path):
+        files = {"src/pkg/a.py": b"x = 1\n", "src/pkg/b.py": b"y = 2\n", "perfbench/run.py": b"pass\n"}
+        base = self._tree(tmp_path / "base", files)
+        assert len(base) == 64
+        # the same files written in another order
+        assert self._tree(tmp_path / "again", dict(reversed(files.items()))) == base
+        # bytecode is not copied, so it is not measured
+        assert self._tree(tmp_path / "bytecode", {**files, "src/pkg/__pycache__/a.pyc": b"\0"}) == base
+        changed = [{**files, "src/pkg/a.py": b"x = 2\n"},
+                   {**files, "src/pkg/new.py": b""},
+                   {"src/pkg/c.py" if rel == "src/pkg/a.py" else rel: data for rel, data in files.items()},
+                   # the same bytes split differently between two files
+                   {**files, "src/pkg/a.py": b"x = 1\ny", "src/pkg/b.py": b" = 2\n"}]
+        digests = {self._tree(tmp_path / f"changed{i}", tree) for i, tree in enumerate(changed)}
+        assert len(digests) == len(changed) and base not in digests

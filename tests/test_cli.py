@@ -113,6 +113,16 @@ class TestApply:
             code, joined, _err = run(capsys, *before, f"{option}={value}", *after)
             assert code == 0 and joined == spaced, (option, value)
 
+    @pytest.mark.parametrize("mu", ["abc", "1.5", "-1"])
+    def test_mu_outside_its_help_exits_2(self, capsys, mu):
+        with pytest.raises(SystemExit) as exc:
+            main(["apply", "--p", "3", "--q", "3", "--variant", "plus", "--mu", mu,
+                  "--seed", "zbar^5", "--Hk", "x1", "--Hl", "y1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --mu: expected auto or a nonnegative integer, got '{mu}'" in captured.err
+
     def test_missing_option_value_still_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["apply", "--p", "3", "--q", "3", "--variant", "plus",

@@ -73,7 +73,7 @@ class TestExpressionStyles:
         # The derivative keeps the denominator 2 over the numerator 2, so the
         # printers must reduce the coefficient 2/2 to 1 (and 3*2/2 to 3).
         expr = partial_derivative(parse_expression("1/2*x1^2 + 3/2*x1^2*y1*e14", F33), "x1")
-        assert expr.normal_numerators()[1] == 2
+        assert expr.display_order()[1] == 2
         assert format_expression(expr) == "x1 + 3*x1*y1*e14"
         assert format_expression(expr, "latex") == r"x_{1} + 3\,x_{1}\,y_{1}\,e_{14}"
         coeffs = [term["coeff"] for term in json.loads(format_expression(expr, "json"))]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fueterkit.bivariate import BivariateRadial
+from fueterkit.cli import main
 from fueterkit.errors import ParseError
 from fueterkit.formatting import format_expression
 from fueterkit.frame import AxisFrame
@@ -150,6 +151,27 @@ SKELETON_ERRORS = [
     ("2^-1", lambda n: 0, "negative exponent -1"),
     ("(" * (MAX_DEPTH + 1) + "A" + ")" * (MAX_DEPTH + 1), lambda n: MAX_DEPTH, "nested deeper"),
 ]
+
+
+# Blades that Multivector.blade rejects at m = 3, each at column 4 of its text.
+BAD_BLADES = [
+    ("x1*e21", "blade indices must be strictly increasing: (2, 1)"),
+    ("x1*e4", "blade index 4 exceeds algebra dimension 3"),
+    ("x1*e{1,4}", "blade index 4 exceeds algebra dimension 3"),
+    ("x1*e{2,1}", "blade indices must be strictly increasing: (2, 1)"),
+    ("x1*e0", "blade index 0 is invalid"),
+]
+
+
+@pytest.mark.parametrize("text, message", BAD_BLADES, ids=[text for text, _ in BAD_BLADES])
+def test_a_bad_blade_is_a_parse_error_at_its_atom(capsys, text, message):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, AxisFrame(2, 1))
+    assert str(err.value) == f"{message} (at column 4)" and err.value.position == 3
+    # the CLI reports it as one stderr line with exit code 2
+    assert main(["check-monogenic", "--p", "2", "--q", "1", "--expr", text]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"parse error: {message} (at column 4)\n")
 
 
 class TestSharedSkeleton:

@@ -47,6 +47,30 @@ class TestWirtinger:
                 _diff(w, "z")
 
 
+class TestComplexUnit:
+    """i is the blade e_1 of Cl(0,1): stored by mask, public as () / (1,)."""
+
+    def test_i_squares_to_minus_one(self):
+        assert I ** 2 == -1
+        assert (I ** 2).terms == {(0, 0, ()): -1}
+
+    def test_terms_keep_tuple_blades(self):
+        # i zbar^3 = i (x - iy)^3 = i x^3 + 3 x^2 y - 3i x y^2 - y^3
+        w = I * ZBAR ** 3
+        assert w.terms == {(3, 0, (1,)): 1, (2, 1, ()): 3, (1, 2, (1,)): -3, (0, 3, ()): -1}
+        assert ComplexBivarPoly(w.terms) == w
+
+    def test_wirtinger_of_i_zbar_cubed(self):
+        # d/dzbar (i zbar^3) = 3i zbar^2 = 3i x^2 + 6 x y - 3i y^2
+        w = I * ZBAR ** 3
+        assert wirtinger(w, "dzbar").terms == {(2, 0, (1,)): 3, (1, 1, ()): 6, (0, 2, (1,)): -3}
+        assert wirtinger(w, "dz").is_zero()
+
+    def test_constructor_takes_only_the_blades_of_cl01(self):
+        with pytest.raises(ValueError, match=r"\(\) or \(1,\)"):
+            ComplexBivarPoly({(0, 0, (2,)): 1})
+
+
 class TestSeedOrder:
     def test_antiholomorphic(self):
         assert seed_order(ZBAR ** 5) == 0

@@ -9,7 +9,11 @@ directory without any `__pycache__`.  Both sides run with
 PYTHONDONTWRITEBYTECODE=1, so neither reads bytecode left by an earlier
 run: bytecode moves `setup_s` and `peak_rss_mb`.  An export has no `.git`,
 so `perfbench/run.py` reports `commit=unknown`; the parent commit is
-recorded in its own field instead.
+recorded in its own field instead.  The change side records what it
+measured: `change.dirty` is true when `src/` or `perfbench/` differ from
+HEAD (untracked files included), and `change.tree_sha256` is the digest
+of the copied files, so a later run can tell whether a commit holds
+exactly that code.
 
 Pair i runs every workload with seed seed0 + i on both sides, the parent
 first when i is even and the change first when i is odd.  The output has
@@ -23,6 +27,7 @@ rewritten after every pair, so an interrupted run keeps what it measured.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -39,6 +44,8 @@ from typing import Callable
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = "bench_pairs/1"
 SIDES = ("parent", "change")
+# The directories a side's copy holds.
+COPIED = ("src", "perfbench")
 
 # runner(side, workload, seed) -> the JSON object on the last line of run.py's stdout
 Runner = Callable[[str, str, int], dict]
@@ -56,8 +63,21 @@ def export_parent(commit: str, dest: Path) -> None:
 
 def copy_working_tree(dest: Path) -> None:
     """The working tree's sources and benchmark, without bytecode."""
-    for name in ("src", "perfbench"):
+    for name in COPIED:
         shutil.copytree(ROOT / name, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
+
+
+def tree_sha256(root: Path) -> str:
+    """SHA-256 over the files under root, without `__pycache__`: each
+    file's relative path, size and bytes, in sorted path order."""
+    files = {path.relative_to(root).as_posix(): path for path in root.rglob("*")
+             if path.is_file() and "__pycache__" not in path.relative_to(root).parts}
+    digest = hashlib.sha256()
+    for rel in sorted(files):
+        data = files[rel].read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def perfbench_runner(dirs: dict[str, Path], seconds: float, trace: int) -> Runner:
@@ -180,7 +200,7 @@ def main(argv=None) -> int:
                    f"--trace {args.trace}, from the root of each side's copy with PYTHONDONTWRITEBYTECODE=1",
         "parent_commit": parent,
         "change": {"base_commit": _git("rev-parse", "HEAD").decode().strip(),
-                   "dirty": bool(_git("status", "--porcelain", "--untracked-files=no").strip())},
+                   "dirty": bool(_git("status", "--porcelain", "--untracked-files=all", "--", *COPIED).strip())},
         "environment": {"python": platform.python_version(), "nproc": os.cpu_count(), "machine": platform.machine()},
         "seconds": args.seconds,
         "trace": args.trace,
@@ -197,6 +217,7 @@ def main(argv=None) -> int:
         dirs = {side: Path(tmp) / side for side in SIDES}
         export_parent(parent, dirs["parent"])
         copy_working_tree(dirs["change"])
+        header["change"]["tree_sha256"] = tree_sha256(dirs["change"])
         write(bench(workloads, seeds, perfbench_runner(dirs, args.seconds, args.trace), write))
     return 0
 
