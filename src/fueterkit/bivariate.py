@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .sparse import Rational, TermMap, collect, items_of
@@ -61,9 +60,6 @@ class BivariateRadial(TermMap):
             for (a2, b2), c2 in other._terms.items():
                 yield (a1 + a2, b1 + b2), c1 * c2
 
-    def items(self) -> list[tuple[tuple[int, int], Fraction]]:
-        return sorted(self.terms.items())
-
     def shift(self, da: int, db: int) -> "BivariateRadial":
         """Multiply by r^da rho^db."""
         return self._like({(a + da, b + db): c for (a, b), c in self._terms.items()}, self._den)
@@ -73,10 +69,9 @@ class BivariateRadial(TermMap):
         return self._like(_lower(self._terms, _check_var(var), 1, 0), self._den)
 
     def __repr__(self) -> str:
-        if not self._terms:
-            return "BivariateRadial(0)"
-        bits = [f"{c}*r^{a}*rho^{b}" for (a, b), c in self.items()]
-        return "BivariateRadial(" + " + ".join(bits) + ")"
+        from .formatting import format_bivariate
+
+        return f"BivariateRadial({format_bivariate(self)})"
 
 
 def _check_var(var: str) -> int:

@@ -284,6 +284,8 @@ def _error_report(exc: Exception) -> tuple[int, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Print every digit of an exact result; the parser bounds each literal.
+    sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else list(argv)))
     try:

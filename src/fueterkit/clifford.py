@@ -135,11 +135,9 @@ class Multivector(TermMap):
         return self._like(even, self._den), self._like(odd, self._den)
 
     def __repr__(self) -> str:
-        if not self._terms:
-            return "Multivector(0)"
-        terms = self.terms
-        parts = [f"{terms[blade]}*{blade_text(blade, self.dim)}" for blade in sorted(terms, key=lambda b: (len(b), b))]
-        return "Multivector(" + " + ".join(parts) + ")"
+        from .formatting import format_multivector
+
+        return f"Multivector({format_multivector(self)})"
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:

@@ -1,24 +1,25 @@
 """Deterministic pretty printers: plain text, JSON, LaTeX.
 
-Terms are emitted sorted by (parity sector, radial exponents, monomial,
-blade), so identical expressions always print identically.  The plain
-form reparses to an equal expression.
-
-An expression is printed from its cached normal form, read straight off
-the int row keys: the rows are bucketed by radial part, the few buckets
-sorted by (parity sector, a, b) and each bucket's rows by (monomial,
-blade).  Each coefficient, an ``int`` numerator over the shared
-denominator, is brought to lowest terms by one gcd, and the text of each
-monomial, blade and (r, rho) power is built once per call.
+Each printer passes its terms, in its own print order, to the one term
+writer ``_write``: (radial part or None, rows) buckets of (monomial or
+None, blade or None, numerator) rows over one denominator, None where the
+printed class has no such part.  Expressions come in
+``RadialExpr.display_order`` (buckets by (parity sector, a, b), rows by
+(monomial, blade)), Laurent scalars by (a, b) and multivectors by (grade,
+blade), so equal values print identically.  Text joins a term's monomial,
+blade and radial text, each built once per call or bucket, and reduces
+its coefficient by one gcd; JSON keys a term mono, blade, coeff, r, rho,
+as far as the class has them.  The plain form reparses to an equal value.
 """
 
 from __future__ import annotations
 
 import json
 from math import gcd
+from typing import Sequence
 
 from .bivariate import BivariateRadial
-from .clifford import Multivector, blade_text
+from .clifford import Multivector, blade_text, mask_blade
 from .radial import RadialExpr
 from .sparse import Memo
 
@@ -26,11 +27,6 @@ STYLES = ("plain", "json", "latex")
 
 # The separator between the factors of a term, per text style.
 _SEP = {"plain": "*", "latex": r"\,"}
-
-
-def _check_style(style: str) -> None:
-    if style not in STYLES:
-        raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
 
 
 def _signed(num: int, den: int, body: str, style: str) -> tuple[int, str]:
@@ -75,39 +71,49 @@ def _latex_coord(name: str) -> str:
     return f"{name[0]}_{{{name[1:]}}}"
 
 
-def _json_terms(f: RadialExpr) -> list[dict]:
-    """The JSON terms of an expression, its radial exponents under "r" and "rho"."""
-    names = f.frame.coord_names()
-    mono_items = Memo(lambda mono: [(names[i], e) for i, e in enumerate(mono) if e])
-    buckets, den = f.display_order()
-    out = []
-    for a, b, rows in buckets:
+def _write(buckets, den: int, style: str, dim: int = 0, names: Sequence[str] = ()) -> str | list[dict]:
+    """The one term writer (module docstring): the text of the terms, or
+    for the json style the list of their term objects.  ``dim`` is the
+    blades' algebra dimension and ``names`` the coordinate names."""
+    if style not in STYLES:
+        raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
+    if style == "json":
+        mono_items = Memo(lambda mono: [(names[i], e) for i, e in enumerate(mono) if e])
+        out = []
+        for radial, rows in buckets:
+            tail = {} if radial is None else {"r": radial[0], "rho": radial[1]}
+            for mono, blade, c in rows:
+                term = {} if mono is None else {"mono": dict(mono_items[mono])}
+                if blade is not None:
+                    term["blade"] = list(blade)
+                g = gcd(c, den)
+                term["coeff"] = {"num": c // g, "den": den // g}
+                term.update(tail)
+                out.append(term)
+        return out
+    sep = _SEP[style]
+    if style == "latex":
+        names = [_latex_coord(name) for name in names]
+    mono_text = Memo(lambda mono: sep.join(_power(names[i], e, style) for i, e in enumerate(mono) if e))
+    blade_text_ = Memo(lambda blade: _blade_text(blade, dim, style))
+    mono_text[None] = blade_text_[None] = ""  # a part the class does not have
+    parts = []
+    for radial, rows in buckets:
+        radial_text = "" if radial is None else _radial_text(*radial, style)
         for mono, blade, c in rows:
-            g = gcd(c, den)
-            out.append({"mono": dict(mono_items[mono]), "blade": list(blade),
-                        "coeff": {"num": c // g, "den": den // g}, "r": a, "rho": b})
-    return out
+            body = sep.join(filter(None, (mono_text[mono], blade_text_[blade], radial_text)))
+            parts.append(_signed(c, den, body, style))
+    return _join_signed(parts) if parts else "0"
+
+
+def _printed(buckets, den: int, style: str, dim: int = 0, names: Sequence[str] = ()) -> str:
+    out = _write(buckets, den, style, dim, names)
+    return json.dumps(out, separators=(",", ":")) if style == "json" else out
 
 
 def format_expression(f: RadialExpr, style: str = "plain") -> str:
     """Render an expression; the plain style round-trips through the parser."""
-    _check_style(style)
-    if style == "json":
-        return json.dumps(_json_terms(f), separators=(",", ":"))
-    buckets, den = f.display_order()
-    if not buckets:
-        return "0"
-    frame, sep = f.frame, _SEP[style]
-    names = frame.coord_names() if style == "plain" else [_latex_coord(n) for n in frame.coord_names()]
-    mono_text = Memo(lambda mono: sep.join(_power(names[i], e, style) for i, e in enumerate(mono) if e))
-    blade_text_ = Memo(lambda blade: _blade_text(blade, frame.m, style))
-    parts = []
-    for a, b, rows in buckets:
-        radial = _radial_text(a, b, style)
-        for mono, blade, c in rows:
-            body = sep.join(filter(None, (mono_text[mono], blade_text_[blade], radial)))
-            parts.append(_signed(c, den, body, style))
-    return _join_signed(parts)
+    return _printed(*f.display_order(), style, f.frame.m, f.frame.coord_names())
 
 
 def expression_json_object(f: RadialExpr) -> dict:
@@ -115,35 +121,18 @@ def expression_json_object(f: RadialExpr) -> dict:
     frame = f.frame
     return {
         "frame": {"p": frame.p, "q": frame.q, "scalar_axis": frame.scalar_axis},
-        "terms": _json_terms(f),
+        "terms": _write(*f.display_order(), "json", frame.m, frame.coord_names()),
     }
 
 
 def format_bivariate(h: BivariateRadial, style: str = "plain") -> str:
-    _check_style(style)
-    items = h.items()
-    if style == "json":
-        return json.dumps(
-            [{"coeff": {"num": c.numerator, "den": c.denominator}, "r": a, "rho": b}
-             for (a, b), c in items],
-            separators=(",", ":"))
-    if not items:
-        return "0"
-    return _join_signed([_signed(c.numerator, c.denominator, _radial_text(a, b, style), style)
-                         for (a, b), c in items])
+    return _printed([(ab, [(None, None, c)]) for ab, c in sorted(h._terms.items())], h._den, style)
 
 
 def format_multivector(mv: Multivector, style: str = "plain") -> str:
-    _check_style(style)
-    items = sorted(mv.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    if style == "json":
-        return json.dumps(
-            [{"blade": list(b), "coeff": {"num": c.numerator, "den": c.denominator}} for b, c in items],
-            separators=(",", ":"))
-    if not items:
-        return "0"
-    return _join_signed([_signed(c.numerator, c.denominator, _blade_text(blade, mv.dim, style), style)
-                         for blade, c in items])
+    rows = sorted(((None, mask_blade(mask), c) for mask, c in mv._terms.items()),
+                  key=lambda row: (len(row[1]), row[1]))
+    return _printed([(None, rows)], mv._den, style, mv.dim)
 
 
 def format_components(comp, style: str = "plain") -> str:

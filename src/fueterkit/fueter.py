@@ -26,15 +26,16 @@ the minus variant.  One core serves every path:
   Laplacian power of the whole integrand, is ``selfcheck.definition_map``,
   a cross-check.
 
-``ft_closed_form`` evaluates ``ft_mu`` as a double-factorial and
-multinomial constant times the shape of the pair built by the
-one-dimensional radial operators.  ``ft_general_via_fischer`` splits
-general factors into monogenic Fischer layers and evaluates each layer
-pair (n1, n2) by one closed form, with no Laplacian: the pair's target
-variant is the input variant when n1 + n2 is even and the other one when
-it is odd, its seed is multiplied by the parity monomial (with the sign
-(-1)^{n1} for the minus variant), and the x layer enters as its n2-fold
-grade involution.  It must agree with the direct maps exactly.
+``ft_closed_form`` evaluates ``ft_mu`` as the top term of Lemma 5
+(``bivariate.laplacian_expansion``): a double-factorial and multinomial
+constant times the shape of the pair ``bivariate.operator_term`` builds
+from the seed.  ``ft_general_via_fischer`` splits general factors into
+monogenic Fischer layers and evaluates each layer pair (n1, n2) by one
+closed form, with no Laplacian: the pair's target variant is the input
+variant when n1 + n2 is even and the other one when it is odd, its seed
+is multiplied by the parity monomial (with the sign (-1)^{n1} for the
+minus variant), and the x layer enters as its n2-fold grade involution.
+It must agree with the direct maps exactly.
 
 A single-axis pipeline (``fueter_classical`` and its closed form, one
 shared body) covers the generalized Cauchy-Riemann construction for
@@ -51,9 +52,10 @@ from .bivariate import (
     BivariateRadial,
     apply_dx_xinv,
     apply_xinv_dx,
-    delta2_power,
     double_factorial,
+    expansion_coefficient,
     multinomial,
+    operator_term,
 )
 from .errors import PreconditionError, ShapeError, VerificationError
 from .frame import AxisFrame
@@ -234,8 +236,9 @@ def ft_mu(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: AxisFrame,
 
 def ft_closed_form(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: AxisFrame,
                    variant: str, mu: int | None = None) -> RadialExpr:
-    """Closed form of ``ft_mu``: (2k+p-1)!! (2l+q-1)!! multinomial(n; j1, j2)
-    times the component pair built from the one-dimensional operators.
+    """Closed form of ``ft_mu``, the top term of Lemma 5:
+    (2k+p-1)!! (2l+q-1)!! multinomial(n; j1, j2) times the shape of the
+    pair that ``bivariate.operator_term`` builds from the seed's u and v.
 
     The output is verified to be monogenic before it is returned."""
     mu, k, l = _map_inputs(seed, pk, pl, frame, variant, mu, monogenic=True)
@@ -245,21 +248,17 @@ def ft_closed_form(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: Ax
 def _closed_form(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: AxisFrame,
                  variant: str, mu: int, k: int, l: int) -> RadialExpr:
     """``ft_closed_form`` on inputs its caller has checked, with their order
-    mu and degrees (k, l), and without the final monogenicity check."""
-    p, q = frame.p, frame.q
-    j1 = k + (p - 1) // 2
-    j2 = l + (q - 1) // 2
-    constant = (double_factorial(2 * k + p - 1) * double_factorial(2 * l + q - 1)
-                * multinomial(mu + k + l + (frame.m - 2) // 2, j1, j2))
+    mu and degrees (k, l), and without the final monogenicity check: the
+    top term (j1, j2) = (k + (p-1)/2, l + (q-1)/2) of Lemma 5 at order
+    n = mu + k + l + (m-2)/2, whose weight is (2k+p-1)!! (2l+q-1)!!.  u's
+    summand carries omega^s1 nu^s2, (s1, s2) = (0, 0) for plus and (1, 0)
+    for minus, and v's the other powers."""
+    n = mu + k + l + (frame.m - 2) // 2
+    j1, j2 = k + (frame.p - 1) // 2, l + (frame.q - 1) // 2
+    constant = multinomial(n, j1, j2) * expansion_coefficient(j1, j2, BiaxialParams(k, l, frame.p, frame.q))
+    s1 = 0 if variant == VARIANT_PLUS else 1
     u, v = _lifted_uv(seed)
-    du = delta2_power(u, mu)
-    dv = delta2_power(v, mu)
-    if variant == VARIANT_PLUS:
-        first = apply_xinv_dx(apply_xinv_dx(du, j1, "r"), j2, "rho")
-        second = apply_dx_xinv(apply_dx_xinv(dv, j1, "r"), j2, "rho")
-    else:
-        first = apply_dx_xinv(apply_xinv_dx(du, j2, "rho"), j1, "r")
-        second = apply_xinv_dx(apply_dx_xinv(dv, j2, "rho"), j1, "r")
+    first, second = operator_term(u, n, j1, j2, s1, 0), operator_term(v, n, j1, j2, 1 - s1, 1)
     return constant * (_shape(frame, variant, first, second) * pk * pl)
 
 

@@ -19,10 +19,15 @@ and differs only in its atoms:
 
 ``_Parser`` owns the skeleton; each entry point hands it the grammar's
 constant, its atom handler and, where the grammar has them, r and rho.
+The vectors of ``--t`` and ``--s`` take the same rational rule:
+``vector := [sign] rational {"," [sign] rational}``.  Digits are ASCII
+0-9, at most ``sys.int_info.default_max_str_digits`` to a literal; a name
+is an ASCII letter, then ASCII letters, digits and "_".
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Mapping, Sequence
@@ -48,21 +53,24 @@ class _Tokenizer:
         i = 0
         n = len(text)
         depth = 0
+        limit = sys.int_info.default_max_str_digits
         while i < n:
             c = text[i]
             if c.isspace():
                 i += 1
                 continue
-            if c.isdecimal():
+            if "0" <= c <= "9":
                 j = i
-                while j < n and text[j].isdecimal():
+                while j < n and "0" <= text[j] <= "9":
                     j += 1
+                if j - i > limit:
+                    raise ParseError(f"number longer than {limit} digits", i)
                 self.tokens.append(("num", text[i:j], i))
                 i = j
                 continue
-            if c.isalpha():
+            if c.isascii() and c.isalpha():
                 j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
+                while j < n and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
                     j += 1
                 self.tokens.append(("name", text[i:j], i))
                 i = j
@@ -95,16 +103,21 @@ class _Tokenizer:
             raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
         return tok
 
+    def sign(self) -> int:
+        """Read an optional "+" or "-"; -1 after a "-", else 1."""
+        kind = self.peek()[0]
+        if kind in ("+", "-"):
+            self.pos += 1
+        return -1 if kind == "-" else 1
+
+    def end(self) -> None:
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+
 
 def _parse_int(tz: _Tokenizer) -> int:
-    sign = 1
-    tok = tz.peek()
-    if tok[0] in ("+", "-"):
-        tz.next()
-        if tok[0] == "-":
-            sign = -1
-    tok = tz.expect("num")
-    return sign * int(tok[1])
+    return tz.sign() * int(tz.expect("num")[1])
 
 
 def _parse_rational(tz: _Tokenizer, first: tuple[str, str, int]) -> Fraction:
@@ -140,18 +153,11 @@ class _Parser:
 
     def parse(self):
         out = self._expr()
-        tok = self.tz.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        self.tz.end()
         return out
 
     def _expr(self):
-        sign = 1
-        tok = self.tz.peek()
-        if tok[0] in ("+", "-"):
-            self.tz.next()
-            if tok[0] == "-":
-                sign = -1
+        sign = self.tz.sign()
         out = self._term() * sign
         while True:
             tok = self.tz.peek()
@@ -305,14 +311,12 @@ def parse_bivariate(text: str) -> BivariateRadial:
 
 
 def parse_vector(text: str) -> list[Fraction]:
-    """Parse a comma-separated list of rationals like ``1,0,-3/2``."""
+    """Parse a comma-separated list of signed rationals like ``1,0,-3/2``."""
+    tz = _Tokenizer(text)
     out = []
-    for i, chunk in enumerate(text.split(",")):
-        chunk = chunk.strip()
-        if not chunk:
-            raise ParseError(f"empty vector component at position {i}")
-        try:
-            out.append(Fraction(chunk))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"invalid rational {chunk!r} in vector") from None
-    return out
+    while True:
+        out.append(tz.sign() * _parse_rational(tz, tz.expect("num")))
+        if tz.peek()[0] != ",":
+            tz.end()
+            return out
+        tz.next()

@@ -393,8 +393,8 @@ class RadialExpr(TermMap):
             object.__setattr__(self, "_canonical_cache", cached)
             return cached
 
-    def display_order(self) -> tuple[list[tuple[int, int, list[tuple[Mono, Blade, int]]]], int]:
-        """The normal form in print order, as (a, b, rows) buckets of
+    def display_order(self) -> tuple[list[tuple[tuple[int, int], list[tuple[Mono, Blade, int]]]], int]:
+        """The normal form in print order, as ((a, b), rows) buckets of
         (monomial, blade, numerator) rows, and the shared denominator.
 
         The rows are bucketed straight off their int keys by radial part
@@ -414,7 +414,7 @@ class RadialExpr(TermMap):
         parts = [(*_exponents(0, part), part) for part in buckets]
         parts.sort(key=lambda abp: (abp[0] & 1, abp[1] & 1, abp[0], abp[1]))
         # (monomial, blade) is unique within a bucket, so rows sort as tuples
-        return [(a, b, sorted(buckets[part])) for a, b, part in parts], self._den
+        return [((a, b), sorted(buckets[part])) for a, b, part in parts], self._den
 
     def canonical_terms(self) -> dict[TermKey, Fraction]:
         """The normal form as a fresh dict, sorted by key."""
@@ -776,18 +776,15 @@ def group_classes(rows: Iterable[tuple[TermKey, Rational]], frame: AxisFrame,
                   group: str) -> dict[tuple[int, int], _Groups]:
     """Split term rows of one axial group into R^e * (own-group polynomial
     of monomial degree d), keyed (e, d), with R = r for group "x" and rho
-    for group "y" and the rows stored at exponent 0.  Rows with equal keys
-    are summed and zero sums dropped, as every constructor does.
+    for group "y" and the rows stored at exponent 0.  The rows enter
+    through the validating constructor, so equal keys are summed and zero
+    sums dropped.
 
     PreconditionError names the first row that leaves the group: a
     coordinate outside it, a blade outside its algebra or a nonzero
     exponent of the other radius; also when the frame has no second group.
     ValueError for a group name other than "x" and "y"."""
-    groups: _Groups = {}
-    for (mono, key), c in _checked_terms(frame, rows):
-        inner = groups.setdefault(mono, {})
-        inner[key] = inner.get(key, 0) + c
-    return _stored_group_classes(frame, _nonzero(groups), group)
+    return _stored_group_classes(frame, RadialExpr(frame, rows)._terms, group)
 
 
 def _stored_group_classes(frame: AxisFrame, groups: _Groups, group: str) -> dict[tuple[int, int], _Groups]:

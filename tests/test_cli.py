@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 import subprocess
 import sys
 import time
@@ -10,6 +11,10 @@ import pytest
 
 from fueterkit import catalog, selfcheck
 from fueterkit.cli import _build_parser, main
+from fueterkit.frame import AxisFrame
+from fueterkit.fueter import apply_map
+from fueterkit.parsing import parse_expression, parse_seed
+from fueterkit.seeds import SeedFunction
 from fueterkit.errors import ParseError, PreconditionError, ShapeError, VerificationError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -350,6 +355,108 @@ class TestHostileInput:
         code, _out, err = run(capsys, "check-monogenic", "--p", "3", "--q", "3", "--expr", "x1")
         assert code == 3
         assert err == "internal error: RuntimeError: boom\n"
+
+
+# Number strings that no grammar reads as a [sign] rational.
+HOSTILE_NUMBERS = {
+    "decimal": "1.5",
+    "exponent": "1e3",
+    "underscore": "1_0",
+    "unicode-digit": "\u0663",
+    "4301-digits": "9" * 4301,
+    "zero-denominator": "1/0",
+    "empty": "",
+    "two-signs": "+-1",
+}
+
+APPLY = ("apply", "--p", "3", "--q", "3", "--variant", "plus")
+
+
+def _hostile_argvs(seed: int) -> dict[str, tuple[str, ...]]:
+    """Every hostile number in every option where a number may stand: a
+    --t or --s component (the seed picks the option and the component),
+    --Hk, --seed, --expr and lemma5 --h."""
+    rng = random.Random(seed)
+    out = {}
+    for name, text in HOSTILE_NUMBERS.items():
+        option = rng.choice(("--t", "--s"))
+        vector = ["1", "2", "3"]
+        vector[rng.randrange(3)] = text
+        vectors = {"--t": "1,2,3", "--s": "1,2,3", option: ",".join(vector)}
+        vector_args = ("--t", vectors["--t"], "--s", vectors["--s"])
+        out.update({
+            f"{name}-apply{option}": APPLY + ("--seed", "zbar^5", "--Hk", "ip(x,t)", "--Hl", "ip(y,s)") + vector_args,
+            f"{name}-examples{option}": ("examples",) + vector_args,
+            f"{name}-Hk": APPLY + ("--seed", "zbar^5", "--Hk", f"{text}*x1", "--Hl", "y1"),
+            f"{name}-seed": APPLY + ("--seed", f"{text}*zbar^5", "--Hk", "x1", "--Hl", "y1"),
+            f"{name}-expr": ("check-monogenic", "--p", "3", "--q", "3", "--expr", f"x1 + {text}*x2"),
+            f"{name}-lemma5": ("lemma5", "--h", f"{text}*r^2", "--n", "1", "--s1", "0", "--s2", "0",
+                               "--k", "0", "--l", "0"),
+        })
+    return out
+
+
+HOSTILE_ARGVS = _hostile_argvs(1931)
+
+
+class TestHostileNumbers:
+    """A hostile number is a one-line parse error wherever it stands: exit
+    2, nothing on stdout, no traceback, within a second."""
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_ARGVS))
+    def test_exits_2_with_one_stderr_line(self, capsys, name):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *HOSTILE_ARGVS[name])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, column", [
+        (("check-monogenic", "--p", "3", "--q", "3", "--expr", "x\u0661^\u0662 + \u0663/\u0662*y2"), 2),
+        (APPLY + ("--seed", "zbar^\u0663", "--Hk", "x1", "--Hl", "y1"), 6),
+        (APPLY + ("--seed", "zbar^5", "--Hk", "ip(x,t)", "--Hl", "y1", "--t", "\u0661,\u0662,3"), 1),
+    ], ids=["expression", "seed", "vector"])
+    def test_non_ascii_digits_exit_2(self, capsys, argv, column):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: unexpected character ") and err.endswith(f"(at column {column})\n")
+
+    @pytest.mark.parametrize("option", ["--Hk", "--expr", "--h", "--t"])
+    def test_a_5000_digit_literal_is_a_parse_error_in_every_option(self, capsys, option):
+        big = "9" * 5000
+        argv = {
+            "--Hk": APPLY + ("--seed", "zbar^5", "--Hk", f"x1 + {big}*x2", "--Hl", "y1"),
+            "--expr": ("check-monogenic", "--p", "3", "--q", "3", "--expr", f"x1 + {big}*x2"),
+            "--h": ("lemma5", "--h", f"r^2 + {big}", "--n", "1", "--s1", "0", "--s2", "0", "--k", "0", "--l", "0"),
+            "--t": APPLY + ("--seed", "zbar^5", "--Hk", "ip(x,t)", "--Hl", "y1", "--t", f"1,{big},3"),
+        }[option]
+        code, out, err = run(capsys, *argv)
+        column = next(value for value in argv if big in value).index(big) + 1
+        assert (code, out, err) == (2, "", f"parse error: number longer than 4300 digits (at column {column})\n")
+
+    def test_a_result_beyond_the_int_text_limit_prints_exactly(self, capsys):
+        # <x,t>^5 with a 1000-digit component of t gives coefficients of
+        # over 4300 digits; the CLI lifts the int-to-text limit to print them.
+        nines = "9" * 1000
+        argv = APPLY + ("--seed", "zbar^5", "--Hk", "ip(x,t)^5", "--Hl", "ip(y,s)",
+                        "--t", f"{nines},2,3", "--s", "1,1,1", "--format", "json")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        try:
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            got = {(tuple(t["mono"].items()), tuple(t["blade"]), t["r"], t["rho"]):
+                   Fraction(t["coeff"]["num"], t["coeff"]["den"]) for t in json.loads(out)["terms"]}
+        finally:
+            sys.set_int_max_str_digits(limit)
+        frame = AxisFrame(3, 3)
+        vectors = {"t": [int(nines), 2, 3], "s": [1, 1, 1]}
+        want = apply_map(SeedFunction.create(parse_seed("zbar^5")), parse_expression("ip(x,t)^5", frame, vectors),
+                         parse_expression("ip(y,s)", frame, vectors), frame, "plus")
+        names = frame.coord_names()
+        assert got == {(tuple((names[i], e) for i, e in enumerate(mono) if e), blade, a, b): c
+                       for (mono, blade, a, b), c in want.canonical_terms().items()}
+        assert max(abs(c.numerator) for c in got.values()) > 10 ** 4300
 
 
 class TestProcessDeterminism:

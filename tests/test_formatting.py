@@ -151,6 +151,39 @@ class TestBivariateAndMultivector:
         mv = Multivector(11, {(1, 11): 1})
         assert format_multivector(mv) == "e{1,11}"
 
+    def test_bivariate_latex(self):
+        h = BivariateRadial({(2, 0): Fraction(5), (0, -3): Fraction(-1, 2), (0, 0): 1, (1, 1): -1})
+        assert format_bivariate(h, "latex") == r"-\frac{1}{2}\,\rho^{-3} + 1 - r\,\rho + 5\,r^{2}"
+        assert format_bivariate(BivariateRadial.zero(), "latex") == "0"
+
+    def test_multivector_latex(self):
+        mv = Multivector(11, {(1, 11): Fraction(3, 4), (2,): -1, (): 2})
+        assert format_multivector(mv, "latex") == r"2 - e_{2} + \frac{3}{4}\,e_{1,11}"
+        assert format_multivector(Multivector(3, {(1, 2): -1}), "latex") == "-e_{12}"
+
+    def test_multivector_json(self):
+        mv = Multivector(3, {(1, 2): Fraction(-1, 2), (3,): 4, (): 1})
+        assert json.loads(format_multivector(mv, "json")) == [
+            {"blade": [], "coeff": {"num": 1, "den": 1}},
+            {"blade": [3], "coeff": {"num": 4, "den": 1}},
+            {"blade": [1, 2], "coeff": {"num": -1, "den": 2}}]
+        assert format_multivector(Multivector(3), "json") == "[]"
+
+    # (value, repr): zero, scalar only, a leading negative term
+    @pytest.mark.parametrize("value, text", [
+        (Multivector(3), "Multivector(0)"),
+        (Multivector.scalar(Fraction(-3, 2), 3), "Multivector(-3/2)"),
+        (Multivector(3, {(): 2, (1, 2): -1}), "Multivector(2 - e12)"),
+        (Multivector(3, {(1,): -1, (2, 3): Fraction(1, 3)}), "Multivector(-e1 + 1/3*e23)"),
+        (BivariateRadial.zero(), "BivariateRadial(0)"),
+        (BivariateRadial.constant(7), "BivariateRadial(7)"),
+        (BivariateRadial({(0, 0): -1, (2, -1): 3}), "BivariateRadial(-1 + 3*r^2*rho^-1)"),
+        (BivariateRadial({(-1, 0): Fraction(-1, 2), (1, 0): 1}), "BivariateRadial(-1/2*r^-1 + r)"),
+    ], ids=["mv-zero", "mv-scalar", "mv-leading-scalar", "mv-leading-negative",
+            "h-zero", "h-scalar", "h-leading-constant", "h-leading-negative"])
+    def test_reprs_print_through_the_plain_writer(self, value, text):
+        assert repr(value) == text
+
 
 class TestComponents:
     def test_latex_uses_unit_vector_macros(self):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fueterkit import fueter, radial
+from fueterkit import bivariate, fueter, radial
 from fueterkit.bivariate import BiaxialParams, BivariateRadial
 from fueterkit.clifford import Multivector
 from fueterkit.errors import PreconditionError, ShapeError, VerificationError
@@ -338,7 +338,7 @@ class TestClosedForm:
     def test_broken_radial_operator_fails_verification(self, monkeypatch, variant):
         """The closed form checks its own output: with (d/dr r^{-1})^n
         replaced by (r^{-1} d/dr)^n it is no longer monogenic."""
-        monkeypatch.setattr(fueter, "apply_dx_xinv", fueter.apply_xinv_dx)
+        monkeypatch.setattr(bivariate, "apply_dx_xinv", bivariate.apply_xinv_dx)
         with pytest.raises(VerificationError, match="closed form"):
             ft_closed_form(conj_power(8), rot_x(), rot_y(), F33, variant)
 

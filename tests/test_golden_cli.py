@@ -49,6 +49,9 @@ ARGVS = {
     "apply-mu-55-plus": ("apply", "--p", "5", "--q", "5", "--variant", "plus", "--seed", "zbar^7*z^2",
                          "--Hk", "x1*e{1} - x2*e{2}", "--Hl", "1"),
 }
+# The bivariate printer and the per-layer expression printer in their other styles.
+ARGVS.update({f"{name}-{fmt}": ARGVS[name] + ("--format", fmt)
+              for name in ("lemma5", "fischer") for fmt in ("json", "latex")})
 
 # name -> (sha256 of stdout, byte length of stdout)
 GOLDEN = {
@@ -79,7 +82,11 @@ GOLDEN = {
     "apply-mu-55-plus": ("2084054c702dc81b35b61f2e31260939d6f8a7ddd101ecd7e4f2403b9155d642", 1677),
     "examples": ("09688e1081a85e77ef3e299d9c4b69aa9fc58c0a8431df4e540126c16e157b8b", 460),
     "fischer": ("9e1755a0eb850cf8a132d377b4ac548b7c07d73c899bc90e7d6d46ac2e763173", 1015),
+    "fischer-json": ("ab8c069896e8ab959666001fb1516b4de9a335535a3e36cd39c14b95c9f2a795", 4818),
+    "fischer-latex": ("d6fee4ad3f3ad2286d87c22bf126d8b6a5bacdab5beb4e282252c88d1d0663a7", 2177),
     "lemma5": ("57d52f6fa2231a45333c7cf0dd41677f35e924d91c6ee00f18d74a41b9333029", 67),
+    "lemma5-json": ("a27396ca2b2db4b4a8a05a35f5297f618dc430ae7859c3517780f1098eb2f2ae", 226),
+    "lemma5-latex": ("ea5599daa1e12af5f56ce9a2adcdf09a80cb18457a0c40a9369e4ee1ab58cc32", 92),
 }
 
 

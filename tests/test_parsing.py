@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -269,3 +270,59 @@ class TestVectors:
             parse_vector("1,,2")
         with pytest.raises(ParseError):
             parse_vector("1,abc")
+
+    def test_signs_and_spaces(self):
+        assert parse_vector(" +1 , -2/4,3 ") == [Fraction(1), Fraction(-1, 2), Fraction(3)]
+
+    # Each text breaks the rule vector := [sign] rational {"," [sign] rational}.
+    @pytest.mark.parametrize("text, column, message", [
+        ("1.5,2,3", 1, "unexpected character '.'"),
+        ("1e3,2,3", 1, "unexpected trailing input 'e3'"),
+        ("1e10000000,2,3", 1, "unexpected trailing input 'e10000000'"),
+        ("1_0,2,3", 1, "unexpected character '_'"),
+        ("1,,3", 2, "expected 'num', found ','"),
+        ("1,2,", 4, "expected 'num', found 'end of input'"),
+        ("", 0, "expected 'num', found 'end of input'"),
+        ("+-1,2,3", 1, "expected 'num', found '-'"),
+        ("1/0,2,3", 2, "zero denominator"),
+        ("1 2,3", 2, "unexpected trailing input '2'"),
+    ], ids=["decimal", "exponent", "huge-exponent", "underscore", "empty-component", "trailing-comma",
+            "empty", "two-signs", "zero-denominator", "missing-comma"])
+    def test_a_component_is_a_signed_rational(self, text, column, message):
+        with pytest.raises(ParseError) as err:
+            parse_vector(text)
+        assert str(err.value) == f"{message} (at column {column + 1})" and err.value.position == column
+
+
+class TestNumberRule:
+    """Digits are ASCII 0-9, at most sys.int_info.default_max_str_digits to
+    a literal, and names are ASCII, in every grammar and in vectors."""
+
+    @pytest.mark.parametrize("parse, atom, value, const", GRAMMARS)
+    def test_digit_bound_in_every_grammar(self, parse, atom, value, const):
+        limit = sys.int_info.default_max_str_digits
+        assert parse(f"{atom} - " + "9" * limit) == value - const(10 ** limit - 1)
+        with pytest.raises(ParseError, match=f"^number longer than {limit} digits") as err:
+            parse(f"{atom} - " + "9" * (limit + 1))
+        assert err.value.position == len(atom) + 3
+
+    def test_digit_bound_in_vectors(self):
+        limit = sys.int_info.default_max_str_digits
+        assert parse_vector("1,-" + "9" * limit) == [1, 1 - 10 ** limit]
+        with pytest.raises(ParseError, match=f"^number longer than {limit} digits") as err:
+            parse_vector("1,-" + "9" * (limit + 1))
+        assert err.value.position == 3
+
+    @pytest.mark.parametrize("parse, text, column", [
+        (lambda t: parse_expression(t, F33), "x\u0661^\u0662 + \u0663/\u0662*y2", 1),
+        (lambda t: parse_expression(t, F33), "x1 + x\u00e91", 6),
+        (parse_seed, "zbar^\u0663", 5),
+        (parse_seed, "\u00e9", 0),
+        (parse_bivariate, "r^\uff12", 2),
+        (parse_vector, "\u0661,\u0662,3", 0),
+    ], ids=["arabic-indic-coordinate", "latin-letter", "arabic-indic-exponent", "latin-atom",
+            "fullwidth-exponent", "arabic-indic-vector"])
+    def test_non_ascii_digits_and_letters_are_unexpected_characters(self, parse, text, column):
+        with pytest.raises(ParseError, match="^unexpected character") as err:
+            parse(text)
+        assert err.value.position == column
