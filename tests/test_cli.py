@@ -11,11 +11,11 @@ import pytest
 
 from fueterkit import catalog, selfcheck
 from fueterkit.cli import _build_parser, main
+from fueterkit.errors import ParseError, PreconditionError, ShapeError, VerificationError
 from fueterkit.frame import AxisFrame
 from fueterkit.fueter import apply_map
 from fueterkit.parsing import parse_expression, parse_seed
 from fueterkit.seeds import SeedFunction
-from fueterkit.errors import ParseError, PreconditionError, ShapeError, VerificationError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
