@@ -20,7 +20,7 @@ from .bivariate import (
     multinomial,
     operator_term,
 )
-from .clifford import Blade, Multivector, blade_text, geometric_product, parity_split, vector_embed
+from .clifford import Blade, Multivector, blade_text, vector_embed
 from .errors import EngineError, ParseError, PreconditionError, ShapeError, VerificationError
 from .formatting import (
     expression_json_object,

@@ -284,11 +284,12 @@ def _error_report(exc: Exception) -> tuple[int, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Print every digit of an exact result; the parser bounds each literal.
+    # Print every digit of an exact result (the parser bounds each
+    # literal), and give the caller its own limit back on the way out.
+    limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
-    parser = _build_parser()
-    args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else list(argv)))
     try:
+        args = _build_parser().parse_args(_join_dash_values(sys.argv[1:] if argv is None else list(argv)))
         code = args.fn(args)
         sys.stdout.flush()
         return code
@@ -304,6 +305,8 @@ def main(argv: list[str] | None = None) -> int:
         code, text = _error_report(exc)
         print(text, file=sys.stderr)
         return code
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

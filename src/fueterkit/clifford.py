@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .sparse import Rational, TermMap, items_of
 
@@ -39,6 +39,8 @@ def blade_mask(blade: Iterable[int], dim: int | None = None) -> int:
     blade = tuple(blade)
     mask = last = 0
     for g in blade:
+        if g < 1:
+            raise ValueError(f"blade index {g} is invalid")
         if g <= last:
             raise ValueError(f"blade indices must be strictly increasing: {blade}")
         if dim is not None and g > dim:
@@ -72,7 +74,7 @@ def mask_sign(a: int, b: int) -> int:
 
 class Multivector(TermMap):
     """Element of R_m as a sparse mapping from blade masks to rationals;
-    ``terms``, ``coefficient`` and ``blades`` speak blade tuples.
+    ``terms`` and ``coefficient`` speak blade tuples.
 
     Instances are immutable; all operations return new values, so they are
     safe to share between concurrent tasks.
@@ -123,9 +125,6 @@ class Multivector(TermMap):
     def scalar_part(self) -> Fraction:
         return self.coefficient(SCALAR_BLADE)
 
-    def blades(self) -> Iterator[Blade]:
-        return iter(sorted(map(mask_blade, self._terms)))
-
     def parity_split(self) -> tuple["Multivector", "Multivector"]:
         """Split by blade cardinality into (even, odd) graded parts."""
         even: dict[int, int] = {}
@@ -138,15 +137,6 @@ class Multivector(TermMap):
         from .formatting import format_multivector
 
         return f"Multivector({format_multivector(self)})"
-
-
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    """Bilinear extension of the blade product; associative, noncommutative."""
-    return a._mul(b)
-
-
-def parity_split(a: Multivector) -> tuple[Multivector, Multivector]:
-    return a.parity_split()
 
 
 def vector_embed(coords: Iterable[Rational], dim: int | None = None, offset: int = 0) -> Multivector:

@@ -5,11 +5,14 @@ writer ``_write``: (radial part or None, rows) buckets of (monomial or
 None, blade or None, numerator) rows over one denominator, None where the
 printed class has no such part.  Expressions come in
 ``RadialExpr.display_order`` (buckets by (parity sector, a, b), rows by
-(monomial, blade)), Laurent scalars by (a, b) and multivectors by (grade,
-blade), so equal values print identically.  Text joins a term's monomial,
+(monomial, blade)), Laurent scalars by (a, b), multivectors by (grade,
+blade) and seeds by (i, j, mask), a seed's monomial being i^mask x^i y^j,
+so equal values print identically.  Text joins a term's monomial,
 blade and radial text, each built once per call or bucket, and reduces
 its coefficient by one gcd; JSON keys a term mono, blade, coeff, r, rho,
-as far as the class has them.  The plain form reparses to an equal value.
+as far as the class has them.  The plain form reparses to an equal value
+while every coefficient has at most 4300 digits, the grammar's literal
+bound.
 """
 
 from __future__ import annotations
@@ -112,7 +115,8 @@ def _printed(buckets, den: int, style: str, dim: int = 0, names: Sequence[str] =
 
 
 def format_expression(f: RadialExpr, style: str = "plain") -> str:
-    """Render an expression; the plain style round-trips through the parser."""
+    """Render an expression; the plain style round-trips through the parser
+    while every coefficient has at most 4300 digits."""
     return _printed(*f.display_order(), style, f.frame.m, f.frame.coord_names())
 
 

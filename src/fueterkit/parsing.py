@@ -208,8 +208,6 @@ def _parse_blade_name(name: str, pos: int) -> tuple[int, ...]:
     digits = name[1:]
     if not digits.isdecimal():
         raise ParseError(f"invalid blade name {name!r}", pos)
-    if "0" in digits:
-        raise ParseError("blade index 0 is invalid", pos)
     return tuple(map(int, digits))
 
 

@@ -274,8 +274,8 @@ class RadialExpr(TermMap):
             mono[frame.coord_index(name)] += e
         if not isinstance(coeff, Multivector):
             coeff = Multivector.scalar(coeff, frame.m)
-        key_mono = tuple(mono)
-        return cls(frame, {(key_mono, blade, a, b): c for blade, c in coeff.terms.items()})
+        packed = cls._from_merged({tuple(mono): {_radial_bits(frame.m, 0, 0): 1}}, 1, frame)
+        return cls.radial(frame, a, b) * cls.constant(frame, coeff) * packed
 
     @classmethod
     def radial(cls, frame: AxisFrame, a: int = 0, b: int = 0, coeff: Rational = 1) -> "RadialExpr":

@@ -83,15 +83,11 @@ class ComplexBivarPoly(TermMap):
         den = self._den
         return {(i, j, mask_blade(mask)): Fraction(c, den) for (i, j, mask), c in self._terms.items()}
 
-    def degree(self) -> int:
-        return max((i + j for (i, j, _b) in self._terms), default=-1)
-
     def __repr__(self) -> str:
-        if not self._terms:
-            return "ComplexBivarPoly(0)"
-        terms = self.terms
-        bits = [f"{terms[key]}*{'i*' if key[2] else ''}x^{key[0]}*y^{key[1]}" for key in sorted(terms)]
-        return "ComplexBivarPoly(" + " + ".join(bits) + ")"
+        from .formatting import _write
+
+        rows = [((mask, i, j), None, c) for (i, j, mask), c in sorted(self._terms.items())]
+        return f"ComplexBivarPoly({_write([(None, rows)], self._den, 'plain', names=('i', 'x', 'y'))})"
 
 
 def _checked_seed_terms(items: Iterable[tuple[SeedKey, Rational]]) -> Iterable[tuple[tuple[int, int, int], Rational]]:
@@ -112,12 +108,6 @@ def _slot(which: str) -> int:
     raise ValueError(f"coordinate must be 'x' or 'y', got {which!r}")
 
 
-def _diff(w: ComplexBivarPoly, which: str) -> ComplexBivarPoly:
-    slot = _slot(which)
-    return w._like(collect(((i - 1, j, b) if slot == 0 else (i, j - 1, b), c * (i if slot == 0 else j))
-                           for (i, j, b), c in w._terms.items()), w._den)
-
-
 def wirtinger(w: ComplexBivarPoly, which: str) -> ComplexBivarPoly:
     """d/dz = (d/dx - i d/dy)/2 or d/dzbar = (d/dx + i d/dy)/2."""
     if which not in (DZ, DZBAR):
@@ -135,8 +125,15 @@ def wirtinger(w: ComplexBivarPoly, which: str) -> ComplexBivarPoly:
 
 
 def laplace2(w: ComplexBivarPoly) -> ComplexBivarPoly:
-    """Planar Laplacian d2/dx2 + d2/dy2 (equals 4 dz dzbar on this class)."""
-    return _diff(_diff(w, "x"), "x") + _diff(_diff(w, "y"), "y")
+    """Planar Laplacian d2/dx2 + d2/dy2 (equals 4 dz dzbar on this class),
+    in one pass: x^i y^j -> i(i-1) x^(i-2) y^j + j(j-1) x^i y^(j-2)."""
+
+    def terms():
+        for (i, j, b), c in w._terms.items():
+            yield (i - 2, j, b), i * (i - 1) * c
+            yield (i, j - 2, b), j * (j - 1) * c
+
+    return w._like(collect(terms()), w._den)
 
 
 def seed_order(w: ComplexBivarPoly) -> int:

@@ -190,8 +190,6 @@ class TermMap:
     def _add(self, other):
         self._check_context(other)
         d1, d2 = self._den, other._den
-        if d1 == d2:
-            return self._reduced(collect(other._terms.items(), self._terms), d1)
         den = lcm(d1, d2)
         m1, m2 = den // d1, den // d2
         return self._reduced(collect(((k, c * m2) for k, c in other._terms.items()),

@@ -12,9 +12,9 @@ PUBLIC_NAMES = [
     "dirac", "double_factorial", "evaluate_terms", "expansion_coefficient", "expression_json_object",
     "extract_components", "fischer_decompose", "format_bivariate", "format_components",
     "format_expression", "format_multivector", "ft_closed_form", "ft_general_via_fischer", "ft_minus",
-    "ft_mu", "ft_plus", "fueter_classical", "geometric_product", "holo_power", "inner_x", "inner_y",
+    "ft_mu", "ft_plus", "fueter_classical", "holo_power", "inner_x", "inner_y",
     "is_monogenic", "laplace2", "laplacian", "laplacian_expansion", "laplacian_power", "lift_to_radial",
-    "multinomial", "nu", "omega", "operator_term", "parity_monomial", "parity_split", "parse_bivariate",
+    "multinomial", "nu", "omega", "operator_term", "parity_monomial", "parse_bivariate",
     "parse_expression", "parse_seed", "parse_vector", "partial_derivative", "re_mul", "seed_order",
     "seed_times_monomial", "split_uv", "times_i", "vector_embed", "vector_x", "vector_y", "vekua_check",
     "wirtinger",

@@ -444,7 +444,9 @@ class TestHostileNumbers:
         sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
         try:
             code, out, err = run(capsys, *argv)
+            assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
             assert (code, err) == (0, "")
+            sys.set_int_max_str_digits(0)  # the test's own reading of the long numbers
             got = {(tuple(t["mono"].items()), tuple(t["blade"]), t["r"], t["rho"]):
                    Fraction(t["coeff"]["num"], t["coeff"]["den"]) for t in json.loads(out)["terms"]}
         finally:
@@ -457,6 +459,35 @@ class TestHostileNumbers:
         assert got == {(tuple((names[i], e) for i, e in enumerate(mono) if e), blade, a, b): c
                        for (mono, blade, a, b), c in want.canonical_terms().items()}
         assert max(abs(c.numerator) for c in got.values()) > 10 ** 4300
+
+
+class TestIntTextLimit:
+    """main lifts the int-to-text limit while it runs and gives the caller
+    its own limit back, whichever way it ends."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (APPLY + ("--seed", "zbar^5", "--Hk", "x1", "--Hl", "y1"), 0),
+        (APPLY + ("--seed", "zbar^5", "--Hk", "x1 +", "--Hl", "y1"), 2),
+    ], ids=["success", "error"])
+    def test_the_callers_limit_is_restored(self, capsys, argv, code):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            assert run(capsys, *argv)[0] == code
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_an_argparse_exit_restores_it_too(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            with pytest.raises(SystemExit):
+                main(["apply", "--p", "3"])
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(limit)
+        capsys.readouterr()
 
 
 class TestProcessDeterminism:

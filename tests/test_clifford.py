@@ -9,10 +9,8 @@ from fueterkit.clifford import (
     Multivector,
     blade_mask,
     blade_text,
-    geometric_product,
     mask_blade,
     mask_sign,
-    parity_split,
     vector_embed,
 )
 
@@ -37,18 +35,22 @@ def test_blade_product_sign_rule():
     assert (Multivector.blade((2,), 3) * Multivector.blade((1,), 3)).terms == {(1, 2): -1}
 
 
-@pytest.mark.parametrize("a, b", [((2, 1), ()), ((1, 1), ()), ((), (3, 2)), ((0, 1), (1,))],
-                         ids=["unsorted", "repeated", "unsorted-right", "zero-index"])
-def test_blade_product_rejects_non_canonical_blades(a, b):
+@pytest.mark.parametrize("a, b, message", [((2, 1), (), "strictly increasing"), ((1, 1), (), "strictly increasing"),
+                                            ((), (3, 2), "strictly increasing"),
+                                            ((0, 1), (1,), "blade index 0 is invalid"),
+                                            ((2, -1), (), "blade index -1 is invalid")],
+                         ids=["unsorted", "repeated", "unsorted-right", "zero-index", "negative-index"])
+def test_blade_product_rejects_non_canonical_blades(a, b, message):
     # the mask rule reads a blade as a set of generators, so order and
     # repeats must be rejected rather than silently dropped
-    with pytest.raises(ValueError, match="strictly increasing"):
+    with pytest.raises(ValueError, match=message):
         Multivector.blade(a, 6) * Multivector.blade(b, 6)
 
 
 @pytest.mark.parametrize("blade, message", [((2, 1), "strictly increasing"), ((1, 1), "strictly increasing"),
-                                            ((4,), "exceeds algebra dimension 3")],
-                         ids=["unsorted", "repeated", "outside"])
+                                            ((4,), "exceeds algebra dimension 3"),
+                                            ((-1,), "blade index -1 is invalid")],
+                         ids=["unsorted", "repeated", "outside", "negative"])
 def test_coefficient_rejects_a_blade_it_cannot_hold(blade, message):
     # e2 e1 = -e12, so reading the unsorted key as absent would report 0
     mv = Multivector(3, {(1, 2): 5})
@@ -121,18 +123,18 @@ def test_vector_embed_offset_and_length_check():
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
-        geometric_product(Multivector.scalar(1, 2), Multivector.scalar(1, 3))
+        Multivector.scalar(1, 2) * Multivector.scalar(1, 3)
 
 
 def test_parity_split_examples():
     a = Multivector(3, {(): 1, (1,): 1, (1, 2): 1})
-    even, odd = parity_split(a)
+    even, odd = a.parity_split()
     assert even == Multivector(3, {(): 1, (1, 2): 1})
     assert odd == Multivector(3, {(1,): 1})
-    z_even, z_odd = parity_split(Multivector.zero(3))
+    z_even, z_odd = Multivector.zero(3).parity_split()
     assert z_even.is_zero() and z_odd.is_zero()
     tri = Multivector.blade((1, 2, 3), 3)
-    even, odd = parity_split(tri)
+    even, odd = tri.parity_split()
     assert even.is_zero() and odd == tri
 
 

@@ -16,8 +16,9 @@ from fueterkit.formatting import (
 )
 from fueterkit.frame import AxisFrame
 from fueterkit.fueter import BiaxialComponents
-from fueterkit.parsing import parse_expression
+from fueterkit.parsing import parse_expression, parse_seed
 from fueterkit.radial import RadialExpr, partial_derivative
+from fueterkit.seeds import ComplexBivarPoly
 
 F33 = AxisFrame(3, 3)
 F55 = AxisFrame(5, 5)
@@ -179,10 +180,17 @@ class TestBivariateAndMultivector:
         (BivariateRadial.constant(7), "BivariateRadial(7)"),
         (BivariateRadial({(0, 0): -1, (2, -1): 3}), "BivariateRadial(-1 + 3*r^2*rho^-1)"),
         (BivariateRadial({(-1, 0): Fraction(-1, 2), (1, 0): 1}), "BivariateRadial(-1/2*r^-1 + r)"),
+        (ComplexBivarPoly(), "ComplexBivarPoly(0)"),
+        (ComplexBivarPoly.constant(Fraction(5, 2)), "ComplexBivarPoly(5/2)"),
+        (ComplexBivarPoly({(0, 1, ()): -1, (2, 0, ()): Fraction(1, 3)}), "ComplexBivarPoly(-y + 1/3*x^2)"),
+        (ComplexBivarPoly.zbar() ** 3, "ComplexBivarPoly(i*y^3 - 3*x*y^2 - 3*i*x^2*y + x^3)"),
     ], ids=["mv-zero", "mv-scalar", "mv-leading-scalar", "mv-leading-negative",
-            "h-zero", "h-scalar", "h-leading-constant", "h-leading-negative"])
+            "h-zero", "h-scalar", "h-leading-constant", "h-leading-negative",
+            "w-zero", "w-real", "w-leading-negative", "w-with-i"])
     def test_reprs_print_through_the_plain_writer(self, value, text):
         assert repr(value) == text
+        if isinstance(value, ComplexBivarPoly):
+            assert parse_seed(text[len("ComplexBivarPoly("):-1]) == value
 
 
 class TestComponents:

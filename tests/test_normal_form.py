@@ -45,7 +45,7 @@ from fueterkit.radial import (
     vector_x,
     vector_y,
 )
-from fueterkit.seeds import ComplexBivarPoly, _diff, conj_power, laplace2, parity_monomial, wirtinger
+from fueterkit.seeds import ComplexBivarPoly, conj_power, laplace2, parity_monomial, wirtinger
 
 FRAMES = (AxisFrame(1, 3), AxisFrame(2, 2), AxisFrame(3, 2), AxisFrame(3, 3), AxisFrame(3, 0),
           AxisFrame(3, 0, scalar_axis=True))
@@ -269,7 +269,7 @@ class TestIntegerNumerators:
         outs = [h + g, h - g, h * g, Fraction(3, 5) * h, -h, h ** 2, h.shift(1, -1), h.derivative("r"),
                 h.derivative("rho"), apply_xinv_dx(h, 2), apply_dx_xinv(h, 2, "rho"), delta2_power(h, 2),
                 mv + nv, mv - nv, mv * nv, nv * Fraction(2, 7), -mv, *mv.parity_split(),
-                w + zbar, w - zbar, w * zbar, Fraction(4, 9) * w, -w, w ** 3, _diff(w, "x"), _diff(w, "y"),
+                w + zbar, w - zbar, w * zbar, Fraction(4, 9) * w, -w, w ** 3,
                 wirtinger(w, "dz"), wirtinger(w, "dzbar"), laplace2(w), parity_monomial(3, 1),
                 conj_power(6).w, ComplexBivarPoly.z() ** 4]
         frame = AxisFrame(3, 3)

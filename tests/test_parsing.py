@@ -161,6 +161,7 @@ BAD_BLADES = [
     ("x1*e{1,4}", "blade index 4 exceeds algebra dimension 3"),
     ("x1*e{2,1}", "blade indices must be strictly increasing: (2, 1)"),
     ("x1*e0", "blade index 0 is invalid"),
+    ("x1*e{0,1}", "blade index 0 is invalid"),
 ]
 
 

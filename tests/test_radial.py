@@ -105,6 +105,36 @@ class TestProduct:
             re_mul(RadialExpr.scalar(F33, 1), RadialExpr.scalar(AxisFrame(3, 5), 1))
 
 
+class TestMonomial:
+    def test_exponents_by_name_and_a_repeated_name_adds(self):
+        # "x01" names the coordinate x1 too, so its exponent adds to x1's
+        got = RadialExpr.monomial(F33, {"x1": 2, "y3": 1, "x01": 1})
+        assert got.raw_terms == {(mono6(x1=3, y3=1), (), 0, 0): Fraction(1)}
+
+    def test_multivector_coefficient_and_radial_powers(self):
+        coeff = Multivector(6, {(1,): Fraction(1, 2), (2, 5): -3})
+        got = RadialExpr.monomial(F33, {"x2": 1}, coeff, a=-1, b=2)
+        assert got.raw_terms == {(mono6(x2=1), (1,), -1, 2): Fraction(1, 2), (mono6(x2=1), (2, 5), -1, 2): -3}
+        assert RadialExpr.monomial(F33, {}, Fraction(-2, 3), a=3).raw_terms == {(ZERO6, (), 3, 0): Fraction(-2, 3)}
+
+    def test_equals_the_product_of_coordinates(self):
+        x1, y2 = (RadialExpr.coordinate(F33, name) for name in ("x1", "y2"))
+        e3 = RadialExpr.constant(F33, Multivector.basis_vector(3, 6))
+        assert RadialExpr.monomial(F33, {"x1": 2, "y2": 1}, 3) == 3 * x1 * x1 * y2
+        assert RadialExpr.monomial(F33, {"y2": 1}, Multivector.basis_vector(3, 6)) == e3 * y2
+        assert RadialExpr.monomial(F33, {"x1": 1}, 0).is_zero()
+
+    @pytest.mark.parametrize("frame, exponents, coeff, b, message", [
+        (F33, {"x1": -1}, 1, 0, "exponents must be >= 0"),
+        (F33, {"z1": 1}, 1, 0, "unknown coordinate 'z1'"),
+        (AxisFrame(3), {"x1": 1}, 1, 1, "rho exponent must be 0 in a single-axis frame"),
+        (F33, {"x1": 1}, Multivector.scalar(1, 3), 0, "multivector dimension 3 does not match frame m=6"),
+    ], ids=["negative-exponent", "unknown-coordinate", "rho-single-axis", "coefficient-dimension"])
+    def test_errors(self, frame, exponents, coeff, b, message):
+        with pytest.raises(ValueError, match=message):
+            RadialExpr.monomial(frame, exponents, coeff, b=b)
+
+
 class TestDerivatives:
     def test_derivative_of_r(self):
         d = partial_derivative(RadialExpr.radial(F33, 1, 0), "x1")
