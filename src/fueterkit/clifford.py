@@ -122,9 +122,6 @@ class Multivector(TermMap):
         strictly increasing and inside the algebra."""
         return Fraction(self._terms.get(blade_mask(blade, self.dim), 0), self._den)
 
-    def scalar_part(self) -> Fraction:
-        return self.coefficient(SCALAR_BLADE)
-
     def parity_split(self) -> tuple["Multivector", "Multivector"]:
         """Split by blade cardinality into (even, odd) graded parts."""
         even: dict[int, int] = {}

@@ -65,19 +65,19 @@ class AxisFrame:
         raise ValueError(f"coordinate index {index} out of range for {self}")
 
     def coord_index(self, name: str) -> int:
+        """The index of ``X0``, ``x``j or ``y``j, whose digits must be str(j):
+        ``x01`` is no alias of ``x1``."""
         base = 1 if self.scalar_axis else 0
         if name == "X0":
             if not self.scalar_axis:
                 raise ValueError("frame has no scalar axis X0")
             return 0
-        if name.startswith("x") and name[1:].isdigit():
-            j = int(name[1:])
-            if 1 <= j <= self.p:
-                return base + j - 1
-        if name.startswith("y") and name[1:].isdigit():
-            j = int(name[1:])
-            if 1 <= j <= self.q:
-                return base + self.p + j - 1
+        digits = name[1:]
+        j = int(digits) if digits.isdecimal() and str(int(digits)) == digits else 0
+        if name[:1] == "x" and 1 <= j <= self.p:
+            return base + j - 1
+        if name[:1] == "y" and 1 <= j <= self.q:
+            return base + self.p + j - 1
         raise ValueError(f"unknown coordinate {name!r} for frame p={self.p}, q={self.q}")
 
     def generator_of(self, coord_index: int) -> int:

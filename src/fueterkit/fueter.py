@@ -9,22 +9,21 @@ the minus variant.  One core serves every path:
   dimensions, antiholomorphy or the mu lower bound, the two factor
   degrees, monogenic factors where the theorem needs them) and returns
   (mu, k, l);
-* ``_shape`` builds first + omega nu second or omega first + nu second,
-  for the closed form and the rebuild in ``extract_components`` alike;
-* ``_laplacian_map`` takes the Laplacian power by the paper's biaxial
-  calculus, one axial group at a time, and verifies the output.
-  ``_triples`` writes the integrand as two products W(r, rho) P(x) Q(y):
-  (u, Hk, Hl) and (v r^-1 rho^-1, x Hk*, y Hl) for plus, (u r^-1, x Hk, Hl)
-  and (v rho^-1, Hk*, y Hl) for minus, where Hk* is the grade involution
-  of Hk because nu anticommutes with every x generator.
-  ``radial.separated_laplacian_power`` takes Delta = Delta_x + Delta_y on
-  them with scalar (r, rho) tables and one group-scope Laplacian chain per
-  factor, never a full-scope Laplacian of the integrand.  ``ft_plus`` /
-  ``ft_minus`` call it with mu = 0, antiholomorphic seeds and general
-  homogeneous factors; ``ft_mu`` with the seed's order (or an upward
-  override) and monogenic factors.  The definition route, the full-scope
-  Laplacian power of the whole integrand, is ``selfcheck.definition_map``,
-  a cross-check.
+* ``_triples`` writes the shape times Hk Hl as two products
+  W(r, rho) P(x) Q(y), the engine's one writing of the shape: (u, Hk, Hl)
+  and (v r^-1 rho^-1, x Hk*, y Hl) for plus, (u r^-1, x Hk, Hl) and
+  (v rho^-1, Hk*, y Hl) for minus, where Hk* is the grade involution of
+  Hk because nu anticommutes with every x generator;
+* ``radial.separated_laplacian_power`` assembles the products and takes
+  Delta = Delta_x + Delta_y on them with scalar (r, rho) tables and one
+  group-scope Laplacian chain per factor, never a full-scope Laplacian of
+  the integrand.  ``_laplacian_map`` calls it and verifies the output:
+  ``ft_plus`` / ``ft_minus`` with mu = 0, antiholomorphic seeds and general
+  homogeneous factors, ``ft_mu`` with the seed's order (or an upward
+  override) and monogenic factors.  The closed form and
+  ``extract_components`` call it with n = 0, the plain product.  The
+  definition route, ``selfcheck.definition_map``, is a cross-check: the
+  full-scope Laplacian power of the omega/nu shape times Hk Hl.
 
 ``ft_closed_form`` evaluates ``ft_mu`` as the top term of Lemma 5
 (``bivariate.laplacian_expansion``): a double-factorial and multinomial
@@ -68,7 +67,6 @@ from .radial import (
     group_classes,
     is_monogenic,
     laplacian_power,
-    nu,
     omega,
     proportionality_constant,
     separated_laplacian_power,
@@ -168,16 +166,6 @@ def _lifted_uv(seed: SeedFunction) -> tuple[BivariateRadial, BivariateRadial]:
     return lift_to_radial(u, den), lift_to_radial(v, den)
 
 
-def _shape(frame: AxisFrame, variant: str, first: BivariateRadial, second: BivariateRadial) -> RadialExpr:
-    """first + omega nu second for the plus variant, omega first + nu second
-    for the minus variant: the head of every biaxial map."""
-    a = RadialExpr.from_bivariate(frame, first)
-    b = RadialExpr.from_bivariate(frame, second)
-    if variant == VARIANT_PLUS:
-        return a + omega(frame) * nu(frame) * b
-    return omega(frame) * a + nu(frame) * b
-
-
 # The assertion that a zero Dirac image in each verifying scope makes.
 _ASSERTIONS = {SCOPE_FULL: "monogenicity", SCOPE_CR: "Cauchy-Riemann"}
 
@@ -191,7 +179,8 @@ def _verified(out: RadialExpr, scope: str, what: str) -> RadialExpr:
 
 def _triples(frame: AxisFrame, variant: str, u: BivariateRadial, v: BivariateRadial,
              hk: RadialExpr, hl: RadialExpr) -> list[tuple[BivariateRadial, RadialExpr, RadialExpr]]:
-    """The integrand of the variant as triples (W, P, Q) for W(r, rho) P(x) Q(y).
+    """The variant's shape of (u, v) times Hk Hl as triples (W, P, Q) for
+    W(r, rho) P(x) Q(y): the head of every biaxial map.
 
     plus: (u, Hk, Hl) and (v r^-1 rho^-1, x Hk*, y Hl); minus: (u r^-1, x Hk,
     Hl) and (v rho^-1, Hk*, y Hl).  Hk* is the grade involution of Hk (even
@@ -259,7 +248,7 @@ def _closed_form(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: Axis
     s1 = 0 if variant == VARIANT_PLUS else 1
     u, v = _lifted_uv(seed)
     first, second = operator_term(u, n, j1, j2, s1, 0), operator_term(v, n, j1, j2, 1 - s1, 1)
-    return constant * (_shape(frame, variant, first, second) * pk * pl)
+    return constant * separated_laplacian_power(_triples(frame, variant, first, second, pk, pl), 0)
 
 
 def _classical(seed: SeedFunction, pk: RadialExpr, m: int, closed: bool) -> RadialExpr:
@@ -375,8 +364,11 @@ def ft_general_via_fischer(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
     vectors.  Each pair is one closed form (``ft_closed_form`` without its
     own check: only the sum is verified), which is linear in the x layer.
     The sum, verified on its normal form, equals the direct ``ft_plus`` /
-    ``ft_minus`` output exactly.  The route takes no Laplacian, so it
-    shares no differentiation code with the direct maps.  The inputs are
+    ``ft_minus`` output exactly.  The route shares the product assembly
+    (``_triples`` through ``separated_laplacian_power`` with n = 0) with
+    the direct maps, but takes no Laplacian: the Fischer layers, the
+    routing signs and Lemma 5's ``operator_term`` constant are checked
+    against the direct maps' Laplacian chains.  The inputs are
     checked once, here: a pair's degrees are (K - n1, L - n2), and the
     grade involution of a monogenic layer is monogenic, because Dirac maps
     even-valued to odd-valued expressions and back.
@@ -415,16 +407,15 @@ def extract_components(f: RadialExpr, pk: RadialExpr, pl: RadialExpr, kind: str)
     frame = f.frame
     k = homogeneous_group_degree(pk, "x")
     l = homogeneous_group_degree(pl, "y")
-    pkpl = pk * pl
     sign_k = (-1) ** k
     flipped = f.negate_group("x")
     like_k = Fraction(1, 2) * (f + sign_k * flipped)
     unlike_k = Fraction(1, 2) * (f - sign_k * flipped)
     first_part, second_part = (like_k, unlike_k) if kind == VARIANT_PLUS else (unlike_k, like_k)
     one, zero = BivariateRadial.constant(1), BivariateRadial.zero()
-    first = _match_series(first_part, _shape(frame, kind, one, zero) * pkpl, k, l)
-    second = _match_series(second_part, _shape(frame, kind, zero, one) * pkpl, k, l)
-    if not (_shape(frame, kind, first, second) * pk * pl - f).is_zero():
+    first = _match_series(first_part, separated_laplacian_power(_triples(frame, kind, one, zero, pk, pl), 0), k, l)
+    second = _match_series(second_part, separated_laplacian_power(_triples(frame, kind, zero, one, pk, pl), 0), k, l)
+    if not (separated_laplacian_power(_triples(frame, kind, first, second, pk, pl), 0) - f).is_zero():
         raise ShapeError(f"expression is not biaxial of kind {kind!r} for the given factors")
     return BiaxialComponents(kind, first, second)
 

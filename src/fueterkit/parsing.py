@@ -235,13 +235,18 @@ def _expression_atom(frame: AxisFrame, vectors: Mapping[str, Sequence[Fraction]]
 
 
 def _braced_blade(tz: _Tokenizer) -> tuple[int, ...]:
+    """The indices of ``e{i,j,...}``; an index with a leading zero is no
+    alias of the plain one."""
     tz.expect("{")
-    indices = [int(tz.expect("num")[1])]
+    tokens = [tz.expect("num")]
     while tz.peek()[0] == ",":
         tz.next()
-        indices.append(int(tz.expect("num")[1]))
+        tokens.append(tz.expect("num"))
     tz.expect("}")
-    return tuple(indices)
+    for _kind, digits, pos in tokens:
+        if len(digits) > 1 and digits[0] == "0":
+            raise ParseError(f"blade index {digits!r} has a leading zero", pos)
+    return tuple(int(digits) for _kind, digits, _pos in tokens)
 
 
 def _inner(tz: _Tokenizer, pos: int, frame: AxisFrame, vectors: Mapping[str, Sequence[Fraction]]) -> RadialExpr:

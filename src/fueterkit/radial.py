@@ -857,6 +857,8 @@ def separated_laplacian_power(triples: Iterable[tuple[BivariateRadial, RadialExp
     generator e_{p+1}..e_{p+q}, so the product of an x blade and a y blade
     is their union with sign +1.  The output has the terms of the
     full-scope ``laplacian_power`` of the expanded integrand, key for key.
+    With n = 0 no chain takes a step and the state loop does not run, so
+    the result is the plain product sum W P Q, assembled the same way.
     """
     if n < 0:
         raise ValueError("Laplacian power must be >= 0")

@@ -29,7 +29,6 @@ from .fueter import (
     VARIANT_MINUS,
     VARIANT_PLUS,
     _lifted_uv,
-    _shape,
     apply_map,
     classical_closed_form,
     extract_components,
@@ -460,11 +459,14 @@ def check_closed_forms(seed: int, size: int = 8) -> Result:
 def definition_map(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: AxisFrame,
                    variant: str, mu: int = 0) -> RadialExpr:
     """A biaxial map by its definition, unverified: the full-scope Laplacian
-    power Delta^{mu+k+l+(m-2)/2} of the whole integrand, the variant's shape
-    of (u, v) times Hk Hl.  The direct maps take the same power group by
-    group, so this is their cross-check."""
+    power Delta^{mu+k+l+(m-2)/2} of the whole integrand, u + omega nu v
+    (plus) or omega u + nu v (minus) times Hk Hl.  The direct maps take the
+    same power group by group on ``fueter._triples``, so this is their
+    cross-check: it writes the shape with omega and nu, not with Hk*."""
     n = mu + homogeneous_group_degree(hk, "x") + homogeneous_group_degree(hl, "y") + (frame.m - 2) // 2
-    return laplacian_power(_shape(frame, variant, *_lifted_uv(seed)) * hk * hl, n, SCOPE_FULL)
+    u, v = (RadialExpr.from_bivariate(frame, w) for w in _lifted_uv(seed))
+    head = u + omega(frame) * nu(frame) * v if variant == VARIANT_PLUS else omega(frame) * u + nu(frame) * v
+    return laplacian_power(head * hk * hl, n, SCOPE_FULL)
 
 
 def check_pipeline_equivalence(seed: int, size: int = 2) -> Result:

@@ -290,6 +290,30 @@ class TestGroupByGroupCalculus:
         assert [out.raw_terms for out in after] == [out.raw_terms for out in before]
         assert set(group_scopes) == {radial.SCOPE_FIRST, radial.SCOPE_SECOND}
 
+    def test_a_shape_without_the_grade_involution_is_caught(self, monkeypatch):
+        """Every engine path writes the shape through ``_triples``, so a
+        wrong rule there agrees with itself.  With Hk in place of Hk* the
+        Dirac check still rejects the direct maps and the closed forms.
+        Where a closed form returns, v's operator term is zero, so the
+        rule does not act and the output equals the definition route's,
+        which writes the shape with omega and nu."""
+        def without_involution(frame, variant, u, v, hk, hl):
+            x, y = vector_x(frame), vector_y(frame)
+            if variant == "plus":
+                return [(u, hk, hl), (v.shift(-1, -1), x * hk, y * hl)]
+            return [(u.shift(-1, 0), x * hk, hl), (v.shift(0, -1), hk, y * hl)]
+
+        monkeypatch.setattr(fueter, "_triples", without_involution)
+        hk, ys = vector_x(F33) * inner_x(F33, T[:3]), inner_y(F33, S[:3])
+        for fn in (ft_plus, ft_minus):
+            with pytest.raises(VerificationError, match="map output"):
+                fn(conj_power(8), hk, ys, F33)
+        for power, variant in ((7, "plus"), (8, "minus")):
+            with pytest.raises(VerificationError, match="closed form"):
+                ft_closed_form(conj_power(power), rot_x(), rot_y(), F33, variant)
+        out = ft_closed_form(conj_power(8), rot_x(), rot_y(), F33, "plus")
+        assert not out.is_zero() and out == definition_map(conj_power(8), rot_x(), rot_y(), F33, "plus")
+
 
 class TestClosedForm:
     @pytest.mark.parametrize("variant", ["plus", "minus"])
@@ -489,14 +513,21 @@ class TestExtractAndVekua:
             extract_components(f, one(), one(), "plus")
 
     def test_roundtrip_on_closed_form(self):
-        seed = conj_power(7)
-        closed = ft_closed_form(seed, rot_x(), rot_y(), F33, "minus")
-        comp = extract_components(closed, rot_x(), rot_y(), "minus")
-        om, nv = omega(F33), nu(F33)
-        rebuilt = (re_mul(om, RadialExpr.from_bivariate(F33, comp.first))
-                   + re_mul(nv, RadialExpr.from_bivariate(F33, comp.second)))
-        rebuilt = re_mul(re_mul(rebuilt, rot_x()), rot_y())
-        assert (rebuilt - closed).is_zero()
+        """Nonzero closed forms of both kinds; at (5,5) an x mask ORed with
+        a y mask spans e1..e10."""
+        for frame, power, kind in ((F33, 8, "minus"), (AxisFrame(5, 5), 7, "plus"), (AxisFrame(5, 5), 8, "minus")):
+            pk, pl = rot_x(frame), rot_y(frame)
+            closed = ft_closed_form(conj_power(power), pk, pl, frame, kind)
+            assert not closed.is_zero()
+            comp = extract_components(closed, pk, pl, kind)
+            first, second = (RadialExpr.from_bivariate(frame, w) for w in (comp.first, comp.second))
+            om, nv = omega(frame), nu(frame)
+            if kind == "plus":
+                rebuilt = first + re_mul(re_mul(om, nv), second)
+            else:
+                rebuilt = re_mul(om, first) + re_mul(nv, second)
+            rebuilt = re_mul(re_mul(rebuilt, pk), pl)
+            assert (rebuilt - closed).is_zero()
 
     def test_vekua_examples(self):
         params = BiaxialParams(0, 0, 3, 3)

@@ -293,7 +293,7 @@ class TestIntegerNumerators:
         for value in (h, g, mv, nv, w):
             assert_integer_form(value, reduced=True)
             assert all(type(c) is Fraction for c in value.terms.values())
-        assert type(mv.coefficient((1,))) is Fraction and type(mv.scalar_part()) is Fraction
+        assert type(mv.coefficient((1,))) is Fraction and type(mv.coefficient(())) is Fraction
 
     def test_map_outputs_keep_the_invariant(self):
         frame = AxisFrame(3, 3)

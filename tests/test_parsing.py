@@ -72,6 +72,27 @@ class TestExpressionErrors:
         with pytest.raises(ParseError):
             parse_expression("x7", F33)
 
+    @pytest.mark.parametrize("text, column, message", [
+        ("x01", 0, "unknown coordinate 'x01'"),
+        ("x1*y002", 3, "unknown coordinate 'y002'"),
+        ("e{01,2}", 2, "blade index '01' has a leading zero"),
+        ("x1*e{1,002}", 7, "blade index '002' has a leading zero"),
+    ])
+    def test_leading_zeros_are_no_aliases(self, capsys, text, column, message):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_expression(text, F33)
+        assert err.value.position == column
+        # the CLI reports it as one stderr line with exit code 2
+        assert main(["check-monogenic", "--p", "3", "--q", "3", "--expr", text]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"parse error: {err.value}\n")
+
+    def test_coordinate_digits_are_those_of_the_index(self):
+        assert F33.coord_index("y3") == 5
+        for name in ("x01", "y03", "x\u0661", "x", "x+1"):
+            with pytest.raises(ValueError, match="unknown coordinate"):
+                F33.coord_index(name)
+
     def test_rho_in_single_axis_frame(self):
         with pytest.raises(ParseError):
             parse_expression("rho", AxisFrame(3, 0))

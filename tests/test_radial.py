@@ -106,10 +106,12 @@ class TestProduct:
 
 
 class TestMonomial:
-    def test_exponents_by_name_and_a_repeated_name_adds(self):
-        # "x01" names the coordinate x1 too, so its exponent adds to x1's
-        got = RadialExpr.monomial(F33, {"x1": 2, "y3": 1, "x01": 1})
-        assert got.raw_terms == {(mono6(x1=3, y3=1), (), 0, 0): Fraction(1)}
+    def test_exponents_by_name_and_no_alias_of_a_name(self):
+        got = RadialExpr.monomial(F33, {"x1": 2, "y3": 1})
+        assert got.raw_terms == {(mono6(x1=2, y3=1), (), 0, 0): Fraction(1)}
+        # "x01" is no alias of x1, so no two names add into one exponent
+        with pytest.raises(ValueError, match="unknown coordinate 'x01'"):
+            RadialExpr.monomial(F33, {"x1": 2, "y3": 1, "x01": 1})
 
     def test_multivector_coefficient_and_radial_powers(self):
         coeff = Multivector(6, {(1,): Fraction(1, 2), (2, 5): -3})
