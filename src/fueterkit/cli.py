@@ -26,7 +26,7 @@ from .formatting import STYLES, expression_json_object, format_bivariate, format
 from .frame import AxisFrame
 from .fueter import apply_map, fischer_decompose
 from .parsing import parse_bivariate, parse_expression, parse_seed, parse_vector
-from .radial import SCOPE_CR, SCOPE_FIRST, SCOPE_FULL, SCOPE_SECOND, dirac
+from .radial import SCOPE_CR, SCOPE_FIRST, SCOPE_FULL, SCOPE_SECOND, is_monogenic
 from .seeds import SeedFunction
 from .selfcheck import run_all
 
@@ -114,7 +114,7 @@ def _order(text: str) -> int | None:
 def _cmd_check_monogenic(args) -> int:
     frame = AxisFrame(args.p, args.q, scalar_axis=args.scalar_axis)
     expr = parse_expression(args.expr, frame, _bound_vectors(args, frame))
-    print("true" if dirac(expr, args.scope).is_zero() else "false")
+    print("true" if is_monogenic(expr, args.scope) else "false")
     return 0
 
 

@@ -20,8 +20,8 @@ the minus variant.  One core serves every path:
   the integrand.  ``_laplacian_map`` calls it and verifies the output:
   ``ft_plus`` / ``ft_minus`` with mu = 0, antiholomorphic seeds and general
   homogeneous factors, ``ft_mu`` with the seed's order (or an upward
-  override) and monogenic factors.  The closed form and
-  ``extract_components`` call it with n = 0, the plain product.  The
+  override) and monogenic factors.  The closed form, the Fischer route
+  and ``extract_components`` call it with n = 0, the plain product.  The
   definition route, ``selfcheck.definition_map``, is a cross-check: the
   full-scope Laplacian power of the omega/nu shape times Hk Hl.
 
@@ -29,12 +29,14 @@ the minus variant.  One core serves every path:
 (``bivariate.laplacian_expansion``): a double-factorial and multinomial
 constant times the shape of the pair ``bivariate.operator_term`` builds
 from the seed.  ``ft_general_via_fischer`` splits general factors into
-monogenic Fischer layers and evaluates each layer pair (n1, n2) by one
-closed form, with no Laplacian: the pair's target variant is the input
-variant when n1 + n2 is even and the other one when it is odd, its seed
-is multiplied by the parity monomial (with the sign (-1)^{n1} for the
-minus variant), and the x layer enters as its n2-fold grade involution.
-It must agree with the direct maps exactly.
+monogenic Fischer layers (``fischer_decompose``: the projection series,
+summed by Horner's rule) and writes each layer pair (n1, n2) as the
+triples of one closed form, with no Laplacian: the pair's target variant
+is the input variant when n1 + n2 is even and the other one when it is
+odd, its seed is multiplied by the parity monomial (with the sign
+(-1)^{n1} for the minus variant), and the x layer enters as its n2-fold
+grade involution.  The triples of all pairs are assembled once, and the
+sum must agree with the direct maps exactly.
 
 A single-axis pipeline (``fueter_classical`` and its closed form, one
 shared body) covers the generalized Cauchy-Riemann construction for
@@ -231,13 +233,14 @@ def ft_closed_form(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: Ax
 
     The output is verified to be monogenic before it is returned."""
     mu, k, l = _map_inputs(seed, pk, pl, frame, variant, mu, monogenic=True)
-    return _verified(_closed_form(seed, pk, pl, frame, variant, mu, k, l), SCOPE_FULL, f"{variant} closed form")
+    out = separated_laplacian_power(_closed_form(seed, pk, pl, frame, variant, mu, k, l), 0)
+    return _verified(out, SCOPE_FULL, f"{variant} closed form")
 
 
 def _closed_form(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: AxisFrame,
-                 variant: str, mu: int, k: int, l: int) -> RadialExpr:
-    """``ft_closed_form`` on inputs its caller has checked, with their order
-    mu and degrees (k, l), and without the final monogenicity check: the
+                 variant: str, mu: int, k: int, l: int) -> list[tuple[BivariateRadial, RadialExpr, RadialExpr]]:
+    """The triples (``_triples``) of ``ft_closed_form`` on inputs its caller
+    has checked, with their order mu and degrees (k, l), unassembled: the
     top term (j1, j2) = (k + (p-1)/2, l + (q-1)/2) of Lemma 5 at order
     n = mu + k + l + (m-2)/2, whose weight is (2k+p-1)!! (2l+q-1)!!.  u's
     summand carries omega^s1 nu^s2, (s1, s2) = (0, 0) for plus and (1, 0)
@@ -248,7 +251,7 @@ def _closed_form(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: Axis
     s1 = 0 if variant == VARIANT_PLUS else 1
     u, v = _lifted_uv(seed)
     first, second = operator_term(u, n, j1, j2, s1, 0), operator_term(v, n, j1, j2, 1 - s1, 1)
-    return constant * separated_laplacian_power(_triples(frame, variant, first, second, pk, pl), 0)
+    return _triples(frame, variant, constant * first, constant * second, pk, pl)
 
 
 def _classical(seed: SeedFunction, pk: RadialExpr, m: int, closed: bool) -> RadialExpr:
@@ -293,37 +296,22 @@ def classical_closed_form(seed: SeedFunction, pk: RadialExpr, m: int) -> RadialE
 # -- Fischer decomposition --------------------------------------------------
 
 
-def _monogenic_projection(h: RadialExpr, xvec: RadialExpr, dim: int, scope: str, degree: int):
-    """Split a homogeneous polynomial of the given degree as P + xvec * rest
-    with P monogenic, using the finite series P = sum_j a_j xvec^j Dirac^j h.
-
-    The coefficients satisfy a_0 = 1, a_{j} = a_{j-1}/(dim + 2*degree - j - 1)
-    for odd j and a_j = -a_{j-1}/j for even j; the divisors are positive, so
-    the series is always defined.  rest = -sum_{j>=1} a_j xvec^{j-1} Dirac^j h
-    is accumulated with one running Dirac power, and P = h - xvec * rest.
-    xvec is the group's vector, dim its dimension and scope its Dirac
-    scope.  Returns (P, rest).
-    """
-    frame = h.frame
-    coeff = Fraction(1)
-    deriv = h
-    xpow = RadialExpr.scalar(frame, 1)
-    rest = RadialExpr.zero(frame)
-    for j in range(1, degree + 1):
-        coeff = coeff / (dim + 2 * degree - j - 1) if j % 2 else -coeff / j
-        deriv = dirac(deriv, scope)
-        rest = rest - coeff * (xpow * deriv)
-        xpow = xpow * xvec
-    return h - xvec * rest, rest
-
-
 def fischer_decompose(h: RadialExpr, group: str = "x") -> list[FischerLayer]:
     """Layers P_{K-n} with sum_n xvec^n P_{K-n} = H and every layer monogenic.
 
     The input must be a nonzero homogeneous polynomial supported purely on
-    the chosen group.  The decomposition is unique; the result is verified
-    by exact reconstruction and per-layer monogenicity, and any failure is
-    reported as an engine bug.
+    the chosen group.  Each remainder g of degree d, H first, splits as
+    P + xvec * rest with P monogenic, by the finite projection series
+    P = sum_j a_j xvec^j D^j g, where D is the group's Dirac operator and
+    dim the group's dimension: a_0 = 1, a_j = a_{j-1}/(dim + 2d - j - 1)
+    for odd j and a_j = -a_{j-1}/j for even j.  The divisors are positive
+    (j <= d, so dim + 2d - j - 1 >= dim + d - 1 >= d), so the series is
+    always defined.  rest = -sum_{j>=1} a_j xvec^{j-1} D^j g is summed by
+    Horner's rule from j = d down to 1, rest = xvec * rest - a_j D^j g, so
+    no power of xvec is formed; P = g - xvec * rest, and rest is the next
+    remainder.  The decomposition is unique; the result is verified by
+    per-layer monogenicity and by exact reconstruction, again by Horner's
+    rule, and any failure is reported as an engine bug.
     """
     frame = h.frame
     degree = homogeneous_group_degree(h, group)
@@ -332,16 +320,22 @@ def fischer_decompose(h: RadialExpr, group: str = "x") -> list[FischerLayer]:
     layers: list[FischerLayer] = []
     cur = h
     for n in range(degree + 1):
-        proj, rest = _monogenic_projection(cur, xv, dim, scope, degree - n)
-        layers.append(FischerLayer(n, proj))
+        d = degree - n
+        series, coeff, deriv = [], Fraction(1), cur
+        for j in range(1, d + 1):
+            coeff = coeff / (dim + 2 * d - j - 1) if j % 2 else -coeff / j
+            deriv = dirac(deriv, scope)
+            series.append((coeff, deriv))
+        rest = RadialExpr.zero(frame)
+        for coeff, deriv in reversed(series):
+            rest = xv * rest - coeff * deriv
+        layers.append(FischerLayer(n, cur - xv * rest))
         cur = rest
-    xpow = RadialExpr.scalar(frame, 1)
     total = RadialExpr.zero(frame)
-    for layer in layers:
-        if not dirac(layer.component, scope).is_zero():
+    for layer in reversed(layers):
+        if not is_monogenic(layer.component, scope):
             raise VerificationError(f"Fischer layer n={layer.n} is not monogenic")
-        total = total + xpow * layer.component
-        xpow = xpow * xv
+        total = xv * total + layer.component
     if not (total - h).is_zero():
         raise VerificationError("Fischer reconstruction does not reproduce the input")
     return layers
@@ -361,34 +355,32 @@ def ft_general_via_fischer(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
     multiplied by (-1)^{n1} h for the minus variant and by h for the plus
     variant; and the x layer enters as its n2-fold grade involution,
     because its odd-valued part anticommutes past the n2 second-group
-    vectors.  Each pair is one closed form (``ft_closed_form`` without its
-    own check: only the sum is verified), which is linear in the x layer.
-    The sum, verified on its normal form, equals the direct ``ft_plus`` /
-    ``ft_minus`` output exactly.  The route shares the product assembly
-    (``_triples`` through ``separated_laplacian_power`` with n = 0) with
-    the direct maps, but takes no Laplacian: the Fischer layers, the
-    routing signs and Lemma 5's ``operator_term`` constant are checked
-    against the direct maps' Laplacian chains.  The inputs are
-    checked once, here: a pair's degrees are (K - n1, L - n2), and the
-    grade involution of a monogenic layer is monogenic, because Dirac maps
-    even-valued to odd-valued expressions and back.
+    vectors.  Each pair is one closed form, linear in the x layer, which
+    ``_closed_form`` gives as triples; the triples of every pair are summed
+    in one product assembly (``separated_laplacian_power`` with n = 0), and
+    only the sum is verified, on its normal form.  It equals the direct
+    ``ft_plus`` / ``ft_minus`` output exactly.  The route shares the product
+    assembly (``_triples``) with the direct maps, but takes no Laplacian:
+    the Fischer layers, the routing signs and Lemma 5's ``operator_term``
+    constant are checked against the direct maps' Laplacian chains.  The
+    inputs are checked once, here: a pair's degrees are (K - n1, L - n2),
+    and the grade involution of a monogenic layer is monogenic, because
+    Dirac maps even-valued to odd-valued expressions and back.
     """
     _mu, big_k, big_l = _map_inputs(seed, hk, hl, frame, variant, 0, monogenic=False)
-    layers_x = fischer_decompose(hk, "x")
+    layers_x = [lx for lx in fischer_decompose(hk, "x") if not lx.component.is_zero()]
     layers_y = [ly for ly in fischer_decompose(hl, "y") if not ly.component.is_zero()]
     other = VARIANT_MINUS if variant == VARIANT_PLUS else VARIANT_PLUS
-    total = RadialExpr.zero(frame)
+    triples = []
     for lx in layers_x:
-        if lx.component.is_zero():
-            continue
         for ly in layers_y:
             n1, n2 = lx.n, ly.n
             target = variant if (n1 + n2) % 2 == 0 else other
             h = parity_monomial(n1, n2)
             routed = SeedFunction.create(seed.w * (-h if variant == VARIANT_MINUS and n1 % 2 else h))
             pk = lx.component.grade_involution() if n2 % 2 else lx.component
-            total = total + _closed_form(routed, pk, ly.component, frame, target, n1 + n2, big_k - n1, big_l - n2)
-    return _verified(total.canonicalized(), SCOPE_FULL, "fischer-routed map")
+            triples += _closed_form(routed, pk, ly.component, frame, target, n1 + n2, big_k - n1, big_l - n2)
+    return _verified(separated_laplacian_power(triples, 0).canonicalized(), SCOPE_FULL, "fischer-routed map")
 
 
 # -- component extraction and the first-order systems ------------------------

@@ -344,14 +344,14 @@ class TestHostileInput:
         def broken(*args):
             raise exc
 
-        monkeypatch.setattr("fueterkit.cli.dirac", broken)
+        monkeypatch.setattr("fueterkit.cli.is_monogenic", broken)
         assert run(capsys, "check-monogenic", "--p", "3", "--q", "3", "--expr", "x1") == (code, "", prefix + "\n")
 
     def test_unexpected_exception_is_a_one_line_exit_3(self, capsys, monkeypatch):
         def broken(*args):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr("fueterkit.cli.dirac", broken)
+        monkeypatch.setattr("fueterkit.cli.is_monogenic", broken)
         code, _out, err = run(capsys, "check-monogenic", "--p", "3", "--q", "3", "--expr", "x1")
         assert code == 3
         assert err == "internal error: RuntimeError: boom\n"

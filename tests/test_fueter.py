@@ -399,23 +399,34 @@ class TestFischer:
         assert dirac(layers[0].component, "second-group").is_zero()
 
     def test_random_reconstruction(self):
+        """Random homogeneous group polynomials of degree 0..4: the layers
+        are monogenic, and the explicit sum xvec^n P_{K-n} gives H back."""
         rng = random.Random(11)
-        for p in (3, 5):
-            frame = AxisFrame(p, 3)
+        for group, frame in (("x", AxisFrame(3, 3)), ("x", AxisFrame(5, 3)), ("y", AxisFrame(3, 5))):
+            coords = list(frame.group_indices(group))
+            generators = [frame.generator_of(i) for i in coords]
+            xv = vector_x(frame) if group == "x" else vector_y(frame)
+            scope = "first-group" if group == "x" else "second-group"
             for _ in range(6):
-                deg = rng.randint(0, 3)
+                deg = rng.randint(0, 4)
                 raw = []
                 for _ in range(rng.randint(1, 4)):
                     mono = [0] * frame.ncoords
                     for _ in range(deg):
-                        mono[rng.choice(list(frame.x_indices))] += 1
-                    blade = tuple(sorted(rng.sample(range(1, p + 1), rng.randint(0, 2))))
+                        mono[rng.choice(coords)] += 1
+                    blade = tuple(sorted(rng.sample(generators, rng.randint(0, 2))))
                     raw.append(((tuple(mono), blade, 0, 0), Fraction(rng.randint(-3, 3) or 1)))
                 h = RadialExpr(frame, raw)
                 if h.is_zero():
                     continue
-                layers = fischer_decompose(h, "x")
-                assert len(layers) == deg + 1
+                layers = fischer_decompose(h, group)
+                assert [layer.n for layer in layers] == list(range(deg + 1))
+                xpow, total = one(frame), RadialExpr.zero(frame)
+                for layer in layers:
+                    assert dirac(layer.component, scope).is_zero()
+                    total = total + re_mul(xpow, layer.component)
+                    xpow = re_mul(xpow, xv)
+                assert (total - h).is_zero()
 
     def test_non_homogeneous_rejected(self):
         with pytest.raises(PreconditionError):
@@ -444,23 +455,28 @@ class TestGeneralViaFischer:
         """x1 e1 + x2 has an even-valued and an odd-valued part in its
         layers, and <y,s>^2 has layers n2 = 0, 1, 2: the six nonzero layer
         pairs take one closed form each, the x layer entering as its
-        n2-fold grade involution."""
+        n2-fold grade involution, and the triples of all six are assembled
+        in one call."""
         hk = RadialExpr.coordinate(F33, "x1") * e(1) + RadialExpr.coordinate(F33, "x2")
         hl = inner_y(F33, [Fraction(2), Fraction(1), Fraction(-1)]) ** 2
         assert all(not layer.component.is_zero() for layer in fischer_decompose(hk, "x"))
-        calls = []
-        closed_form = fueter._closed_form
+        calls, assemblies = [], []
 
-        def counted(*args):
-            calls.append(args)
-            return closed_form(*args)
+        def counted(fn, log):
+            def wrapper(*args):
+                log.append(args)
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(fueter, "_closed_form", counted)
+        monkeypatch.setattr(fueter, "_closed_form", counted(fueter._closed_form, calls))
+        monkeypatch.setattr(fueter, "separated_laplacian_power", counted(fueter.separated_laplacian_power, assemblies))
         direct_fn = ft_plus if variant == "plus" else ft_minus
         for n in (7, 8, 9):
             calls.clear()
+            assemblies.clear()
             routed = ft_general_via_fischer(conj_power(n), hk, hl, F33, variant)
             assert len(calls) == 6
+            assert len(assemblies) == 1
             assert not routed.is_zero() and routed == direct_fn(conj_power(n), hk, hl, F33)
 
     def test_monogenic_factors_single_route(self):
