@@ -173,7 +173,8 @@ _ASSERTIONS = {SCOPE_FULL: "monogenicity", SCOPE_CR: "Cauchy-Riemann"}
 
 
 def _verified(out: RadialExpr, scope: str, what: str) -> RadialExpr:
-    """out, once its Dirac image in ``scope`` is zero: every map's output check."""
+    """out, once its Dirac image in ``scope`` is zero: every map's output
+    check.  It leaves out's normal form cached for printing and ``==``."""
     if not is_monogenic(out, scope):
         raise VerificationError(f"{what} output failed its {_ASSERTIONS[scope]} assertion")
     return out
@@ -336,7 +337,7 @@ def fischer_decompose(h: RadialExpr, group: str = "x") -> list[FischerLayer]:
         if not is_monogenic(layer.component, scope):
             raise VerificationError(f"Fischer layer n={layer.n} is not monogenic")
         total = xv * total + layer.component
-    if not (total - h).is_zero():
+    if total != h:
         raise VerificationError("Fischer reconstruction does not reproduce the input")
     return layers
 
@@ -358,8 +359,8 @@ def ft_general_via_fischer(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
     vectors.  Each pair is one closed form, linear in the x layer, which
     ``_closed_form`` gives as triples; the triples of every pair are summed
     in one product assembly (``separated_laplacian_power`` with n = 0), and
-    only the sum is verified, on its normal form.  It equals the direct
-    ``ft_plus`` / ``ft_minus`` output exactly.  The route shares the product
+    only the sum is verified, which caches its normal form.  It equals the
+    direct ``ft_plus`` / ``ft_minus`` output exactly.  The route shares the product
     assembly (``_triples``) with the direct maps, but takes no Laplacian:
     the Fischer layers, the routing signs and Lemma 5's ``operator_term``
     constant are checked against the direct maps' Laplacian chains.  The
@@ -380,7 +381,7 @@ def ft_general_via_fischer(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
             routed = SeedFunction.create(seed.w * (-h if variant == VARIANT_MINUS and n1 % 2 else h))
             pk = lx.component.grade_involution() if n2 % 2 else lx.component
             triples += _closed_form(routed, pk, ly.component, frame, target, n1 + n2, big_k - n1, big_l - n2)
-    return _verified(separated_laplacian_power(triples, 0).canonicalized(), SCOPE_FULL, "fischer-routed map")
+    return _verified(separated_laplacian_power(triples, 0), SCOPE_FULL, "fischer-routed map")
 
 
 # -- component extraction and the first-order systems ------------------------

@@ -30,13 +30,17 @@ independent on {r > 0, rho > 0}: odd powers of r or rho are not rational
 in the coordinates, and a common even power of the radii clears negative
 exponents.  After merging equal keys, an expression is zero exactly when
 its normal form is empty, two expressions are equal exactly when their
-difference is, and the sorted normal form is what gets printed.
+normal forms hold the same rows, and the sorted normal form is what gets
+printed.
 
 Operators keep terms merged by exact key only; the normal form is
-computed at the first zero test, equality or display and then cached.
-The zero test only asks whether it is empty; ``display_order`` buckets
-its rows by radial part for the printers, and only ``canonical_terms``
-sorts and flattens it.
+computed at the first zero test, equality or display and then cached, and
+the proof, ``==`` and the printers share it.  ``dirac`` reads its
+operand's cached normal form and stores its image in normal form, so the
+zero test of ``is_monogenic`` only asks whether the image is empty.
+Equality cross-multiplies two cached normal forms; ``display_order``
+buckets the rows by radial part for the printers, and only
+``canonical_terms`` sorts and flattens them.
 
 Storage: monomial groups of packed rows
 ---------------------------------------
@@ -87,8 +91,9 @@ separated Laplacian's tables), in ``re_mul`` from the extreme exponents
 of its operands, and in the normal form before a rewrite raises an
 exponent by 2k; a violation raises ``PreconditionError``.  That is
 enough to keep a from leaving its field: the operators that do not check
-only lower an exponent by 2 per step, and it would take 2^61 steps to go
-from -2^62 below -2^63.  Only the edges decode a key: ``_rows`` (the
+only lower an exponent by 2 per step (Dirac's rewrite only gives back the
+2 its derivative took), and it would take 2^61 steps to go from -2^62
+below -2^63.  Only the edges decode a key: ``_rows`` (the
 flat view behind ``raw_terms`` and ``canonical_terms``), ``bidegree_parts``,
 ``homogeneity_degree`` and ``display_order`` (a bucket's radial part,
 and each mask once per call); ``group_classes`` tests a key's mask against
@@ -329,12 +334,13 @@ class RadialExpr(TermMap):
         return super()._coerce(other)
 
     def __eq__(self, other) -> bool:
+        """Equal as functions: the cached normal forms, cross-multiplied."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if self.frame != other.frame:
             return False
-        return (self - other).is_zero()
+        return _proportional(self._normal(), other._den, other._normal(), self._den)
 
     __hash__ = None  # equality is functional, not structural
 
@@ -393,6 +399,12 @@ class RadialExpr(TermMap):
             object.__setattr__(self, "_canonical_cache", cached)
             return cached
 
+    def _normalized(self, groups: _Groups, den: int) -> "RadialExpr":
+        """``_like`` for groups already in normal form, cached as their own."""
+        out = self._like(groups, den)
+        object.__setattr__(out, "_canonical_cache", groups)
+        return out
+
     def display_order(self) -> tuple[list[tuple[tuple[int, int], list[tuple[Mono, Blade, int]]]], int]:
         """The normal form in print order, as ((a, b), rows) buckets of
         (monomial, blade, numerator) rows, and the shared denominator.
@@ -422,7 +434,7 @@ class RadialExpr(TermMap):
         return {key: Fraction(c, den) for key, c in sorted(_rows(self.frame.m, self._normal()))}
 
     def canonicalized(self) -> "RadialExpr":
-        return self._like(self._normal(), self._den)
+        return self._normalized(self._normal(), self._den)
 
     def homogeneity_degree(self) -> int | None:
         """Common total degree (monomial + a + b), or None when mixed or zero."""
@@ -556,15 +568,20 @@ def proportionality_constant(got: RadialExpr, want: RadialExpr) -> Fraction | No
         return Fraction(0) if not got_groups else None
     if not got_groups:
         return Fraction(0)
-    if got_groups.keys() != want_groups.keys() or any(
-            got_groups[mono].keys() != inner.keys() for mono, inner in want_groups.items()):
-        return None
     mono, inner = next(iter(want_groups.items()))
-    key = next(iter(inner))
-    g0, w0 = got_groups[mono][key], inner[key]
-    if any(got_groups[mono][k] * w0 != w * g0 for mono, inner in want_groups.items() for k, w in inner.items()):
+    key, w0 = next(iter(inner.items()))
+    g0 = got_groups.get(mono, {}).get(key)
+    if g0 is None or not _proportional(got_groups, w0, want_groups, g0):
         return None
     return Fraction(g0 * want._den, w0 * got._den)
+
+
+def _proportional(a: _Groups, ka: int, b: _Groups, kb: int) -> bool:
+    """Whether ka * a and kb * b hold the same rows: the same monomials and
+    keys, and a[key] * ka == b[key] * kb for every key."""
+    return a.keys() == b.keys() and all(
+        inner.keys() == (b_inner := b[mono]).keys() and all(c * ka == b_inner[key] * kb for key, c in inner.items())
+        for mono, inner in a.items())
 
 
 # -- products ------------------------------------------------------------
@@ -656,36 +673,42 @@ def dirac(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
     """Left Dirac operator sum_j e_j d_j over the scope's vector coordinates.
 
     The cauchy-riemann scope adds d/dX0 with unit coefficient and needs a
-    frame with the scalar axis.  One pass applies the term rule of
-    ``partial_derivative`` in every coordinate, group by group: each
-    monomial's lowered and raised monomials and the rows that lower r or
-    rho are formed once.  Multiplying a row by the generator e_g flips bit
-    g-1 of its key, with the sign ``mask_sign(bit, mask)`` memoized per
-    call over the masks present.
+    frame with the scalar axis.  One pass over the operand's cached normal
+    form applies the term rule of ``partial_derivative`` in every
+    coordinate, group by group: each monomial's lowered and raised
+    monomials and the rows that lower r or rho are formed once.
+    Multiplying a row by the generator e_g flips bit g-1 of its key, with
+    the sign ``mask_sign(bit, mask)`` memoized per call over the masks
+    present.  x_p and y_q are at most linear in a normal form, and a raised
+    row of x_p where x_p is present lands rewritten, x_p^2 R^(a-2) = R^a -
+    sum_{j<p} x_j^2 R^(a-2) (likewise y_q), so the image is stored as its
+    own normal form.
     """
     frame = f.frame
     _check_scope(frame, scope)
     m = frame.m
-    low, r_step, rho_step = (1 << m) - 1, 2 << m, 2 << (m + 64)
+    low = (1 << m) - 1
+    steps = (2 << m, 2 << (m + 64))
     # (coordinate, the radius its derivative lowers: 0 for r, 1 for rho and
-    # 2 for none, its generator's bit)
-    bits = [(i, radius, 1 << (frame.generator_of(i) - 1))
+    # 2 for none, its generator's bit, the group's other coordinates when it
+    # is the group's last one)
+    bits = [(i, radius, 1 << (frame.generator_of(i) - 1), idxs[:-1] if i == idxs[-1] else None)
             for radius, group in enumerate(("x", "y")) if scope in (GROUP_SCOPES[group], SCOPE_FULL, SCOPE_CR)
-            for i in frame.group_indices(group)]
+            for idxs in (frame.group_indices(group),) for i in idxs]
     if scope == SCOPE_CR:
-        bits.append((0, 2, 0))
-    axes = [(i, radius, bit, Memo(partial(mask_sign, bit))) for i, radius, bit in bits]
-    radii = {radius for _i, radius, _bit in bits}
+        bits.append((0, 2, 0, None))
+    axes = [(i, radius, bit, Memo(partial(mask_sign, bit)), others) for i, radius, bit, others in bits]
+    radii = {radius for _i, radius, _bit, _others in bits}
     acc: _Groups = defaultdict(dict)
-    for mono, inner in f._terms.items():
+    for mono, inner in f._normal().items():
         rows = [(key, key & low, c) for key, c in inner.items()]
         # the rows a derivative adds by lowering r or rho, shared by the group's axes
-        raised_rows = ([(key - r_step, mask, a * c) for key, mask, c in rows
+        raised_rows = ([(key - steps[0], mask, a * c) for key, mask, c in rows
                         if (a := ((key >> m) & _A_FIELD) - _A_OFFSET)] if 0 in radii else (),
-                       [(key - rho_step, mask, b * c) for key, mask, c in rows
+                       [(key - steps[1], mask, b * c) for key, mask, c in rows
                         if (b := key >> (m + 64))] if 1 in radii else (),
                        ())
-        for i, radius, bit, signs in axes:
+        for i, radius, bit, signs, others in axes:
             e = mono[i]
             if e:
                 lowered = list(mono)
@@ -699,13 +722,31 @@ def dirac(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
             if not raised_here:
                 continue
             raised = list(mono)
-            raised[i] += 1
+            if others is None or not e:
+                raised[i] += 1
+                out = acc[tuple(raised)]
+                get = out.get
+                for key, mask, c in raised_here:
+                    key ^= bit
+                    out[key] = get(key, 0) + signs[mask] * c
+                continue
+            # x_p^2 R^(a-2) -> R^a - sum_{j<p} x_j^2 R^(a-2), with x_p^1 in mono
+            raised[i] = 0
+            step = steps[radius]
+            signed = [(key ^ bit, signs[mask] * c) for key, mask, c in raised_here]
             out = acc[tuple(raised)]
             get = out.get
-            for key, mask, c in raised_here:
-                key ^= bit
-                out[key] = get(key, 0) + signs[mask] * c
-    return f._like(_nonzero(acc), f._den)
+            for key, c in signed:
+                key += step
+                out[key] = get(key, 0) + c
+            for j in others:
+                raised[j] += 2
+                out = acc[tuple(raised)]
+                raised[j] -= 2
+                get = out.get
+                for key, c in signed:
+                    out[key] = get(key, 0) - c
+    return f._normalized(_nonzero(acc), f._den)
 
 
 def laplacian(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
@@ -942,6 +983,7 @@ def separated_laplacian_power(triples: Iterable[tuple[BivariateRadial, RadialExp
 
 
 def is_monogenic(f: RadialExpr, scope: str = SCOPE_FULL) -> bool:
+    """Whether ``dirac(f, scope)``, stored in normal form, is empty."""
     return dirac(f, scope).is_zero()
 
 

@@ -352,6 +352,20 @@ class TestClosedForm:
         # at p = q = 3 the same seed's output is annihilated outright
         assert ft_closed_form(seed, rot_x(), rot_y(), F33, "plus").is_zero()
 
+    def test_comparing_two_verified_outputs_forms_no_further_normal_form(self, monkeypatch):
+        """Each output's proof caches its normal form, and equality compares
+        the two cached forms, so no normal form of a difference is formed."""
+        seed = SeedFunction.create(ComplexBivarPoly.zbar() ** 5 * ComplexBivarPoly.z())
+        pk = fischer_decompose(inner_x(F33, [1, Fraction(-1, 2), 2]), "x")[0].component
+        pl = fischer_decompose(inner_y(F33, [Fraction(1, 3), 1, -1]), "y")[0].component
+        direct = ft_mu(seed, pk, pl, F33, "minus")
+        closed = ft_closed_form(seed, pk, pl, F33, "minus")
+        calls = []
+        normal_form = radial._normal_form
+        monkeypatch.setattr(radial, "_normal_form", lambda *args: calls.append(args) or normal_form(*args))
+        assert direct == closed and not direct != closed
+        assert calls == []
+
     def test_mu_override_consistency(self):
         seed = conj_power(4)
         direct = ft_mu(seed, rot_x(), one(), F33, "plus", mu=1)

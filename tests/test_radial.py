@@ -177,6 +177,72 @@ class TestDirac:
             kernel(RadialExpr.coordinate(frame, "x1"), SCOPE_SECOND)
 
 
+def _lead_power_operand(rng, frame):
+    """A random raw operand whose rows carry the last coordinate of each
+    group to a power up to 4, with radial exponents -3..3 and blades."""
+    leads = [frame.x_indices[-1]] + ([frame.y_indices[-1]] if frame.q else [])
+    raw = []
+    for _ in range(rng.randint(1, 4)):
+        mono = [rng.randint(0, 2) for _ in range(frame.ncoords)]
+        for i in leads:
+            mono[i] = rng.randint(0, 4)
+        blade = tuple(sorted(rng.sample(range(1, frame.m + 1), rng.randint(0, 2))))
+        b = rng.randint(-3, 3) if frame.q else 0
+        raw.append(((tuple(mono), blade, rng.randint(-3, 3), b), Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3))))
+    return RadialExpr(frame, raw), leads
+
+
+def _dirac_by_partials(f, scope):
+    """sum_j e_j d_j f over the scope's vector coordinates, plus d_0 f for
+    cauchy-riemann, from ``partial_derivative`` and ``re_mul``."""
+    frame = f.frame
+    groups = {SCOPE_FIRST: "x", SCOPE_SECOND: "y", SCOPE_FULL: "xy", SCOPE_CR: "x"}[scope]
+    out = partial_derivative(f, 0) if scope == SCOPE_CR else RadialExpr.zero(frame)
+    for group in groups:
+        for i in frame.group_indices(group):
+            e = RadialExpr.constant(frame, Multivector.basis_vector(frame.generator_of(i), frame.m))
+            out = out + re_mul(e, partial_derivative(f, i))
+    return out
+
+
+class TestDiracNormalForm:
+    @pytest.mark.parametrize("frame, scope", [
+        (F33, SCOPE_FIRST), (F33, SCOPE_SECOND), (F33, SCOPE_FULL), (AxisFrame(1, 3), SCOPE_FULL),
+        (AxisFrame(3, 0, scalar_axis=True), SCOPE_CR),
+    ], ids=["x", "y", "full", "full-p1", "cauchy-riemann"])
+    def test_the_image_lands_in_normal_form(self, frame, scope):
+        rng = random.Random(frame.m * 10 + len(scope))
+        rewritten = 0
+        for _ in range(25):
+            f, leads = _lead_power_operand(rng, frame)
+            rewritten += any(mono[i] >= 2 for mono, *_rest in f.raw_terms for i in leads)
+            out = dirac(f, scope)
+            assert all(mono[i] < 2 for mono, *_rest in out.raw_terms for i in leads)
+            assert out.raw_terms == RadialExpr(frame, out.raw_terms).canonical_terms()
+            assert out == _dirac_by_partials(f, scope)
+        assert rewritten
+
+    def test_a_perturbed_output_row_fails_the_proof(self):
+        from fueterkit.fueter import ft_plus
+        from fueterkit.seeds import conj_power
+
+        out = ft_plus(conj_power(5), inner_x(F33, [1, 2, -1]), radial.inner_y(F33, [1, Fraction(1, 2), 2]), F33)
+        assert is_monogenic(out)
+        rows = out.raw_terms
+        for key in random.Random(3).sample(sorted(rows), 8):
+            bad = dict(rows)
+            bad[key] += 1
+            assert not is_monogenic(RadialExpr(F33, bad))
+
+    def test_an_operand_whose_normal_form_passes_the_limit_is_rejected(self):
+        # x3^2 r^(2^62) is stored at the limit, but its normal form holds r^(2^62 + 2)
+        f = RadialExpr(F33, {(mono6(x3=2), (), 2**62, 0): 1})
+        with pytest.raises(PreconditionError, match=f"radial exponent {2**62 + 2} "):
+            is_monogenic(f)
+        with pytest.raises(PreconditionError, match=f"radial exponent {2**62 + 2} "):
+            f == f
+
+
 class TestLaplacian:
     def test_square_norm(self):
         sq = RadialExpr(F33, [((mono6(**{c: 2}), (), 0, 0), 1)
