@@ -14,7 +14,6 @@ from .bivariate import (
     apply_dx_xinv,
     apply_xinv_dx,
     delta2_power,
-    double_factorial,
     expansion_coefficient,
     laplacian_expansion,
     multinomial,
@@ -25,7 +24,6 @@ from .errors import EngineError, ParseError, PreconditionError, ShapeError, Veri
 from .formatting import (
     expression_json_object,
     format_bivariate,
-    format_components,
     format_expression,
     format_multivector,
 )

@@ -185,13 +185,3 @@ def laplacian_expansion(h: BivariateRadial, n: int, s1: int, s2: int, params: Bi
             total = total + operator_term(h, n, j1, j2, s1, s2) * coeff
     return total
 
-
-def double_factorial(n: int) -> int:
-    """n!! = n(n-2)(n-4)...; empty-product convention (-1)!! = 0!! = 1."""
-    if n < -1:
-        raise ValueError("double factorial defined for n >= -1")
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out

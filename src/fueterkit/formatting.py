@@ -138,17 +138,3 @@ def format_multivector(mv: Multivector, style: str = "plain") -> str:
                   key=lambda row: (len(row[1]), row[1]))
     return _printed([(None, rows)], mv._den, style, mv.dim)
 
-
-def format_components(comp, style: str = "plain") -> str:
-    """Factored biaxial form with the unit vectors written explicitly."""
-    first = format_bivariate(comp.first, style)
-    second = format_bivariate(comp.second, style)
-    if style == "latex":
-        if comp.kind == "plus":
-            return (rf"\bigl({first} + \underline{{\omega}}\,\underline{{\nu}}\,({second})\bigr)"
-                    r"P_k(\underline{x})P_\ell(\underline{y})")
-        return (rf"\bigl(\underline{{\omega}}\,({first}) + \underline{{\nu}}\,({second})\bigr)"
-                r"P_k(\underline{x})P_\ell(\underline{y})")
-    if comp.kind == "plus":
-        return f"(({first}) + omega*nu*({second}))*Pk*Pl"
-    return f"(omega*({first}) + nu*({second}))*Pk*Pl"

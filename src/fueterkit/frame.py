@@ -27,23 +27,35 @@ class AxisFrame:
             raise ValueError("first group size p must be >= 1")
         if self.q < 0:
             raise ValueError("second group size q must be >= 0")
+        # The coordinate table, by index: X0 when the frame has it, then
+        # x1..xp, then y1..yq.  Set here, with the fields, rather than on
+        # first use: an attribute added later turns every attribute read
+        # of the frame into a slower dict lookup.
+        head = ["X0"] if self.scalar_axis else []
+        names = head + [f"x{j}" for j in range(1, self.p + 1)] + [f"y{j}" for j in range(1, self.q + 1)]
+        object.__setattr__(self, "_names", tuple(names))
 
     @property
     def m(self) -> int:
         return self.p + self.q
 
     @property
+    def _base(self) -> int:
+        """The index of x1: X0, when present, comes first."""
+        return 1 if self.scalar_axis else 0
+
+    @property
     def ncoords(self) -> int:
-        return self.m + (1 if self.scalar_axis else 0)
+        return len(self._names)
 
     @property
     def x_indices(self) -> range:
-        base = 1 if self.scalar_axis else 0
+        base = self._base
         return range(base, base + self.p)
 
     @property
     def y_indices(self) -> range:
-        base = (1 if self.scalar_axis else 0) + self.p
+        base = self._base + self.p
         return range(base, base + self.q)
 
     def group_indices(self, group: str) -> range:
@@ -55,37 +67,25 @@ class AxisFrame:
         raise ValueError(f"group must be 'x' or 'y', got {group!r}")
 
     def coord_name(self, index: int) -> str:
-        base = 1 if self.scalar_axis else 0
-        if self.scalar_axis and index == 0:
-            return "X0"
-        if base <= index < base + self.p:
-            return f"x{index - base + 1}"
-        if base + self.p <= index < self.ncoords:
-            return f"y{index - base - self.p + 1}"
+        if 0 <= index < self.ncoords:
+            return self._names[index]
         raise ValueError(f"coordinate index {index} out of range for {self}")
 
     def coord_index(self, name: str) -> int:
-        """The index of ``X0``, ``x``j or ``y``j, whose digits must be str(j):
-        ``x01`` is no alias of ``x1``."""
-        base = 1 if self.scalar_axis else 0
+        """The index of a name in the coordinate table; ``x01`` is no alias
+        of ``x1``."""
+        if name in self._names:
+            return self._names.index(name)
         if name == "X0":
-            if not self.scalar_axis:
-                raise ValueError("frame has no scalar axis X0")
-            return 0
-        digits = name[1:]
-        j = int(digits) if digits.isdecimal() and str(int(digits)) == digits else 0
-        if name[:1] == "x" and 1 <= j <= self.p:
-            return base + j - 1
-        if name[:1] == "y" and 1 <= j <= self.q:
-            return base + self.p + j - 1
+            raise ValueError("frame has no scalar axis X0")
         raise ValueError(f"unknown coordinate {name!r} for frame p={self.p}, q={self.q}")
 
     def generator_of(self, coord_index: int) -> int:
         """Generator index e_j paired with a vector coordinate (1-based)."""
-        base = 1 if self.scalar_axis else 0
+        base = self._base
         if coord_index < base:
             raise ValueError("X0 has no Clifford generator")
         return coord_index - base + 1
 
     def coord_names(self) -> list[str]:
-        return [self.coord_name(i) for i in range(self.ncoords)]
+        return list(self._names)

@@ -26,21 +26,22 @@ the minus variant.  One core serves every path:
   full-scope Laplacian power of the omega/nu shape times Hk Hl.
 
 ``ft_closed_form`` evaluates ``ft_mu`` as the top term of Lemma 5
-(``bivariate.laplacian_expansion``): a double-factorial and multinomial
-constant times the shape of the pair ``bivariate.operator_term`` builds
-from the seed.  ``ft_general_via_fischer`` splits general factors into
-monogenic Fischer layers (``fischer_decompose``: the projection series,
-summed by Horner's rule) and writes each layer pair (n1, n2) as the
-triples of one closed form, with no Laplacian: the pair's target variant
-is the input variant when n1 + n2 is even and the other one when it is
-odd, its seed is multiplied by the parity monomial (with the sign
-(-1)^{n1} for the minus variant), and the x layer enters as its n2-fold
-grade involution.  The triples of all pairs are assembled once, and the
-sum must agree with the direct maps exactly.
+(``bivariate.laplacian_expansion``), written once in ``_top_term``: an
+``expansion_coefficient`` and multinomial constant times the pair that
+``bivariate.operator_term`` builds from the seed, in the variant's shape.
+``ft_general_via_fischer`` splits general factors into monogenic Fischer
+layers (``fischer_decompose``: the projection series, summed by Horner's
+rule) and writes each layer pair (n1, n2) as the triples of one closed
+form, with no Laplacian: the pair's target variant is the input variant
+when n1 + n2 is even and the other one when it is odd, its seed is
+multiplied by the parity monomial (with the sign (-1)^{n1} for the minus
+variant), and the x layer enters as its n2-fold grade involution.  The
+triples of all pairs are assembled once, and the sum must agree with the
+direct maps exactly.
 
 A single-axis pipeline (``fueter_classical`` and its closed form, one
 shared body) covers the generalized Cauchy-Riemann construction for
-holomorphic seeds.
+holomorphic seeds; its closed form is ``_top_term`` at (p, q) = (1, m).
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ from fractions import Fraction
 from .bivariate import (
     BiaxialParams,
     BivariateRadial,
-    apply_dx_xinv,
-    apply_xinv_dx,
-    double_factorial,
     expansion_coefficient,
     multinomial,
     operator_term,
@@ -241,25 +239,31 @@ def ft_closed_form(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: Ax
 def _closed_form(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: AxisFrame,
                  variant: str, mu: int, k: int, l: int) -> list[tuple[BivariateRadial, RadialExpr, RadialExpr]]:
     """The triples (``_triples``) of ``ft_closed_form`` on inputs its caller
-    has checked, with their order mu and degrees (k, l), unassembled: the
-    top term (j1, j2) = (k + (p-1)/2, l + (q-1)/2) of Lemma 5 at order
-    n = mu + k + l + (m-2)/2, whose weight is (2k+p-1)!! (2l+q-1)!!.  u's
-    summand carries omega^s1 nu^s2, (s1, s2) = (0, 0) for plus and (1, 0)
-    for minus, and v's the other powers."""
-    n = mu + k + l + (frame.m - 2) // 2
-    j1, j2 = k + (frame.p - 1) // 2, l + (frame.q - 1) // 2
-    constant = multinomial(n, j1, j2) * expansion_coefficient(j1, j2, BiaxialParams(k, l, frame.p, frame.q))
+    has checked, with their order mu and degrees (k, l), unassembled:
+    ``_top_term``'s pair, s1 = 0 for plus and 1 for minus."""
     s1 = 0 if variant == VARIANT_PLUS else 1
+    return _triples(frame, variant, *_top_term(seed, frame.p, frame.q, k, l, mu, s1), pk, pl)
+
+
+def _top_term(seed: SeedFunction, p: int, q: int, k: int, l: int, mu: int,
+              s1: int) -> tuple[BivariateRadial, BivariateRadial]:
+    """Lemma 5's top term for the seed's (u, v): the term (j1, j2) = (k +
+    (p-1)/2, l + (q-1)/2) of order n = mu + k + l + (p+q-2)/2, weight
+    (2k+p-1)!! (2l+q-1)!! multinomial(n; j1, j2).  u's summand carries
+    omega^s1 nu^0 and v's omega^(1-s1) nu^1, which pick their operators."""
+    n = mu + k + l + (p + q - 2) // 2
+    j1, j2 = k + (p - 1) // 2, l + (q - 1) // 2
+    constant = multinomial(n, j1, j2) * expansion_coefficient(j1, j2, BiaxialParams(k, l, p, q))
     u, v = _lifted_uv(seed)
-    first, second = operator_term(u, n, j1, j2, s1, 0), operator_term(v, n, j1, j2, 1 - s1, 1)
-    return _triples(frame, variant, constant * first, constant * second, pk, pl)
+    return constant * operator_term(u, n, j1, j2, s1, 0), constant * operator_term(v, n, j1, j2, 1 - s1, 1)
 
 
 def _classical(seed: SeedFunction, pk: RadialExpr, m: int, closed: bool) -> RadialExpr:
     """The single-axis map of a holomorphic seed over (p, q) = (m, 0) with
     the scalar axis: the Laplacian power of (u + omega v) PK, or with
-    ``closed`` its closed form.  Slot 1 of u and v holds the X0 power and
-    slot 2 the R power, so the radial operators act in the "rho" slot."""
+    ``closed`` its closed form, Lemma 5's top term at (p, q) = (1, m) and
+    (k, l) = (0, K).  Slot 1 of u and v holds the X0 power, which that
+    term leaves alone, and slot 2 the R power, which takes its operators."""
     frame = pk.frame
     if frame.p != m or frame.q != 0 or not frame.scalar_axis:
         raise PreconditionError(
@@ -271,15 +275,12 @@ def _classical(seed: SeedFunction, pk: RadialExpr, m: int, closed: bool) -> Radi
         raise PreconditionError("seed must be holomorphic (d/dzbar w = 0) for the classical map")
     deg_k = homogeneous_group_degree(pk, "x")
     _require_monogenic("PK", pk, "x")
-    n = deg_k + (m - 1) // 2
-    u, v = _lifted_uv(seed)
-    if closed:
-        u, v = apply_xinv_dx(u, n, "rho"), apply_dx_xinv(v, n, "rho")
+    u, v = _top_term(seed, 1, m, 0, deg_k, 0, 0) if closed else _lifted_uv(seed)
     head = (RadialExpr.from_bivariate_classical(frame, u)
             + omega(frame) * RadialExpr.from_bivariate_classical(frame, v))
     if closed:
-        return _verified(double_factorial(2 * deg_k + m - 1) * (head * pk), SCOPE_CR, "classical closed form")
-    return _verified(laplacian_power(head * pk, n, SCOPE_CR), SCOPE_CR, "classical map")
+        return _verified(head * pk, SCOPE_CR, "classical closed form")
+    return _verified(laplacian_power(head * pk, deg_k + (m - 1) // 2, SCOPE_CR), SCOPE_CR, "classical map")
 
 
 def fueter_classical(seed: SeedFunction, pk: RadialExpr, m: int) -> RadialExpr:
@@ -290,7 +291,8 @@ def fueter_classical(seed: SeedFunction, pk: RadialExpr, m: int) -> RadialExpr:
 
 
 def classical_closed_form(seed: SeedFunction, pk: RadialExpr, m: int) -> RadialExpr:
-    """(2K+m-1)!! ((R^{-1} d_R)^{K+(m-1)/2} u + (X/R)(d_R R^{-1})^{K+(m-1)/2} v) PK."""
+    """Lemma 5's top term at (p, q) = (1, m), (k, l) = (0, K):
+    (2K+m-1)!! ((R^{-1} d_R)^{K+(m-1)/2} u + (X/R)(d_R R^{-1})^{K+(m-1)/2} v) PK."""
     return _classical(seed, pk, m, closed=True)
 
 

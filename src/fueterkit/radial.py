@@ -47,9 +47,9 @@ Storage: monomial groups of packed rows
 Each coordinate monomial of a map's integrand carries a whole Laurent
 polynomial in r and rho spread over several blades, so an expression has
 far fewer distinct monomials than terms: over one pass of the
-large_apply benchmark, 3102 distinct monomials in the 40632 terms that
-the full-scope Laplacian of the definition route takes in, and 543 in
-4071 Dirac input terms.  So an expression stores its terms grouped,
+large_apply benchmark, the three map outputs store 4100 terms under 572
+monomials, and their normal forms, which Dirac reads, 4709 terms under
+478.  So an expression stores its terms grouped,
 monomial -> {row key: numerator}, and every operator reads and writes
 that form.  The Laplacian, the Dirac operator and the normal form work
 out what a monomial contributes once per group (its lowered and raised
@@ -85,11 +85,11 @@ shift and hash ints instead of building (blade, a, b) tuples:
 * ``display_order`` buckets rows by radial part, ``key >> m``.
 
 Every radial exponent satisfies |e| <= 2^62 (``EXPONENT_LIMIT``).  It is
-checked where rows enter (the validating constructor, ``radial``,
-``monomial``, ``constant``, ``from_bivariate*``, number coercion and the
-separated Laplacian's tables), in ``re_mul`` from the extreme exponents
-of its operands, and in the normal form before a rewrite raises an
-exponent by 2k; a violation raises ``PreconditionError``.  That is
+checked where rows enter (the validating constructor, ``monomial``, which
+every single-term constructor and number coercion call, ``from_bivariate*``
+and the separated Laplacian's tables), in ``re_mul`` from the extreme
+exponents of its operands, and in the normal form before a rewrite raises
+an exponent by 2k; a violation raises ``PreconditionError``.  That is
 enough to keep a from leaving its field: the operators that do not check
 only lower an exponent by 2 per step (Dirac's rewrite only gives back the
 2 its derivative took), and it would take 2^61 steps to go from -2^62
@@ -254,38 +254,42 @@ class RadialExpr(TermMap):
 
     @classmethod
     def scalar(cls, frame: AxisFrame, value: Rational) -> "RadialExpr":
-        return cls.radial(frame, 0, 0, value)
+        return cls.monomial(frame, {}, value)
 
     @classmethod
     def constant(cls, frame: AxisFrame, mv: Multivector) -> "RadialExpr":
-        if mv.dim != frame.m:
-            raise ValueError(f"multivector dimension {mv.dim} does not match frame m={frame.m}")
-        zero = _radial_bits(frame.m, 0, 0)
-        rows = {mask | zero: c for mask, c in mv._terms.items()}
-        return cls._from_merged({(0,) * frame.ncoords: rows} if rows else {}, mv._den, frame)
+        return cls.monomial(frame, {}, mv)
 
     @classmethod
     def coordinate(cls, frame: AxisFrame, name: str) -> "RadialExpr":
-        mono = _unit_mono(frame, frame.coord_index(name))
-        return cls._from_merged({mono: {_radial_bits(frame.m, 0, 0): 1}}, 1, frame)
+        return cls.monomial(frame, {name: 1})
 
     @classmethod
     def monomial(cls, frame: AxisFrame, exponents: Mapping[str, int],
                  coeff: Multivector | Rational = 1, a: int = 0, b: int = 0) -> "RadialExpr":
+        """The term coeff * (named coordinates to their exponents) * r^a rho^b,
+        one row per blade of coeff: the one checked single-term packer."""
         mono = [0] * frame.ncoords
         for name, e in exponents.items():
             if e < 0:
                 raise ValueError("monomial exponents must be >= 0")
             mono[frame.coord_index(name)] += e
-        if not isinstance(coeff, Multivector):
-            coeff = Multivector.scalar(coeff, frame.m)
-        packed = cls._from_merged({tuple(mono): {_radial_bits(frame.m, 0, 0): 1}}, 1, frame)
-        return cls.radial(frame, a, b) * cls.constant(frame, coeff) * packed
+        if frame.q == 0 and b != 0:
+            raise ValueError("rho exponent must be 0 in a single-axis frame")
+        part = _radial_bits(frame.m, a, b)
+        if isinstance(coeff, Multivector):
+            if coeff.dim != frame.m:
+                raise ValueError(f"multivector dimension {coeff.dim} does not match frame m={frame.m}")
+            masks, den = coeff._terms, coeff._den
+        else:
+            masks, den = {0: coeff.numerator} if coeff else {}, coeff.denominator
+        rows = {mask | part: c for mask, c in masks.items()}
+        return cls._from_merged({tuple(mono): rows} if rows else {}, den, frame)
 
     @classmethod
     def radial(cls, frame: AxisFrame, a: int = 0, b: int = 0, coeff: Rational = 1) -> "RadialExpr":
         """The scalar term coeff * r^a * rho^b."""
-        return cls(frame, {((0,) * frame.ncoords, SCALAR_BLADE, a, b): coeff})
+        return cls.monomial(frame, {}, coeff, a, b)
 
     @classmethod
     def from_bivariate(cls, frame: AxisFrame, h: BivariateRadial) -> "RadialExpr":
@@ -325,12 +329,8 @@ class RadialExpr(TermMap):
         return not self._normal()
 
     def _coerce(self, other):
-        if isinstance(other, Multivector):
-            return RadialExpr.constant(self.frame, other) if other.dim == self.frame.m else None
-        if isinstance(other, (int, Fraction)):
-            zero = (0,) * self.frame.ncoords
-            return self._like({zero: {_radial_bits(self.frame.m, 0, 0): other.numerator}} if other else {},
-                              other.denominator)
+        if isinstance(other, (int, Fraction)) or (isinstance(other, Multivector) and other.dim == self.frame.m):
+            return RadialExpr.monomial(self.frame, {}, other)
         return super()._coerce(other)
 
     def __eq__(self, other) -> bool:

@@ -9,8 +9,8 @@ PUBLIC_NAMES = [
     "SCOPE_CR", "SCOPE_FIRST", "SCOPE_FULL", "SCOPE_SECOND", "SeedFunction", "ShapeError",
     "VerificationError", "apply_dx_xinv", "apply_map", "apply_xinv_dx", "blade_text",
     "classical_closed_form", "conj_power", "constant_vector_x", "constant_vector_y", "delta2_power",
-    "dirac", "double_factorial", "evaluate_terms", "expansion_coefficient", "expression_json_object",
-    "extract_components", "fischer_decompose", "format_bivariate", "format_components",
+    "dirac", "evaluate_terms", "expansion_coefficient", "expression_json_object",
+    "extract_components", "fischer_decompose", "format_bivariate",
     "format_expression", "format_multivector", "ft_closed_form", "ft_general_via_fischer", "ft_minus",
     "ft_mu", "ft_plus", "fueter_classical", "holo_power", "inner_x", "inner_y",
     "is_monogenic", "laplace2", "laplacian", "laplacian_expansion", "laplacian_power", "lift_to_radial",

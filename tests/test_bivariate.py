@@ -8,7 +8,6 @@ from fueterkit.bivariate import (
     apply_dx_xinv,
     apply_xinv_dx,
     delta2_power,
-    double_factorial,
     expansion_coefficient,
     laplacian_expansion,
     multinomial,
@@ -160,19 +159,6 @@ class TestLaplacianExpansion:
     def test_order_must_be_positive(self):
         with pytest.raises(ValueError):
             laplacian_expansion(R(2, 0), 0, 0, 0, BiaxialParams(0, 0, 3, 3))
-
-
-class TestDoubleFactorial:
-    def test_values(self):
-        assert double_factorial(5) == 15
-        assert double_factorial(1) == 1
-        assert double_factorial(-1) == 1
-        assert double_factorial(0) == 1
-        assert double_factorial(8) == 384
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            double_factorial(-2)
 
 
 class TestBivariateBasics:

@@ -10,12 +10,10 @@ from fueterkit.clifford import Multivector
 from fueterkit.formatting import (
     expression_json_object,
     format_bivariate,
-    format_components,
     format_expression,
     format_multivector,
 )
 from fueterkit.frame import AxisFrame
-from fueterkit.fueter import BiaxialComponents
 from fueterkit.parsing import parse_expression, parse_seed
 from fueterkit.radial import RadialExpr, partial_derivative
 from fueterkit.seeds import ComplexBivarPoly
@@ -191,17 +189,3 @@ class TestBivariateAndMultivector:
         assert repr(value) == text
         if isinstance(value, ComplexBivarPoly):
             assert parse_seed(text[len("ComplexBivarPoly("):-1]) == value
-
-
-class TestComponents:
-    def test_latex_uses_unit_vector_macros(self):
-        comp = BiaxialComponents("plus", BivariateRadial.monomial(2, 0),
-                                 BivariateRadial.monomial(0, 1))
-        text = format_components(comp, "latex")
-        assert r"\underline{\omega}" in text and r"\underline{\nu}" in text
-        assert r"\underline{x}" in text
-
-    def test_plain_shape(self):
-        comp = BiaxialComponents("minus", BivariateRadial.monomial(1, 0),
-                                 BivariateRadial.monomial(0, 1, -1))
-        assert format_components(comp) == "(omega*(r) + nu*(-rho))*Pk*Pl"

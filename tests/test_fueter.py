@@ -597,14 +597,35 @@ class TestClassical:
         assert fueter_classical(holo_power(1), self.one_cl(), 3).is_zero()
 
     def test_closed_form_matches(self):
-        for n in (2, 3, 4):
-            for pk in (self.one_cl(), self.rot_cl()):
-                direct = fueter_classical(holo_power(n), pk, 3)
-                closed = classical_closed_form(holo_power(n), pk, 3)
-                assert (direct - closed).is_zero()
+        for m in (3, 5):
+            frame = AxisFrame(m, 0, scalar_axis=True)
+            rot = (RadialExpr.coordinate(frame, "x1") * Multivector.basis_vector(1, m)
+                   - RadialExpr.coordinate(frame, "x2") * Multivector.basis_vector(2, m))
+            for n in (2, 3, 4):
+                for pk in (RadialExpr.scalar(frame, 1), rot):
+                    direct = fueter_classical(holo_power(n), pk, m)
+                    closed = classical_closed_form(holo_power(n), pk, m)
+                    assert (direct - closed).is_zero()
+
+    @pytest.mark.parametrize("m", [3, 5, 7])
+    def test_closed_form_is_lemma5_top_term(self, m):
+        # The single-axis closed form's own formula, (2K+m-1)!! times
+        # ((R^-1 d_R)^n u, (d_R R^-1)^n v) with n = K + (m-1)/2, as reference.
+        z = ComplexBivarPoly.z()
+        seeds = [holo_power(j) for j in range(2, 8)]
+        seeds += [times_i(holo_power(3)), SeedFunction.create(z ** 6 + 3 * z ** 2)]
+        for seed in seeds:
+            u, v = fueter._lifted_uv(seed)
+            for big_k in range(4):
+                n = big_k + (m - 1) // 2
+                weight = 1
+                for f in range(2 * big_k + m - 1, 0, -2):
+                    weight *= f
+                want = (weight * bivariate.apply_xinv_dx(u, n, "rho"), weight * bivariate.apply_dx_xinv(v, n, "rho"))
+                assert fueter._top_term(seed, 1, m, 0, big_k, 0, 0) == want
 
     def test_broken_closed_form_fails_verification(self, monkeypatch):
-        monkeypatch.setattr(fueter, "apply_dx_xinv", fueter.apply_xinv_dx)
+        monkeypatch.setattr(bivariate, "apply_dx_xinv", bivariate.apply_xinv_dx)
         with pytest.raises(VerificationError, match="Cauchy-Riemann"):
             classical_closed_form(holo_power(4), self.rot_cl(), 3)
 

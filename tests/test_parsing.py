@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -88,10 +89,30 @@ class TestExpressionErrors:
         assert (captured.out, captured.err) == ("", f"parse error: {err.value}\n")
 
     def test_coordinate_digits_are_those_of_the_index(self):
-        assert F33.coord_index("y3") == 5
-        for name in ("x01", "y03", "x\u0661", "x", "x+1"):
-            with pytest.raises(ValueError, match="unknown coordinate"):
-                F33.coord_index(name)
+        # One coordinate table: X0 when present, then x1..xp, then y1..yq.
+        for frame in (F33, AxisFrame(1, 3), AxisFrame(3, 0, scalar_axis=True), AxisFrame(4, 7)):
+            head = ["X0"] if frame.scalar_axis else []
+            names = head + [f"x{j}" for j in range(1, frame.p + 1)] + [f"y{j}" for j in range(1, frame.q + 1)]
+            assert frame.coord_names() == names and frame.ncoords == len(names)
+            for i, name in enumerate(names):
+                assert frame.coord_name(i) == name and frame.coord_index(name) == i
+            assert [frame.coord_name(i) for i in frame.x_indices] == names[len(head):len(head) + frame.p]
+            assert [frame.coord_name(i) for i in frame.y_indices] == names[len(head) + frame.p:]
+            assert [frame.generator_of(i) for i in (*frame.x_indices, *frame.y_indices)] == list(range(1, frame.m + 1))
+            for index in (-1, len(names)):
+                with pytest.raises(ValueError, match=f"coordinate index {index} out of range"):
+                    frame.coord_name(index)
+            # y{q+1} is y1 at q = 0
+            for name in ("x01", "y03", "x\u0661", "x", "x+1", "x0", f"x{frame.p + 1}", f"y{frame.q + 1}"):
+                message = f"unknown coordinate {name!r} for frame p={frame.p}, q={frame.q}"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    frame.coord_index(name)
+            if frame.scalar_axis:
+                with pytest.raises(ValueError, match="X0 has no Clifford generator"):
+                    frame.generator_of(0)
+            else:
+                with pytest.raises(ValueError, match="frame has no scalar axis X0"):
+                    frame.coord_index("X0")
 
     def test_rho_in_single_axis_frame(self):
         with pytest.raises(ParseError):

@@ -136,6 +136,42 @@ class TestMonomial:
         with pytest.raises(ValueError, match=message):
             RadialExpr.monomial(frame, exponents, coeff, b=b)
 
+    def test_single_term_constructors_pack_as_the_validating_constructor(self):
+        lim = radial.EXPONENT_LIMIT
+        mv = Multivector(6, {(): Fraction(1, 2), (1,): -3, (2, 5): Fraction(2, 7)})
+
+        def same(got, rows):
+            want = RadialExpr(F33, rows)
+            assert (got._terms, got._den) == (want._terms, want._den)
+
+        def rows_of(coeff, mono=ZERO6, a=0, b=0):
+            blades = coeff.terms if isinstance(coeff, Multivector) else {(): coeff}
+            return {(mono, blade, a, b): c for blade, c in blades.items()}
+
+        same(RadialExpr.scalar(F33, Fraction(-2, 3)), rows_of(Fraction(-2, 3)))
+        same(RadialExpr.scalar(F33, 0), {})
+        for a, b in ((lim, -lim), (-lim, lim), (3, -1)):
+            same(RadialExpr.radial(F33, a, b, Fraction(5, 4)), rows_of(Fraction(5, 4), a=a, b=b))
+            same(RadialExpr.radial(F33, a, b, 0), {})
+            same(RadialExpr.monomial(F33, {"x2": 1, "y1": 3}, mv, a, b), rows_of(mv, mono6(x2=1, y1=3), a, b))
+        same(RadialExpr.constant(F33, mv), rows_of(mv))
+        same(RadialExpr.constant(F33, Multivector(6)), {})
+        same(RadialExpr.coordinate(F33, "y2"), rows_of(1, mono6(y2=1)))
+        f = RadialExpr.coordinate(F33, "x1") + RadialExpr.radial(F33, -1, 2, Fraction(1, 6))
+        for other in (2, Fraction(1, 3), 0, mv, Multivector(6)):
+            same(f._coerce(other), rows_of(other))
+            total = f + RadialExpr(F33, rows_of(other))
+            assert ((f + other)._terms, (f + other)._den) == (total._terms, total._den)
+
+    @pytest.mark.parametrize("a, b", [(1, 0), (-1, 0), (0, 1), (0, -1)], ids=["a+", "a-", "b+", "b-"])
+    def test_exponent_one_beyond_the_limit(self, a, b):
+        a, b = a * (radial.EXPONENT_LIMIT + 1), b * (radial.EXPONENT_LIMIT + 1)
+        mv = Multivector(6, {(1,): 1, (2, 5): 2})
+        for build in (lambda: RadialExpr.radial(F33, a, b), lambda: RadialExpr.monomial(F33, {"x1": 1}, mv, a, b),
+                      lambda: RadialExpr(F33, {(ZERO6, (), a, b): 1})):
+            with pytest.raises(PreconditionError, match="beyond the limit"):
+                build()
+
 
 class TestDerivatives:
     def test_derivative_of_r(self):
