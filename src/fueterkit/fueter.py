@@ -13,11 +13,15 @@ the minus variant.  One core serves every path:
   W(r, rho) P(x) Q(y), the engine's one writing of the shape: (u, Hk, Hl)
   and (v r^-1 rho^-1, x Hk*, y Hl) for plus, (u r^-1, x Hk, Hl) and
   (v rho^-1, Hk*, y Hl) for minus, where Hk* is the grade involution of
-  Hk because nu anticommutes with every x generator;
+  Hk because nu anticommutes with every x generator.  It reads the
+  factors' forms (Hk, Hk*, x Hk, y Hl, ...) from form tables (``_forms``)
+  that make each form on first use, so a caller that keeps a table makes
+  each form once;
 * ``radial.separated_laplacian_power`` assembles the products and takes
   Delta = Delta_x + Delta_y on them with scalar (r, rho) tables and one
-  group-scope Laplacian chain per factor, never a full-scope Laplacian of
-  the integrand.  ``_laplacian_map`` calls it and verifies the output:
+  group-scope Laplacian chain per distinct factor, never a full-scope
+  Laplacian of the integrand, and returns the output in its normal form.
+  ``_laplacian_map`` calls it and verifies the output:
   ``ft_plus`` / ``ft_minus`` with mu = 0, antiholomorphic seeds and general
   homogeneous factors, ``ft_mu`` with the seed's order (or an upward
   override) and monogenic factors.  The closed form, the Fischer route
@@ -35,7 +39,8 @@ rule) and writes each layer pair (n1, n2) as the triples of one closed
 form, with no Laplacian: the pair's target variant is the input variant
 when n1 + n2 is even and the other one when it is odd, its seed is
 multiplied by the parity monomial (with the sign (-1)^{n1} for the minus
-variant), and the x layer enters as its n2-fold grade involution.  The
+variant), and the x layer enters as its n2-fold grade involution.  Each
+layer's forms are made once per call and shared by its pairs, the
 triples of all pairs are assembled once, and the sum must agree with the
 direct maps exactly.
 
@@ -48,6 +53,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from typing import Callable
 
 from .bivariate import (
     BiaxialParams,
@@ -77,6 +84,9 @@ from .seeds import SeedFunction, lift_to_radial, parity_monomial, split_uv
 
 VARIANT_PLUS = "plus"
 VARIANT_MINUS = "minus"
+
+# A factor's form table (``_forms``): (star, times) -> the form
+_Forms = Callable[[bool, bool], RadialExpr]
 
 
 @dataclass(frozen=True)
@@ -178,19 +188,40 @@ def _verified(out: RadialExpr, scope: str, what: str) -> RadialExpr:
     return out
 
 
-def _triples(frame: AxisFrame, variant: str, u: BivariateRadial, v: BivariateRadial,
-             hk: RadialExpr, hl: RadialExpr) -> list[tuple[BivariateRadial, RadialExpr, RadialExpr]]:
+def _forms(factor: RadialExpr, group: str) -> _Forms:
+    """The form table of a factor in its group: form(star, times) is the
+    factor, or its grade involution when ``star``, times the group's
+    vector when ``times``.  Each form is made on its first use and then
+    kept, as the same object, for as long as the caller keeps the table."""
+    vector = vector_x(factor.frame) if group == "x" else vector_y(factor.frame)
+
+    @cache
+    def form(star: bool, times: bool) -> RadialExpr:
+        if times:
+            return vector * form(star, False)
+        return factor.grade_involution() if star else factor
+
+    return form
+
+
+def _triples(variant: str, u: BivariateRadial, v: BivariateRadial,
+             hk: _Forms, hl: _Forms) -> list[tuple[BivariateRadial, RadialExpr, RadialExpr]]:
     """The variant's shape of (u, v) times Hk Hl as triples (W, P, Q) for
-    W(r, rho) P(x) Q(y): the head of every biaxial map.
+    W(r, rho) P(x) Q(y): the head of every biaxial map.  hk and hl are the
+    factors' form tables (``_forms``), so only the forms the variant uses
+    are made, and a caller that keeps a table makes each of them once.
 
     plus: (u, Hk, Hl) and (v r^-1 rho^-1, x Hk*, y Hl); minus: (u r^-1, x Hk,
     Hl) and (v rho^-1, Hk*, y Hl).  Hk* is the grade involution of Hk (even
     part minus odd part): nu moves left past Hk's x generators."""
-    hk_star = hk.grade_involution()
-    x, y = vector_x(frame), vector_y(frame)
     if variant == VARIANT_PLUS:
-        return [(u, hk, hl), (v.shift(-1, -1), x * hk_star, y * hl)]
-    return [(u.shift(-1, 0), x * hk, hl), (v.shift(0, -1), hk_star, y * hl)]
+        return [(u, hk(False, False), hl(False, False)), (v.shift(-1, -1), hk(True, True), hl(False, True))]
+    return [(u.shift(-1, 0), hk(False, True), hl(False, False)), (v.shift(0, -1), hk(True, False), hl(False, True))]
+
+
+def _involuted(hk: _Forms) -> _Forms:
+    """The form table of the grade involution of hk's factor, read from hk's."""
+    return lambda star, times: hk(not star, times)
 
 
 def _laplacian_map(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: AxisFrame,
@@ -200,7 +231,7 @@ def _laplacian_map(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: Ax
     monogenic before it is returned."""
     mu, k, l = _map_inputs(seed, hk, hl, frame, variant, mu, monogenic)
     n = mu + k + l + (frame.m - 2) // 2
-    out = separated_laplacian_power(_triples(frame, variant, *_lifted_uv(seed), hk, hl), n)
+    out = separated_laplacian_power(_triples(variant, *_lifted_uv(seed), _forms(hk, "x"), _forms(hl, "y")), n)
     return _verified(out, SCOPE_FULL, f"order-{mu} {variant}-map")
 
 
@@ -232,17 +263,18 @@ def ft_closed_form(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: Ax
 
     The output is verified to be monogenic before it is returned."""
     mu, k, l = _map_inputs(seed, pk, pl, frame, variant, mu, monogenic=True)
-    out = separated_laplacian_power(_closed_form(seed, pk, pl, frame, variant, mu, k, l), 0)
+    out = separated_laplacian_power(_closed_form(seed, _forms(pk, "x"), _forms(pl, "y"), frame, variant, mu, k, l), 0)
     return _verified(out, SCOPE_FULL, f"{variant} closed form")
 
 
-def _closed_form(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: AxisFrame,
+def _closed_form(seed: SeedFunction, pk: _Forms, pl: _Forms, frame: AxisFrame,
                  variant: str, mu: int, k: int, l: int) -> list[tuple[BivariateRadial, RadialExpr, RadialExpr]]:
     """The triples (``_triples``) of ``ft_closed_form`` on inputs its caller
-    has checked, with their order mu and degrees (k, l), unassembled:
-    ``_top_term``'s pair, s1 = 0 for plus and 1 for minus."""
+    has checked, given as form tables (``_forms``), with their order mu and
+    degrees (k, l), unassembled: ``_top_term``'s pair, s1 = 0 for plus and
+    1 for minus."""
     s1 = 0 if variant == VARIANT_PLUS else 1
-    return _triples(frame, variant, *_top_term(seed, frame.p, frame.q, k, l, mu, s1), pk, pl)
+    return _triples(variant, *_top_term(seed, frame.p, frame.q, k, l, mu, s1), pk, pl)
 
 
 def _top_term(seed: SeedFunction, p: int, q: int, k: int, l: int, mu: int,
@@ -359,9 +391,13 @@ def ft_general_via_fischer(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
     variant; and the x layer enters as its n2-fold grade involution,
     because its odd-valued part anticommutes past the n2 second-group
     vectors.  Each pair is one closed form, linear in the x layer, which
-    ``_closed_form`` gives as triples; the triples of every pair are summed
-    in one product assembly (``separated_laplacian_power`` with n = 0), and
-    only the sum is verified, which caches its normal form.  It equals the
+    ``_closed_form`` gives as triples.  Every layer has one form table
+    (``_forms``) per call, so its forms (P, P*, x P and x P* for an x layer,
+    Q and y Q for a y layer) are each made once, on first use, and every
+    pair's triples hold those same objects.  The triples of every pair are
+    summed in one product assembly (``separated_laplacian_power`` with
+    n = 0), which chains each shared factor once and returns the sum in its
+    normal form, and only the sum is verified.  It equals the
     direct ``ft_plus`` / ``ft_minus`` output exactly.  The route shares the product
     assembly (``_triples``) with the direct maps, but takes no Laplacian:
     the Fischer layers, the routing signs and Lemma 5's ``operator_term``
@@ -371,18 +407,17 @@ def ft_general_via_fischer(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
     Dirac maps even-valued to odd-valued expressions and back.
     """
     _mu, big_k, big_l = _map_inputs(seed, hk, hl, frame, variant, 0, monogenic=False)
-    layers_x = [lx for lx in fischer_decompose(hk, "x") if not lx.component.is_zero()]
-    layers_y = [ly for ly in fischer_decompose(hl, "y") if not ly.component.is_zero()]
+    forms_x = [(lx.n, _forms(lx.component, "x")) for lx in fischer_decompose(hk, "x") if not lx.component.is_zero()]
+    forms_y = [(ly.n, _forms(ly.component, "y")) for ly in fischer_decompose(hl, "y") if not ly.component.is_zero()]
     other = VARIANT_MINUS if variant == VARIANT_PLUS else VARIANT_PLUS
     triples = []
-    for lx in layers_x:
-        for ly in layers_y:
-            n1, n2 = lx.n, ly.n
+    for n1, pk in forms_x:
+        for n2, pl in forms_y:
             target = variant if (n1 + n2) % 2 == 0 else other
             h = parity_monomial(n1, n2)
             routed = SeedFunction.create(seed.w * (-h if variant == VARIANT_MINUS and n1 % 2 else h))
-            pk = lx.component.grade_involution() if n2 % 2 else lx.component
-            triples += _closed_form(routed, pk, ly.component, frame, target, n1 + n2, big_k - n1, big_l - n2)
+            triples += _closed_form(routed, _involuted(pk) if n2 % 2 else pk, pl, frame, target, n1 + n2,
+                                    big_k - n1, big_l - n2)
     return _verified(separated_laplacian_power(triples, 0), SCOPE_FULL, "fischer-routed map")
 
 
@@ -408,9 +443,10 @@ def extract_components(f: RadialExpr, pk: RadialExpr, pl: RadialExpr, kind: str)
     unlike_k = Fraction(1, 2) * (f - sign_k * flipped)
     first_part, second_part = (like_k, unlike_k) if kind == VARIANT_PLUS else (unlike_k, like_k)
     one, zero = BivariateRadial.constant(1), BivariateRadial.zero()
-    first = _match_series(first_part, separated_laplacian_power(_triples(frame, kind, one, zero, pk, pl), 0), k, l)
-    second = _match_series(second_part, separated_laplacian_power(_triples(frame, kind, zero, one, pk, pl), 0), k, l)
-    if not (separated_laplacian_power(_triples(frame, kind, first, second, pk, pl), 0) - f).is_zero():
+    hk, hl = _forms(pk, "x"), _forms(pl, "y")
+    first = _match_series(first_part, separated_laplacian_power(_triples(kind, one, zero, hk, hl), 0), k, l)
+    second = _match_series(second_part, separated_laplacian_power(_triples(kind, zero, one, hk, hl), 0), k, l)
+    if not (separated_laplacian_power(_triples(kind, first, second, hk, hl), 0) - f).is_zero():
         raise ShapeError(f"expression is not biaxial of kind {kind!r} for the given factors")
     return BiaxialComponents(kind, first, second)
 

@@ -38,6 +38,9 @@ computed at the first zero test, equality or display and then cached, and
 the proof, ``==`` and the printers share it.  ``dirac`` reads its
 operand's cached normal form and stores its image in normal form, so the
 zero test of ``is_monogenic`` only asks whether the image is empty.
+``separated_laplacian_power``, which assembles every biaxial map's
+output, builds it from its factors' normal forms and stores it as its own
+normal form, so no map output has one formed.
 Equality cross-multiplies two cached normal forms; ``display_order``
 buckets the rows by radial part for the printers, and only
 ``canonical_terms`` sorts and flattens them.
@@ -78,16 +81,18 @@ shift and hash ints instead of building (blade, a, b) tuples:
 * lowering r or rho subtracts ``2 << m`` or ``2 << (m + 64)``, and the
   normal-form rewrite adds ``(ea << m) + (eb << (m + 64))``;
 * ``re_mul`` adds the two radial parts, less one offset, and multiplies
-  the blades by ``mask_sign`` and XOR; the separated Laplacian power ORs
-  an x mask, a y mask and a radial part, since its blades never share a
-  generator and come in generator order;
+  the blades by ``mask_sign`` and XOR; the separated Laplacian power adds
+  a table entry's radial part to a y row and then an x row's mask and r
+  power, since its blades never share a generator and come in generator
+  order;
 * the grade involution negates a row whose mask has odd popcount;
 * ``display_order`` buckets rows by radial part, ``key >> m``.
 
 Every radial exponent satisfies |e| <= 2^62 (``EXPONENT_LIMIT``).  It is
 checked where rows enter (the validating constructor, ``monomial``, which
 every single-term constructor and number coercion call, ``from_bivariate*``
-and the separated Laplacian's tables), in ``re_mul`` from the extreme
+and the separated assembly, on each table entry's radial part shifted by
+its chain entries' highest powers), in ``re_mul`` from the extreme
 exponents of its operands, and in the normal form before a rewrite raises
 an exponent by 2k; a violation raises ``PreconditionError``.  That is
 enough to keep a from leaving its field: the operators that do not check
@@ -168,6 +173,15 @@ def _radial_bits(m: int, a: int, b: int) -> int:
     return ((_check_exponent(a) + _A_OFFSET) << m) | (_check_exponent(b) << (m + 64))
 
 
+def _radial_shift(m: int, a: int, b: int, a_top: int, b_top: int) -> int:
+    """What adding to a row key multiplies the row by r^a rho^b, for rows
+    whose own exponents lie in [0, a_top] and [0, b_top]; checks the
+    exponent limit on every exponent the shifted rows can carry."""
+    _check_exponent(a + a_top)
+    _check_exponent(b + b_top)
+    return (_check_exponent(a) << m) + (_check_exponent(b) << (m + 64))
+
+
 def _exponents(m: int, key: int) -> tuple[int, int]:
     """The (r, rho) exponents of a row key."""
     return ((key >> m) & _A_FIELD) - _A_OFFSET, key >> (m + 64)
@@ -201,6 +215,19 @@ def _add_rows(out: dict, rows: Mapping, k: int) -> None:
     get = out.get
     for key, c in rows.items():
         out[key] = get(key, 0) + k * c
+
+
+def _lowest_terms(groups: _Groups, den: int) -> tuple[_Groups, int]:
+    """groups and den after dividing out the factor all numerators share
+    with den, in place."""
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(inner.values() for inner in groups.values()))
+        if g != 1:
+            for inner in groups.values():
+                for key, c in inner.items():
+                    inner[key] = c // g
+            den //= g
+    return groups, den
 
 
 def _rows(m: int, groups: _Groups) -> Iterator[tuple[TermKey, int]]:
@@ -347,16 +374,9 @@ class RadialExpr(TermMap):
     # -- arithmetic on stored groups -------------------------------------
 
     def _reduced(self, groups: _Groups, den: int) -> "RadialExpr":
-        """``_like`` after dividing out the factor all numerators share with
-        den, in place: every caller passes dicts it has just built."""
-        if den != 1:
-            g = gcd(den, *chain.from_iterable(inner.values() for inner in groups.values()))
-            if g != 1:
-                for inner in groups.values():
-                    for key, c in inner.items():
-                        inner[key] = c // g
-                den //= g
-        return self._like(groups, den)
+        """``_like`` after ``_lowest_terms``: every caller passes dicts it
+        has just built."""
+        return self._like(*_lowest_terms(groups, den))
 
     def __neg__(self) -> "RadialExpr":
         return self._like({mono: {key: -c for key, c in inner.items()} for mono, inner in self._terms.items()},
@@ -892,14 +912,24 @@ def separated_laplacian_power(triples: Iterable[tuple[BivariateRadial, RadialExp
     Laplacian power runs on scalar tables: the state (x chain, i, y chain, j)
     holds {(E, F): numerator} for sum c r^E rho^F Delta_x^i P Delta_y^j Q.
     A step lowers E (or F) in place with the coefficient above and moves the
-    table to i + 1 (or j + 1).  The output is assembled from the surviving
-    states' tables and chain rows directly, with no ``re_mul``: it relies
-    on the frame putting every x generator e_1..e_p before every y
-    generator e_{p+1}..e_{p+q}, so the product of an x blade and a y blade
-    is their union with sign +1.  The output has the terms of the
-    full-scope ``laplacian_power`` of the expanded integrand, key for key.
-    With n = 0 no chain takes a step and the state loop does not run, so
-    the result is the plain product sum W P Q, assembled the same way.
+    table to i + 1 (or j + 1).  Each distinct factor is chained once per
+    call: factors are matched by identity (``RadialExpr`` is unhashable,
+    and the triples hold the references), so triples that share a factor
+    share its chains and their states merge.
+
+    The output is assembled from the surviving states' tables and the
+    chain entries' cached normal forms, with no ``re_mul``: it relies on
+    the frame putting every x generator e_1..e_p before every y generator
+    e_{p+1}..e_{p+q}, so the product of an x blade and a y blade is their
+    union with sign +1.  An entry's normal form carries x_p (y_q) at most
+    to the first power, its x_p^2 (y_q^2) rewritten into r^(2k) (rho^(2k))
+    rows, so every assembled row is a normal-form row and so is their sum:
+    the output is returned as its own normal form, which the proof, ``==``
+    and the printers read without forming one.  Its rows are the normal
+    form of the full-scope ``laplacian_power`` of the expanded integrand,
+    key for key.  With n = 0 no chain takes a step and the state loop does
+    not run, so the result is the plain product sum W P Q, assembled the
+    same way.
     """
     if n < 0:
         raise ValueError("Laplacian power must be >= 0")
@@ -908,19 +938,30 @@ def separated_laplacian_power(triples: Iterable[tuple[BivariateRadial, RadialExp
     den = lcm(*(w._den for w, _p, _q in triples))
     xchains: list[tuple[int, int, list[RadialExpr]]] = []
     ychains: list[tuple[int, int, list[RadialExpr]]] = []
+    # (id of a factor, group) -> the indices of its chains in xchains or ychains
+    spans: dict[tuple[int, str], range] = {}
+
+    def chained(factor: RadialExpr, group: str, chains: list) -> range:
+        span = spans.get((id(factor), group))
+        if span is None:
+            found = _factor_chains(factor, group, n)
+            span = spans[id(factor), group] = range(len(chains), len(chains) + len(found))
+            chains += found
+        return span
+
     state: dict[tuple[int, int, int, int], dict[tuple[int, int], int]] = {}
     for w, p_factor, q_factor in triples:
         p_factor._check_context(q_factor)
         scale = den // w._den
-        xs, ys = _factor_chains(p_factor, "x", n), _factor_chains(q_factor, "y", n)
-        for ix, (e, _d, _steps) in enumerate(xs, len(xchains)):
-            for iy, (f, _d, _steps) in enumerate(ys, len(ychains)):
+        xs, ys = chained(p_factor, "x", xchains), chained(q_factor, "y", ychains)
+        for ix in xs:
+            e = xchains[ix][0]
+            for iy in ys:
+                f = ychains[iy][0]
                 table = state.setdefault((ix, 0, iy, 0), {})
                 for (a, b), c in w._terms.items():
                     key = (a + e, b + f)
                     table[key] = table.get(key, 0) + scale * c
-        xchains += xs
-        ychains += ys
     state = _nonzero(state)
     p, q = frame.p, frame.q
     for _ in range(n):
@@ -943,43 +984,49 @@ def separated_laplacian_power(triples: Iterable[tuple[BivariateRadial, RadialExp
             if j + 1 < len(ychain):
                 _add_rows(nxt[ix, i, iy, j + 1], table, 1)
         state = _nonzero(nxt)
-    # Chain rows sit at r^0 rho^0 (``_stored_group_classes``), so a table
-    # entry r^E rho^F only sets the radial part.  Each x chain entry's states
-    # are summed over the y side first, over the common denominator pden,
-    # and then multiplied once by the entry's rows.
+    # Chain rows sit at r^0 rho^0 (``_stored_group_classes``), so an entry's
+    # normal form holds r^(2k) rho^0 (x) or r^0 rho^(2k) (y) rows, and a
+    # table entry r^E rho^F shifts their radial parts.  Each x chain entry's
+    # states are summed over the y side first, over the common denominator
+    # pden, and then multiplied once by the entry's rows.
     x_states: dict[tuple[int, int], list[tuple[int, int, dict[tuple[int, int], int]]]] = defaultdict(list)
     for (ix, i, iy, j), table in state.items():
         x_states[ix, i].append((iy, j, table))
     pden = lcm(*(xchains[ix][2][i]._den * ychains[iy][2][j]._den for ix, i, iy, j in state))
     m = frame.m
-    low = (1 << m) - 1
+    offset = _A_OFFSET << m
     acc: _Groups = defaultdict(dict)
     for (ix, i), ys in x_states.items():
         x_elem = xchains[ix][2][i]
+        x_normal = x_elem._normal()
+        # the highest r power in the entry's rows: keys with rho^0 order by it first
+        x_top = (max(map(max, x_normal.values())) >> m) - _A_OFFSET
         y_sum: _Groups = defaultdict(dict)
         for iy, j, table in ys:
             y_elem = ychains[iy][2][j]
+            y_normal = y_elem._normal()
+            y_top = max(map(max, y_normal.values())) >> (m + 64)
             scale = pden // (x_elem._den * y_elem._den)
-            parts = [(_radial_bits(m, e, f), scale * t) for (e, f), t in table.items()]
-            for mono, inner in y_elem._terms.items():
+            shifts = [(_radial_shift(m, e, f, x_top, y_top), scale * t) for (e, f), t in table.items()]
+            for mono, inner in y_normal.items():
                 out = y_sum[mono]
                 get = out.get
                 for key, c in inner.items():
-                    mask = key & low
-                    for part, t in parts:
-                        key = mask | part
-                        out[key] = get(key, 0) + c * t
+                    for shift, t in shifts:
+                        k = key + shift
+                        out[k] = get(k, 0) + c * t
         y_rows = [(mono, list(inner.items())) for mono, inner in _nonzero(y_sum).items()]
-        for x_mono, x_inner in x_elem._terms.items():
-            x_rows = [(key & low, c) for key, c in x_inner.items()]
+        for x_mono, x_inner in x_normal.items():
+            # an x row adds its mask, which no y mask shares, and its r power
+            x_rows = [(key - offset, c) for key, c in x_inner.items()]
             for y_mono, rows in y_rows:
                 out = acc[_mono_mul(x_mono, y_mono)]
                 get = out.get
-                for x_mask, cx in x_rows:
+                for x_part, cx in x_rows:
                     for key, cy in rows:
-                        key |= x_mask
+                        key += x_part
                         out[key] = get(key, 0) + cx * cy
-    return triples[0][1]._reduced(_nonzero(acc), pden * den)
+    return triples[0][1]._normalized(*_lowest_terms(_nonzero(acc), pden * den))
 
 
 def is_monogenic(f: RadialExpr, scope: str = SCOPE_FULL) -> bool:

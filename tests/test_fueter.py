@@ -235,8 +235,8 @@ def _calculus_cases():
 
 class TestGroupByGroupCalculus:
     """The direct maps take Delta^n group by group on (r, rho) tables; the
-    definition route takes it on the whole integrand.  Both must give the
-    same stored terms, key for key."""
+    definition route takes it on the whole integrand.  A direct map stores
+    the definition route's normal form, key for key, as its own."""
 
     @pytest.mark.parametrize("case", _calculus_cases(), ids=lambda case: case[0])
     def test_same_terms_as_definition(self, case):
@@ -246,7 +246,10 @@ class TestGroupByGroupCalculus:
         else:
             out = (ft_plus if variant == "plus" else ft_minus)(seed, hk, hl, frame)
         assert not out.is_zero()
-        assert out.raw_terms == definition_map(seed, hk, hl, frame, variant, mu).raw_terms
+        reference = definition_map(seed, hk, hl, frame, variant, mu)
+        assert out.raw_terms == reference.canonical_terms()
+        assert out == reference
+        assert out._normal() is out._terms
 
     @pytest.mark.parametrize("variant", ["plus", "minus"])
     def test_factors_whose_rows_leave_their_group(self, variant):
@@ -297,11 +300,11 @@ class TestGroupByGroupCalculus:
         Where a closed form returns, v's operator term is zero, so the
         rule does not act and the output equals the definition route's,
         which writes the shape with omega and nu."""
-        def without_involution(frame, variant, u, v, hk, hl):
-            x, y = vector_x(frame), vector_y(frame)
+        def without_involution(variant, u, v, hk, hl):
+            first, second = hl(False, False), hl(False, True)
             if variant == "plus":
-                return [(u, hk, hl), (v.shift(-1, -1), x * hk, y * hl)]
-            return [(u.shift(-1, 0), x * hk, hl), (v.shift(0, -1), hk, y * hl)]
+                return [(u, hk(False, False), first), (v.shift(-1, -1), hk(False, True), second)]
+            return [(u.shift(-1, 0), hk(False, True), first), (v.shift(0, -1), hk(False, False), second)]
 
         monkeypatch.setattr(fueter, "_triples", without_involution)
         hk, ys = vector_x(F33) * inner_x(F33, T[:3]), inner_y(F33, S[:3])
@@ -522,6 +525,79 @@ class TestGeneralViaFischer:
         routed = ft_general_via_fischer(conj_power(8), hk, hl, F33, variant)
         assert not routed.is_zero()
         assert routed == direct
+
+
+def _mixed_route_factors():
+    """x1 e1 + x2, whose two Fischer layers each have an even-valued and an
+    odd-valued part, and <y,s>^2 with its three layers n2 = 0, 1, 2."""
+    hk = RadialExpr.coordinate(F33, "x1") * e(1) + RadialExpr.coordinate(F33, "x2")
+    return hk, inner_y(F33, [Fraction(2), Fraction(1), Fraction(-1)]) ** 2
+
+
+def _rows(expr):
+    return tuple(sorted(expr.canonical_terms().items()))
+
+
+class TestWorkCounts:
+    """Each piece of a map's assembly is made once per call."""
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    def test_the_route_chains_each_distinct_factor_once(self, monkeypatch, variant):
+        """Pairs share their layers' forms, so the assembly chains each
+        distinct (factor, group) of its triples once."""
+        hk, hl = _mixed_route_factors()
+        direct = (ft_plus if variant == "plus" else ft_minus)(conj_power(8), hk, hl, F33)
+        chained, assembled = [], []
+        real_chains, real_power = radial._factor_chains, fueter.separated_laplacian_power
+        # the lists keep the factors alive, so their ids stay distinct
+        monkeypatch.setattr(radial, "_factor_chains",
+                            lambda f, group, n: chained.append((f, group)) or real_chains(f, group, n))
+        monkeypatch.setattr(fueter, "separated_laplacian_power",
+                            lambda triples, n: assembled.append(triples) or real_power(triples, n))
+        assert ft_general_via_fischer(conj_power(8), hk, hl, F33, variant) == direct
+        (triples,) = assembled
+        distinct = {(id(p), "x") for _w, p, _q in triples} | {(id(q), "y") for _w, _p, q in triples}
+        keys = [(id(f), group) for f, group in chained]
+        assert len(triples) == 12
+        assert len(keys) == len(set(keys)) and set(keys) == distinct
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    def test_the_route_makes_each_layer_product_once(self, monkeypatch, variant):
+        """x P, x P* and y Q for each layer P and Q: no product is made twice."""
+        hk, hl = _mixed_route_factors()
+        layers = {group: fischer_decompose(h, group) for group, h in (("x", hk), ("y", hl))}
+        for layer in layers["x"]:
+            assert layer.component.grade_involution() not in (layer.component, -layer.component)
+        products = []
+        real = radial.re_mul
+        monkeypatch.setattr(fueter, "fischer_decompose", lambda h, group: layers[group])
+        monkeypatch.setattr(radial, "re_mul", lambda f, g: products.append((_rows(f), _rows(g))) or real(f, g))
+        routed = ft_general_via_fischer(conj_power(8), hk, hl, F33, variant)
+        assert not routed.is_zero()
+        assert products and len(products) == len(set(products))
+
+    def test_no_output_normal_form_is_formed(self, monkeypatch):
+        """The proof of every assembled output reads the normal form the
+        assembly stored: ``_verified`` forms none."""
+        proving, formed, proved = [], [], []
+        real_form, real_verified = radial._normal_form, fueter._verified
+
+        def verified(out, scope, what):
+            proving.append(what)
+            try:
+                return real_verified(out, scope, what)
+            finally:
+                proved.append(proving.pop())
+
+        monkeypatch.setattr(radial, "_normal_form", lambda *args: formed.extend(proving) or real_form(*args))
+        monkeypatch.setattr(fueter, "_verified", verified)
+        hk, hl = _mixed_route_factors()
+        higher = SeedFunction.create(ComplexBivarPoly.zbar() ** 5 * ComplexBivarPoly.z())
+        assert not ft_plus(conj_power(9), hk, hl, F33).is_zero()
+        assert not ft_mu(higher, rot_x(), rot_y(), F33, "minus").is_zero()
+        assert not ft_closed_form(higher, rot_x(), rot_y(), F33, "minus").is_zero()
+        assert not ft_general_via_fischer(conj_power(8), hk, hl, F33, "minus").is_zero()
+        assert len(proved) == 4 and formed == []
 
 
 class TestExtractAndVekua:

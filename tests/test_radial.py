@@ -104,6 +104,29 @@ class TestProduct:
         with pytest.raises(ValueError):
             re_mul(RadialExpr.scalar(F33, 1), RadialExpr.scalar(AxisFrame(3, 5), 1))
 
+    @pytest.mark.parametrize("field", ["a", "b"])
+    def test_a_product_at_the_exponent_limit(self, field):
+        """A product whose exponents sum to exactly +-EXPONENT_LIMIT is
+        formed, with its blades and monomials intact; one beyond it, and
+        the two largest exponents whose r field would carry into rho, are
+        rejected."""
+        lim = radial.EXPONENT_LIMIT
+        e1, e4 = Multivector.basis_vector(1, 6), Multivector.basis_vector(4, 6)
+
+        def term(name, coeff, e, other=0):
+            a, b = (e, other) if field == "a" else (other, e)
+            return RadialExpr.monomial(F33, {name: 1}, coeff, a, b)
+
+        for sign in (1, -1):
+            half = sign * lim // 2
+            got = re_mul(term("x1", e1, half, 3), term("y1", e4, half, -5))
+            want = RadialExpr.monomial(F33, {"x1": 1, "y1": 1}, e1 * e4, *((sign * lim, -2) if field == "a"
+                                                                           else (-2, sign * lim)))
+            assert got.raw_terms == want.raw_terms
+            for left, right in ((half + sign, half), (half, half + sign), (sign * lim, sign * lim)):
+                with pytest.raises(PreconditionError, match="beyond the limit"):
+                    re_mul(term("x1", e1, left), term("y1", e4, right))
+
 
 class TestMonomial:
     def test_exponents_by_name_and_no_alias_of_a_name(self):
@@ -378,7 +401,10 @@ class TestSeparatedLaplacianPower:
                 triples.append((w, _group_factor(rng, "x"), _group_factor(rng, "y")))
             integrand = sum((RadialExpr.from_bivariate(F33, w) * p * q for w, p, q in triples), RadialExpr.zero(F33))
             want = laplacian_power(integrand, n, SCOPE_FULL)
-            assert radial.separated_laplacian_power(triples, n).raw_terms == want.raw_terms
+            got = radial.separated_laplacian_power(triples, n)
+            assert got.raw_terms == want.canonical_terms()
+            assert got == want
+            assert got._normal() is got._terms
 
     @pytest.mark.parametrize("n", [0, 1, 2, 4])
     def test_same_terms_as_full_scope_power_at_5_5(self, n):
@@ -396,7 +422,35 @@ class TestSeparatedLaplacianPower:
             integrand = sum((RadialExpr.from_bivariate(F55, w) * p * q for w, p, q in triples), RadialExpr.zero(F55))
             want = laplacian_power(integrand, n, SCOPE_FULL)
             got = radial.separated_laplacian_power(triples, n)
+            assert got.raw_terms == want.canonical_terms()
+            assert got == want
+            assert got._normal() is got._terms
+
+    @pytest.mark.parametrize("group", ["x", "y"])
+    def test_the_exponent_limit_counts_an_entry_normal_form(self, group):
+        """x3^2 assembles in its normal form r^2 - x1^2 - x2^2 (y3^2 as
+        rho^2 - y1^2 - y2^2): the r^2 (rho^2) row sets the edge, so a table
+        exponent of EXPONENT_LIMIT - 2 assembles and one above it is
+        rejected before a key's r field can carry into rho."""
+        lim = radial.EXPONENT_LIMIT
+        one = RadialExpr.scalar(F33, 1)
+        square = RadialExpr.monomial(F33, {f"{group}3": 2})
+
+        def assembled(e):
+            w = BivariateRadial({(e, 0) if group == "x" else (0, e): 1})
+            return radial.separated_laplacian_power([(w, square, one) if group == "x" else (w, one, square)], 0)
+
+        def radial_term(name, e):
+            a, b = (e, 0) if group == "x" else (0, e)
+            return RadialExpr.monomial(F33, {name: 2} if name else {}, 1, a, b)
+
+        for e in (lim - 2, -lim):
+            got = assembled(e)
+            want = radial_term(None, e + 2) - radial_term(f"{group}1", e) - radial_term(f"{group}2", e)
             assert got.raw_terms == want.raw_terms
+        for e in (lim - 1, -lim - 1):
+            with pytest.raises(PreconditionError, match="beyond the limit"):
+                assembled(e)
 
     def test_factor_outside_its_group_is_rejected(self):
         one = BivariateRadial.constant(1)
