@@ -66,7 +66,7 @@ class BivariateRadial(TermMap):
 
     def derivative(self, var: str) -> "BivariateRadial":
         """Plain partial derivative in r or rho."""
-        return self._like(_lower(self._terms, _check_var(var), 1, 0), self._den)
+        return self._like(_lower(self._terms, _check_var(var)), self._den)
 
     def __repr__(self) -> str:
         from .formatting import format_bivariate
@@ -82,20 +82,25 @@ def _check_var(var: str) -> int:
     raise ValueError(f"variable must be 'r' or 'rho', got {var!r}")
 
 
-def _lower(terms: dict[tuple[int, int], int], slot: int, by: int, shift: int) -> dict[tuple[int, int], int]:
-    """Monomial rule x^e -> (e - shift) x^{e - by} in the given slot."""
-    return collect(((a - by, b) if slot == 0 else (a, b - by), ((a, b)[slot] - shift) * c)
-                   for (a, b), c in terms.items())
+def _lower(terms: dict[tuple[int, int], int], slot: int) -> dict[tuple[int, int], int]:
+    """Monomial rule x^e -> e x^{e - 1} in the given slot."""
+    return collect(((a - 1, b) if slot == 0 else (a, b - 1), (a, b)[slot] * c) for (a, b), c in terms.items())
 
 
 def _radial_operator_power(f: BivariateRadial, n: int, var: str, shift: int) -> BivariateRadial:
+    """n-fold power of the operator x^e -> (e - shift) x^{e-2} in one pass:
+    x^e -> prod_{i<n} (e - shift - 2i) x^{e-2n}.  A term whose product is 0
+    is dropped; distinct exponents stay distinct, so no terms merge."""
     slot = _check_var(var)
     if n < 0:
         raise ValueError("operator power must be >= 0")
-    terms = f._terms
-    for _ in range(n):
-        terms = _lower(terms, slot, 2, shift)
-    return f._like(terms, f._den)
+    out = {}
+    for (a, b), c in f._terms.items():
+        e = (a, b)[slot] - shift
+        c *= math.prod(range(e, e - 2 * n, -2))
+        if c:
+            out[(a - 2 * n, b) if slot == 0 else (a, b - 2 * n)] = c
+    return f._like(out, f._den)
 
 
 def apply_xinv_dx(f: BivariateRadial, n: int, var: str = _R) -> BivariateRadial:

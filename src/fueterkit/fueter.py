@@ -8,7 +8,8 @@ the minus variant.  One core serves every path:
 * ``_map_inputs`` checks a map's inputs in one order (variant, odd group
   dimensions, antiholomorphy or the mu lower bound, the two factor
   degrees, monogenic factors where the theorem needs them) and returns
-  (mu, k, l);
+  (mu, k, l); the Fischer route keeps that order but leaves each factor's
+  degree to the one check ``fischer_decompose`` makes;
 * ``_triples`` writes the shape times Hk Hl as two products
   W(r, rho) P(x) Q(y), the engine's one writing of the shape: (u, Hk, Hl)
   and (v r^-1 rho^-1, x Hk*, y Hl) for plus, (u r^-1, x Hk, Hl) and
@@ -71,7 +72,6 @@ from .radial import (
     SCOPE_CR,
     SCOPE_FULL,
     dirac,
-    group_classes,
     is_monogenic,
     laplacian_power,
     omega,
@@ -122,9 +122,34 @@ def homogeneous_group_degree(expr: RadialExpr, group: str) -> int:
 
     The normal form may carry the group's squared radius: an x-group
     factor can hold r^e and a y-group factor rho^e, with even exponents
-    e >= 0; they count towards the degree.  The factor is read in its
-    canonical form, so equal factors report the same fault."""
-    classes = group_classes(expr.canonical_terms().items(), expr.frame, group)
+    e >= 0; they count towards the degree.  One walk over the rows of the
+    canonical form collects the classes (e, d), R^e times a monomial of
+    degree d in the group's coordinates, and names the first row that
+    leaves the group: a coordinate outside it, a blade outside its algebra
+    or a nonzero exponent of the other radius.  The canonical read stays
+    for two reasons.  Its rows come sorted, so equal factors, whatever
+    order their terms were built in, name the same fault.  And it is the
+    one ``canonical_terms`` call on the benchmark's map paths, so the
+    benchmark's canonical layer is measured through it."""
+    rows = expr.canonical_terms()
+    frame = expr.frame
+    idxs = frame.group_indices(group)
+    if not idxs:
+        raise PreconditionError("frame has no second axial group")
+    part = slice(idxs.start, idxs.stop)
+    lo, hi = frame.generator_of(idxs.start), frame.generator_of(idxs.stop - 1)
+    classes: dict[tuple[int, int], None] = {}
+    for mono, blade, a, b in rows:
+        d = sum(mono[part])
+        if d != sum(mono):
+            i = next(i for i, e in enumerate(mono) if e and i not in idxs)
+            raise PreconditionError(f"factor uses coordinate {frame.coord_name(i)} outside the {group} group")
+        if blade and (blade[0] < lo or blade[-1] > hi):
+            raise PreconditionError(f"factor has coefficient blade {blade} outside the {group} group algebra")
+        e, other = (a, b) if group == "x" else (b, a)
+        if other:
+            raise PreconditionError(f"factor is not a polynomial (radial exponents {a}, {b} remain)")
+        classes[e, d] = None
     if not classes:
         raise PreconditionError(f"the zero expression is not a valid {group}-group factor")
     for e, _d in classes:
@@ -136,9 +161,8 @@ def homogeneous_group_degree(expr: RadialExpr, group: str) -> int:
     return degrees.pop()
 
 
-def _map_inputs(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: AxisFrame,
-                variant: str, mu: int | None, monogenic: bool) -> tuple[int, int, int]:
-    """Check the inputs of a biaxial map; returns (mu, k, l).
+def _map_order(seed: SeedFunction, frame: AxisFrame, variant: str, mu: int | None, monogenic: bool) -> int:
+    """Check the inputs of a biaxial map other than its factors; returns mu.
 
     ``monogenic`` picks the theorem: False for the direct maps, which take
     mu = 0, an antiholomorphic seed and any homogeneous factors; True for
@@ -158,6 +182,15 @@ def _map_inputs(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: AxisF
         mu = seed.mu
     elif mu < seed.mu:
         raise PreconditionError(f"declared order mu={mu} is below the seed's verified order {seed.mu}")
+    return mu
+
+
+def _map_inputs(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr, frame: AxisFrame,
+                variant: str, mu: int | None, monogenic: bool) -> tuple[int, int, int]:
+    """Check the inputs of a biaxial map; returns (mu, k, l): ``_map_order``,
+    then the factor degrees, then for the higher-order maps the factors'
+    monogenicity."""
+    mu = _map_order(seed, frame, variant, mu, monogenic)
     k = homogeneous_group_degree(hk, "x")
     l = homogeneous_group_degree(hl, "y")
     if monogenic:
@@ -402,13 +435,17 @@ def ft_general_via_fischer(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
     assembly (``_triples``) with the direct maps, but takes no Laplacian:
     the Fischer layers, the routing signs and Lemma 5's ``operator_term``
     constant are checked against the direct maps' Laplacian chains.  The
-    inputs are checked once, here: a pair's degrees are (K - n1, L - n2),
-    and the grade involution of a monogenic layer is monogenic, because
-    Dirac maps even-valued to odd-valued expressions and back.
+    inputs are checked once, in ``_map_inputs``' order: ``_map_order``, then
+    each factor's degree by ``fischer_decompose``, whose last layer has
+    n = K (or L).  A pair's degrees are (K - n1, L - n2), and the grade
+    involution of a monogenic layer is monogenic, because Dirac maps
+    even-valued to odd-valued expressions and back.
     """
-    _mu, big_k, big_l = _map_inputs(seed, hk, hl, frame, variant, 0, monogenic=False)
-    forms_x = [(lx.n, _forms(lx.component, "x")) for lx in fischer_decompose(hk, "x") if not lx.component.is_zero()]
-    forms_y = [(ly.n, _forms(ly.component, "y")) for ly in fischer_decompose(hl, "y") if not ly.component.is_zero()]
+    _map_order(seed, frame, variant, 0, monogenic=False)
+    layers_x, layers_y = fischer_decompose(hk, "x"), fischer_decompose(hl, "y")
+    big_k, big_l = layers_x[-1].n, layers_y[-1].n
+    forms_x = [(lx.n, _forms(lx.component, "x")) for lx in layers_x if not lx.component.is_zero()]
+    forms_y = [(ly.n, _forms(ly.component, "y")) for ly in layers_y if not ly.component.is_zero()]
     other = VARIANT_MINUS if variant == VARIANT_PLUS else VARIANT_PLUS
     triples = []
     for n1, pk in forms_x:

@@ -41,7 +41,9 @@ zero test of ``is_monogenic`` only asks whether the image is empty.
 ``separated_laplacian_power``, which assembles every biaxial map's
 output, builds it from its factors' normal forms and stores it as its own
 normal form, so no map output has one formed.
-Equality cross-multiplies two cached normal forms; ``display_order``
+Equality compares two cached normal forms, as one dict comparison when
+the denominators agree and by cross-multiplication otherwise;
+``display_order``
 buckets the rows by radial part for the printers, and only
 ``canonical_terms`` sorts and flattens them.
 
@@ -101,8 +103,9 @@ only lower an exponent by 2 per step (Dirac's rewrite only gives back the
 below -2^63.  Only the edges decode a key: ``_rows`` (the
 flat view behind ``raw_terms`` and ``canonical_terms``), ``bidegree_parts``,
 ``homogeneity_degree`` and ``display_order`` (a bucket's radial part,
-and each mask once per call); ``group_classes`` tests a key's mask against
-the group's generator bits and decodes only to name a fault.  The public
+and each mask once per call) and ``_stored_group_classes`` (a factor's
+split for the separated assembly, which tests a key's mask against the
+group's generator bits and decodes its radial part).  The public
 constructors take (monomial, blade, a, b) rows.
 
 Coefficients are integer numerators over one denominator (see ``sparse``):
@@ -361,7 +364,7 @@ class RadialExpr(TermMap):
         return super()._coerce(other)
 
     def __eq__(self, other) -> bool:
-        """Equal as functions: the cached normal forms, cross-multiplied."""
+        """Equal as functions: the cached normal forms (``_proportional``)."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -598,7 +601,10 @@ def proportionality_constant(got: RadialExpr, want: RadialExpr) -> Fraction | No
 
 def _proportional(a: _Groups, ka: int, b: _Groups, kb: int) -> bool:
     """Whether ka * a and kb * b hold the same rows: the same monomials and
-    keys, and a[key] * ka == b[key] * kb for every key."""
+    keys, and a[key] * ka == b[key] * kb for every key.  Equal multipliers
+    (equal denominators, for ``==``) leave one dict comparison."""
+    if ka == kb:
+        return a == b
     return a.keys() == b.keys() and all(
         inner.keys() == (b_inner := b[mono]).keys() and all(c * ka == b_inner[key] * kb for key, c in inner.items())
         for mono, inner in a.items())
@@ -833,28 +839,17 @@ def laplacian_power(f: RadialExpr, n: int, scope: str = SCOPE_FULL) -> RadialExp
     return cur
 
 
-def group_classes(rows: Iterable[tuple[TermKey, Rational]], frame: AxisFrame,
-                  group: str) -> dict[tuple[int, int], _Groups]:
-    """Split term rows of one axial group into R^e * (own-group polynomial
-    of monomial degree d), keyed (e, d), with R = r for group "x" and rho
-    for group "y" and the rows stored at exponent 0.  The rows enter
-    through the validating constructor, so equal keys are summed and zero
-    sums dropped.
-
-    PreconditionError names the first row that leaves the group: a
-    coordinate outside it, a blade outside its algebra or a nonzero
-    exponent of the other radius; also when the frame has no second group.
-    ValueError for a group name other than "x" and "y"."""
-    return _stored_group_classes(frame, RadialExpr(frame, rows)._terms, group)
-
-
-def _stored_group_classes(frame: AxisFrame, groups: _Groups, group: str) -> dict[tuple[int, int], _Groups]:
-    """``group_classes`` of stored groups, read off the int keys: a blade
-    lies in the group's algebra when its mask has no bit outside the
-    group's generators."""
+def _stored_group_classes(frame: AxisFrame, groups: _Groups, group: str) -> dict[tuple[int, int], _Groups] | None:
+    """Stored groups of one axial group split into R^e * (own-group
+    polynomial of monomial degree d), keyed (e, d), with R = r for group
+    "x" and rho for group "y" and the rows stored at exponent 0; None when
+    a row leaves the group (a coordinate outside it, a blade outside its
+    algebra or a nonzero exponent of the other radius), or the frame has
+    no such group.  Read off the int keys: a blade lies in the group's
+    algebra when its mask has no bit outside the group's generators."""
     idxs = frame.group_indices(group)
     if not idxs:
-        raise PreconditionError("frame has no second axial group")
+        return None
     part = slice(idxs.start, idxs.stop)
     m = frame.m
     low = (1 << m) - 1
@@ -865,29 +860,30 @@ def _stored_group_classes(frame: AxisFrame, groups: _Groups, group: str) -> dict
     for mono, inner in groups.items():
         d = sum(mono[part])
         if d != sum(mono):
-            i = next(i for i, e in enumerate(mono) if e and i not in idxs)
-            raise PreconditionError(f"factor uses coordinate {frame.coord_name(i)} outside the {group} group")
+            return None
         for key, c in inner.items():
             mask = key & low
-            if mask & outside:
-                raise PreconditionError(f"factor has coefficient blade {mask_blade(mask)} outside the {group} group algebra")
             a, b = _exponents(m, key)
             e, other = (a, b) if group == "x" else (b, a)
-            if other:
-                raise PreconditionError(f"factor is not a polynomial (radial exponents {a}, {b} remain)")
+            if mask & outside or other:
+                return None
             classes.setdefault((e, d), {}).setdefault(mono, {})[mask | zero] = c
     return classes
 
 
 def _factor_chains(f: RadialExpr, group: str, n: int) -> list[tuple[int, int, list[RadialExpr]]]:
-    """(e, d, [P, Delta P, ..., Delta^i P]) per class of ``group_classes``,
-    the chain taken with the group-scope Laplacian for at most n steps and
-    stopped at zero.  The stored rows are split when they all lie in the
-    group, and the normal form otherwise."""
-    try:
-        classes = _stored_group_classes(f.frame, f._terms, group)
-    except PreconditionError:
+    """(e, d, [P, Delta P, ..., Delta^i P]) per class of
+    ``_stored_group_classes``, the chain taken with the group-scope
+    Laplacian for at most n steps and stopped at zero.  The stored rows are
+    split when they all lie in the group, and the normal form otherwise;
+    PreconditionError when neither does (the map's input check,
+    ``fueter.homogeneous_group_degree``, names how a factor leaves its
+    group)."""
+    classes = _stored_group_classes(f.frame, f._terms, group)
+    if classes is None:
         classes = _stored_group_classes(f.frame, f._normal(), group)
+        if classes is None:
+            raise PreconditionError(f"a factor of the separated assembly leaves the {group} group")
     scope = GROUP_SCOPES[group]
     out = []
     for (e, d), groups in classes.items():

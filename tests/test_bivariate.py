@@ -40,6 +40,30 @@ class TestOperators:
         assert delta2_power(f, 0) == f
 
 
+class TestOperatorPowers:
+    """The n-fold operators, taken in one pass, equal n single steps."""
+
+    # negative exponents, and terms whose falling product reaches 0: r^4
+    # under x^{-1} d/dx at n = 3, r under d/dx x^{-1} at n = 1 (likewise rho)
+    F = (R(4, 0) + R(1, 1, Fraction(5, 7)) + R(-3, 4, -2) + R(2, -5, 3) + R(0, 0, Fraction(1, 2))
+         + R(7, 2, -4) + R(-1, -2, 6))
+
+    @pytest.mark.parametrize("var", ["r", "rho"])
+    @pytest.mark.parametrize("power", [apply_xinv_dx, apply_dx_xinv], ids=["xinv_dx", "dx_xinv"])
+    @pytest.mark.parametrize("n", range(9))
+    def test_power_equals_repeated_steps(self, power, var, n):
+        stepped = self.F
+        for _ in range(n):
+            stepped = power(stepped, 1, var)
+        got = power(self.F, n, var)
+        assert got == stepped
+        assert 0 not in got._terms.values()
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="operator power must be >= 0"):
+            apply_xinv_dx(self.F, -1)
+
+
 class TestOperatorIdentities:
     """The four one-dimensional commutation identities, exact on Laurent monomials."""
 

@@ -120,12 +120,25 @@ class TestFtPreconditions:
         with pytest.raises(PreconditionError, match=f"^{message}$"):
             homogeneous_group_degree(factor(), group)
 
+    def test_equal_factors_name_the_same_fault(self):
+        """The rows are read sorted, so the order the terms were built in
+        does not pick the fault."""
+        x1, x2 = RadialExpr.coordinate(F33, "x1"), RadialExpr.coordinate(F33, "x2")
+        y_term, blade_term = x1 * RadialExpr.coordinate(F33, "y2"), x2 * e(4)
+        built = [y_term + blade_term, blade_term + y_term]
+        assert built[0] == built[1]
+        messages = set()
+        for factor in built:
+            with pytest.raises(PreconditionError) as raised:
+                homogeneous_group_degree(factor, "x")
+            messages.add(str(raised.value))
+        assert messages == {"factor has coefficient blade (4,) outside the x group algebra"}
+
     @pytest.mark.parametrize("call", [
         lambda f, group: f.negate_group(group),
         lambda f, group: homogeneous_group_degree(f, group),
         lambda f, group: fischer_decompose(f, group),
-        lambda f, group: radial.group_classes(f.raw_terms.items(), f.frame, group),
-    ], ids=["negate_group", "homogeneous_group_degree", "fischer_decompose", "group_classes"])
+    ], ids=["negate_group", "homogeneous_group_degree", "fischer_decompose"])
     @pytest.mark.parametrize("group", ["z", "X", ""])
     def test_unknown_group_name_rejected(self, call, group):
         with pytest.raises(ValueError, match="group must be 'x' or 'y'"):
@@ -598,6 +611,29 @@ class TestWorkCounts:
         assert not ft_closed_form(higher, rot_x(), rot_y(), F33, "minus").is_zero()
         assert not ft_general_via_fischer(conj_power(8), hk, hl, F33, "minus").is_zero()
         assert len(proved) == 4 and formed == []
+
+    def test_map_inputs_make_no_validated_expression(self, monkeypatch):
+        """The factor checks read the canonical rows as they are: no map
+        call repacks a factor through the validating constructor."""
+        built = []
+        real_init = RadialExpr.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        hk, hl = _mixed_route_factors()
+        higher = SeedFunction.create(ComplexBivarPoly.zbar() ** 5 * ComplexBivarPoly.z())
+        monkeypatch.setattr(RadialExpr, "__init__", init)
+        counts = []
+        for call in (lambda: ft_general_via_fischer(conj_power(8), hk, hl, F33, "minus"),
+                     lambda: ft_mu(higher, rot_x(), rot_y(), F33, "minus"),
+                     lambda: ft_closed_form(higher, rot_x(), rot_y(), F33, "minus"),
+                     lambda: ft_plus(conj_power(9), hk, hl, F33)):
+            built.clear()
+            assert not call().is_zero()
+            counts.append(len(built))
+        assert counts == [0, 0, 0, 0]
 
 
 class TestExtractAndVekua:

@@ -82,6 +82,31 @@ class TestCanonicalize:
             RadialExpr.radial(frame, 0, 1)
 
 
+class TestEquality:
+    """``==`` compares the two normal forms: one dict comparison when the
+    denominators agree, a cross-multiplication when they differ."""
+
+    def test_equal_denominators(self):
+        x1, x2, x3 = (RadialExpr.coordinate(F33, name) for name in ("x1", "x2", "x3"))
+        e1 = Multivector.basis_vector(1, 6)
+        f = Fraction(1, 3) * (x1 + x2 * e1 + x3 * x3)
+        same = Fraction(1, 3) * (RadialExpr.radial(F33, 2, 0) - x1 * x1 - x2 * x2) + Fraction(1, 3) * x2 * e1 \
+            + Fraction(1, 3) * x1
+        one_numerator_off = Fraction(1, 3) * (x1 + 2 * x2 * e1 + x3 * x3)
+        assert f._den == same._den == one_numerator_off._den == 3
+        assert f == same and same == f
+        assert f != one_numerator_off and not one_numerator_off == f
+
+    def test_unequal_denominators(self):
+        x1, x2 = RadialExpr.coordinate(F33, "x1"), RadialExpr.coordinate(F33, "x2")
+        # a derivative keeps its operand's denominator: 2 x1 over 2
+        d = partial_derivative(Fraction(1, 2) * x1 * x1 + Fraction(1, 2) * x2, "x1")
+        assert (d._den, x1._den) == (2, 1)
+        assert d == x1 and x1 == d
+        assert d != 2 * x1 and 2 * x1 != d
+        assert d != x1 + x2
+
+
 class TestProduct:
     def test_omega_nu_blades(self):
         prod = re_mul(omega(F33), nu(F33))
@@ -492,18 +517,6 @@ class TestGradeInvolution:
         g = y2 * e(4) - x1 * e(1) * e(3) * e(6) + RadialExpr.radial(F33, 1, -1)
         assert (f * g).grade_involution() == f.grade_involution() * g.grade_involution()
         assert dirac(f.grade_involution()) == -dirac(f).grade_involution()
-
-
-class TestGroupClasses:
-    def test_rows_are_summed_and_zero_sums_dropped(self):
-        x1, x2 = mono6(x1=1), mono6(x2=1)
-        rows = [((x1, (1,), 0, 0), 1), ((x1, (1,), 0, 0), -1), ((x2, (), 0, 0), 0),
-                ((x2, (2,), 2, 0), Fraction(1, 2)), ((x2, (2,), 2, 0), Fraction(1, 2)),
-                ((x1, (), 2, 0), 3), ((x1, (), 2, 0), -3)]
-        classes = radial.group_classes(rows, F33, "x")
-        assert list(classes) == [(2, 1)]
-        assert [list(inner.values()) for inner in classes[(2, 1)].values()] == [[1]]
-        assert radial.group_classes(rows[:2], F33, "x") == {}
 
 
 class TestHomogeneity:
