@@ -87,6 +87,11 @@ def _lower(terms: dict[tuple[int, int], int], slot: int) -> dict[tuple[int, int]
     return collect(((a - 1, b) if slot == 0 else (a, b - 1), (a, b)[slot] * c) for (a, b), c in terms.items())
 
 
+def _falling(e: int, n: int) -> int:
+    """The step-2 falling product e (e - 2) ... (e - 2n + 2), 1 for n = 0."""
+    return math.prod(range(e, e - 2 * n, -2))
+
+
 def _radial_operator_power(f: BivariateRadial, n: int, var: str, shift: int) -> BivariateRadial:
     """n-fold power of the operator x^e -> (e - shift) x^{e-2} in one pass:
     x^e -> prod_{i<n} (e - shift - 2i) x^{e-2n}.  A term whose product is 0
@@ -97,7 +102,7 @@ def _radial_operator_power(f: BivariateRadial, n: int, var: str, shift: int) -> 
     out = {}
     for (a, b), c in f._terms.items():
         e = (a, b)[slot] - shift
-        c *= math.prod(range(e, e - 2 * n, -2))
+        c *= _falling(e, n)
         if c:
             out[(a - 2 * n, b) if slot == 0 else (a, b - 2 * n)] = c
     return f._like(out, f._den)
@@ -132,19 +137,13 @@ def delta2_power(f: BivariateRadial, n: int) -> BivariateRadial:
 def expansion_coefficient(j1: int, j2: int, params: BiaxialParams) -> int:
     """Integer weight attached to the (j1, j2) operator term.
 
-    Defined multiplicatively from the one-sided products
+    The product of the one-sided step-2 falling products
     prod_{s=1..j}(2k + p - (2s - 1)) and its (l, q) twin; vanishes once a
     factor hits zero, which truncates the expansion for odd p, q.
     """
     if j1 < 0 or j2 < 0:
         raise ValueError("indices must be >= 0")
-    d1 = 1
-    for s in range(1, j1 + 1):
-        d1 *= 2 * params.k + params.p - (2 * s - 1)
-    d2 = 1
-    for s in range(1, j2 + 1):
-        d2 *= 2 * params.l + params.q - (2 * s - 1)
-    return d1 * d2
+    return _falling(2 * params.k + params.p - 1, j1) * _falling(2 * params.l + params.q - 1, j2)
 
 
 def multinomial(n: int, j1: int, j2: int) -> int:

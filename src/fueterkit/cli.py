@@ -1,12 +1,13 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 precondition violation (parity, monogenicity,
-seed order, a radial exponent beyond +-2^62), 2 parse error, 3 internal
-verification failure or any other unexpected error, reported on one
-stderr line, 141 (128 + SIGPIPE) when the reader closes stdout early,
-with nothing on stderr.  Random vector draws are seeded from the
-FUETER_SEED environment variable when set; the seed actually used is
-announced on stderr at the first draw so runs can be reproduced.
+seed order, a radial exponent beyond +-2^62), 2 parse error (an argparse
+usage error too), 3 internal verification failure or any other
+unexpected error, each reported on one stderr line, 141 (128 + SIGPIPE)
+when the reader closes stdout early, with nothing on stderr.  Random
+vector draws are seeded from the FUETER_SEED environment variable when
+set; the seed actually used is announced on stderr at the first draw so
+runs can be reproduced.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from .bivariate import BiaxialParams, laplacian_expansion
 from .catalog import REFERENCE_CASES, run_case
@@ -180,11 +182,19 @@ def _cmd_selftest(args) -> int:
     return 0 if passed == len(results) else 3
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with its usage errors raised as ``ParseError``, so ``main``
+    reports them on one stderr line; subparsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ParseError(message)
+
+
 # Built once per process: building takes longer than parsing, and a
 # parser holds no state between parse_args calls.
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build_parser() -> _ArgumentParser:
+    parser = _ArgumentParser(
         prog="fueterkit",
         description="Exact construction and verification of monogenic functions over biaxial frames.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -296,28 +296,20 @@ def ft_closed_form(seed: SeedFunction, pk: RadialExpr, pl: RadialExpr, frame: Ax
 
     The output is verified to be monogenic before it is returned."""
     mu, k, l = _map_inputs(seed, pk, pl, frame, variant, mu, monogenic=True)
-    out = separated_laplacian_power(_closed_form(seed, _forms(pk, "x"), _forms(pl, "y"), frame, variant, mu, k, l), 0)
+    top = _top_term(seed, frame.p, frame.q, k, l, mu, variant)
+    out = separated_laplacian_power(_triples(variant, *top, _forms(pk, "x"), _forms(pl, "y")), 0)
     return _verified(out, SCOPE_FULL, f"{variant} closed form")
 
 
-def _closed_form(seed: SeedFunction, pk: _Forms, pl: _Forms, frame: AxisFrame,
-                 variant: str, mu: int, k: int, l: int) -> list[tuple[BivariateRadial, RadialExpr, RadialExpr]]:
-    """The triples (``_triples``) of ``ft_closed_form`` on inputs its caller
-    has checked, given as form tables (``_forms``), with their order mu and
-    degrees (k, l), unassembled: ``_top_term``'s pair, s1 = 0 for plus and
-    1 for minus."""
-    s1 = 0 if variant == VARIANT_PLUS else 1
-    return _triples(variant, *_top_term(seed, frame.p, frame.q, k, l, mu, s1), pk, pl)
-
-
 def _top_term(seed: SeedFunction, p: int, q: int, k: int, l: int, mu: int,
-              s1: int) -> tuple[BivariateRadial, BivariateRadial]:
+              variant: str) -> tuple[BivariateRadial, BivariateRadial]:
     """Lemma 5's top term for the seed's (u, v): the term (j1, j2) = (k +
     (p-1)/2, l + (q-1)/2) of order n = mu + k + l + (p+q-2)/2, weight
     (2k+p-1)!! (2l+q-1)!! multinomial(n; j1, j2).  u's summand carries
-    omega^s1 nu^0 and v's omega^(1-s1) nu^1, which pick their operators."""
+    omega^s1 nu^0 and v's omega^(1-s1) nu^1, s1 = 1 for minus, 0 for plus."""
     n = mu + k + l + (p + q - 2) // 2
     j1, j2 = k + (p - 1) // 2, l + (q - 1) // 2
+    s1 = 1 if variant == VARIANT_MINUS else 0
     constant = multinomial(n, j1, j2) * expansion_coefficient(j1, j2, BiaxialParams(k, l, p, q))
     u, v = _lifted_uv(seed)
     return constant * operator_term(u, n, j1, j2, s1, 0), constant * operator_term(v, n, j1, j2, 1 - s1, 1)
@@ -340,7 +332,7 @@ def _classical(seed: SeedFunction, pk: RadialExpr, m: int, closed: bool) -> Radi
         raise PreconditionError("seed must be holomorphic (d/dzbar w = 0) for the classical map")
     deg_k = homogeneous_group_degree(pk, "x")
     _require_monogenic("PK", pk, "x")
-    u, v = _top_term(seed, 1, m, 0, deg_k, 0, 0) if closed else _lifted_uv(seed)
+    u, v = _top_term(seed, 1, m, 0, deg_k, 0, VARIANT_PLUS) if closed else _lifted_uv(seed)
     head = (RadialExpr.from_bivariate_classical(frame, u)
             + omega(frame) * RadialExpr.from_bivariate_classical(frame, v))
     if closed:
@@ -423,8 +415,8 @@ def ft_general_via_fischer(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
     multiplied by (-1)^{n1} h for the minus variant and by h for the plus
     variant; and the x layer enters as its n2-fold grade involution,
     because its odd-valued part anticommutes past the n2 second-group
-    vectors.  Each pair is one closed form, linear in the x layer, which
-    ``_closed_form`` gives as triples.  Every layer has one form table
+    vectors.  Each pair is one closed form, linear in the x layer: the
+    triples (``_triples``) of ``_top_term``'s pair.  Every layer has one form table
     (``_forms``) per call, so its forms (P, P*, x P and x P* for an x layer,
     Q and y Q for a y layer) are each made once, on first use, and every
     pair's triples hold those same objects.  The triples of every pair are
@@ -453,8 +445,8 @@ def ft_general_via_fischer(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
             target = variant if (n1 + n2) % 2 == 0 else other
             h = parity_monomial(n1, n2)
             routed = SeedFunction.create(seed.w * (-h if variant == VARIANT_MINUS and n1 % 2 else h))
-            triples += _closed_form(routed, _involuted(pk) if n2 % 2 else pk, pl, frame, target, n1 + n2,
-                                    big_k - n1, big_l - n2)
+            top = _top_term(routed, frame.p, frame.q, big_k - n1, big_l - n2, n1 + n2, target)
+            triples += _triples(target, *top, _involuted(pk) if n2 % 2 else pk, pl)
     return _verified(separated_laplacian_power(triples, 0), SCOPE_FULL, "fischer-routed map")
 
 
@@ -464,41 +456,29 @@ def ft_general_via_fischer(seed: SeedFunction, hk: RadialExpr, hl: RadialExpr,
 def extract_components(f: RadialExpr, pk: RadialExpr, pl: RadialExpr, kind: str) -> BiaxialComponents:
     """Recover (A, B) or (C, D) from a biaxial monogenic function.
 
-    The x-parity of f separates the two structural shapes: the component
-    that omega multiplies has the opposite x-parity to Pk.  Within each
-    part, terms grouped by (x, y) bidegree determine one Laurent
-    coefficient each.  A final exact reconstruction guards against inputs
-    that are not of the declared shape.
+    The kind's shapes of (1, 0) and (0, 1) times Pk Pl are two bases of
+    opposite x-parity; the first has Pk's for plus.  One walk over f's
+    parts keyed (k + a, l + b, x-parity) matches each against r^a rho^b
+    times its parity's base: one Laurent coefficient.  A final exact
+    reconstruction guards against inputs not of the declared shape.
     """
     _check_variant(kind)
-    frame = f.frame
     k = homogeneous_group_degree(pk, "x")
     l = homogeneous_group_degree(pl, "y")
-    sign_k = (-1) ** k
-    flipped = f.negate_group("x")
-    like_k = Fraction(1, 2) * (f + sign_k * flipped)
-    unlike_k = Fraction(1, 2) * (f - sign_k * flipped)
-    first_part, second_part = (like_k, unlike_k) if kind == VARIANT_PLUS else (unlike_k, like_k)
     one, zero = BivariateRadial.constant(1), BivariateRadial.zero()
     hk, hl = _forms(pk, "x"), _forms(pl, "y")
-    first = _match_series(first_part, separated_laplacian_power(_triples(kind, one, zero, hk, hl), 0), k, l)
-    second = _match_series(second_part, separated_laplacian_power(_triples(kind, zero, one, hk, hl), 0), k, l)
+    bases = [separated_laplacian_power(_triples(kind, *w, hk, hl), 0) for w in ((one, zero), (zero, one))]
+    flip = (k + (kind == VARIANT_MINUS)) % 2  # the (1, 0) base's x-parity
+    series: tuple[dict, dict] = ({}, {})
+    for (d1, d2, parity), part in sorted(f.bidegree_parts().items()):
+        a, b = d1 - k, d2 - l
+        lam = proportionality_constant(part, RadialExpr.radial(f.frame, a, b) * bases[parity ^ flip])
+        if lam:
+            series[parity ^ flip][a, b] = lam
+    first, second = map(BivariateRadial, series)
     if not (separated_laplacian_power(_triples(kind, first, second, hk, hl), 0) - f).is_zero():
         raise ShapeError(f"expression is not biaxial of kind {kind!r} for the given factors")
     return BiaxialComponents(kind, first, second)
-
-
-def _match_series(g: RadialExpr, base: RadialExpr, k: int, l: int) -> BivariateRadial:
-    """Laurent series W with g = sum W_{ab} r^a rho^b * base, keyed by bidegree."""
-    series: dict[tuple[int, int], Fraction] = {}
-    for (d1, d2), part in sorted(g.bidegree_parts().items()):
-        if part.is_zero():
-            continue
-        a, b = d1 - k, d2 - l
-        lam = proportionality_constant(part, RadialExpr.radial(g.frame, a, b) * base)
-        if lam:
-            series[(a, b)] = lam
-    return BivariateRadial(series)
 
 
 def vekua_check(comp: BiaxialComponents, params: BiaxialParams) -> bool:

@@ -271,7 +271,7 @@ def _inner(tz: _Tokenizer, pos: int, frame: AxisFrame, vectors: Mapping[str, Seq
 
 def parse_expression(text: str, frame: AxisFrame,
                      vectors: Mapping[str, Sequence[Fraction]] | None = None) -> RadialExpr:
-    """Parse an expression and return it in canonical form."""
+    """Parse an expression as the grammar builds it (normal form on first read)."""
 
     def radial(name: str, n: int, pos: int) -> RadialExpr:
         if name == "r":
@@ -281,7 +281,7 @@ def parse_expression(text: str, frame: AxisFrame,
         return RadialExpr.radial(frame, 0, n)
 
     atom = partial(_expression_atom, frame, dict(vectors or {}))
-    return _Parser(text, partial(RadialExpr.scalar, frame), atom, radial).parse().canonicalized()
+    return _Parser(text, partial(RadialExpr.scalar, frame), atom, radial).parse()
 
 
 _SEED_ATOMS = {

@@ -171,9 +171,12 @@ def _check_exponent(e: int) -> int:
     return e
 
 
-def _radial_bits(m: int, a: int, b: int) -> int:
-    """The radial part of a row key for r^a rho^b; checks the exponent limit."""
-    return ((_check_exponent(a) + _A_OFFSET) << m) | (_check_exponent(b) << (m + 64))
+def _radial_bits(frame: AxisFrame, a: int, b: int) -> int:
+    """The radial part of a row key for r^a rho^b; checks that b = 0 in a
+    single-axis frame (ValueError), then the exponent limit."""
+    if frame.q == 0 and b != 0:
+        raise ValueError("rho exponent must be 0 in a single-axis frame")
+    return ((_check_exponent(a) + _A_OFFSET) << frame.m) | (_check_exponent(b) << (frame.m + 64))
 
 
 def _radial_shift(m: int, a: int, b: int, a_top: int, b_top: int) -> int:
@@ -208,9 +211,7 @@ def _checked_terms(frame: AxisFrame, items: Iterable[tuple[TermKey, Rational]]) 
             raise ValueError(f"monomial length {len(mono)} does not match frame coordinates {n}")
         if any(e < 0 for e in mono):
             raise ValueError("monomial exponents must be >= 0")
-        if frame.q == 0 and b != 0:
-            raise ValueError("rho exponent must be 0 in a single-axis frame")
-        yield (mono, blade_mask(blade, m) | _radial_bits(m, a, b)), coeff
+        yield (mono, blade_mask(blade, m) | _radial_bits(frame, a, b)), coeff
 
 
 def _add_rows(out: dict, rows: Mapping, k: int) -> None:
@@ -304,9 +305,7 @@ class RadialExpr(TermMap):
             if e < 0:
                 raise ValueError("monomial exponents must be >= 0")
             mono[frame.coord_index(name)] += e
-        if frame.q == 0 and b != 0:
-            raise ValueError("rho exponent must be 0 in a single-axis frame")
-        part = _radial_bits(frame.m, a, b)
+        part = _radial_bits(frame, a, b)
         if isinstance(coeff, Multivector):
             if coeff.dim != frame.m:
                 raise ValueError(f"multivector dimension {coeff.dim} does not match frame m={frame.m}")
@@ -324,9 +323,7 @@ class RadialExpr(TermMap):
     @classmethod
     def from_bivariate(cls, frame: AxisFrame, h: BivariateRadial) -> "RadialExpr":
         """Embed a scalar Laurent function of (r, rho)."""
-        if frame.q == 0 and any(b for _a, b in h._terms):
-            raise ValueError("rho exponent must be 0 in a single-axis frame")
-        rows = {_radial_bits(frame.m, a, b): c for (a, b), c in h._terms.items()}
+        rows = {_radial_bits(frame, a, b): c for (a, b), c in h._terms.items()}
         return cls._from_merged({(0,) * frame.ncoords: rows} if rows else {}, h._den, frame)
 
     @classmethod
@@ -339,7 +336,7 @@ class RadialExpr(TermMap):
         zeros = (0,) * (frame.ncoords - 1)
         groups: _Groups = {}
         for (i, j), c in h._terms.items():
-            groups.setdefault((i,) + zeros, {})[_radial_bits(frame.m, j, 0)] = c
+            groups.setdefault((i,) + zeros, {})[_radial_bits(frame, j, 0)] = c
         return cls._from_merged(groups, h._den, frame)
 
     # -- basic structure ----------------------------------------------
@@ -481,9 +478,10 @@ class RadialExpr(TermMap):
         return self._like({mono: {key: -c for key, c in inner.items()} if sum(mono[part]) % 2 else inner
                            for mono, inner in self._terms.items()}, self._den)
 
-    def bidegree_parts(self) -> dict[tuple[int, int], "RadialExpr"]:
-        """The terms split by (x, y) bidegree: a monomial's x-degree plus the
-        r exponent, and its y-degree plus the rho exponent."""
+    def bidegree_parts(self) -> dict[tuple[int, int, int], "RadialExpr"]:
+        """The terms split by (x-degree + a, y-degree + b, x-degree mod 2),
+        a monomial's group degrees and a row's r and rho exponents, three
+        numbers the normal-form rewrite keeps."""
         m = self.frame.m
         xs, ys = self.frame.x_indices, self.frame.y_indices
         x_part, y_part = slice(xs.start, xs.stop), slice(ys.start, ys.stop)
@@ -492,7 +490,7 @@ class RadialExpr(TermMap):
             dx, dy = sum(mono[x_part]), sum(mono[y_part])
             for key, c in inner.items():
                 a, b = _exponents(m, key)
-                parts.setdefault((dx + a, dy + b), {}).setdefault(mono, {})[key] = c
+                parts.setdefault((dx + a, dy + b, dx % 2), {}).setdefault(mono, {})[key] = c
         return {degrees: self._like(groups, self._den) for degrees, groups in parts.items()}
 
     def __repr__(self) -> str:
@@ -855,7 +853,7 @@ def _stored_group_classes(frame: AxisFrame, groups: _Groups, group: str) -> dict
     low = (1 << m) - 1
     lo, hi = frame.generator_of(idxs.start), frame.generator_of(idxs.stop - 1)
     outside = low ^ ((1 << hi) - (1 << (lo - 1)))
-    zero = _radial_bits(m, 0, 0)
+    zero = _radial_bits(frame, 0, 0)
     classes: dict[tuple[int, int], _Groups] = {}
     for mono, inner in groups.items():
         d = sum(mono[part])
@@ -1035,7 +1033,7 @@ def is_monogenic(f: RadialExpr, scope: str = SCOPE_FULL) -> bool:
 
 def _unit_vector(frame: AxisFrame, indices: Iterable[int], a: int = 0, b: int = 0) -> RadialExpr:
     """sum_j x_j e_j r^a rho^b over the given coordinates."""
-    part = _radial_bits(frame.m, a, b)
+    part = _radial_bits(frame, a, b)
     return RadialExpr._from_merged({_unit_mono(frame, idx): {1 << (frame.generator_of(idx) - 1) | part: 1}
                                     for idx in indices}, 1, frame)
 

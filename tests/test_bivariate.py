@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,18 @@ class TestExpansionCoefficient:
         assert expansion_coefficient(2, 2, params) == 64
         assert (expansion_coefficient(2, 2, params)
                 == expansion_coefficient(2, 0, params) * expansion_coefficient(0, 2, params))
+
+    def test_equals_the_two_one_sided_loops(self):
+        for k, l, p, q in itertools.product(range(5), range(5), (1, 3, 5, 7), (1, 3, 5, 7)):
+            params = BiaxialParams(k, l, p, q)
+            for j1, j2 in itertools.product(range(7), repeat=2):
+                d1 = 1
+                for s in range(1, j1 + 1):
+                    d1 *= 2 * k + p - (2 * s - 1)
+                d2 = 1
+                for s in range(1, j2 + 1):
+                    d2 *= 2 * l + q - (2 * s - 1)
+                assert expansion_coefficient(j1, j2, params) == d1 * d2
 
     @pytest.mark.parametrize("k,p", [(0, 3), (1, 3), (0, 5), (2, 5)])
     def test_vanishing_threshold(self, k, p):

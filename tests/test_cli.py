@@ -120,20 +120,17 @@ class TestApply:
 
     @pytest.mark.parametrize("mu", ["abc", "1.5", "-1"])
     def test_mu_outside_its_help_exits_2(self, capsys, mu):
-        with pytest.raises(SystemExit) as exc:
-            main(["apply", "--p", "3", "--q", "3", "--variant", "plus", "--mu", mu,
-                  "--seed", "zbar^5", "--Hk", "x1", "--Hl", "y1"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"argument --mu: expected auto or a nonnegative integer, got '{mu}'" in captured.err
+        code, out, err = run(capsys, "apply", "--p", "3", "--q", "3", "--variant", "plus", "--mu", mu,
+                             "--seed", "zbar^5", "--Hk", "x1", "--Hl", "y1")
+        assert code == 2
+        assert out == ""
+        assert err == f"parse error: argument --mu: expected auto or a nonnegative integer, got '{mu}'\n"
 
     def test_missing_option_value_still_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["apply", "--p", "3", "--q", "3", "--variant", "plus",
-                  "--seed", "--Hk", "x1", "--Hl", "y1"])
-        assert exc.value.code == 2
-        assert "argument --seed: expected one argument" in capsys.readouterr().err
+        code, _out, err = run(capsys, "apply", "--p", "3", "--q", "3", "--variant", "plus",
+                              "--seed", "--Hk", "x1", "--Hl", "y1")
+        assert code == 2
+        assert err == "parse error: argument --seed: expected one argument\n"
 
     def test_random_vectors_seeded(self, capsys, monkeypatch):
         argv = ("apply", "--p", "3", "--q", "3", "--variant", "plus",
@@ -333,6 +330,23 @@ class TestHostileInput:
             assert code == 2
             assert err.startswith("parse error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        ((), "the following arguments are required: command"),
+        (("bogus",), "argument command: invalid choice: 'bogus'"),
+        (("apply", "--p", "x"), "argument --p: invalid int value: 'x'"),
+        (("apply", "--p", "3"), "the following arguments are required: --q, --variant, --seed, --Hk, --Hl"),
+    ], ids=["empty", "unknown-command", "bad-int", "missing-options"])
+    def test_a_usage_error_is_a_one_line_parse_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"parse error: {message}") and err.count("\n") == 1
+
+    def test_help_still_prints_and_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["apply", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fueterkit apply")
+
     @pytest.mark.parametrize("exc, code, prefix", [
         (ParseError("bad"), 2, "parse error: bad"),
         (ShapeError("bad"), 1, "precondition violation: bad"),
@@ -482,12 +496,11 @@ class TestIntTextLimit:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(5000)
         try:
-            with pytest.raises(SystemExit):
-                main(["apply", "--p", "3"])
+            code, _out, err = run(capsys, "apply", "--p", "3")
+            assert code == 2 and len(err.splitlines()) == 1
             assert sys.get_int_max_str_digits() == 5000
         finally:
             sys.set_int_max_str_digits(limit)
-        capsys.readouterr()
 
 
 class TestProcessDeterminism:

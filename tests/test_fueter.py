@@ -498,7 +498,7 @@ class TestGeneralViaFischer:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(fueter, "_closed_form", counted(fueter._closed_form, calls))
+        monkeypatch.setattr(fueter, "_top_term", counted(fueter._top_term, calls))
         monkeypatch.setattr(fueter, "separated_laplacian_power", counted(fueter.separated_laplacian_power, assemblies))
         direct_fn = ft_plus if variant == "plus" else ft_minus
         for n in (7, 8, 9):
@@ -654,6 +654,49 @@ class TestExtractAndVekua:
         with pytest.raises(ShapeError):
             extract_components(f, one(), one(), "plus")
 
+    @staticmethod
+    def assembled(kind, first, second, pk, pl):
+        """The kind's shape of (first, second) times Pk Pl, as a map assembles it."""
+        triples = fueter._triples(kind, first, second, fueter._forms(pk, "x"), fueter._forms(pl, "y"))
+        return radial.separated_laplacian_power(triples, 0)
+
+    @staticmethod
+    def random_laurent(rng):
+        """A nonzero Laurent polynomial of up to four terms with a negative exponent."""
+        while True:
+            w = BivariateRadial({(rng.randint(-3, 3), rng.randint(-3, 3)): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                 for _ in range(rng.randint(2, 4))})
+            if not w.is_zero() and any(a < 0 or b < 0 for a, b in w.terms):
+                return w
+
+    @pytest.mark.parametrize("kind", ["plus", "minus"])
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_extraction_inverts_assembly(self, kind, p):
+        """Random Laurent pairs, with factors 1, rotations and the squares
+        of inner products, which are not monogenic."""
+        frame = AxisFrame(p, p)
+        rng = random.Random(100 * p + (kind == "plus"))
+        ip_x = inner_x(frame, [Fraction(rng.randint(1, 3)) for _ in range(p)]) ** 2
+        ip_y = inner_y(frame, [Fraction(rng.randint(-3, -1)) for _ in range(p)]) ** 2
+        for pk, pl in ((one(frame), one(frame)), (rot_x(frame), rot_y(frame)), (ip_x, rot_y(frame)),
+                       (one(frame), ip_y)):
+            first, second = self.random_laurent(rng), self.random_laurent(rng)
+            comp = extract_components(self.assembled(kind, first, second, pk, pl), pk, pl, kind)
+            assert (comp.kind, comp.first, comp.second) == (kind, first, second)
+
+    @pytest.mark.parametrize("kind", ["plus", "minus"])
+    def test_a_part_no_multiple_of_its_base_is_a_shape_error(self, kind):
+        """x1 Hl has the bidegree and x-parity of the (1, 0) base made from
+        the rotation Pk, but is no multiple of it."""
+        pk, pl = rot_x(), rot_y()
+        first, second = BivariateRadial({(-1, 2): 3, (0, 0): 1}), BivariateRadial.monomial(1, -2, 2)
+        f = self.assembled(kind, first, second, pk, pl)
+        stray = self.assembled(kind, BivariateRadial.constant(1), BivariateRadial.zero(),
+                               RadialExpr.coordinate(F33, "x1"), pl)
+        assert extract_components(f, pk, pl, kind).first == first
+        with pytest.raises(ShapeError):
+            extract_components(f + stray, pk, pl, kind)
+
     def test_roundtrip_on_closed_form(self):
         """Nonzero closed forms of both kinds; at (5,5) an x mask ORed with
         a y mask spans e1..e10."""
@@ -734,7 +777,7 @@ class TestClassical:
                 for f in range(2 * big_k + m - 1, 0, -2):
                     weight *= f
                 want = (weight * bivariate.apply_xinv_dx(u, n, "rho"), weight * bivariate.apply_dx_xinv(v, n, "rho"))
-                assert fueter._top_term(seed, 1, m, 0, big_k, 0, 0) == want
+                assert fueter._top_term(seed, 1, m, 0, big_k, 0, "plus") == want
 
     def test_broken_closed_form_fails_verification(self, monkeypatch):
         monkeypatch.setattr(bivariate, "apply_dx_xinv", bivariate.apply_xinv_dx)

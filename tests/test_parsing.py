@@ -10,9 +10,10 @@ from fueterkit.cli import main
 from fueterkit.errors import ParseError
 from fueterkit.formatting import format_expression
 from fueterkit.frame import AxisFrame
+from fueterkit.fueter import apply_map
 from fueterkit.parsing import MAX_DEPTH, parse_bivariate, parse_expression, parse_seed, parse_vector
 from fueterkit.radial import RadialExpr, inner_x
-from fueterkit.seeds import ComplexBivarPoly
+from fueterkit.seeds import ComplexBivarPoly, conj_power
 
 F33 = AxisFrame(3, 3)
 
@@ -29,6 +30,22 @@ class TestExpressionGrammar:
         expr = parse_expression("ip(x,t)^2", F33, {"t": [Fraction(1), Fraction(0), Fraction(0)]})
         want = parse_expression("x1^2", F33)
         assert expr == want
+
+    def test_a_factor_is_kept_as_built(self):
+        """The parser returns the product the grammar builds: ip(x,t)^2
+        keeps its x3^2 row, whose normal form rewrites it, and the factor
+        equals, prints and maps as its canonicalized form."""
+        t = [Fraction(1), Fraction(-2), Fraction(1, 2)]
+        built = parse_expression("ip(x,t)^2", F33, {"t": t})
+        x3 = F33.coord_index("x3")
+        assert any(mono[x3] == 2 for mono in built._terms)
+        canonical = built.canonicalized()
+        assert all(mono[x3] < 2 for mono in canonical._terms)
+        assert built == canonical and format_expression(built) == format_expression(canonical)
+        hl = parse_expression("y1", F33)
+        for seed, variant in ((conj_power(7), "plus"), (conj_power(6), "minus")):
+            got, want = (apply_map(seed, hk, hl, F33, variant) for hk in (built, canonical))
+            assert (got._terms, got._den) == (want._terms, want._den)
 
     def test_laurent_term(self):
         expr = parse_expression("r^-3 * x1", F33)

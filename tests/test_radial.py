@@ -184,6 +184,18 @@ class TestMonomial:
         with pytest.raises(ValueError, match=message):
             RadialExpr.monomial(frame, exponents, coeff, b=b)
 
+    @pytest.mark.parametrize("b", [1, -1, radial.EXPONENT_LIMIT + 1], ids=["one", "minus-one", "beyond-the-limit"])
+    @pytest.mark.parametrize("build", [
+        lambda frame, b: RadialExpr.monomial(frame, {"x1": 1}, 1, b=b),
+        lambda frame, b: RadialExpr(frame, {((1,) + (0,) * (frame.ncoords - 1), (), 0, b): 1}),
+        lambda frame, b: RadialExpr.from_bivariate(frame, BivariateRadial({(2, 0): 1, (0, b): 1})),
+    ], ids=["monomial", "validating-constructor", "from_bivariate"])
+    def test_rho_single_axis_from_every_entry_point(self, build, b):
+        """The rho-single-axis row of test_errors, from each entry point
+        where rows enter, and checked before the exponent limit."""
+        with pytest.raises(ValueError, match="rho exponent must be 0 in a single-axis frame"):
+            build(AxisFrame(3), b)
+
     def test_single_term_constructors_pack_as_the_validating_constructor(self):
         lim = radial.EXPONENT_LIMIT
         mv = Multivector(6, {(): Fraction(1, 2), (1,): -3, (2, 5): Fraction(2, 7)})
