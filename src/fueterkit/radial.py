@@ -37,7 +37,10 @@ Operators keep terms merged by exact key only; the normal form is
 computed at the first zero test, equality or display and then cached, and
 the proof, ``==`` and the printers share it.  ``dirac`` reads its
 operand's cached normal form and stores its image in normal form, so the
-zero test of ``is_monogenic`` only asks whether the image is empty.
+zero test of ``is_monogenic`` only asks whether the image is empty; on a
+large operand it first tests the image for zero with its row rule run
+once per distinct x part and once per distinct y part of the rows, the
+cross terms summed as packed ints.
 ``separated_laplacian_power``, which assembles every biaxial map's
 output, builds it from its factors' normal forms and stores it as its own
 normal form, so no map output has one formed.
@@ -79,7 +82,11 @@ shift and hash ints instead of building (blade, a, b) tuples:
 
 * Dirac with generator e_g maps a key to ``key ^ bit`` with the sign
   ``clifford.mask_sign(bit, mask)``, memoized per call over the masks
-  present (no table of size 2^m: a frame may have m = 80);
+  present (no table of size 2^m: a frame may have m = 80).  Its row
+  split takes a row's y part as the y mask bits and the rho field, and
+  its x part as the rest; while the rule runs, an x part holds the row's
+  y class in its rho field and a y part its slot number in its r field,
+  fields that the axes of its own side never read (``_split_rows``);
 * lowering r or rho subtracts ``2 << m`` or ``2 << (m + 64)``, and the
   normal-form rewrite adds ``(ea << m) + (eb << (m + 64))``;
 * ``re_mul`` adds the two radial parts, less one offset, and multiplies
@@ -693,38 +700,34 @@ def _check_scope(frame: AxisFrame, scope: str) -> None:
         raise PreconditionError("second-group scope needs a frame with a second axial group (q >= 1)")
 
 
-def dirac(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
-    """Left Dirac operator sum_j e_j d_j over the scope's vector coordinates.
-
-    The cauchy-riemann scope adds d/dX0 with unit coefficient and needs a
-    frame with the scalar axis.  One pass over the operand's cached normal
-    form applies the term rule of ``partial_derivative`` in every
-    coordinate, group by group: each monomial's lowered and raised
-    monomials and the rows that lower r or rho are formed once.
-    Multiplying a row by the generator e_g flips bit g-1 of its key, with
-    the sign ``mask_sign(bit, mask)`` memoized per call over the masks
-    present.  x_p and y_q are at most linear in a normal form, and a raised
-    row of x_p where x_p is present lands rewritten, x_p^2 R^(a-2) = R^a -
-    sum_{j<p} x_j^2 R^(a-2) (likewise y_q), so the image is stored as its
-    own normal form.
-    """
-    frame = f.frame
-    _check_scope(frame, scope)
-    m = frame.m
-    low = (1 << m) - 1
-    steps = (2 << m, 2 << (m + 64))
-    # (coordinate, the radius its derivative lowers: 0 for r, 1 for rho and
-    # 2 for none, its generator's bit, the group's other coordinates when it
-    # is the group's last one)
-    bits = [(i, radius, 1 << (frame.generator_of(i) - 1), idxs[:-1] if i == idxs[-1] else None)
+def _dirac_axes(frame: AxisFrame, scope: str) -> list[tuple]:
+    """The scope's Dirac axes: (coordinate, the radius its derivative
+    lowers: 0 for r, 1 for rho and 2 for none, its generator's bit, the
+    memo mask -> ``mask_sign(bit, mask)``, the group's other coordinates
+    when it is the group's last one)."""
+    axes = [(i, radius, 1 << (frame.generator_of(i) - 1), idxs[:-1] if i == idxs[-1] else None)
             for radius, group in enumerate(("x", "y")) if scope in (GROUP_SCOPES[group], SCOPE_FULL, SCOPE_CR)
             for idxs in (frame.group_indices(group),) for i in idxs]
     if scope == SCOPE_CR:
-        bits.append((0, 2, 0, None))
-    axes = [(i, radius, bit, Memo(partial(mask_sign, bit)), others) for i, radius, bit, others in bits]
-    radii = {radius for _i, radius, _bit, _others in bits}
-    acc: _Groups = defaultdict(dict)
-    for mono, inner in f._normal().items():
+        axes.append((0, 2, 0, None))
+    return [(i, radius, bit, Memo(partial(mask_sign, bit)), others) for i, radius, bit, others in axes]
+
+
+def _dirac_rule(m: int, groups: _Groups, axes: list[tuple], acc: _Groups) -> _Groups:
+    """acc += sum e_j d_j over the axes, for groups in normal form.
+
+    The term rule of ``partial_derivative`` in every axis, group by group:
+    each monomial's lowered and raised monomials and the rows that lower r
+    or rho are formed once.  Multiplying a row by the generator e_g flips
+    bit g-1 of its key, with the sign ``mask_sign(bit, mask)``.  x_p and y_q
+    are at most linear in a normal form, and a raised row of x_p where x_p
+    is present lands rewritten, x_p^2 R^(a-2) = R^a - sum_{j<p} x_j^2
+    R^(a-2) (likewise y_q), so the image lands in normal form.  Numerators
+    are only added in multiples, so packed ones go through unchanged."""
+    low = (1 << m) - 1
+    steps = (2 << m, 2 << (m + 64))
+    radii = {axis[1] for axis in axes}
+    for mono, inner in groups.items():
         rows = [(key, key & low, c) for key, c in inner.items()]
         # the rows a derivative adds by lowering r or rho, shared by the group's axes
         raised_rows = ([(key - steps[0], mask, a * c) for key, mask, c in rows
@@ -770,7 +773,175 @@ def dirac(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
                 get = out.get
                 for key, c in signed:
                     out[key] = get(key, 0) - c
-    return f._normalized(_nonzero(acc), f._den)
+    return acc
+
+
+# Below this many rows the split's fixed costs (a rule call per side, the
+# packing, the cross terms) outweigh what it shares: on the benchmark's
+# outputs it loses at 96 rows and wins from 117.  Past this many bits in a
+# class's packed int (its slots times W), a row's cross term, a numerator
+# times such an int, costs more than the row's share of the per-row rule:
+# the (3,3) ft_plus outputs of zbar^n break even near n = 300, 4615 bits.
+_SPLIT_MIN_ROWS = 100
+_SPLIT_MAX_BITS = 4096
+
+
+def _split_rows(frame: AxisFrame, groups: _Groups):
+    """A normal form's rows as x part times y part for ``dirac``, as
+    (W, parts, slots, counts), or None when the split does not pay.
+
+    An x part is a row's X0 and x exponents (``mono[:xe]``), x mask and r
+    exponent, a y part its y exponents, y mask and rho exponent.  ``slots``
+    maps y monomial -> {y key (y mask and rho field): slot}, the slots
+    numbered within each y class (y-degree + rho exponent), and ``counts``
+    a class to its number of slots.  ``parts`` maps x monomial -> {x key:
+    [(slot, numerator), ...]}, where an x key is the row's key less its y
+    mask with the class in the rho field.  W is the slot width,
+    2^(W-1) > 2 E sum |c| with E = max(coordinate exponent, |a| + 1,
+    |b| + 1).
+
+    None, before a row is read, in a single-axis frame (no y side), below
+    ``_SPLIT_MIN_ROWS`` rows, or with fewer than 2 rows per distinct x or
+    y monomial; after the split, with fewer than 2 rows per x key or y
+    part, or when a class's rows fill less than 1/8 of its x keys times y
+    parts (packed ints of empty slots).  The split also stops as soon as a
+    class's packed int would pass ``_SPLIT_MAX_BITS`` bits at the width
+    that the numerators and the monomial exponents give, which W exceeds
+    only by the bits of a large radial exponent."""
+    xe = frame.x_indices.stop
+    nrows = sum(map(len, groups.values()))
+    if (not frame.q or nrows < _SPLIT_MIN_ROWS
+            or nrows < 2 * max(len({mono[:xe] for mono in groups}), len({mono[xe:] for mono in groups}))):
+        return None
+    m = frame.m
+    mb = m + 64
+    ybits = (1 << m) - (1 << frame.p)
+    ykeep, xkeep = ybits | (-1 << mb), ~ybits
+    parts: dict[Mono, dict[int, list[tuple[int, int]]]] = {}
+    slots: dict[Mono, dict[int, int]] = {}
+    counts: dict[int, int] = defaultdict(int)
+    top, total = max(map(max, groups)), sum(sum(map(abs, inner.values())) for inner in groups.values())
+    # the slots a class may take at W's width before the radial exponents
+    most = _SPLIT_MAX_BITS // ((2 * top * total).bit_length() + 1)
+    for mono, inner in groups.items():
+        xm, ym = mono[:xe], mono[xe:]
+        dy = sum(ym)
+        shift = dy << mb
+        xparts = parts.setdefault(xm, {})
+        yslots = slots.setdefault(ym, {})
+        for key, c in inner.items():
+            yk = key & ykeep
+            s = yslots.get(yk)
+            if s is None:
+                b = key >> mb
+                top = max(top, abs(b) + 1)
+                s = yslots[yk] = counts[dy + b]
+                if s == most:
+                    return None
+                counts[dy + b] += 1
+            xk = (key & xkeep) + shift
+            pairs = xparts.get(xk)
+            if pairs is None:
+                top = max(top, abs(((key >> m) & _A_FIELD) - _A_OFFSET) + 1)
+                xparts[xk] = [(s, c)]
+            else:
+                pairs.append((s, c))
+    # class -> [x keys, rows]
+    fill: dict[int, list[int]] = defaultdict(lambda: [0, 0])
+    for xparts in parts.values():
+        for xk, pairs in xparts.items():
+            entry = fill[xk >> mb]
+            entry[0] += 1
+            entry[1] += len(pairs)
+    if (nrows < 2 * sum(x for x, _n in fill.values()) or nrows < 2 * sum(counts.values())
+            or any(8 * n < x * counts[k] for k, (x, n) in fill.items())):
+        return None
+    return (2 * top * total).bit_length() + 1, parts, slots, counts
+
+
+def dirac(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
+    """Left Dirac operator sum_j e_j d_j over the scope's vector coordinates.
+
+    The cauchy-riemann scope adds d/dX0 with unit coefficient and needs a
+    frame with the scalar axis.  The row rule ``_dirac_rule`` reads the
+    operand's cached normal form and lands its image in normal form, so
+    the image is stored as its own and ``is_monogenic`` asks whether it is
+    empty.
+
+    In the full and cauchy-riemann scopes the image is first tested for
+    zero on the rows' factors.  The frame puts every x generator before
+    every y generator, so a normal-form row is an x part X = x^alpha e_A
+    r^a (with X0's power) times a y part Y = y^beta e_B rho^b:
+
+    * e_i (X Y) = (e_i X) Y for an x generator, and e_j (X Y) = (-1)^|A|
+      X (e_j Y) for a y generator, which anticommutes with e_A.  So
+      D = D_x (x) 1 + iota (x) D_y, iota the parity sign of the x mask;
+      d/dX0 has no generator and joins D_x.
+    * A normal-form x part times a normal-form y part is a normal-form row,
+      and distinct (X, Y) pairs are distinct rows: the pairs are faithful
+      coordinates of the image.
+
+    So D_x runs once per distinct x part and D_y once per distinct y part
+    (``_split_rows``), and the cross terms are summed as Kronecker-packed
+    ints.  Y parts get slots numbered within their y class (y-degree + rho
+    exponent), and an x part's numerator in class k is sum c 2^(W slot(Y))
+    over its rows there.  D_x keeps the class, so the rule runs unchanged on
+    those numerators; D_y lowers it by one, so each y part's image packs
+    into Q_Y over class k - 1, and each row adds iota c Q_Y to its x part's
+    class k - 1 numerator.  An image digit is a sum over the operand's rows
+    of c (d_x + iota d_y), each d an image coefficient of the rule, at most
+    E = max(coordinate exponent, |a| + 1, |b| + 1) in size, and W makes
+    2^(W-1) > 2 E sum |c|.  So every digit v_k is below 2^(W-1) in size,
+    and sum v_k 2^(W k) = 0 exactly when every v_k = 0: the image is zero
+    exactly when every packed int is.  A nonzero image is formed by the
+    rule on the rows, which costs less than decoding it, as is every image
+    where the split does not pay and in a group scope, which has one side's
+    axes only.
+    """
+    frame = f.frame
+    _check_scope(frame, scope)
+    m = frame.m
+    normal = f._normal()
+    axes = _dirac_axes(frame, scope)
+    found = _split_rows(frame, normal) if scope in (SCOPE_FULL, SCOPE_CR) else None
+    if found is not None:
+        width, parts, slots, counts = found
+        mb, xe = m + 64, frame.x_indices.stop
+        # D_y once per y part, each tagged by its slot in the r field, which
+        # no y axis reads (a y monomial starts at coordinate xe);
+        # q_images[k][slot] is Q_Y of class k's part
+        y_axes = [(i - xe, radius, bit, signs, others and [j - xe for j in others])
+                  for i, radius, bit, signs, others in axes if radius == 1]
+        tagged = {ym: {yk | (s << m): 1 for yk, s in yslots.items()} for ym, yslots in slots.items()}
+        q_images = {k: [0] * n for k, n in counts.items()}
+        ykeep = ((1 << m) - (1 << frame.p)) | (-1 << mb)
+        for ym, inner in _dirac_rule(m, tagged, y_axes, defaultdict(dict)).items():
+            dy = sum(ym)
+            yslots = slots.setdefault(ym, {})
+            for key, d in inner.items():
+                if d:
+                    yk = key & ykeep
+                    k = dy + (key >> mb)
+                    s = yslots.get(yk)
+                    if s is None:
+                        s = yslots[yk] = counts[k]
+                        counts[k] += 1
+                    q_images[k + 1][(key >> m) & _A_FIELD] += d << (width * s)
+        # the packed numerators, and iota times the cross terms one class down
+        low, down = (1 << m) - 1, 1 << mb
+        packed: _Groups = {}
+        acc: _Groups = defaultdict(dict)
+        for xm, xparts in parts.items():
+            packed[xm] = {xk: sum(c << (width * s) for s, c in pairs) for xk, pairs in xparts.items()}
+            out = acc[xm]
+            for xk, pairs in xparts.items():
+                q = q_images[xk >> mb]
+                v = sum(c * q[s] for s, c in pairs)
+                out[xk - down] = -v if (xk & low).bit_count() & 1 else v
+        _dirac_rule(m, packed, [axis for axis in axes if axis[1] != 1], acc)
+        if not any(any(inner.values()) for inner in acc.values()):
+            return f._normalized({}, f._den)
+    return f._normalized(_nonzero(_dirac_rule(m, normal, axes, defaultdict(dict))), f._den)
 
 
 def laplacian(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:

@@ -290,9 +290,10 @@ def _lead_power_operand(rng, frame):
 
 def _dirac_by_partials(f, scope):
     """sum_j e_j d_j f over the scope's vector coordinates, plus d_0 f for
-    cauchy-riemann, from ``partial_derivative`` and ``re_mul``."""
+    cauchy-riemann (which takes both groups, as ``laplacian`` does), from
+    ``partial_derivative`` and ``re_mul``."""
     frame = f.frame
-    groups = {SCOPE_FIRST: "x", SCOPE_SECOND: "y", SCOPE_FULL: "xy", SCOPE_CR: "x"}[scope]
+    groups = {SCOPE_FIRST: "x", SCOPE_SECOND: "y", SCOPE_FULL: "xy", SCOPE_CR: "xy"}[scope]
     out = partial_derivative(f, 0) if scope == SCOPE_CR else RadialExpr.zero(frame)
     for group in groups:
         for i in frame.group_indices(group):
@@ -337,6 +338,159 @@ class TestDiracNormalForm:
             is_monogenic(f)
         with pytest.raises(PreconditionError, match=f"radial exponent {2**62 + 2} "):
             f == f
+
+
+def _factor_part(rng, frame, idxs, generators):
+    """One x part (or y part) without its radial power: a monomial in the
+    given coordinates with the group's last coordinate mostly linear, and a
+    blade of the group's generators."""
+    mono = [0] * frame.ncoords
+    for i in idxs:
+        mono[i] = rng.randint(0, 2)
+    if idxs and rng.random() < 0.8:
+        mono[idxs[-1]] = rng.randint(0, 1)
+    return mono, tuple(sorted(rng.sample(generators, rng.randint(0, min(2, len(generators))))))
+
+
+def _factor_shaped(rng, frame, big=False):
+    """A random sum of x part times y part products: most pairs of 11 to 14
+    x parts (X0 with the x coordinates) and 11 to 14 y parts, so many y
+    parts share an x part and many x parts a y part.  The y parts fall in two
+    classes (y-degree + rho exponent), and the radial exponents are
+    negative and odd too; numerators pass 2^64 when big."""
+    xs = [(*_factor_part(rng, frame, [*range(frame.x_indices.start), *frame.x_indices],
+                         list(range(1, frame.p + 1))), rng.randint(-3, 3)) for _ in range(rng.randint(11, 14))]
+    classes = rng.sample(range(-2, 4), 2)
+    ys = []
+    for _ in range(rng.randint(11, 14)):
+        mono, blade = _factor_part(rng, frame, list(frame.y_indices), list(range(frame.p + 1, frame.m + 1)))
+        ys.append((mono, blade, rng.choice(classes) - sum(mono) if frame.q else 0))
+    raw = {}
+    for xm, xb, a in xs:
+        for ym, yb, b in ys:
+            if rng.random() < 0.9:
+                c = rng.choice([-3, -2, -1, 1, 2, 5]) * (rng.randint(2**64, 2**70) if big else 1)
+                raw[(tuple(u + v for u, v in zip(xm, ym)), xb + yb, a, b)] = Fraction(c, rng.randint(1, 3))
+    return RadialExpr(frame, raw)
+
+
+def _split(f):
+    return radial._split_rows(f.frame, f._normal())
+
+
+class TestDiracOnRowFactors:
+    @pytest.mark.parametrize("frame", [AxisFrame(1, 3), F33, F55, AxisFrame(3, 0, scalar_axis=True),
+                                       AxisFrame(3, 3, scalar_axis=True)], ids=str)
+    def test_every_scope_equals_the_partials_on_factor_shaped_inputs(self, frame):
+        scopes = [SCOPE_FIRST, SCOPE_FULL] + [SCOPE_SECOND] * (frame.q > 0) + [SCOPE_CR] * frame.scalar_axis
+        rng = random.Random(frame.m * 10 + frame.scalar_axis)
+        leads = [indices[-1] for indices in (frame.x_indices, frame.y_indices) if indices]
+        split = 0
+        for trial in range(8):
+            f = _factor_shaped(rng, frame, big=trial % 3 == 0)
+            split += _split(f) is not None
+            for scope in scopes:
+                out = dirac(f, scope)
+                assert out == _dirac_by_partials(f, scope), scope
+                assert all(mono[i] < 2 for mono, *_rest in out.raw_terms for i in leads)
+                assert out.raw_terms == RadialExpr(frame, out.raw_terms).canonical_terms()
+        # a single-axis frame has one y part, so its rows are their own x parts
+        assert split >= 6 if frame.q else split == 0
+
+    def test_every_perturbed_row_of_a_5_5_output_fails_the_proof(self):
+        from fueterkit.fueter import ft_plus
+        from fueterkit.seeds import conj_power
+
+        out = ft_plus(conj_power(5), inner_x(F55, [1, 2, -1, 3, Fraction(1, 2)]),
+                      radial.inner_y(F55, [2, -1, Fraction(1, 3), 1, 1]), F55)
+        assert is_monogenic(out)
+        width = _split(out)[0]
+        rows, den = out.raw_terms, out._den
+        # a change of 2^k near the slot width must not carry into a neighbouring slot unseen
+        deltas = [Fraction(sign * 2**k, den) for k in range(width - 2, width + 3) for sign in (1, -1)]
+        for key in random.Random(5).sample(sorted(rows), 8):
+            for delta in [Fraction(1), Fraction(-1)] + deltas:
+                bad = dict(rows)
+                bad[key] += delta
+                assert not is_monogenic(RadialExpr(F55, bad)), (key, delta)
+
+
+class TestDiracSplitRule:
+    @pytest.mark.parametrize("name", ["binomial", "diagonal", "banded", "x-only", "y-only"])
+    def test_thin_inputs_keep_each_row_as_its_own_part(self, name):
+        x1, y1 = RadialExpr.coordinate(F33, "x1"), RadialExpr.coordinate(F33, "y1")
+        zero = RadialExpr.zero(F33)
+        f = {
+            "binomial": lambda: (x1 + y1) ** 250,
+            # sum x1 r^i y1^i rho^-i: every y part in the one class 0
+            "diagonal": lambda: sum((RadialExpr.monomial(F33, {"x1": 1, "y1": i}, 1, i, -i) for i in range(250)), zero),
+            # x1^i (y1^i rho^-i + y1^(i+1) rho^-(i+1)): 2 rows per x part and
+            # per y part, all in class 0, but 240 rows on a 120 x 120 grid
+            "banded": lambda: sum((RadialExpr.monomial(F33, {"x1": i, "y1": j % 120}, 1, 0, -(j % 120))
+                                   for i in range(120) for j in (i, i + 1)), zero),
+            "x-only": lambda: (inner_x(F33, [1, 2, -1]) + Multivector.basis_vector(1, 6)) ** 12
+                              * RadialExpr.radial(F33, -3, 0),
+            "y-only": lambda: (radial.inner_y(F33, [1, 2, -1]) + Multivector.basis_vector(5, 6)) ** 12
+                              * RadialExpr.radial(F33, 0, -3),
+        }[name]()
+        assert sum(map(len, f._normal().values())) >= 2 * radial._SPLIT_MIN_ROWS
+        assert _split(f) is None
+
+    @staticmethod
+    def _dense_output():
+        from fueterkit.fueter import ft_plus
+        from fueterkit.seeds import conj_power
+
+        return ft_plus(conj_power(10), inner_x(F33, [1, 2, -1]), radial.inner_y(F33, [1, Fraction(1, 2), 2]), F33)
+
+    def test_a_dense_output_gets_one_window_per_y_class(self):
+        out = self._dense_output()
+        width, parts, slots, counts = _split(out)
+        mb = F33.m + 64
+        numbered: dict[int, list[int]] = {}
+        for ym, yslots in slots.items():
+            for yk, s in yslots.items():
+                numbered.setdefault(sum(ym) + (yk >> mb), []).append(s)
+        assert len(counts) > 1
+        assert {k: sorted(v) for k, v in numbered.items()} == {k: list(range(n)) for k, n in counts.items()}
+        # an x part's packed rows in a class use only that class's slots
+        assert all(s < counts[xk >> mb] for xparts in parts.values() for xk, pairs in xparts.items()
+                   for s, _c in pairs)
+        total = sum(abs(c) for c in out.raw_terms.values()) * out._den
+        assert 2 ** (width - 1) > 2 * total
+
+    def test_a_monogenic_output_is_proven_on_its_packed_ints(self, monkeypatch):
+        out = self._dense_output()
+        bad = dict(out.raw_terms)
+        key = sorted(bad)[0]
+        bad[key] += 1
+        calls = []
+        rule = radial._dirac_rule
+        monkeypatch.setattr(radial, "_dirac_rule", lambda m, groups, *rest: calls.append(groups) or rule(m, groups, *rest))
+        assert is_monogenic(out)
+        # one rule call per side on the parts; the rows themselves are not read
+        assert len(calls) == 2 and out._normal() not in calls
+        calls.clear()
+        assert not is_monogenic(RadialExpr(F33, bad))
+        # a nonzero image is formed by the rule on the rows
+        assert len(calls) == 3
+
+    def test_image_parts_outside_the_operand_get_slots_of_their_own(self):
+        # D_y of 39 y1 e4 rho^40 - 121 y1 e5 rho^40 lands only on y parts the
+        # operand lacks, with coefficients that sum to 0: one shared slot
+        # would cancel them
+        eps = RadialExpr(F33, {(mono6(y1=1), (4,), 0, 40): 39, (mono6(y1=1), (5,), 0, 40): -121})
+        f = self._dense_output() + eps
+        assert _split(f) is not None
+        assert not is_monogenic(f)
+
+    def test_wide_numerators_keep_each_row_as_its_own_part(self):
+        out = self._dense_output()
+        # the same rows with numerators of about 3200 bits: too wide to pack
+        wide = out * (3**2000 + 1)
+        assert _split(out) is not None
+        assert _split(wide) is None
+        assert is_monogenic(wide)
 
 
 class TestLaplacian:
