@@ -46,9 +46,9 @@ output, builds it from its factors' normal forms and stores it as its own
 normal form, so no map output has one formed.
 Equality compares two cached normal forms, as one dict comparison when
 the denominators agree and by cross-multiplication otherwise;
-``display_order``
-buckets the rows by radial part for the printers, and only
-``canonical_terms`` sorts and flattens them.
+``display_order`` sorts the distinct monomials and blades once and hands
+the printers each row as an int rank in buckets by radial part, and only
+``canonical_terms`` sorts and flattens the rows themselves.
 
 Storage: monomial groups of packed rows
 ---------------------------------------
@@ -95,7 +95,9 @@ shift and hash ints instead of building (blade, a, b) tuples:
   power, since its blades never share a generator and come in generator
   order;
 * the grade involution negates a row whose mask has odd popcount;
-* ``display_order`` buckets rows by radial part, ``key >> m``.
+* ``display_order`` buckets rows by radial part, ``key >> m``, as
+  (rank, numerator) pairs, the rank monomial index * number of blades +
+  blade index over the sorted distinct monomials and blades.
 
 Every radial exponent satisfies |e| <= 2^62 (``EXPONENT_LIMIT``).  It is
 checked where rows enter (the validating constructor, ``monomial``, which
@@ -112,7 +114,7 @@ flat view behind ``raw_terms`` and ``canonical_terms``), ``bidegree_parts``,
 ``homogeneity_degree`` and ``display_order`` (a bucket's radial part,
 and each mask once per call) and ``_stored_group_classes`` (a factor's
 split for the separated assembly, which tests a key's mask against the
-group's generator bits and decodes its radial part).  The public
+group's generator bits and decodes each distinct radial part once).  The public
 constructors take (monomial, blade, a, b) rows.
 
 Coefficients are integer numerators over one denominator (see ``sparse``):
@@ -143,6 +145,9 @@ Mono = tuple[int, ...]
 TermKey = tuple[Mono, Blade, int, int]
 # The stored form and a kernel's accumulator: monomial -> {packed row key: numerator}
 _Groups = dict[Mono, dict[int, int]]
+# The printers' input (``display_order``): the sorted monomials, the sorted
+# blades, and ((a, b), [(rank, numerator)]) buckets in print order.
+_DisplayTable = tuple[list[Mono], list[Blade], list[tuple[tuple[int, int], list[tuple[int, int]]]]]
 
 SCOPE_FIRST = "first-group"
 SCOPE_SECOND = "second-group"
@@ -432,28 +437,35 @@ class RadialExpr(TermMap):
         object.__setattr__(out, "_canonical_cache", groups)
         return out
 
-    def display_order(self) -> tuple[list[tuple[tuple[int, int], list[tuple[Mono, Blade, int]]]], int]:
-        """The normal form in print order, as ((a, b), rows) buckets of
-        (monomial, blade, numerator) rows, and the shared denominator.
+    def display_order(self) -> tuple[_DisplayTable, int]:
+        """The normal form in print order, as the table (monomials, blades,
+        buckets) of ``formatting._write``, and the shared denominator.
 
-        The rows are bucketed straight off their int keys by radial part
-        (a key shifted right by m).  The few buckets are sorted by (parity
-        sector, a, b), and each bucket's rows by (monomial, blade), with
-        the blade tuple from a per-call ``mask_blade`` memo: masks do not
-        sort as blades do (e{1,10} comes before e2, but its mask is
-        larger)."""
+        The distinct monomials are sorted once and the distinct masks once,
+        by their blade tuples: masks do not sort as blades do (e{1,10}
+        comes before e2, but its mask is larger).  A row's rank is
+        monomial index * number of blades + blade index, so ranks sort as
+        (monomial, blade) do.  The rows are bucketed straight off their int
+        keys by radial part (a key shifted right by m) as (rank, numerator)
+        pairs; the few buckets are sorted by (parity sector, a, b), and each
+        bucket's pairs by rank, which is unique within a bucket."""
         m = self.frame.m
         low = (1 << m) - 1
-        blades = Memo(mask_blade)
-        buckets: dict[int, list[tuple[Mono, Blade, int]]] = defaultdict(list)
-        for mono, inner in self._normal().items():
-            for key, c in inner.items():
-                buckets[key >> m].append((mono, blades[key & low], c))
+        normal = self._normal()
+        monos = sorted(normal)
+        order = sorted((mask_blade(mask), mask) for mask in {key & low for inner in normal.values() for key in inner})
+        blade_index = {mask: i for i, (_blade, mask) in enumerate(order)}
+        width = len(order)
+        buckets: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        for base, mono in enumerate(monos):
+            base *= width
+            for key, c in normal[mono].items():
+                buckets[key >> m].append((base + blade_index[key & low], c))
         # a radial part decodes as a key with no blade bits
         parts = [(*_exponents(0, part), part) for part in buckets]
         parts.sort(key=lambda abp: (abp[0] & 1, abp[1] & 1, abp[0], abp[1]))
-        # (monomial, blade) is unique within a bucket, so rows sort as tuples
-        return [((a, b), sorted(buckets[part])) for a, b, part in parts], self._den
+        ordered = [((a, b), sorted(buckets[part])) for a, b, part in parts]
+        return (monos, [blade for blade, _mask in order], ordered), self._den
 
     def canonical_terms(self) -> dict[TermKey, Fraction]:
         """The normal form as a fresh dict, sorted by key."""
@@ -1015,7 +1027,9 @@ def _stored_group_classes(frame: AxisFrame, groups: _Groups, group: str) -> dict
     a row leaves the group (a coordinate outside it, a blade outside its
     algebra or a nonzero exponent of the other radius), or the frame has
     no such group.  Read off the int keys: a blade lies in the group's
-    algebra when its mask has no bit outside the group's generators."""
+    algebra when its mask has no bit outside the group's generators.  Each
+    distinct radial part (a key shifted right by m) is decoded and checked
+    once per call, and each monomial's target dict once per radial part."""
     idxs = frame.group_indices(group)
     if not idxs:
         return None
@@ -1025,18 +1039,29 @@ def _stored_group_classes(frame: AxisFrame, groups: _Groups, group: str) -> dict
     lo, hi = frame.generator_of(idxs.start), frame.generator_of(idxs.stop - 1)
     outside = low ^ ((1 << hi) - (1 << (lo - 1)))
     zero = _radial_bits(frame, 0, 0)
+    # radial part -> the R exponent e; parts carrying the other radius are refused
+    powers: dict[int, int] = {}
     classes: dict[tuple[int, int], _Groups] = {}
     for mono, inner in groups.items():
         d = sum(mono[part])
         if d != sum(mono):
             return None
+        targets: dict[int, dict[int, int]] = {}
         for key, c in inner.items():
-            mask = key & low
-            a, b = _exponents(m, key)
-            e, other = (a, b) if group == "x" else (b, a)
-            if mask & outside or other:
+            if key & outside:
                 return None
-            classes.setdefault((e, d), {}).setdefault(mono, {})[mask | zero] = c
+            radial = key >> m
+            out = targets.get(radial)
+            if out is None:
+                e = powers.get(radial)
+                if e is None:
+                    a, b = _exponents(0, radial)
+                    e, other = (a, b) if group == "x" else (b, a)
+                    if other:
+                        return None
+                    powers[radial] = e
+                out = targets[radial] = classes.setdefault((e, d), {}).setdefault(mono, {})
+            out[key & low | zero] = c
     return classes
 
 

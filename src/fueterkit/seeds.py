@@ -86,8 +86,10 @@ class ComplexBivarPoly(TermMap):
     def __repr__(self) -> str:
         from .formatting import _write
 
-        rows = [((mask, i, j), None, c) for (i, j, mask), c in sorted(self._terms.items())]
-        return f"ComplexBivarPoly({_write([(None, rows)], self._den, 'plain', names=('i', 'x', 'y'))})"
+        keys = sorted(self._terms)
+        rows = [(rank, self._terms[key]) for rank, key in enumerate(keys)]
+        table = ([(mask, i, j) for i, j, mask in keys], [None], [(None, rows)])
+        return f"ComplexBivarPoly({_write(table, self._den, 'plain', names=('i', 'x', 'y'))})"
 
 
 def _checked_seed_terms(items: Iterable[tuple[SeedKey, Rational]]) -> Iterable[tuple[tuple[int, int, int], Rational]]:

@@ -189,3 +189,120 @@ class TestBivariateAndMultivector:
         assert repr(value) == text
         if isinstance(value, ComplexBivarPoly):
             assert parse_seed(text[len("ComplexBivarPoly("):-1]) == value
+
+
+def _oracle_terms(expr):
+    """The normal form's terms in print order, from ``canonical_terms`` alone."""
+    return sorted(expr.canonical_terms().items(),
+                  key=lambda kv: (kv[0][2] % 2, kv[0][3] % 2, kv[0][2], kv[0][3], kv[0][0], kv[0][1]))
+
+
+def _oracle_text(expr, latex):
+    """The plain or LaTeX text of an expression, written term by term from
+    its canonical terms without the printers' code."""
+    frame = expr.frame
+    names = frame.coord_names()
+    if latex:
+        names = ["X_{0}" if n == "X0" else f"{n[0]}_{{{n[1:]}}}" for n in names]
+    sep, rho = (r"\,", r"\rho") if latex else ("*", "rho")
+
+    def power(base, e):
+        return base if e == 1 else (f"{base}^{{{e}}}" if latex else f"{base}^{e}")
+
+    out = ""
+    for (mono, blade, a, b), q in _oracle_terms(expr):
+        factors = [power(n, e) for n, e in zip(names, mono) if e]
+        if blade:
+            digits = [str(g) for g in blade]
+            if latex:
+                factors.append("e_{" + ("," if frame.m > 9 else "").join(digits) + "}")
+            else:
+                factors.append("e{" + ",".join(digits) + "}" if frame.m > 9 else "e" + "".join(digits))
+        factors += [power(base, e) for base, e in (("r", a), (rho, b)) if e]
+        mag = abs(q)
+        if mag != 1 or not factors:
+            if mag.denominator == 1:
+                coeff = str(mag.numerator)
+            elif latex:
+                coeff = rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+            else:
+                coeff = f"{mag.numerator}/{mag.denominator}"
+            factors.insert(0, coeff)
+        term = sep.join(factors)
+        if not out:
+            out = f"-{term}" if q < 0 else term
+        else:
+            out += f" - {term}" if q < 0 else f" + {term}"
+    return out or "0"
+
+
+def _oracle_json(expr):
+    names = expr.frame.coord_names()
+    return [{"mono": {n: e for n, e in zip(names, mono) if e}, "blade": list(blade),
+             "coeff": {"num": q.numerator, "den": q.denominator}, "r": a, "rho": b}
+            for (mono, blade, a, b), q in _oracle_terms(expr)]
+
+
+ORACLE_FRAMES = [AxisFrame(3, 3), AxisFrame(5, 5), AxisFrame(3, 0, scalar_axis=True)]
+
+
+def _oracle_expression(rng, frame):
+    """Random rows: a constant term, unit coefficients beside a fraction (so
+    numerators of +-den over a denominator above 1), x_p and y_q squares
+    for the normal form to rewrite, negative and odd radial powers, and
+    blades whose masks sort differently from their tuples (e{1,10}
+    against e2 when m = 10)."""
+    m = frame.m
+    blades = [(), (2,), (1, m), (1, 2), (m,), (1, 2, m)]
+    coeffs = [1, -1, Fraction(1, 6), Fraction(-5, 6), Fraction(7, 2), 3, -4]
+    zero = (0,) * frame.ncoords
+    terms = [((zero, (), 0, 0), rng.choice(coeffs))]
+    for _ in range(rng.randint(2, 9)):
+        mono = tuple(rng.randint(0, 3) for _ in range(frame.ncoords))
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3) if frame.q else 0
+        for blade in rng.sample(blades, rng.randint(1, 3)):
+            terms.append(((mono, blade, a, b), rng.choice(coeffs)))
+    return RadialExpr(frame, terms)
+
+
+class TestPrintersAgainstAnOracle:
+    """Every printer style against output written from ``canonical_terms``
+    alone, in the order (a mod 2, b mod 2, a, b, monomial, blade)."""
+
+    @staticmethod
+    def _check(expr):
+        want_json = _oracle_json(expr)
+        assert format_expression(expr) == _oracle_text(expr, latex=False)
+        assert format_expression(expr, "latex") == _oracle_text(expr, latex=True)
+        assert format_expression(expr, "json") == json.dumps(want_json, separators=(",", ":"))
+        frame = expr.frame
+        assert expression_json_object(expr) == {
+            "frame": {"p": frame.p, "q": frame.q, "scalar_axis": frame.scalar_axis}, "terms": want_json}
+
+    @pytest.mark.parametrize("frame", ORACLE_FRAMES, ids=["3,3", "5,5", "3,0+X0"])
+    def test_random_expressions(self, frame):
+        rng = random.Random(3000 + frame.ncoords)
+        seen = {"den above 1 with a unit": 0, "negative first": 0, "constant": 0, "wide blade": 0}
+        for _ in range(30):
+            expr = _oracle_expression(rng, frame)
+            self._check(expr)
+            terms = _oracle_terms(expr)
+            den = expr.display_order()[1]
+            seen["den above 1 with a unit"] += den > 1 and any(abs(q) == 1 for _key, q in terms)
+            seen["negative first"] += terms[0][1] < 0
+            seen["constant"] += any(not any(mono) and not blade and a == b == 0 for (mono, blade, a, b), _q in terms)
+            seen["wide blade"] += any(blade == (1, frame.m) for (_mono, blade, _a, _b), _q in terms)
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("frame", ORACLE_FRAMES, ids=["3,3", "5,5", "3,0+X0"])
+    def test_fixed_expressions(self, frame):
+        self._check(RadialExpr.zero(frame))
+        self._check(RadialExpr.scalar(frame, -1))
+        self._check(RadialExpr.scalar(frame, Fraction(-7, 3)))
+        x1 = RadialExpr.coordinate(frame, "x1")
+        self._check(Fraction(1, 2) - x1 * RadialExpr.radial(frame, -2) + RadialExpr.radial(frame, 1, 0, Fraction(5, 4)))
+
+    def test_e_1_10_sorts_before_e2(self):
+        expr = parse_expression("e{2} + e{1,10} - e{10} + 2*e{1,2,10}", F55)
+        assert format_expression(expr) == "2*e{1,2,10} + e{1,10} + e{2} - e{10}"
+        self._check(expr)

@@ -1,8 +1,12 @@
 """tools/same_outputs.py against stubbed sides: no program runs here."""
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+from fueterkit import formatting
 from fueterkit.frame import AxisFrame
 from fueterkit.radial import RadialExpr
 
@@ -65,6 +69,15 @@ class TestDigest:
         assert square.raw_terms != rewritten.raw_terms
         assert same_outputs.digest(square) == same_outputs.digest(rewritten)
         assert same_outputs.digest(square) != same_outputs.digest(2 * square)
+
+    @pytest.mark.parametrize("style", ["plain", "latex", "json"])
+    def test_an_expression_is_digested_by_its_printed_text_too(self, style, monkeypatch):
+        expr = RadialExpr.monomial(AxisFrame(3, 3), {"x1": 1, "y2": 2}, Fraction(-3, 2), -1, 2)
+        before = same_outputs.digest(expr)
+        real = formatting.format_expression
+        monkeypatch.setattr(formatting, "format_expression",
+                            lambda f, s="plain": real(f, s) + (" " if s == style else ""))
+        assert same_outputs.digest(expr) != before
 
     def test_text_is_digested_as_printed(self):
         assert same_outputs.digest("a\n") != same_outputs.digest("a")

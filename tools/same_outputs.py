@@ -10,11 +10,12 @@ temporary directory.  For every workload of `perfbench/workloads.py` and
 every seed, each side builds the workload's calls in a process of its own
 and runs each call once, untimed.  A call's output is reduced to one
 SHA-256 digest: of the text an apply call prints, and of the normal-form
-rows (`canonical_terms()`) of a route_check output, so two outputs that
-store different rows of the same function agree.  The sides are compared
-call by call in workload, seed and call order.  One JSON record is
-printed; the exit status is 0 when every call agrees, and 1 at the first
-difference, which the record names.
+rows (`canonical_terms()`) of a route_check output together with its
+plain, LaTeX and JSON renderings, so two outputs that store different
+rows of the same function agree and every printer style is compared.
+The sides are compared call by call in workload, seed and call order.
+One JSON record is printed; the exit status is 0 when every call agrees,
+and 1 at the first difference, which the record names.
 """
 
 from __future__ import annotations
@@ -41,8 +42,14 @@ Runner = Callable[[str, str, int], list[tuple[str, str]]]
 
 def digest(output) -> str:
     """SHA-256 of a call's output: printed text as it is, an expression by
-    its normal-form rows."""
-    text = output if isinstance(output, str) else repr(list(output.canonical_terms().items()))
+    its normal-form rows and its text in every printer style."""
+    if isinstance(output, str):
+        text = output
+    else:
+        from fueterkit import formatting
+
+        text = "\n".join([repr(list(output.canonical_terms().items())),
+                          *(formatting.format_expression(output, style) for style in ("plain", "latex", "json"))])
     return hashlib.sha256(text.encode()).hexdigest()
 
 
