@@ -35,15 +35,15 @@ the minus variant.  One core serves every path:
 ``expansion_coefficient`` and multinomial constant times the pair that
 ``bivariate.operator_term`` builds from the seed, in the variant's shape.
 ``ft_general_via_fischer`` splits general factors into monogenic Fischer
-layers (``fischer_decompose``: the projection series, summed by Horner's
-rule) and writes each layer pair (n1, n2) as the triples of one closed
-form, with no Laplacian: the pair's target variant is the input variant
-when n1 + n2 is even and the other one when it is odd, its seed is
-multiplied by the parity monomial (with the sign (-1)^{n1} for the minus
-variant), and the x layer enters as its n2-fold grade involution.  Each
-layer's forms are made once per call and shared by its pairs, the
-triples of all pairs are assembled once, and the sum must agree with the
-direct maps exactly.
+layers (``fischer_decompose``: each layer the projection series of one
+entry of the factor's Dirac chain, summed by Horner's rule) and writes
+each layer pair (n1, n2) as the triples of one closed form, with no
+Laplacian: the pair's target variant is the input variant when n1 + n2
+is even and the other one when it is odd, its seed is multiplied by the
+parity monomial (with the sign (-1)^{n1} for the minus variant), and the
+x layer enters as its n2-fold grade involution.  Each layer's forms are
+made once per call and shared by its pairs, the triples of all pairs are
+assembled once, and the sum must agree with the direct maps exactly.
 
 A single-axis pipeline (``fueter_classical`` and its closed form, one
 shared body) covers the generalized Cauchy-Riemann construction for
@@ -55,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import prod
 from typing import Callable
 
 from .bivariate import (
@@ -360,37 +361,39 @@ def fischer_decompose(h: RadialExpr, group: str = "x") -> list[FischerLayer]:
     """Layers P_{K-n} with sum_n xvec^n P_{K-n} = H and every layer monogenic.
 
     The input must be a nonzero homogeneous polynomial supported purely on
-    the chosen group.  Each remainder g of degree d, H first, splits as
-    P + xvec * rest with P monogenic, by the finite projection series
-    P = sum_j a_j xvec^j D^j g, where D is the group's Dirac operator and
-    dim the group's dimension: a_0 = 1, a_j = a_{j-1}/(dim + 2d - j - 1)
-    for odd j and a_j = -a_{j-1}/j for even j.  The divisors are positive
-    (j <= d, so dim + 2d - j - 1 >= dim + d - 1 >= d), so the series is
-    always defined.  rest = -sum_{j>=1} a_j xvec^{j-1} D^j g is summed by
-    Horner's rule from j = d down to 1, rest = xvec * rest - a_j D^j g, so
-    no power of xvec is formed; P = g - xvec * rest, and rest is the next
-    remainder.  The decomposition is unique; the result is verified by
-    per-layer monogenicity and by exact reconstruction, again by Horner's
-    rule, and any failure is reported as an engine bug.
+    the chosen group; D is the group's Dirac operator, dim its dimension.
+    From D(xvec f) = -dim f - xvec D f - 2 E f (E the Euler operator, e_j^2
+    = -1) and D(r^2 f) = 2 xvec f + r^2 D f, D(xvec^s M) = c(s, d)
+    xvec^(s-1) M for monogenic M of degree d, with c(s, d) = -s for even s
+    and -(s - 1 + 2d + dim) for odd s (Delanghe, Sommen and Soucek,
+    *Clifford Algebra and Spinor-Valued Functions*, 1992).  So P_d, d =
+    K - n, is the monogenic part of D^n H over c_n = prod_{s<=n} c(s, d),
+    and every layer is read off one chain D H, ..., D^K H by the projection
+    series sum_j a_j xvec^j D^(n+j) H: a_0 = 1, a_j = a_{j-1}/(dim + 2d -
+    j - 1) for odd j (a positive divisor, as j <= d) and -a_{j-1}/j for
+    even j, summed by Horner's rule from j = d down to 0, so no power of
+    xvec is formed and no sum is differentiated.  The unique decomposition
+    is verified by per-layer monogenicity and by exact reconstruction,
+    again by Horner's rule; a failure is reported as an engine bug.
     """
     frame = h.frame
     degree = homogeneous_group_degree(h, group)
     dim, scope = len(frame.group_indices(group)), GROUP_SCOPES[group]
     xv = vector_x(frame) if group == "x" else vector_y(frame)
+    chain = [h]
+    for _ in range(degree):
+        chain.append(dirac(chain[-1], scope))
     layers: list[FischerLayer] = []
-    cur = h
     for n in range(degree + 1):
         d = degree - n
-        series, coeff, deriv = [], Fraction(1), cur
+        c_n = prod(-(s - 1 + 2 * d + dim) if s % 2 else -s for s in range(1, n + 1))
+        coeffs = [Fraction(1, c_n)]
         for j in range(1, d + 1):
-            coeff = coeff / (dim + 2 * d - j - 1) if j % 2 else -coeff / j
-            deriv = dirac(deriv, scope)
-            series.append((coeff, deriv))
-        rest = RadialExpr.zero(frame)
-        for coeff, deriv in reversed(series):
-            rest = xv * rest - coeff * deriv
-        layers.append(FischerLayer(n, cur - xv * rest))
-        cur = rest
+            coeffs.append(coeffs[-1] / (dim + 2 * d - j - 1) if j % 2 else -coeffs[-1] / j)
+        layer = RadialExpr.zero(frame)
+        for j in range(d, -1, -1):
+            layer = xv * layer + coeffs[j] * chain[n + j]
+        layers.append(FischerLayer(n, layer))
     total = RadialExpr.zero(frame)
     for layer in reversed(layers):
         if not is_monogenic(layer.component, scope):

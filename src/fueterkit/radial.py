@@ -18,7 +18,8 @@ coordinate of each group leading.  The rewrite
     x_p^2 -> r^2 - (x_1^2 + ... + x_{p-1}^2),
     y_q^2 -> rho^2 - (y_1^2 + ... + y_{q-1}^2)
 
-is applied until no term carries x_p or y_q to a power above 1; the
+is applied until no term carries x_p or y_q to a power above 1, from one
+multinomial table (``_lead_square_power``) that ``dirac`` reads too; the
 scalar coordinate X0 and the radial exponents (any integers) are left
 alone.  This is the Groebner normal form of Cox, Little and O'Shea,
 *Ideals, Varieties, and Algorithms*, ch. 2.
@@ -87,8 +88,8 @@ shift and hash ints instead of building (blade, a, b) tuples:
   its x part as the rest; while the rule runs, an x part holds the row's
   y class in its rho field and a y part its slot number in its r field,
   fields that the axes of its own side never read (``_split_rows``);
-* lowering r or rho subtracts ``2 << m`` or ``2 << (m + 64)``, and the
-  normal-form rewrite adds ``(ea << m) + (eb << (m + 64))``;
+* lowering r or rho subtracts ``2 << m`` or ``2 << (m + 64)``, and a
+  rewrite adds ``(ea << m) + (eb << (m + 64))``;
 * ``re_mul`` adds the two radial parts, less one offset, and multiplies
   the blades by ``mask_sign`` and XOR; the separated Laplacian power adds
   a table entry's radial part to a y row and then an x row's mask and r
@@ -715,14 +716,15 @@ def _check_scope(frame: AxisFrame, scope: str) -> None:
 def _dirac_axes(frame: AxisFrame, scope: str) -> list[tuple]:
     """The scope's Dirac axes: (coordinate, the radius its derivative
     lowers: 0 for r, 1 for rho and 2 for none, its generator's bit, the
-    memo mask -> ``mask_sign(bit, mask)``, the group's other coordinates
-    when it is the group's last one)."""
-    axes = [(i, radius, 1 << (frame.generator_of(i) - 1), idxs[:-1] if i == idxs[-1] else None)
+    memo mask -> ``mask_sign(bit, mask)``, and for the group's last
+    coordinate the k = 1 table of ``_lead_square_power``)."""
+    axes = [(i, radius, 1 << (frame.generator_of(i) - 1),
+             _lead_square_power(frame, group, 1) if i == idxs[-1] else None)
             for radius, group in enumerate(("x", "y")) if scope in (GROUP_SCOPES[group], SCOPE_FULL, SCOPE_CR)
             for idxs in (frame.group_indices(group),) for i in idxs]
     if scope == SCOPE_CR:
         axes.append((0, 2, 0, None))
-    return [(i, radius, bit, Memo(partial(mask_sign, bit)), others) for i, radius, bit, others in axes]
+    return [(i, radius, bit, Memo(partial(mask_sign, bit)), table) for i, radius, bit, table in axes]
 
 
 def _dirac_rule(m: int, groups: _Groups, axes: list[tuple], acc: _Groups) -> _Groups:
@@ -732,10 +734,10 @@ def _dirac_rule(m: int, groups: _Groups, axes: list[tuple], acc: _Groups) -> _Gr
     each monomial's lowered and raised monomials and the rows that lower r
     or rho are formed once.  Multiplying a row by the generator e_g flips
     bit g-1 of its key, with the sign ``mask_sign(bit, mask)``.  x_p and y_q
-    are at most linear in a normal form, and a raised row of x_p where x_p
-    is present lands rewritten, x_p^2 R^(a-2) = R^a - sum_{j<p} x_j^2
-    R^(a-2) (likewise y_q), so the image lands in normal form.  Numerators
-    are only added in multiples, so packed ones go through unchanged."""
+    are at most linear in a normal form, and a raised row of x_p (or y_q)
+    where it is present lands rewritten by its group's k = 1 table (its
+    monomials cut to the rows' length), so the image lands in normal form.
+    Packed numerators go through unchanged: they are only added in multiples."""
     low = (1 << m) - 1
     steps = (2 << m, 2 << (m + 64))
     radii = {axis[1] for axis in axes}
@@ -747,7 +749,7 @@ def _dirac_rule(m: int, groups: _Groups, axes: list[tuple], acc: _Groups) -> _Gr
                        [(key - steps[1], mask, b * c) for key, mask, c in rows
                         if (b := key >> (m + 64))] if 1 in radii else (),
                        ())
-        for i, radius, bit, signs, others in axes:
+        for i, radius, bit, signs, table in axes:
             e = mono[i]
             if e:
                 lowered = list(mono)
@@ -761,7 +763,7 @@ def _dirac_rule(m: int, groups: _Groups, axes: list[tuple], acc: _Groups) -> _Gr
             if not raised_here:
                 continue
             raised = list(mono)
-            if others is None or not e:
+            if table is None or not e:
                 raised[i] += 1
                 out = acc[tuple(raised)]
                 get = out.get
@@ -769,22 +771,16 @@ def _dirac_rule(m: int, groups: _Groups, axes: list[tuple], acc: _Groups) -> _Gr
                     key ^= bit
                     out[key] = get(key, 0) + signs[mask] * c
                 continue
-            # x_p^2 R^(a-2) -> R^a - sum_{j<p} x_j^2 R^(a-2), with x_p^1 in mono
+            # x_p^2 R^(a-2) -> (R^2 - sum_{j<p} x_j^2) R^(a-2), with x_p^1 in mono
             raised[i] = 0
-            step = steps[radius]
             signed = [(key ^ bit, signs[mask] * c) for key, mask, c in raised_here]
-            out = acc[tuple(raised)]
-            get = out.get
-            for key, c in signed:
-                key += step
-                out[key] = get(key, 0) + c
-            for j in others:
-                raised[j] += 2
-                out = acc[tuple(raised)]
-                raised[j] -= 2
+            for mt, ea, sign in table:
+                out = acc[_mono_mul(raised, mt)]
                 get = out.get
+                shift = ea << (m + 64 * radius)
                 for key, c in signed:
-                    out[key] = get(key, 0) - c
+                    key += shift
+                    out[key] = get(key, 0) + c if sign > 0 else get(key, 0) - c
     return acc
 
 
@@ -922,8 +918,8 @@ def dirac(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
         # D_y once per y part, each tagged by its slot in the r field, which
         # no y axis reads (a y monomial starts at coordinate xe);
         # q_images[k][slot] is Q_Y of class k's part
-        y_axes = [(i - xe, radius, bit, signs, others and [j - xe for j in others])
-                  for i, radius, bit, signs, others in axes if radius == 1]
+        y_axes = [(i - xe, radius, bit, signs, table and [(mt[xe:], eb, sign) for mt, eb, sign in table])
+                  for i, radius, bit, signs, table in axes if radius == 1]
         tagged = {ym: {yk | (s << m): 1 for yk, s in yslots.items()} for ym, yslots in slots.items()}
         q_images = {k: [0] * n for k, n in counts.items()}
         ykeep = ((1 << m) - (1 << frame.p)) | (-1 << mb)

@@ -433,20 +433,11 @@ class TestFischer:
         are monogenic, and the explicit sum xvec^n P_{K-n} gives H back."""
         rng = random.Random(11)
         for group, frame in (("x", AxisFrame(3, 3)), ("x", AxisFrame(5, 3)), ("y", AxisFrame(3, 5))):
-            coords = list(frame.group_indices(group))
-            generators = [frame.generator_of(i) for i in coords]
             xv = vector_x(frame) if group == "x" else vector_y(frame)
             scope = "first-group" if group == "x" else "second-group"
             for _ in range(6):
                 deg = rng.randint(0, 4)
-                raw = []
-                for _ in range(rng.randint(1, 4)):
-                    mono = [0] * frame.ncoords
-                    for _ in range(deg):
-                        mono[rng.choice(coords)] += 1
-                    blade = tuple(sorted(rng.sample(generators, rng.randint(0, 2))))
-                    raw.append(((tuple(mono), blade, 0, 0), Fraction(rng.randint(-3, 3) or 1)))
-                h = RadialExpr(frame, raw)
+                h = _random_group_poly(rng, frame, group, deg)
                 if h.is_zero():
                     continue
                 layers = fischer_decompose(h, group)
@@ -461,6 +452,67 @@ class TestFischer:
     def test_non_homogeneous_rejected(self):
         with pytest.raises(PreconditionError):
             fischer_decompose(one() + RadialExpr.coordinate(F33, "x1"), "x")
+
+    def test_layers_equal_the_remainder_algorithm(self):
+        """The layers read off one Dirac chain equal those of the remainder
+        algorithm, which takes the projection series of each remainder."""
+        x12 = RadialExpr.coordinate(F33, "x1") + RadialExpr.coordinate(F33, "x2")
+        cases = [(x12 ** k, "x") for k in range(17)]
+        cases += [(rot_x(), "x"), (rot_y(), "y"), (RadialExpr.constant(F33, e(1) + e(2) * 2), "x")]
+        rng = random.Random(31)
+        for p, q in ((3, 3), (5, 3), (3, 5), (1, 3)):
+            frame = AxisFrame(p, q)
+            for group in ("x", "y"):
+                for deg in range(7):
+                    h = _random_group_poly(rng, frame, group, deg)
+                    if not h.is_zero():
+                        cases.append((h, group))
+        for h, group in cases:
+            layers = fischer_decompose(h, group)
+            want = _remainder_layers(h, group)
+            assert [layer.n for layer in layers] == [n for n, _p in want]
+            assert all(layer.component == p for layer, (_n, p) in zip(layers, want))
+
+
+def _random_group_poly(rng, frame, group, deg):
+    """A sum of 1 to 4 random monomials of degree deg on the group's
+    coordinates, each times a blade of up to two of its generators."""
+    coords = list(frame.group_indices(group))
+    generators = [frame.generator_of(i) for i in coords]
+    raw = []
+    for _ in range(rng.randint(1, 4)):
+        mono = [0] * frame.ncoords
+        for _ in range(deg):
+            mono[rng.choice(coords)] += 1
+        blade = tuple(sorted(rng.sample(generators, rng.randint(0, min(2, len(generators))))))
+        raw.append(((tuple(mono), blade, 0, 0), Fraction(rng.randint(-3, 3) or 1)))
+    return RadialExpr(frame, raw)
+
+
+def _remainder_layers(h, group):
+    """The reference Fischer layers, (n, P_{K-n}), by the remainder
+    algorithm: each remainder g of degree d, H first, splits as P + xvec *
+    rest with P = sum_j a_j xvec^j D^j g, the projection series of g's own
+    Dirac powers, and rest is the next remainder."""
+    frame = h.frame
+    degree = homogeneous_group_degree(h, group)
+    dim = len(frame.group_indices(group))
+    scope = "first-group" if group == "x" else "second-group"
+    xv = vector_x(frame) if group == "x" else vector_y(frame)
+    layers, cur = [], h
+    for n in range(degree + 1):
+        d = degree - n
+        series, coeff, deriv = [], Fraction(1), cur
+        for j in range(1, d + 1):
+            coeff = coeff / (dim + 2 * d - j - 1) if j % 2 else -coeff / j
+            deriv = dirac(deriv, scope)
+            series.append((coeff, deriv))
+        rest = RadialExpr.zero(frame)
+        for coeff, deriv in reversed(series):
+            rest = xv * rest - coeff * deriv
+        layers.append((n, cur - xv * rest))
+        cur = rest
+    return layers
 
 
 class TestGeneralViaFischer:
@@ -588,6 +640,20 @@ class TestWorkCounts:
         routed = ft_general_via_fischer(conj_power(8), hk, hl, F33, variant)
         assert not routed.is_zero()
         assert products and len(products) == len(set(products))
+
+    @pytest.mark.parametrize("group", ["x", "y"])
+    def test_fischer_takes_one_dirac_chain(self, monkeypatch, group):
+        """A degree-K factor takes K Dirac calls, D H, ..., D^K H, and every
+        layer is read off that chain; the layer checks go through
+        ``is_monogenic`` and are not counted here."""
+        calls = []
+        real = fueter.dirac
+        monkeypatch.setattr(fueter, "dirac", lambda f, scope: calls.append(scope) or real(f, scope))
+        base = inner_x(F33, [1, 2, -1]) if group == "x" else inner_y(F33, [1, Fraction(1, 2), 3])
+        for degree in (1, 4, 9):
+            calls.clear()
+            assert [layer.n for layer in fischer_decompose(base ** degree, group)] == list(range(degree + 1))
+            assert len(calls) == degree
 
     def test_no_output_normal_form_is_formed(self, monkeypatch):
         """The proof of every assembled output reads the normal form the

@@ -66,3 +66,10 @@ class TestTable:
         diagonal = next(expr for expr in exprs if expr.startswith("x1 + "))
         assert diagonal.count("+") == 599
         assert ["selftest"] in [argv for _name, argv in probes.PROBES]
+
+    def test_the_fischer_probes_are_in_the_table(self):
+        """Two decompositions that finish within the timeout, so a Fischer
+        slowdown shows as a ratio and not as a shared timeout."""
+        argvs = [argv for _name, argv in probes.PROBES]
+        for power in ("(x1+x2)^30", "(x1+x2)^40"):
+            assert ["fischer", "--p", "3", "--H", power] in argvs

@@ -44,13 +44,16 @@ _APPLY = ["apply", "--p", "3", "--q", "3", "--variant", "plus", "--t", "1,2,-1",
 # sum x1 r^i y1^i rho^-i for i < 600: each y part in the one class 0, each x part on one row
 _DIAGONAL = " + ".join(["x1"] + [f"x1*y1^{i}*r^{i}*rho^-{i}" for i in range(1, 600)])
 
-# (name, argv): oversized inputs that must end with a defined exit code, and
-# the large operands of the Dirac kernel's layout rule
+# (name, argv): oversized inputs that must end with a defined exit code,
+# the large operands of the Dirac kernel's layout rule, and Fischer
+# decompositions that finish on both sides, so a slowdown reads as a ratio
 PROBES: tuple[tuple[str, list[str]], ...] = (
     ("apply zbar^400", _APPLY + ["--seed", "zbar^400", "--Hk", "ip(x,t)", "--Hl", "ip(y,s)"]),
     ("apply Hk (x1+x2+x3)^60", _APPLY + ["--seed", "zbar^5", "--Hk", "(x1+x2+x3)^60", "--Hl", "ip(y,s)"]),
     ("apply Hk x1^100000000", _APPLY + ["--seed", "zbar^5", "--Hk", "x1^100000000", "--Hl", "ip(y,s)"]),
     ("apply zbar^100000", _APPLY + ["--seed", "zbar^100000", "--Hk", "ip(x,t)", "--Hl", "ip(y,s)"]),
+    ("fischer (x1+x2)^30", ["fischer", "--p", "3", "--H", "(x1+x2)^30"]),
+    ("fischer (x1+x2)^40", ["fischer", "--p", "3", "--H", "(x1+x2)^40"]),
     ("fischer (x1+x2)^80", ["fischer", "--p", "3", "--H", "(x1+x2)^80"]),
     ("lemma5 n=100000", ["lemma5", "--h", "r^2", "--n", "100000", "--s1", "0", "--s2", "0", "--k", "0", "--l", "0"]),
     ("examples trials=100000", ["examples", "--trials", "100000"]),
