@@ -36,7 +36,8 @@ the minus variant.  One core serves every path:
 ``bivariate.operator_term`` builds from the seed, in the variant's shape.
 ``ft_general_via_fischer`` splits general factors into monogenic Fischer
 layers (``fischer_decompose``: each layer the projection series of one
-entry of the factor's Dirac chain, summed by Horner's rule) and writes
+entry of the factor's Dirac chain, with xvec^2 = -R^2 read as a radius
+shift, so a layer is E + xvec O, one product by the group vector) and writes
 each layer pair (n1, n2) as the triples of one closed form, with no
 Laplacian: the pair's target variant is the input variant when n1 + n2
 is even and the other one when it is odd, its seed is multiplied by the
@@ -55,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate, count
 from math import prod
 from typing import Callable
 
@@ -361,45 +363,57 @@ def fischer_decompose(h: RadialExpr, group: str = "x") -> list[FischerLayer]:
     """Layers P_{K-n} with sum_n xvec^n P_{K-n} = H and every layer monogenic.
 
     The input must be a nonzero homogeneous polynomial supported purely on
-    the chosen group; D is the group's Dirac operator, dim its dimension.
-    From D(xvec f) = -dim f - xvec D f - 2 E f (E the Euler operator, e_j^2
-    = -1) and D(r^2 f) = 2 xvec f + r^2 D f, D(xvec^s M) = c(s, d)
-    xvec^(s-1) M for monogenic M of degree d, with c(s, d) = -s for even s
-    and -(s - 1 + 2d + dim) for odd s (Delanghe, Sommen and Soucek,
-    *Clifford Algebra and Spinor-Valued Functions*, 1992).  So P_d, d =
-    K - n, is the monogenic part of D^n H over c_n = prod_{s<=n} c(s, d),
-    and every layer is read off one chain D H, ..., D^K H by the projection
-    series sum_j a_j xvec^j D^(n+j) H: a_0 = 1, a_j = a_{j-1}/(dim + 2d -
-    j - 1) for odd j (a positive divisor, as j <= d) and -a_{j-1}/j for
-    even j, summed by Horner's rule from j = d down to 0, so no power of
-    xvec is formed and no sum is differentiated.  The unique decomposition
-    is verified by per-layer monogenicity and by exact reconstruction,
-    again by Horner's rule; a failure is reported as an engine bug.
+    the chosen group; D is the group's Dirac operator, dim its dimension
+    and R its radius (r for x, rho for y).  From D(xvec f) = -dim f - xvec
+    D f - 2 E f (E the Euler operator, e_j^2 = -1) and D(r^2 f) = 2 xvec f
+    + r^2 D f, D(xvec^s M) = c(s, d) xvec^(s-1) M for monogenic M of degree
+    d, with c(s, d) = -s for even s and -(s - 1 + 2d + dim) for odd s
+    (Delanghe, Sommen and Soucek, *Clifford Algebra and Spinor-Valued
+    Functions*, 1992).  So P_d, d = K - n, is the monogenic part of D^n H
+    over c_n = prod_{s<=n} c(s, d), and every layer is read off one chain
+    H, D H, ..., D^K H by the projection series sum_j a_j xvec^j D^(n+j) H,
+    a_0 = 1, a_j = a_{j-1}/(dim + 2d - j - 1) for odd j and -a_{j-1}/j for
+    even j.  Since xvec^2 = -R^2, xvec^j = (-1)^(j//2) R^(j - j%2)
+    xvec^(j%2).  With that sign folded in, b_0 = 1/c_n, b_j = b_{j-1}/(dim
+    + 2d - j - 1) for odd j and b_{j-1}/j for even j, every divisor
+    positive (j <= d), and the layer is E + xvec O with E = sum_{j even}
+    b_j R^j D^(n+j) H and O = sum_{j odd} b_j R^(j-1) D^(n+j) H.  The chain
+    starts at H's normal form, Dirac stores its images in normal form and
+    a radius shift keeps it, so the one product by xvec per layer leaves
+    x_p (or y_q) at most squared and the layer check's normal form
+    rewrites only that square.  The unique decomposition is verified by
+    per-layer monogenicity and by exact reconstruction, the same series
+    with the sign (-1)^(n//2) and one more product by xvec; a failure is
+    reported as an engine bug.
     """
     frame = h.frame
     degree = homogeneous_group_degree(h, group)
     dim, scope = len(frame.group_indices(group)), GROUP_SCOPES[group]
-    xv = vector_x(frame) if group == "x" else vector_y(frame)
-    chain = [h]
-    for _ in range(degree):
-        chain.append(dirac(chain[-1], scope))
+    xv, ra, rb = (vector_x(frame), 1, 0) if group == "x" else (vector_y(frame), 0, 1)
+
+    def series(terms) -> RadialExpr:
+        # sum_j c_j xvec^j f_j over (j, c_j, f_j), the signs of xvec^j folded
+        # into c_j; a term is scaled or shifted only when that changes it, and
+        # no sum starts from zero, so a factor of degree <= 2 takes no extra copy
+        parts = [None, None]
+        for j, c, f in terms:
+            if j > 1 or c != 1:
+                f = (RadialExpr.radial(frame, ra * (j - j % 2), rb * (j - j % 2), c) if j > 1 else c) * f
+            parts[j % 2] = f if parts[j % 2] is None else parts[j % 2] + f
+        return parts[0] if parts[1] is None else parts[0] + xv * parts[1]
+
+    chain = list(accumulate(range(degree), lambda f, _: dirac(f, scope), initial=h.canonicalized()))
     layers: list[FischerLayer] = []
     for n in range(degree + 1):
         d = degree - n
         c_n = prod(-(s - 1 + 2 * d + dim) if s % 2 else -s for s in range(1, n + 1))
-        coeffs = [Fraction(1, c_n)]
-        for j in range(1, d + 1):
-            coeffs.append(coeffs[-1] / (dim + 2 * d - j - 1) if j % 2 else -coeffs[-1] / j)
-        layer = RadialExpr.zero(frame)
-        for j in range(d, -1, -1):
-            layer = xv * layer + coeffs[j] * chain[n + j]
-        layers.append(FischerLayer(n, layer))
-    total = RadialExpr.zero(frame)
+        coeffs = accumulate(range(1, d + 1), lambda b, j: b / (dim + 2 * d - j - 1 if j % 2 else j),
+                            initial=Fraction(1, c_n))
+        layers.append(FischerLayer(n, series(zip(count(), coeffs, chain[n:]))))
     for layer in reversed(layers):
         if not is_monogenic(layer.component, scope):
             raise VerificationError(f"Fischer layer n={layer.n} is not monogenic")
-        total = xv * total + layer.component
-    if total != h:
+    if series((layer.n, (-1) ** (layer.n // 2), layer.component) for layer in layers) != h:
         raise VerificationError("Fischer reconstruction does not reproduce the input")
     return layers
 

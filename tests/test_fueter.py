@@ -473,6 +473,23 @@ class TestFischer:
             assert [layer.n for layer in layers] == [n for n, _p in want]
             assert all(layer.component == p for layer, (_n, p) in zip(layers, want))
 
+    @pytest.mark.parametrize("group, degree", [("x", 4), ("x", 9), ("x", 16), ("y", 9)])
+    def test_every_product_lands_at_most_squared(self, monkeypatch, group, degree):
+        """Powers of the group vector are read as radius shifts and each
+        chain entry is stored in normal form, so no normal form taken
+        during the decomposition rewrites x_p (or y_q) past its square.
+        The input's own normal form, which rewrites the last coordinate's
+        full power, is formed before the count starts."""
+        names = ["x1", "x2", "x3"] if group == "x" else ["y1", "y2", "y3"]
+        h = sum((RadialExpr.coordinate(F33, name) for name in names), RadialExpr.zero(F33)) ** degree
+        assert not h.is_zero()
+        asked = []
+        real = radial._lead_square_power
+        monkeypatch.setattr(radial, "_lead_square_power",
+                            lambda frame, g, k: asked.append(k) or real(frame, g, k))
+        assert [layer.n for layer in fischer_decompose(h, group)] == list(range(degree + 1))
+        assert asked and max(asked) == 1
+
 
 def _random_group_poly(rng, frame, group, deg):
     """A sum of 1 to 4 random monomials of degree deg on the group's
@@ -654,6 +671,21 @@ class TestWorkCounts:
             calls.clear()
             assert [layer.n for layer in fischer_decompose(base ** degree, group)] == list(range(degree + 1))
             assert len(calls) == degree
+
+    @pytest.mark.parametrize("group", ["x", "y"])
+    def test_fischer_takes_one_vector_product_per_layer(self, monkeypatch, group):
+        """Each layer is E + xvec O, and the reconstruction too, so a
+        degree-K factor takes at most K + 2 products by the group vector."""
+        vec = (vector_x(F33) if group == "x" else vector_y(F33)).raw_terms
+        products = []
+        real = radial.re_mul
+        monkeypatch.setattr(radial, "re_mul", lambda f, g: products.append(vec in (f.raw_terms, g.raw_terms))
+                            or real(f, g))
+        base = inner_x(F33, [1, 2, -1]) if group == "x" else inner_y(F33, [1, Fraction(1, 2), 3])
+        for degree in (1, 4, 9):
+            products.clear()
+            assert [layer.n for layer in fischer_decompose(base ** degree, group)] == list(range(degree + 1))
+            assert 0 < products.count(True) <= degree + 2
 
     def test_no_output_normal_form_is_formed(self, monkeypatch):
         """The proof of every assembled output reads the normal form the

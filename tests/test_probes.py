@@ -68,8 +68,9 @@ class TestTable:
         assert ["selftest"] in [argv for _name, argv in probes.PROBES]
 
     def test_the_fischer_probes_are_in_the_table(self):
-        """Two decompositions that finish within the timeout, so a Fischer
-        slowdown shows as a ratio and not as a shared timeout."""
+        """Decompositions that finish within the timeout, so a Fischer
+        slowdown shows as a ratio and not as a shared timeout; one input
+        carries the group's last coordinate, x3."""
         argvs = [argv for _name, argv in probes.PROBES]
-        for power in ("(x1+x2)^30", "(x1+x2)^40"):
+        for power in ("(x1+x2)^30", "(x1+x2)^40", "(x1+x2+x3)^30"):
             assert ["fischer", "--p", "3", "--H", power] in argvs

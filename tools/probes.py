@@ -47,6 +47,7 @@ _DIAGONAL = " + ".join(["x1"] + [f"x1*y1^{i}*r^{i}*rho^-{i}" for i in range(1, 6
 # (name, argv): oversized inputs that must end with a defined exit code,
 # the large operands of the Dirac kernel's layout rule, and Fischer
 # decompositions that finish on both sides, so a slowdown reads as a ratio
+# (one of them on an input that carries the group's last coordinate)
 PROBES: tuple[tuple[str, list[str]], ...] = (
     ("apply zbar^400", _APPLY + ["--seed", "zbar^400", "--Hk", "ip(x,t)", "--Hl", "ip(y,s)"]),
     ("apply Hk (x1+x2+x3)^60", _APPLY + ["--seed", "zbar^5", "--Hk", "(x1+x2+x3)^60", "--Hl", "ip(y,s)"]),
@@ -55,6 +56,7 @@ PROBES: tuple[tuple[str, list[str]], ...] = (
     ("fischer (x1+x2)^30", ["fischer", "--p", "3", "--H", "(x1+x2)^30"]),
     ("fischer (x1+x2)^40", ["fischer", "--p", "3", "--H", "(x1+x2)^40"]),
     ("fischer (x1+x2)^80", ["fischer", "--p", "3", "--H", "(x1+x2)^80"]),
+    ("fischer (x1+x2+x3)^30", ["fischer", "--p", "3", "--H", "(x1+x2+x3)^30"]),
     ("lemma5 n=100000", ["lemma5", "--h", "r^2", "--n", "100000", "--s1", "0", "--s2", "0", "--k", "0", "--l", "0"]),
     ("examples trials=100000", ["examples", "--trials", "100000"]),
     ("check-monogenic x3^2000", ["check-monogenic", "--p", "3", "--q", "3", "--expr", "x3^2000"]),
