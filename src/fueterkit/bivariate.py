@@ -130,6 +130,8 @@ def delta2_power(f: BivariateRadial, n: int) -> BivariateRadial:
 
     terms = f._terms
     for _ in range(n):
+        if not terms:
+            break
         terms = collect(step(terms))
     return f._like(terms, f._den)
 
@@ -174,18 +176,15 @@ def laplacian_expansion(h: BivariateRadial, n: int, s1: int, s2: int, params: Bi
     """Scalar factor of Delta_X^n (h omega^s1 nu^s2 Pk Pl) as an operator sum.
 
     Sum over j1 + j2 <= n of multinomial(n; j1, j2) * expansion weight *
-    the mixed operator term; multiplying the result back by
-    omega^s1 nu^s2 Pk Pl reproduces the n-fold Laplacian exactly.
+    the mixed operator term, as one linear combination over the pairs whose
+    weight is nonzero; multiplying the result back by omega^s1 nu^s2 Pk Pl
+    reproduces the n-fold Laplacian exactly.
     """
     if n < 1:
         raise ValueError("expansion order n must be >= 1")
-    total = BivariateRadial.zero()
-    for j1 in range(n + 1):
-        for j2 in range(n - j1 + 1):
-            weight = expansion_coefficient(j1, j2, params)
-            if weight == 0:
-                continue
-            coeff = multinomial(n, j1, j2) * weight
-            total = total + operator_term(h, n, j1, j2, s1, s2) * coeff
-    return total
-
+    # for odd dim, every weight past j = d + (dim - 1)/2 has the factor 0
+    top1, top2 = (min(n, d + (dim - 1) // 2) if dim % 2 else n
+                  for d, dim in ((params.k, params.p), (params.l, params.q)))
+    return h._combination((operator_term(h, n, j1, j2, s1, s2),
+                           multinomial(n, j1, j2) * expansion_coefficient(j1, j2, params))
+                          for j1 in range(top1 + 1) for j2 in range(min(n - j1, top2) + 1))

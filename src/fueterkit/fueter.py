@@ -377,7 +377,8 @@ def fischer_decompose(h: RadialExpr, group: str = "x") -> list[FischerLayer]:
     xvec^(j%2).  With that sign folded in, b_0 = 1/c_n, b_j = b_{j-1}/(dim
     + 2d - j - 1) for odd j and b_{j-1}/j for even j, every divisor
     positive (j <= d), and the layer is E + xvec O with E = sum_{j even}
-    b_j R^j D^(n+j) H and O = sum_{j odd} b_j R^(j-1) D^(n+j) H.  The chain
+    b_j R^j D^(n+j) H and O = sum_{j odd} b_j R^(j-1) D^(n+j) H, O one
+    linear combination and E + xvec O another.  The chain
     starts at H's normal form, Dirac stores its images in normal form and
     a radius shift keeps it, so the one product by xvec per layer leaves
     x_p (or y_q) at most squared and the layer check's normal form
@@ -393,14 +394,14 @@ def fischer_decompose(h: RadialExpr, group: str = "x") -> list[FischerLayer]:
 
     def series(terms) -> RadialExpr:
         # sum_j c_j xvec^j f_j over (j, c_j, f_j), the signs of xvec^j folded
-        # into c_j; a term is scaled or shifted only when that changes it, and
-        # no sum starts from zero, so a factor of degree <= 2 takes no extra copy
-        parts = [None, None]
+        # into c_j, as two linear combinations: the odd terms, then the even
+        # ones beside xvec times that sum
+        even, odd = parts = ([], [])
         for j, c, f in terms:
-            if j > 1 or c != 1:
-                f = (RadialExpr.radial(frame, ra * (j - j % 2), rb * (j - j % 2), c) if j > 1 else c) * f
-            parts[j % 2] = f if parts[j % 2] is None else parts[j % 2] + f
-        return parts[0] if parts[1] is None else parts[0] + xv * parts[1]
+            if j > 1:
+                f = RadialExpr.radial(frame, ra * (j - j % 2), rb * (j - j % 2)) * f
+            parts[j % 2].append((f, c))
+        return h._combination([*even, (xv * h._combination(odd), 1)])
 
     chain = list(accumulate(range(degree), lambda f, _: dirac(f, scope), initial=h.canonicalized()))
     layers: list[FischerLayer] = []

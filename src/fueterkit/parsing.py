@@ -157,18 +157,12 @@ class _Parser:
         return out
 
     def _expr(self):
-        sign = self.tz.sign()
-        out = self._term() * sign
-        while True:
-            tok = self.tz.peek()
-            if tok[0] == "+":
-                self.tz.next()
-                out = out + self._term()
-            elif tok[0] == "-":
-                self.tz.next()
-                out = out - self._term()
-            else:
-                return out
+        """The signed terms, summed as one linear combination."""
+        parts = []
+        while not parts or self.tz.peek()[0] in ("+", "-"):
+            sign = self.tz.sign()
+            parts.append((self._term(), sign))
+        return parts[0][0]._combination(parts)
 
     def _term(self):
         out = self._factor()

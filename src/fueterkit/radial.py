@@ -119,8 +119,8 @@ group's generator bits and decodes each distinct radial part once).  The public
 constructors take (monomial, blade, a, b) rows.
 
 Coefficients are integer numerators over one denominator (see ``sparse``):
-the differential operators, negation, the grade involution and the normal
-form keep the denominator, so the zero test is integer-only, and
+the differential operators, the grade involution and the normal form
+keep the denominator, so the zero test is integer-only, and
 ``raw_terms``, ``canonical_terms`` and ``proportionality_constant`` are
 the ``Fraction`` outputs.
 """
@@ -391,34 +391,23 @@ class RadialExpr(TermMap):
         has just built."""
         return self._like(*_lowest_terms(groups, den))
 
-    def __neg__(self) -> "RadialExpr":
-        return self._like({mono: {key: -c for key, c in inner.items()} for mono, inner in self._terms.items()},
-                          self._den)
-
-    def _add(self, other: "RadialExpr") -> "RadialExpr":
-        self._check_context(other)
-        d1, d2 = self._den, other._den
-        den = lcm(d1, d2)
-        m1, m2 = den // d1, den // d2
-        acc = {mono: {key: c * m1 for key, c in inner.items()} if m1 != 1 else dict(inner)
-               for mono, inner in self._terms.items()}
-        for mono, inner in other._terms.items():
-            out = acc.get(mono)
-            if out is None:
-                acc[mono] = {key: c * m2 for key, c in inner.items()}
-            else:
-                _add_rows(out, inner, m2)
+    def _combination(self, parts: Iterable[tuple["RadialExpr", Rational]]) -> "RadialExpr":
+        """``TermMap._combination`` on monomial groups: a part's group is
+        copied (and scaled) the first time its monomial arrives and added
+        into that copy after."""
+        weighted, den = self._weights(parts)
+        acc: _Groups = {}
+        for groups, n in weighted:
+            for mono, inner in groups.items():
+                out = acc.get(mono)
+                if out is None:
+                    acc[mono] = {key: c * n for key, c in inner.items()} if n != 1 else dict(inner)
+                else:
+                    _add_rows(out, inner, n)
         return self._reduced(_nonzero(acc), den)
 
     def _mul(self, other: "RadialExpr") -> "RadialExpr":
         return re_mul(self, other)
-
-    def _scaled(self, c: Rational) -> "RadialExpr":
-        if not c:
-            return self._like({})
-        n = c.numerator
-        return self._reduced({mono: {key: v * n for key, v in inner.items()} for mono, inner in self._terms.items()},
-                             self._den * c.denominator)
 
     # -- normal form ----------------------------------------------------
 

@@ -200,10 +200,9 @@ def check_radial_calculus(seed: int, size: int = 40) -> Result:
     frame = AxisFrame(3, 3)
     hom = re_mul(RadialExpr.radial(frame, -3, 0), inner_x(frame, [1, 2, 3]))
     deg = hom.homogeneity_degree()
-    euler = RadialExpr.zero(frame)
-    for i in list(frame.x_indices) + list(frame.y_indices):
-        name = frame.coord_name(i)
-        euler = euler + re_mul(RadialExpr.coordinate(frame, name), partial_derivative(hom, name))
+    names = map(frame.coord_name, [*frame.x_indices, *frame.y_indices])
+    euler = hom._combination((re_mul(RadialExpr.coordinate(frame, name), partial_derivative(hom, name)), 1)
+                             for name in names)
     if deg != -2 or not (euler - deg * hom).is_zero():
         return False, "Euler identity failed"
     ok, kernels = _check_kernels(rng)
@@ -255,14 +254,13 @@ def _check_kernels(rng: random.Random) -> Result:
         for scope in (SCOPE_FIRST, SCOPE_SECOND, SCOPE_FULL) + ((SCOPE_CR,) if frame.scalar_axis else ()):
             coords = vector_coords.get(scope, [*frame.x_indices, *frame.y_indices])
             for f in (_dense_expr(rng, frame), _spread_expr(rng, frame), _rand_expr(rng, frame)):
-                zero = RadialExpr.zero(frame)
                 d_of = {i: partial_derivative(f, i) for i in coords}
-                want_dirac = sum((re_mul(RadialExpr.constant(frame, Multivector.basis_vector(
-                    frame.generator_of(i), frame.m)), d) for i, d in d_of.items()), zero)
+                want_dirac = f._combination((re_mul(RadialExpr.constant(frame, Multivector.basis_vector(
+                    frame.generator_of(i), frame.m)), d), 1) for i, d in d_of.items())
                 if scope == SCOPE_CR:
                     d_of[0] = partial_derivative(f, 0)
                     want_dirac = want_dirac + d_of[0]
-                want_laplacian = sum((partial_derivative(d, i) for i, d in d_of.items()), zero)
+                want_laplacian = f._combination((partial_derivative(d, i), 1) for i, d in d_of.items())
                 where = f"({frame.p},{frame.q}) {scope}, {len(f.raw_terms)} terms"
                 if dirac(f, scope) != want_dirac:
                     return False, f"dirac differs from sum e_j d_j at {where}"

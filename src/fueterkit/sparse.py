@@ -5,12 +5,17 @@ RadialExpr, BivariateRadial, ComplexBivarPoly and Multivector are all
 optional context (the frame of a RadialExpr, the dimension of a
 Multivector) that two operands must share.  An operator produces a
 stream of (key, coefficient) contributions, and ``collect`` turns such a
-stream into a stored dict: it sums equal keys in arrival order and drops
+stream into a fresh dict: it sums equal keys in arrival order and drops
 zeros once, at the end.  Cancellation in the middle of a stream therefore
 costs nothing.  RadialExpr stores its numerators grouped by coordinate
 monomial instead (see ``radial``): it keeps this shell's operator
 dispatch, supplies its own operators for everything that touches the
 stored dict, and never streams into ``collect``.
+
+Every sum is one linear combination (``_combination``) of (term map, int
+or ``Fraction``) pairs, written once per storage: ``x + y``, ``x - y``,
+``c * x`` and ``-x`` are its one- and two-part cases, and a long sum is
+one call, so an N-term sum copies each row once.
 
 Coefficients: integer numerators over one denominator
 -----------------------------------------------------
@@ -26,12 +31,13 @@ positive ``int`` denominator, and those loops run on ``int`` alone.
 * out: ``terms`` (``raw_terms`` of a RadialExpr) returns ``Fraction``
   values, as do the few accessors that return one coefficient.
 
-Derivatives, negation and splits keep the denominator and skip the gcd
-pass, so numerators may share a factor with it; equality compares by
+Derivatives and splits keep the denominator and skip the gcd pass, so
+numerators may share a factor with it; equality compares by
 cross-multiplication and the hash divides that factor out, so neither
-depends on it.  A product multiplies the denominators, a sum brings both
-sides to their lcm, and a scalar multiple takes the scalar's denominator;
-each of these ends with one gcd pass (``_reduced``).
+depends on it.  A product multiplies the denominators, and a linear
+combination (negation and scalar multiples included) brings every part,
+its multiplier's denominator folded in, to the parts' lcm; each ends with
+one gcd pass (``_reduced``).
 
 The complex unit of a seed is not a separate number type: it is e_1 of
 Cl(0,1), a blade like any other, so seeds use the same shell.
@@ -48,12 +54,12 @@ C = TypeVar("C")
 Rational = Union[int, Fraction]
 
 
-def collect(pairs: Iterable[tuple[K, C]], start: Mapping[K, C] | None = None) -> dict[K, C]:
-    """Sum ``pairs`` by key onto a copy of ``start``; return the nonzero entries.
+def collect(pairs: Iterable[tuple[K, C]]) -> dict[K, C]:
+    """Sum ``pairs`` by key; return the nonzero entries.
 
-    Keys keep the order of their first arrival.  ``start`` is not modified.
+    Keys keep the order of their first arrival.
     """
-    acc: dict[K, C] = dict(start) if start else {}
+    acc: dict[K, C] = {}
     get = acc.get
     for key, c in pairs:
         old = get(key)
@@ -102,7 +108,9 @@ class TermMap:
     A subclass supplies its validating public constructor (which calls
     ``TermMap.__init__`` with checked pairs), ``_unit_key`` (the key of the
     constant 1), ``_products`` (the key product over all pairs of terms, as
-    one generator) and ``_CONTEXT_NAME`` when it has a context.
+    one generator) and ``_CONTEXT_NAME`` when it has a context.  Sums,
+    differences, negation and scalar multiples are ``_combination`` calls;
+    a storage other than one flat dict overrides that one method.
     """
 
     __slots__ = ("_context", "_terms", "_den")
@@ -160,7 +168,7 @@ class TermMap:
         return bool(self._terms)
 
     def _check_context(self, other: "TermMap") -> None:
-        if self._context != other._context:
+        if self._context is not other._context and self._context != other._context:
             raise ValueError(f"{self._CONTEXT_NAME} mismatch: {self._context} vs {other._context}")
 
     def _coerce(self, other):
@@ -184,50 +192,55 @@ class TermMap:
         g = gcd(self._den, *self._terms.values())
         return hash((self._context, self._den // g, frozenset((k, c // g) for k, c in self._terms.items())))
 
-    def __neg__(self):
-        return self._like({k: -c for k, c in self._terms.items()}, self._den)
+    def _weights(self, parts: Iterable[tuple["TermMap", Rational]]) -> tuple[list[tuple[dict, int]], int]:
+        """The nonzero parts of sum c_i t_i as (stored numerators, int
+        multiplier) pairs over their lcm, and that lcm; every part's context
+        is checked against self's."""
+        kept = []
+        for t, c in parts:
+            self._check_context(t)
+            if c and t._terms:
+                kept.append((t._terms, t._den * c.denominator, c.numerator))
+        den = lcm(*[d for _terms, d, _n in kept])
+        return [(terms, n * (den // d)) for terms, d, n in kept], den
 
-    def _add(self, other):
-        self._check_context(other)
-        d1, d2 = self._den, other._den
-        den = lcm(d1, d2)
-        m1, m2 = den // d1, den // d2
-        return self._reduced(collect(((k, c * m2) for k, c in other._terms.items()),
-                                     {k: c * m1 for k, c in self._terms.items()}), den)
+    def _combination(self, parts: Iterable[tuple["TermMap", Rational]]):
+        """sum c_i t_i over (term map, rational) pairs, in self's class and
+        context: one accumulator, zeros dropped once, one gcd pass, and no
+        operand's stored dict written."""
+        weighted, den = self._weights(parts)
+        return self._reduced(collect((k, c * n) for terms, n in weighted for k, c in terms.items()), den)
+
+    def __neg__(self):
+        return self._combination(((self, -1),))
 
     def _mul(self, other):
         self._check_context(other)
         return self._reduced(collect(self._products(other)), self._den * other._den)
 
-    def _scaled(self, c: Rational):
-        if not c:
-            return self._like({})
-        n = c.numerator
-        return self._reduced({k: v * n for k, v in self._terms.items()}, self._den * c.denominator)
-
     def __add__(self, other):
         other = self._coerce(other)
-        return NotImplemented if other is None else self._add(other)
+        return NotImplemented if other is None else self._combination(((self, 1), (other, 1)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return NotImplemented if other is None else self._add(-other)
+        return NotImplemented if other is None else self._combination(((self, 1), (other, -1)))
 
     def __rsub__(self, other):
         other = self._coerce(other)
-        return NotImplemented if other is None else other._add(-self)
+        return NotImplemented if other is None else other._combination(((other, 1), (self, -1)))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+            return self._combination(((self, other),))
         other = self._coerce(other)
         return NotImplemented if other is None else self._mul(other)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+            return self._combination(((self, other),))
         other = self._coerce(other)
         return NotImplemented if other is None else other._mul(self)
 
