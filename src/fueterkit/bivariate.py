@@ -12,12 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .sparse import Rational, TermMap, collect, items_of
 
 _R = "r"
 _RHO = "rho"
+
+# Bound on kept falling products: Lemma 5 at order n meets O(n^2) distinct
+# (e, n) pairs, each many times (3402 pairs at n = 80).
+_FALLING_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -87,8 +92,11 @@ def _lower(terms: dict[tuple[int, int], int], slot: int) -> dict[tuple[int, int]
     return collect(((a - 1, b) if slot == 0 else (a, b - 1), (a, b)[slot] * c) for (a, b), c in terms.items())
 
 
+@lru_cache(maxsize=_FALLING_CACHE_SIZE)
 def _falling(e: int, n: int) -> int:
-    """The step-2 falling product e (e - 2) ... (e - 2n + 2), 1 for n = 0."""
+    """The step-2 falling product e (e - 2) ... (e - 2n + 2), 1 for n = 0;
+    kept, since an operator power forms one per term and Lemma 5's pairs
+    ask for the same ones many times."""
     return math.prod(range(e, e - 2 * n, -2))
 
 
@@ -118,21 +126,21 @@ def apply_dx_xinv(f: BivariateRadial, n: int, var: str = _R) -> BivariateRadial:
     return _radial_operator_power(f, n, var, 1)
 
 
+def _delta2_step(terms: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """One planar Laplacian d^2/dr^2 + d^2/drho^2 on stored numerators."""
+    return collect(pair for (a, b), c in terms.items()
+                   for pair in (((a - 2, b), a * (a - 1) * c), ((a, b - 2), b * (b - 1) * c)))
+
+
 def delta2_power(f: BivariateRadial, n: int) -> BivariateRadial:
     """n-fold planar Laplacian d^2/dr^2 + d^2/drho^2."""
     if n < 0:
         raise ValueError("operator power must be >= 0")
-
-    def step(terms):
-        for (a, b), c in terms.items():
-            yield (a - 2, b), a * (a - 1) * c
-            yield (a, b - 2), b * (b - 1) * c
-
     terms = f._terms
     for _ in range(n):
         if not terms:
             break
-        terms = collect(step(terms))
+        terms = _delta2_step(terms)
     return f._like(terms, f._den)
 
 
@@ -155,21 +163,26 @@ def multinomial(n: int, j1: int, j2: int) -> int:
     return math.comb(n, j1) * math.comb(n - j1, j2)
 
 
-def operator_term(h: BivariateRadial, n: int, j1: int, j2: int, s1: int, s2: int) -> BivariateRadial:
-    """Mixed operator string applied to h.
-
-    Applies Delta_2^{n-j1-j2} first, then j1 copies of the r-operator
-    ((r^{-1} d_r) for s1 = 0, (d_r r^{-1}) for s1 = 1), then j2 copies of
-    the rho-operator selected by s2.
-    """
-    if j1 < 0 or j2 < 0 or j1 + j2 > n:
-        raise ValueError(f"operator indices out of range: n={n}, j1={j1}, j2={j2}")
+def _check_styles(s1: int, s2: int) -> None:
     if s1 not in (0, 1) or s2 not in (0, 1):
         raise ValueError("s1, s2 must be 0 or 1")
-    out = delta2_power(h, n - j1 - j2)
-    out = apply_xinv_dx(out, j1, _R) if s1 == 0 else apply_dx_xinv(out, j1, _R)
-    out = apply_xinv_dx(out, j2, _RHO) if s2 == 0 else apply_dx_xinv(out, j2, _RHO)
-    return out
+
+
+def _operator_string(f: BivariateRadial, j1: int, j2: int, s1: int, s2: int) -> BivariateRadial:
+    """j1 copies of the r-operator ((r^{-1} d_r) for s1 = 0, (d_r r^{-1})
+    for s1 = 1), then j2 copies of the rho-operator selected by s2,
+    applied to f."""
+    f = apply_xinv_dx(f, j1, _R) if s1 == 0 else apply_dx_xinv(f, j1, _R)
+    return apply_xinv_dx(f, j2, _RHO) if s2 == 0 else apply_dx_xinv(f, j2, _RHO)
+
+
+def operator_term(h: BivariateRadial, n: int, j1: int, j2: int, s1: int, s2: int) -> BivariateRadial:
+    """Mixed operator string applied to h: Delta_2^{n-j1-j2} first, then
+    ``_operator_string``'s j1 r-operators and j2 rho-operators."""
+    if j1 < 0 or j2 < 0 or j1 + j2 > n:
+        raise ValueError(f"operator indices out of range: n={n}, j1={j1}, j2={j2}")
+    _check_styles(s1, s2)
+    return _operator_string(delta2_power(h, n - j1 - j2), j1, j2, s1, s2)
 
 
 def laplacian_expansion(h: BivariateRadial, n: int, s1: int, s2: int, params: BiaxialParams) -> BivariateRadial:
@@ -178,13 +191,29 @@ def laplacian_expansion(h: BivariateRadial, n: int, s1: int, s2: int, params: Bi
     Sum over j1 + j2 <= n of multinomial(n; j1, j2) * expansion weight *
     the mixed operator term, as one linear combination over the pairs whose
     weight is nonzero; multiplying the result back by omega^s1 nu^s2 Pk Pl
-    reproduces the n-fold Laplacian exactly.
+    reproduces the n-fold Laplacian exactly.  Each pair's term is
+    ``operator_term``'s, built from shared parts: Delta_2^i h is taken
+    once, by one step from Delta_2^(i-1) h, for every i = n - j1 - j2 a
+    pair asks for, and each pair applies its operator string to that
+    power.
     """
     if n < 1:
         raise ValueError("expansion order n must be >= 1")
+    _check_styles(s1, s2)
     # for odd dim, every weight past j = d + (dim - 1)/2 has the factor 0
     top1, top2 = (min(n, d + (dim - 1) // 2) if dim % 2 else n
                   for d, dim in ((params.k, params.p), (params.l, params.q)))
-    return h._combination((operator_term(h, n, j1, j2, s1, s2),
-                           multinomial(n, j1, j2) * expansion_coefficient(j1, j2, params))
+    # Delta_2^i h for i from n - top1 - top2, the least a pair asks for, to n;
+    # a power past the first zero one is zero and stays out
+    powers: dict[int, BivariateRadial] = {}
+    terms = h._terms
+    for i in range(n + 1):
+        if not terms:
+            break
+        if i >= n - top1 - top2:
+            powers[i] = h._like(terms, h._den)
+        if i < n:
+            terms = _delta2_step(terms)
+    zero = h._like({}, h._den)
+    return h._combination((_operator_string(powers.get(n - j1 - j2, zero), j1, j2, s1, s2), multinomial(n, j1, j2) * expansion_coefficient(j1, j2, params))
                           for j1 in range(top1 + 1) for j2 in range(min(n - j1, top2) + 1))

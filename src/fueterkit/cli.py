@@ -30,7 +30,6 @@ from .fueter import apply_map, fischer_decompose
 from .parsing import parse_bivariate, parse_expression, parse_seed, parse_vector
 from .radial import SCOPE_CR, SCOPE_FIRST, SCOPE_FULL, SCOPE_SECOND, is_monogenic
 from .seeds import SeedFunction
-from .selfcheck import run_all
 
 
 class _VectorReader:
@@ -174,6 +173,9 @@ def _cmd_examples(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    # loaded here, so no other command compiles the self-test suites
+    from .selfcheck import run_all
+
     results = run_all(args.seed)
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")

@@ -74,6 +74,7 @@ from .radial import (
     RadialExpr,
     SCOPE_CR,
     SCOPE_FULL,
+    _radial_shift,
     dirac,
     is_monogenic,
     laplacian_power,
@@ -395,12 +396,13 @@ def fischer_decompose(h: RadialExpr, group: str = "x") -> list[FischerLayer]:
     def series(terms) -> RadialExpr:
         # sum_j c_j xvec^j f_j over (j, c_j, f_j), the signs of xvec^j folded
         # into c_j, as two linear combinations: the odd terms, then the even
-        # ones beside xvec times that sum
+        # ones beside xvec times that sum.  R^(j - j%2) f_j is a key shift
+        # applied as the combination copies f_j's rows; every f_j holds R
+        # to powers in [0, degree]
         even, odd = parts = ([], [])
         for j, c, f in terms:
-            if j > 1:
-                f = RadialExpr.radial(frame, ra * (j - j % 2), rb * (j - j % 2)) * f
-            parts[j % 2].append((f, c))
+            s = j - j % 2
+            parts[j % 2].append((f, c, _radial_shift(frame.m, ra * s, rb * s, ra * degree, rb * degree)))
         return h._combination([*even, (xv * h._combination(odd), 1)])
 
     chain = list(accumulate(range(degree), lambda f, _: dirac(f, scope), initial=h.canonicalized()))

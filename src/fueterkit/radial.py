@@ -82,19 +82,24 @@ field, which ``>>`` decodes exactly because it floors.  So the kernels
 shift and hash ints instead of building (blade, a, b) tuples:
 
 * Dirac with generator e_g maps a key to ``key ^ bit`` with the sign
-  ``clifford.mask_sign(bit, mask)``, memoized per call over the masks
-  present (no table of size 2^m: a frame may have m = 80).  Its row
-  split takes a row's y part as the y mask bits and the rho field, and
-  its x part as the rest; while the rule runs, an x part holds the row's
-  y class in its rho field and a y part its slot number in its r field,
-  fields that the axes of its own side never read (``_split_rows``);
-* lowering r or rho subtracts ``2 << m`` or ``2 << (m + 64)``, and a
-  rewrite adds ``(ea << m) + (eb << (m + 64))``;
+  ``clifford.mask_sign(bit, mask)``, read from the generator's sign
+  table.  The frame's Dirac plan (``_dirac_plan``, the scope's axes,
+  built once per (frame, scope)) keeps the tables across calls, each
+  filled with the masks that arrive, at most ``_SIGN_TABLE_SIZE`` of
+  them at a time (a full table starts over; no table of size 2^m: a
+  frame may have m = 80).  Its row split takes a row's y part as the y
+  mask bits and the rho field, and its x part as the rest; while the rule runs, an x part holds the row's y class in its
+  rho field and a y part its slot number in its r field, fields that the
+  axes of its own side never read (``_split_rows``);
+* lowering r or rho subtracts ``2 << m`` or ``2 << (m + 64)``, a rewrite
+  adds ``(ea << m) + (eb << (m + 64))``, and a linear combination adds a
+  radius shift r^a rho^b to every key it copies (``_radial_shift``);
 * ``re_mul`` adds the two radial parts, less one offset, and multiplies
-  the blades by ``mask_sign`` and XOR; the separated Laplacian power adds
-  a table entry's radial part to a y row and then an x row's mask and r
-  power, since its blades never share a generator and come in generator
-  order;
+  the blades by XOR with the sign ``mask_sign``, read from one capped
+  table per frame width (``_product_signs``); the separated Laplacian
+  power adds a table entry's radial part to a y row and then an x row's
+  mask and r power, since its blades never share a generator and come in
+  generator order;
 * the grade involution negates a row whose mask has odd popcount;
 * ``display_order`` buckets rows by radial part, ``key >> m``, as
   (rank, numerator) pairs, the rank monomial index * number of blades +
@@ -134,7 +139,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
 from math import gcd, isqrt, lcm
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .bivariate import BivariateRadial
 from .clifford import Blade, Multivector, SCALAR_BLADE, blade_mask, mask_blade, mask_sign, vector_embed
@@ -162,6 +167,15 @@ GROUP_SCOPES = {"x": SCOPE_FIRST, "y": SCOPE_SECOND}
 
 # Bound on cached (R^2 - other squares)^k expansions; a run needs a few per frame.
 _SQUARE_CACHE_SIZE = 256
+
+# Bound on the cached Dirac plans ((frame, scope) pairs), generator sign
+# tables and per-frame tables and vectors; a run needs a few of each.
+_PLAN_CACHE_SIZE = 64
+
+# Bound on the entries of each kept sign table (``sparse.Memo``): the
+# benchmark's workloads fill at most 21 masks per generator and 85 mask
+# pairs per frame width, but a frame may have m = 80.
+_SIGN_TABLE_SIZE = 4096
 
 # Row key layout (module docstring): the r exponent's offset and field
 # above the blade mask, and the bound on every radial exponent.
@@ -391,23 +405,52 @@ class RadialExpr(TermMap):
         has just built."""
         return self._like(*_lowest_terms(groups, den))
 
-    def _combination(self, parts: Iterable[tuple["RadialExpr", Rational]]) -> "RadialExpr":
+    def _combination(self, parts: Iterable[tuple]) -> "RadialExpr":
         """``TermMap._combination`` on monomial groups: a part's group is
         copied (and scaled) the first time its monomial arrives and added
-        into that copy after."""
+        into that copy after.  A part (f, c, shift) enters as c f r^a rho^b,
+        shift being ``_radial_shift``'s key increment for r^a rho^b (a part
+        (f, c) has shift 0): the shift is added to each key as the row is
+        copied or added."""
         weighted, den = self._weights(parts)
         acc: _Groups = {}
-        for groups, n in weighted:
+        for groups, n, *shift in weighted:
+            shift = shift[0] if shift else 0
             for mono, inner in groups.items():
                 out = acc.get(mono)
                 if out is None:
-                    acc[mono] = {key: c * n for key, c in inner.items()} if n != 1 else dict(inner)
+                    acc[mono] = ({key + shift: c * n for key, c in inner.items()} if n != 1 or shift
+                                 else dict(inner))
                 else:
-                    _add_rows(out, inner, n)
+                    get = out.get
+                    for key, c in inner.items():
+                        key += shift
+                        out[key] = get(key, 0) + c * n
         return self._reduced(_nonzero(acc), den)
 
     def _mul(self, other: "RadialExpr") -> "RadialExpr":
         return re_mul(self, other)
+
+    def __pow__(self, n: int) -> "RadialExpr":
+        """``TermMap.__pow__``, except that a power of one row is formed as
+        one row, with no product: its monomial's exponents and its radial
+        exponents times n (PreconditionError past ``EXPONENT_LIMIT``), its
+        blade's power e_A^n = (e_A^2)^(n//2) e_A^(n%2), e_A^2 = +-1, and its
+        numerator and denominator to the n-th power."""
+        if n > 1 and len(self._terms) == 1:
+            (mono, inner), = self._terms.items()
+            if len(inner) == 1:
+                (key, c), = inner.items()
+                frame = self.frame
+                m = frame.m
+                mask = key & ((1 << m) - 1)
+                a, b = _exponents(m, key)
+                key = (mask if n & 1 else 0) | _radial_bits(frame, a * n, b * n)
+                c **= n
+                if mask_sign(mask, mask) < 0 and n & 2:
+                    c = -c
+                return self._reduced({tuple(e * n for e in mono): {key: c}}, self._den ** n)
+        return super().__pow__(n)
 
     # -- normal form ----------------------------------------------------
 
@@ -620,12 +663,22 @@ def _proportional(a: _Groups, ka: int, b: _Groups, kb: int) -> bool:
 # -- products ------------------------------------------------------------
 
 
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _product_signs(m: int) -> Memo:
+    """The blade-product signs of an m-generator frame, kept across calls:
+    (a << m) | b -> ``mask_sign(a, b)``, at most ``_SIGN_TABLE_SIZE``
+    entries at a time (``sparse.Memo``'s limit)."""
+    low = (1 << m) - 1
+    return Memo(lambda pair: mask_sign(pair >> m, pair & low), _SIGN_TABLE_SIZE)
+
+
 def re_mul(f: RadialExpr, g: RadialExpr) -> RadialExpr:
     """Termwise product; coefficients multiply by the geometric product in
     the given order (left factor's coefficient on the left).  One monomial
     product per pair of groups, then the rows multiply inside: the radial
     parts of two keys add, less one offset, and the blade masks multiply
-    by ``mask_sign`` and XOR.
+    by XOR with the sign ``mask_sign``, read from the frame's kept table
+    (``_product_signs``).
     PreconditionError when the extreme exponents of the operands would sum
     beyond ``EXPONENT_LIMIT``."""
     f._check_context(g)
@@ -638,19 +691,21 @@ def re_mul(f: RadialExpr, g: RadialExpr) -> RadialExpr:
         _check_exponent(max(fa1 + ga1, fb1 + gb1))
         low = (1 << m) - 1
         high, offset = ~low, _A_OFFSET << m
+        signs = _product_signs(m)
         # right rows as (blade mask, radial part less the offset, numerator),
-        # so a left key XOR the right mask plus the right part is the product key
+        # so a left key XOR the right mask plus the right part is the product
+        # key; a left row carries its mask shifted to the sign table's pair
         right_groups = [(m2, [(k & low, (k & high) - offset, c) for k, c in in2.items()])
                         for m2, in2 in g._terms.items()]
         for m1, in1 in f._terms.items():
-            rows1 = [(k & low, k, c) for k, c in in1.items()]
+            rows1 = [((k & low) << m, k, c) for k, c in in1.items()]
             for m2, rows2 in right_groups:
                 out = acc[_mono_mul(m1, m2)]
                 get = out.get
                 for b1, k1, c1 in rows1:
                     for b2, r2, c2 in rows2:
                         key = (k1 ^ b2) + r2
-                        out[key] = get(key, 0) + mask_sign(b1, b2) * c1 * c2
+                        out[key] = get(key, 0) + signs[b1 | b2] * c1 * c2
     return f._reduced(_nonzero(acc), f._den * g._den)
 
 
@@ -702,18 +757,45 @@ def _check_scope(frame: AxisFrame, scope: str) -> None:
         raise PreconditionError("second-group scope needs a frame with a second axial group (q >= 1)")
 
 
-def _dirac_axes(frame: AxisFrame, scope: str) -> list[tuple]:
-    """The scope's Dirac axes: (coordinate, the radius its derivative
-    lowers: 0 for r, 1 for rho and 2 for none, its generator's bit, the
-    memo mask -> ``mask_sign(bit, mask)``, and for the group's last
-    coordinate the k = 1 table of ``_lead_square_power``)."""
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _generator_signs(bit: int) -> Memo:
+    """The kept sign table of a generator: mask -> ``mask_sign(bit,
+    mask)``, filled as masks arrive, at most ``_SIGN_TABLE_SIZE``
+    entries at a time (no table of size 2^m: a frame may have m = 80)."""
+    return Memo(partial(mask_sign, bit), _SIGN_TABLE_SIZE)
+
+
+class _DiracPlan(NamedTuple):
+    """A scope's Dirac axes, for ``_dirac_rule``: each axis is (coordinate,
+    the radius its derivative lowers: 0 for r, 1 for rho and 2 for none,
+    its generator's bit, the generator's kept sign table, and for the
+    group's last coordinate the k = 1 table of ``_lead_square_power``).
+    ``x_axes`` and ``y_axes`` are the two sides of ``dirac``'s split, the
+    y axes and their tables indexed from the first y coordinate; both are
+    None in a group scope, which has one side's axes only."""
+
+    axes: list[tuple]
+    x_axes: list[tuple] | None
+    y_axes: list[tuple] | None
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _dirac_plan(frame: AxisFrame, scope: str) -> _DiracPlan:
+    """The frame's Dirac plan in a checked scope, built once per (frame,
+    scope) and kept, so equal frames built apart share it."""
     axes = [(i, radius, 1 << (frame.generator_of(i) - 1),
              _lead_square_power(frame, group, 1) if i == idxs[-1] else None)
             for radius, group in enumerate(("x", "y")) if scope in (GROUP_SCOPES[group], SCOPE_FULL, SCOPE_CR)
             for idxs in (frame.group_indices(group),) for i in idxs]
     if scope == SCOPE_CR:
         axes.append((0, 2, 0, None))
-    return [(i, radius, bit, Memo(partial(mask_sign, bit)), table) for i, radius, bit, table in axes]
+    axes = [(i, radius, bit, _generator_signs(bit), table) for i, radius, bit, table in axes]
+    if scope not in (SCOPE_FULL, SCOPE_CR):
+        return _DiracPlan(axes, None, None)
+    xe = frame.x_indices.stop
+    y_axes = [(i - xe, radius, bit, signs, table and [(mt[xe:], eb, sign) for mt, eb, sign in table])
+              for i, radius, bit, signs, table in axes if radius == 1]
+    return _DiracPlan(axes, [axis for axis in axes if axis[1] != 1], y_axes)
 
 
 def _dirac_rule(m: int, groups: _Groups, axes: list[tuple], acc: _Groups) -> _Groups:
@@ -899,20 +981,18 @@ def dirac(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
     _check_scope(frame, scope)
     m = frame.m
     normal = f._normal()
-    axes = _dirac_axes(frame, scope)
-    found = _split_rows(frame, normal) if scope in (SCOPE_FULL, SCOPE_CR) else None
+    plan = _dirac_plan(frame, scope)
+    found = _split_rows(frame, normal) if plan.y_axes is not None else None
     if found is not None:
         width, parts, slots, counts = found
-        mb, xe = m + 64, frame.x_indices.stop
+        mb = m + 64
         # D_y once per y part, each tagged by its slot in the r field, which
         # no y axis reads (a y monomial starts at coordinate xe);
         # q_images[k][slot] is Q_Y of class k's part
-        y_axes = [(i - xe, radius, bit, signs, table and [(mt[xe:], eb, sign) for mt, eb, sign in table])
-                  for i, radius, bit, signs, table in axes if radius == 1]
         tagged = {ym: {yk | (s << m): 1 for yk, s in yslots.items()} for ym, yslots in slots.items()}
         q_images = {k: [0] * n for k, n in counts.items()}
         ykeep = ((1 << m) - (1 << frame.p)) | (-1 << mb)
-        for ym, inner in _dirac_rule(m, tagged, y_axes, defaultdict(dict)).items():
+        for ym, inner in _dirac_rule(m, tagged, plan.y_axes, defaultdict(dict)).items():
             dy = sum(ym)
             yslots = slots.setdefault(ym, {})
             for key, d in inner.items():
@@ -935,10 +1015,10 @@ def dirac(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
                 q = q_images[xk >> mb]
                 v = sum(c * q[s] for s, c in pairs)
                 out[xk - down] = -v if (xk & low).bit_count() & 1 else v
-        _dirac_rule(m, packed, [axis for axis in axes if axis[1] != 1], acc)
+        _dirac_rule(m, packed, plan.x_axes, acc)
         if not any(any(inner.values()) for inner in acc.values()):
             return f._normalized({}, f._den)
-    return f._normalized(_nonzero(_dirac_rule(m, normal, axes, defaultdict(dict))), f._den)
+    return f._normalized(_nonzero(_dirac_rule(m, normal, plan.axes, defaultdict(dict))), f._den)
 
 
 def laplacian(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
@@ -1219,20 +1299,29 @@ def _unit_vector(frame: AxisFrame, indices: Iterable[int], a: int = 0, b: int = 
                                     for idx in indices}, 1, frame)
 
 
+# The group vectors are built once per frame and kept: an expression is
+# immutable and no operator writes into an operand's rows, so every caller
+# may share them.
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def vector_x(frame: AxisFrame) -> RadialExpr:
     """The vector x = sum_j x_j e_j of the first group."""
     return _unit_vector(frame, frame.x_indices)
 
 
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def vector_y(frame: AxisFrame) -> RadialExpr:
     return _unit_vector(frame, frame.y_indices)
 
 
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def omega(frame: AxisFrame) -> RadialExpr:
     """Unit vector x / r as the Laurent expression x * r^{-1}."""
     return _unit_vector(frame, frame.x_indices, a=-1)
 
 
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def nu(frame: AxisFrame) -> RadialExpr:
     """Unit vector y / rho as the Laurent expression y * rho^{-1}."""
     if frame.q == 0:

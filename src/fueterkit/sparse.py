@@ -73,16 +73,25 @@ def collect(pairs: Iterable[tuple[K, C]]) -> dict[K, C]:
 
 class Memo(dict):
     """A table that fills itself: ``memo[key]`` is ``fn(key)``, computed on
-    the first lookup.  Kernels make one per call, so it never outlives it."""
+    the first lookup and kept.  A table with a ``limit`` that is full when
+    a new key arrives is emptied first, so it never holds more than
+    ``limit`` entries and goes on keeping what arrives.  A kernel's memo
+    made for one call takes no limit; a table kept across calls (a
+    frame's Dirac plan, ``re_mul``'s product signs) takes one, so a wide
+    frame's masks cannot grow it without bound."""
 
-    __slots__ = ("_fn",)
+    __slots__ = ("_fn", "_limit")
 
-    def __init__(self, fn):
+    def __init__(self, fn, limit: int | None = None):
         super().__init__()
         self._fn = fn
+        self._limit = limit
 
     def __missing__(self, key):
-        value = self[key] = self._fn(key)
+        value = self._fn(key)
+        if self._limit is not None and len(self) >= self._limit:
+            self.clear()
+        self[key] = value
         return value
 
 
@@ -192,17 +201,19 @@ class TermMap:
         g = gcd(self._den, *self._terms.values())
         return hash((self._context, self._den // g, frozenset((k, c // g) for k, c in self._terms.items())))
 
-    def _weights(self, parts: Iterable[tuple["TermMap", Rational]]) -> tuple[list[tuple[dict, int]], int]:
+    def _weights(self, parts: Iterable[tuple]) -> tuple[list[tuple], int]:
         """The nonzero parts of sum c_i t_i as (stored numerators, int
-        multiplier) pairs over their lcm, and that lcm; every part's context
-        is checked against self's."""
+        multiplier, the part's further items) tuples over their lcm, and
+        that lcm; every part's context is checked against self's.  A part
+        is (t_i, c_i), or (t_i, c_i, shift) where a storage's combination
+        reads a further item (``RadialExpr``'s radius shift)."""
         kept = []
-        for t, c in parts:
+        for t, c, *extra in parts:
             self._check_context(t)
             if c and t._terms:
-                kept.append((t._terms, t._den * c.denominator, c.numerator))
-        den = lcm(*[d for _terms, d, _n in kept])
-        return [(terms, n * (den // d)) for terms, d, n in kept], den
+                kept.append((t._terms, t._den * c.denominator, c.numerator, extra))
+        den = lcm(*[d for _terms, d, _n, _extra in kept])
+        return [(terms, n * (den // d), *extra) for terms, d, n, extra in kept], den
 
     def _combination(self, parts: Iterable[tuple["TermMap", Rational]]):
         """sum c_i t_i over (term map, rational) pairs, in self's class and
@@ -245,16 +256,18 @@ class TermMap:
         return NotImplemented if other is None else other._mul(self)
 
     def __pow__(self, n: int):
-        """self^n by repeated squaring: about log2(n) products, so a huge
-        power of a single term is cheap and only its size limits it."""
+        """self^n by repeated squaring, started from self rather than from
+        1: about log2(n) products and no product by 1, so self^2 is one
+        product and a huge power of a single term is cheap."""
         if n < 0:
             raise ValueError(f"{type(self).__name__} power must be >= 0")
-        out = self._coerce(1)
-        base = self
-        while n:
+        if not n:
+            return self._coerce(1)
+        out, base = None, self
+        while True:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             n >>= 1
-            if n:
-                base = base * base
-        return out
+            if not n:
+                return out
+            base = base * base

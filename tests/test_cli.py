@@ -190,6 +190,13 @@ class TestExponentLimit:
         assert err.startswith("precondition violation: radial exponent ") and err.count("\n") == 1
         assert "1180591620717411303424 is beyond the limit |e| <= 2^62" in err
 
+    def test_a_power_of_one_row_past_the_limit_exits_1(self, capsys):
+        code, out, err = run(capsys, "check-monogenic", "--p", "3", "--q", "3",
+                             "--expr", "(r^2)^4611686018427387904")
+        assert (code, out) == (1, "")
+        assert err == ("precondition violation: radial exponent 9223372036854775808 "
+                       "is beyond the limit |e| <= 2^62\n")
+
     def test_a_huge_power_below_the_rewrite_stays_exact(self, capsys):
         code, out, _ = run(capsys, "check-monogenic", "--p", "3", "--q", "3",
                            "--expr", "x1^1180591620717411303424*e1")
@@ -309,6 +316,15 @@ class TestSelftest:
         suites = {fn for name, fn in vars(selfcheck).items() if name.startswith("check_")}
         assert len(set(selfcheck.ALL_CHECKS)) == len(selfcheck.ALL_CHECKS)
         assert set(selfcheck.ALL_CHECKS) == suites
+
+    def test_only_selftest_loads_the_suites(self):
+        probe = ("import sys, fueterkit.cli as cli; loaded = 'fueterkit.selfcheck' in sys.modules; "
+                 "cli.main(['lemma5', '--h', 'r^2', '--n', '1', '--s1', '0', '--s2', '0', '--k', '0', '--l', '0']); "
+                 "print(loaded, 'fueterkit.selfcheck' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False False"
 
     def test_a_crashing_suite_is_one_fail_line(self, capsys, monkeypatch):
         def check_broken(seed, size=1):

@@ -15,7 +15,7 @@ from math import gcd
 
 import pytest
 
-from fueterkit import bivariate
+from fueterkit import bivariate, radial
 from fueterkit.bivariate import (
     BiaxialParams,
     BivariateRadial,
@@ -26,11 +26,12 @@ from fueterkit.bivariate import (
     operator_term,
 )
 from fueterkit.clifford import Multivector
+from fueterkit.errors import PreconditionError
 from fueterkit.formatting import format_bivariate
 from fueterkit.frame import AxisFrame
 from fueterkit.fueter import fischer_decompose
 from fueterkit.parsing import parse_bivariate, parse_expression, parse_seed
-from fueterkit.radial import RadialExpr, evaluate_terms, rational_point
+from fueterkit.radial import RadialExpr, _radial_shift, evaluate_terms, rational_point
 from fueterkit.seeds import ComplexBivarPoly
 from fueterkit.sparse import TermMap
 
@@ -133,6 +134,26 @@ def test_operators_are_the_one_and_two_part_cases(name):
             assert (got._terms, got._den) == (want._terms, want._den)
 
 
+def test_a_shifted_part_enters_times_its_radial_monomial():
+    rng = random.Random("shifted parts")
+    m = F33.m
+    for _ in range(150):
+        parts = _parts(rng, _radial)
+        shifts = [(rng.randint(0, 3), rng.randint(-2, 2)) for _ in parts]
+        before = [_stored(t) for t, _c in parts]
+        got = parts[0][0]._combination([(t, c, _radial_shift(m, a, b, 2, 2)) for (t, c), (a, b) in zip(parts, shifts)])
+        want = parts[0][0]._combination([(RadialExpr.radial(F33, a, b) * t, c) for (t, c), (a, b) in zip(parts, shifts)])
+        assert (got._terms, got._den) == (want._terms, want._den)
+        assert [_stored(t) for t, _c in parts] == before
+
+
+def test_a_shift_past_the_exponent_limit_raises():
+    with pytest.raises(PreconditionError, match=r"\|e\| <= 2\^62"):
+        _radial_shift(F33.m, 2 ** 62, 0, 1, 0)
+    with pytest.raises(PreconditionError, match=r"\|e\| <= 2\^62"):
+        _radial_shift(F33.m, 0, -(2 ** 62) - 1, 0, 0)
+
+
 @pytest.mark.parametrize("a, b", [
     (RadialExpr.coordinate(F33, "x1"), RadialExpr.coordinate(AxisFrame(5, 5), "x1")),
     (Multivector.scalar(1, 3), Multivector.scalar(1, 4)),
@@ -163,6 +184,73 @@ def combinations(monkeypatch):
 
         monkeypatch.setattr(cls, "_combination", counted)
     return calls
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The operands' row counts of every ``re_mul`` call, in call order."""
+    calls = []
+    rule = radial.re_mul
+
+    def counted(f, g):
+        calls.append((sum(map(len, f._terms.values())), sum(map(len, g._terms.values()))))
+        return rule(f, g)
+
+    monkeypatch.setattr(radial, "re_mul", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, count", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3), (7, 4), (8, 3), (16, 4)])
+def test_a_power_starts_from_its_base(products, n, count):
+    h = parse_expression("x1 + 2*x2 - x3*e4", F33)
+    products.clear()
+    got = h ** n
+    assert len(products) == count
+    want = h
+    for _ in range(n - 1):
+        want = radial.RadialExpr._mul(want, h)
+    assert got == want
+
+
+def test_a_parsed_square_is_one_product(products):
+    parse_expression("(x1 + x2 - x3)^2", F33)
+    assert products == [(3, 3)]
+
+
+@pytest.mark.parametrize("text", ["y1", "x2*e1", "2/3*x1*e1*e4*rho^-1", "-3*x3^2*e1*e2*e5*r^3*rho^2", "r^-1"])
+def test_a_one_row_power_is_one_row(products, text):
+    h = parse_expression(text, F33)
+    for n in (0, 1, 2, 3, 6, 7, 1000):
+        products.clear()
+        got = h ** n
+        assert products == []
+        assert sum(map(len, got._terms.values())) == 1
+        want = h ** 0
+        for _ in range(min(n, 7)):
+            want = radial.RadialExpr._mul(want, h)
+        if n <= 7:
+            assert (got._terms, got._den) == (want._terms, want._den), n
+
+
+def test_a_one_row_power_past_the_exponent_limit_raises():
+    with pytest.raises(PreconditionError, match=r"9223372036854775808 is beyond the limit \|e\| <= 2\^62"):
+        parse_expression("(r^2)^4611686018427387904", F33)
+    # the message names the power's whole exponent a * n, here 3 * (2^61 + 1)
+    with pytest.raises(PreconditionError, match=r"6917529027641081859 is beyond the limit \|e\| <= 2\^62"):
+        parse_expression("(r^3)^2305843009213693953", F33)
+    with pytest.raises(PreconditionError, match=r"\|e\| <= 2\^62"):
+        parse_expression("(x1*rho^-3)^2000000000000000000", F33)
+
+
+@pytest.mark.parametrize("group, text, degree", [("x", "(x1 + 2*x2 - x3)^7", 7), ("y", "(y1 - y3)^4*e5", 4)])
+def test_fischer_shifts_radii_without_a_product(products, group, text, degree):
+    h = parse_expression(text, F33)
+    products.clear()
+    layers = fischer_decompose(h, group)
+    assert len(layers) == degree + 1
+    # one product by the group vector per layer and one to rebuild
+    assert len(products) == degree + 2
+    assert all(left == 3 for left, _right in products)
 
 
 @pytest.mark.parametrize("parse, text", [
@@ -208,6 +296,27 @@ def test_lemma5_is_one_combination_and_asks_no_vanishing_weight(combinations, mo
     assert combinations == [len(want)]
 
 
+@pytest.mark.parametrize("n, params", [(12, BiaxialParams(0, 0, 2, 2)), (9, BiaxialParams(1, 2, 4, 3)),
+                                       (30, BiaxialParams(1, 0, 3, 5))], ids=str)
+def test_lemma5_takes_each_delta2_power_once(monkeypatch, n, params):
+    steps = []
+    step = bivariate._delta2_step
+
+    def counted(terms):
+        steps.append(len(terms))
+        return step(terms)
+
+    def refused(*args):
+        raise AssertionError("delta2_power called per pair")
+
+    monkeypatch.setattr(bivariate, "_delta2_step", counted)
+    monkeypatch.setattr(bivariate, "delta2_power", refused)
+    got = laplacian_expansion(BivariateRadial.monomial(-1, -1), n, 0, 1, params)
+    assert len(steps) == n
+    monkeypatch.undo()
+    assert got == _summed_pair_by_pair(BivariateRadial.monomial(-1, -1), n, 0, 1, params)
+
+
 def _summed_pair_by_pair(h, n, s1, s2, params):
     """Lemma 5 as the sum of every nonzero term over j1 + j2 <= n, one
     ``+`` at a time."""
@@ -218,6 +327,19 @@ def _summed_pair_by_pair(h, n, s1, s2, params):
             if weight:
                 total = total + operator_term(h, n, j1, j2, s1, s2) * (multinomial(n, j1, j2) * weight)
     return total
+
+
+@pytest.mark.parametrize("h", ["r^-1*rho^-1", "r^3*rho^-1 + 2/3*rho^4 - r^-2*rho"])
+def test_lemma5_prints_as_the_pair_by_pair_sum_at_higher_orders_for_even_dimensions(h):
+    h = parse_bivariate(h)
+    rng = random.Random(35)
+    for p, q in ((2, 2), (2, 3), (4, 1), (1, 4), (4, 4)):
+        for n in (6, 9, 12):
+            s1, s2, k, l = rng.randint(0, 1), rng.randint(0, 1), rng.randint(0, 2), rng.randint(0, 2)
+            params = BiaxialParams(k, l, p, q)
+            got, want = laplacian_expansion(h, n, s1, s2, params), _summed_pair_by_pair(h, n, s1, s2, params)
+            for style in ("plain", "latex", "json"):
+                assert format_bivariate(got, style) == format_bivariate(want, style), (n, s1, s2, params)
 
 
 @pytest.mark.parametrize("h", ["r^2", "r^3*rho^-1 + 2/3*rho^4 - r^-2*rho"])

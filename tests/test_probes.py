@@ -1,6 +1,7 @@
 """tools/probes.py against a stubbed runner: no program runs here."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "probes.py"
@@ -54,7 +55,7 @@ class TestRecord:
 class TestTable:
     def test_about_a_dozen_named_cli_calls(self):
         names = [name for name, _argv in probes.PROBES]
-        assert 10 <= len(names) <= 14
+        assert 10 <= len(names) <= 15
         assert len(set(names)) == len(names)
         for _name, argv in probes.PROBES:
             assert argv[0] in COMMANDS
@@ -66,6 +67,14 @@ class TestTable:
         diagonal = next(expr for expr in exprs if expr.startswith("x1 + "))
         assert diagonal.count("+") == 599
         assert ["selftest"] in [argv for _name, argv in probes.PROBES]
+
+    def test_the_wide_frame_probe_overflows_a_sign_table(self):
+        """A (40, 40) input whose x blades (10 * 10 * 10 * 9 of them) are
+        more than a kept sign table holds at a time."""
+        (argv,) = [argv for _name, argv in probes.PROBES if argv[1:5] == ["--p", "40", "--q", "40"]]
+        factors = argv[-1].split(")*(")
+        assert len(factors) == 5
+        assert math.prod(factor.count("e{") for factor in factors[1:]) == 9000
 
     def test_the_fischer_probes_are_in_the_table(self):
         """Decompositions that finish within the timeout, so a Fischer

@@ -11,6 +11,8 @@ from fueterkit.bivariate import BivariateRadial
 from fueterkit.clifford import Multivector
 from fueterkit.errors import PreconditionError
 from fueterkit.frame import AxisFrame
+from fueterkit.fueter import fischer_decompose, ft_general_via_fischer, ft_plus
+from fueterkit.parsing import parse_expression, parse_seed
 from fueterkit.radial import (
     RadialExpr,
     SCOPE_CR,
@@ -20,6 +22,7 @@ from fueterkit.radial import (
     dirac,
     evaluate_terms,
     inner_x,
+    inner_y,
     is_monogenic,
     laplacian,
     laplacian_power,
@@ -32,6 +35,7 @@ from fueterkit.radial import (
     vector_x,
     vector_y,
 )
+from fueterkit.seeds import SeedFunction
 
 F33 = AxisFrame(3, 3)
 F55 = AxisFrame(5, 5)
@@ -789,14 +793,15 @@ def _snapshot(f):
 
 
 def _operands():
-    """Fresh expressions, and expressions whose stored rows share dicts with them."""
+    """Fresh expressions, expressions whose stored rows share dicts with
+    them, and the group vectors that every call on the frame shares."""
     x1, x3 = RadialExpr.coordinate(F33, "x1"), RadialExpr.coordinate(F33, "x3")
     # x3^2 -> r^2 - x1^2 - x2^2 lands on the key of the unrewritten x1^2.
     aliased = x1 * x1 + x3 * x3
     g = RadialExpr(F33, [((mono6(x1=1, x3=3), (1,), -1, 2), Fraction(1, 2)),
                          ((mono6(x1=1, x3=3), (4,), 1, 0), -3), ((mono6(y2=2), (2, 5), 0, -1), 2),
                          ((mono6(x1=2), (), 0, 0), 5)])
-    return [aliased, g, aliased.negate_group("x"), g.negate_group("y"), g.canonicalized()]
+    return [aliased, g, aliased.negate_group("x"), g.negate_group("y"), g.canonicalized(), vector_x(F33), nu(F33)]
 
 
 OPERATIONS = {
@@ -834,6 +839,23 @@ class TestOperandPurity:
                     terms, den, cache = snap
                     assert (h._terms, h._den) == (terms, den)
                     assert cache is None or h._canonical_cache == cache
+
+    def test_the_kept_group_vectors_survive_the_maps_that_share_them(self):
+        vectors = [build(F33) for build in (vector_x, vector_y, omega, nu)]
+        before = [_snapshot(v) for v in vectors]
+        seed = SeedFunction.create(parse_seed("zbar^5"))
+        xt, ys = inner_x(F33, [1, -2, 3]), inner_y(F33, [2, 1, -1])
+        assert ft_plus(seed, xt * xt, ys, F33) == ft_general_via_fischer(seed, xt * xt, ys, F33)
+        fischer_decompose(parse_expression("(x1 - 2*x3)^4", F33), "x")
+        fischer_decompose(parse_expression("(y1 + y2)^3", F33), "y")
+        for v in vectors:
+            for w in vectors:
+                re_mul(v, w)
+            v * v
+        assert [build(F33) for build in (vector_x, vector_y, omega, nu)] == vectors
+        assert all(build(F33) is v for build, v in zip((vector_x, vector_y, omega, nu), vectors))
+        for v, (terms, den, _cache) in zip(vectors, before):
+            assert (v._terms, v._den) == (terms, den)
 
     def test_normal_form_copies_the_group_it_adds_into(self):
         f = _operands()[0]

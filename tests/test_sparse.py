@@ -58,3 +58,12 @@ def test_power_by_squaring_stores_the_repeated_product(name):
         got = x ** n
         assert (got._terms, got._den) == (want._terms, want._den), n
         want = want * x
+
+
+def test_memo_starts_over_at_its_limit():
+    calls = []
+    table = Memo(lambda key: calls.append(key) or -key, 3)
+    assert [table[k] for k in (1, 2, 3, 4, 4, 1, 1)] == [-1, -2, -3, -4, -4, -1, -1]
+    # full at 4: emptied, then 4 and 1 kept, each computed once more
+    assert dict(table) == {4: -4, 1: -1}
+    assert calls == [1, 2, 3, 4, 1]
