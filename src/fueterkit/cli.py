@@ -313,6 +313,10 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except MemoryError:
+        # from bytes, allocating nothing: the failed call still holds the memory
+        os.write(2, b"internal error: MemoryError: \n")
+        return 3
     except Exception as exc:
         code, text = _error_report(exc)
         print(text, file=sys.stderr)

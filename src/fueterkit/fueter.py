@@ -74,6 +74,7 @@ from .radial import (
     RadialExpr,
     SCOPE_CR,
     SCOPE_FULL,
+    _frame_context,
     _radial_shift,
     dirac,
     is_monogenic,
@@ -81,8 +82,6 @@ from .radial import (
     omega,
     proportionality_constant,
     separated_laplacian_power,
-    vector_x,
-    vector_y,
 )
 from .seeds import SeedFunction, lift_to_radial, parity_monomial, split_uv
 
@@ -230,7 +229,7 @@ def _forms(factor: RadialExpr, group: str) -> _Forms:
     factor, or its grade involution when ``star``, times the group's
     vector when ``times``.  Each form is made on its first use and then
     kept, as the same object, for as long as the caller keeps the table."""
-    vector = vector_x(factor.frame) if group == "x" else vector_y(factor.frame)
+    vector = _frame_context(factor.frame).vectors[group]
 
     @cache
     def form(star: bool, times: bool) -> RadialExpr:
@@ -391,7 +390,8 @@ def fischer_decompose(h: RadialExpr, group: str = "x") -> list[FischerLayer]:
     frame = h.frame
     degree = homogeneous_group_degree(h, group)
     dim, scope = len(frame.group_indices(group)), GROUP_SCOPES[group]
-    xv, ra, rb = (vector_x(frame), 1, 0) if group == "x" else (vector_y(frame), 0, 1)
+    xv = _frame_context(frame).vectors[group]
+    ra, rb = (1, 0) if group == "x" else (0, 1)
 
     def series(terms) -> RadialExpr:
         # sum_j c_j xvec^j f_j over (j, c_j, f_j), the signs of xvec^j folded

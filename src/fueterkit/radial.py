@@ -19,10 +19,10 @@ coordinate of each group leading.  The rewrite
     y_q^2 -> rho^2 - (y_1^2 + ... + y_{q-1}^2)
 
 is applied until no term carries x_p or y_q to a power above 1, from one
-multinomial table (``_lead_square_power``) that ``dirac`` reads too; the
-scalar coordinate X0 and the radial exponents (any integers) are left
-alone.  This is the Groebner normal form of Cox, Little and O'Shea,
-*Ideals, Varieties, and Algorithms*, ch. 2.
+multinomial table (``_lead_square_power``, kept per frame) that ``dirac``
+reads too; the scalar coordinate X0 and the radial exponents (any
+integers) are left alone.  This is the Groebner normal form of Cox,
+Little and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2.
 
 It is sound because R[x] is a free module over R[x_1..x_{p-1}, r^2] with
 basis {1, x_p} (r^2 is monic of degree 2 in x_p), and likewise in y.  So
@@ -83,27 +83,33 @@ shift and hash ints instead of building (blade, a, b) tuples:
 
 * Dirac with generator e_g maps a key to ``key ^ bit`` with the sign
   ``clifford.mask_sign(bit, mask)``, read from the generator's sign
-  table.  The frame's Dirac plan (``_dirac_plan``, the scope's axes,
-  built once per (frame, scope)) keeps the tables across calls, each
-  filled with the masks that arrive, at most ``_SIGN_TABLE_SIZE`` of
-  them at a time (a full table starts over; no table of size 2^m: a
-  frame may have m = 80).  Its row split takes a row's y part as the y
-  mask bits and the rho field, and its x part as the rest; while the rule runs, an x part holds the row's y class in its
-  rho field and a y part its slot number in its r field, fields that the
-  axes of its own side never read (``_split_rows``);
+  table.  The scope's Dirac plan in the frame's context (below) holds
+  the axes and their tables.  Its row split takes a row's y part as the
+  y mask bits and the rho field, and its x part as the rest; while the
+  rule runs, an x part holds the row's y class in its rho field and a y
+  part its slot number in its r field, fields that the axes of its own
+  side never read (``_split_rows``);
 * lowering r or rho subtracts ``2 << m`` or ``2 << (m + 64)``, a rewrite
   adds ``(ea << m) + (eb << (m + 64))``, and a linear combination adds a
   radius shift r^a rho^b to every key it copies (``_radial_shift``);
 * ``re_mul`` adds the two radial parts, less one offset, and multiplies
-  the blades by XOR with the sign ``mask_sign``, read from one capped
-  table per frame width (``_product_signs``); the separated Laplacian
-  power adds a table entry's radial part to a y row and then an x row's
-  mask and r power, since its blades never share a generator and come in
-  generator order;
+  the blades by XOR with the sign ``mask_sign``, read from the frame's
+  product-sign table; the separated Laplacian power adds a table entry's
+  radial part to a y row and then an x row's mask and r power, since its
+  blades never share a generator and come in generator order;
 * the grade involution negates a row whose mask has odd popcount;
 * ``display_order`` buckets rows by radial part, ``key >> m``, as
   (rank, numerator) pairs, the rank monomial index * number of blades +
   blade index over the sorted distinct monomials and blades.
+
+A frame's context (``_frame_context``, one per equal frame in one cache
+keyed by the frame's value) keeps each scope's Dirac plan, one sign table
+per generator that every scope's plan shares, the product-sign table, the
+(group, k) square tables and the four group vectors, which every caller
+may share (an expression is immutable).  A sign table fills as masks
+arrive, at most 4096 entries (a full one starts over; none has 2^m: m may
+be 80), so a context keeps at most (m + 1) * 4096 sign entries, one table
+more with X0: 331,776 at (40, 40), and at most 256 square tables.
 
 Every radial exponent satisfies |e| <= 2^62 (``EXPONENT_LIMIT``).  It is
 checked where rows enter (the validating constructor, ``monomial``, which
@@ -165,17 +171,12 @@ _SCOPES = (SCOPE_FIRST, SCOPE_SECOND, SCOPE_FULL, SCOPE_CR)
 # The Dirac and Laplacian scope of each axial group.
 GROUP_SCOPES = {"x": SCOPE_FIRST, "y": SCOPE_SECOND}
 
-# Bound on cached (R^2 - other squares)^k expansions; a run needs a few per frame.
-_SQUARE_CACHE_SIZE = 256
-
-# Bound on the cached Dirac plans ((frame, scope) pairs), generator sign
-# tables and per-frame tables and vectors; a run needs a few of each.
-_PLAN_CACHE_SIZE = 64
-
-# Bound on the entries of each kept sign table (``sparse.Memo``): the
-# benchmark's workloads fill at most 21 masks per generator and 85 mask
-# pairs per frame width, but a frame may have m = 80.
+# Bounds on what frames keep (module docstring): the contexts kept at a
+# time, the entries of each sign table (the benchmark's workloads fill at
+# most 21 masks per generator and 85 mask pairs) and a context's square tables.
+_CONTEXT_CACHE_SIZE = 64
 _SIGN_TABLE_SIZE = 4096
+_SQUARE_TABLE_SIZE = 256
 
 # Row key layout (module docstring): the r exponent's offset and field
 # above the blade mask, and the bound on every radial exponent.
@@ -460,9 +461,12 @@ class RadialExpr(TermMap):
         try:
             return self._canonical_cache
         except AttributeError:
-            cached = _normal_form(self.frame, self._terms)
-            object.__setattr__(self, "_canonical_cache", cached)
-            return cached
+            pass
+        # formed outside the handler: out of memory there, an error can be lost
+        # and reach the caller as a SystemError
+        cached = _normal_form(self.frame, self._terms)
+        object.__setattr__(self, "_canonical_cache", cached)
+        return cached
 
     def _normalized(self, groups: _Groups, den: int) -> "RadialExpr":
         """``_like`` for groups already in normal form, cached as their own."""
@@ -554,7 +558,6 @@ class RadialExpr(TermMap):
 # -- normal form internals ------------------------------------------------
 
 
-@lru_cache(maxsize=_SQUARE_CACHE_SIZE)
 def _lead_square_power(frame: AxisFrame, group: str, k: int) -> tuple[tuple[Mono, int, int], ...]:
     """(R^2 - sum of the group's other squares)^k, the rewrite of the
     group's last coordinate to the power 2k, as (monomial, R exponent,
@@ -574,6 +577,54 @@ def _lead_square_power(frame: AxisFrame, group: str, k: int) -> tuple[tuple[Mono
                 c = -c * (left - j) // (j + 1)
         terms = nxt
     return tuple((mono, 2 * left, c) for mono, left, c in terms)
+
+
+class _FrameContext(NamedTuple):
+    """A frame's kept tables and vectors (module docstring).  ``plans``
+    maps each scope the frame allows to (axes, x_axes, y_axes) for
+    ``_dirac_rule``: an axis is (coordinate, the radius its derivative
+    lowers: 0 for r, 1 for rho and 2 for none, its generator's bit, the
+    generator's sign table mask -> ``mask_sign(bit, mask)``, and for the
+    group's last coordinate the (group, 1) square table); x_axes and
+    y_axes are the two sides of ``dirac``'s split, the y axes indexed from
+    the first y coordinate, both None in a group scope.  ``product_signs``
+    maps (a << m) | b to ``mask_sign(a, b)``, ``squares`` (group, k) to
+    ``_lead_square_power(frame, group, k)``."""
+
+    plans: dict[str, tuple[list[tuple], list[tuple] | None, list[tuple] | None]]
+    product_signs: Memo
+    squares: Memo
+    vectors: dict[str, RadialExpr]
+
+
+@lru_cache(maxsize=_CONTEXT_CACHE_SIZE)
+def _frame_context(frame: AxisFrame) -> _FrameContext:
+    """The frame's context, built on its first use and shared by equal frames."""
+    m = frame.m
+    squares = Memo(lambda key: _lead_square_power(frame, *key), _SQUARE_TABLE_SIZE)
+    signs = [Memo(partial(mask_sign, 1 << g), _SIGN_TABLE_SIZE) for g in range(m)]
+
+    def side(radius: int, group: str) -> list[tuple]:
+        idxs = frame.group_indices(group)
+        return [(i, radius, 1 << g, signs[g], squares[group, 1] if i == idxs[-1] else None)
+                for i in idxs for g in (frame.generator_of(i) - 1,)]
+
+    x_axes, y_axes = side(0, "x"), side(1, "y")
+    xe = frame.x_indices.stop
+    y_side = [(i - xe, radius, bit, table, square and [(mt[xe:], eb, sign) for mt, eb, sign in square])
+              for i, radius, bit, table, square in y_axes]
+    plans = {SCOPE_FIRST: (x_axes, None, None), SCOPE_FULL: (x_axes + y_axes, x_axes, y_side)}
+    if frame.q:
+        plans[SCOPE_SECOND] = (y_axes, None, None)
+    if frame.scalar_axis:
+        x0 = (0, 2, 0, Memo(partial(mask_sign, 0), _SIGN_TABLE_SIZE), None)
+        plans[SCOPE_CR] = (x_axes + y_axes + [x0], x_axes + [x0], y_side)
+    vectors = {"x": _unit_vector(frame, frame.x_indices), "y": _unit_vector(frame, frame.y_indices),
+               "omega": _unit_vector(frame, frame.x_indices, a=-1)}
+    if frame.q:
+        vectors["nu"] = _unit_vector(frame, frame.y_indices, b=-1)
+    return _FrameContext(plans, Memo(lambda pair: mask_sign(pair >> m, pair & ~(-1 << m)), _SIGN_TABLE_SIZE),
+                         squares, vectors)
 
 
 def _normal_form(frame: AxisFrame, groups: _Groups) -> _Groups:
@@ -597,6 +648,7 @@ def _normal_form(frame: AxisFrame, groups: _Groups) -> _Groups:
             acc[mono] = inner
     if not rewrites:
         return groups
+    squares = _frame_context(frame).squares
     copied = set()
     for mono, inner, kx, ky in rewrites:
         # the rewrite raises r by up to 2kx and rho by up to 2ky
@@ -608,8 +660,8 @@ def _normal_form(frame: AxisFrame, groups: _Groups) -> _Groups:
         base[xp] -= 2 * kx
         if ky:
             base[yq] -= 2 * ky
-        py = _lead_square_power(frame, "y", ky)
-        for mx, ea, cx in _lead_square_power(frame, "x", kx):
+        py = squares["y", ky]
+        for mx, ea, cx in squares["x", kx]:
             bx = _mono_mul(base, mx)
             for my, eb, cy in py:
                 target = _mono_mul(bx, my) if ky else bx
@@ -663,22 +715,13 @@ def _proportional(a: _Groups, ka: int, b: _Groups, kb: int) -> bool:
 # -- products ------------------------------------------------------------
 
 
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _product_signs(m: int) -> Memo:
-    """The blade-product signs of an m-generator frame, kept across calls:
-    (a << m) | b -> ``mask_sign(a, b)``, at most ``_SIGN_TABLE_SIZE``
-    entries at a time (``sparse.Memo``'s limit)."""
-    low = (1 << m) - 1
-    return Memo(lambda pair: mask_sign(pair >> m, pair & low), _SIGN_TABLE_SIZE)
-
-
 def re_mul(f: RadialExpr, g: RadialExpr) -> RadialExpr:
     """Termwise product; coefficients multiply by the geometric product in
     the given order (left factor's coefficient on the left).  One monomial
     product per pair of groups, then the rows multiply inside: the radial
     parts of two keys add, less one offset, and the blade masks multiply
     by XOR with the sign ``mask_sign``, read from the frame's kept table
-    (``_product_signs``).
+    (``_FrameContext.product_signs``).
     PreconditionError when the extreme exponents of the operands would sum
     beyond ``EXPONENT_LIMIT``."""
     f._check_context(g)
@@ -691,7 +734,7 @@ def re_mul(f: RadialExpr, g: RadialExpr) -> RadialExpr:
         _check_exponent(max(fa1 + ga1, fb1 + gb1))
         low = (1 << m) - 1
         high, offset = ~low, _A_OFFSET << m
-        signs = _product_signs(m)
+        signs = _frame_context(f.frame).product_signs
         # right rows as (blade mask, radial part less the offset, numerator),
         # so a left key XOR the right mask plus the right part is the product
         # key; a left row carries its mask shifted to the sign table's pair
@@ -755,47 +798,6 @@ def _check_scope(frame: AxisFrame, scope: str) -> None:
         raise PreconditionError("cauchy-riemann scope needs a frame with the scalar axis X0")
     if scope == SCOPE_SECOND and frame.q == 0:
         raise PreconditionError("second-group scope needs a frame with a second axial group (q >= 1)")
-
-
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _generator_signs(bit: int) -> Memo:
-    """The kept sign table of a generator: mask -> ``mask_sign(bit,
-    mask)``, filled as masks arrive, at most ``_SIGN_TABLE_SIZE``
-    entries at a time (no table of size 2^m: a frame may have m = 80)."""
-    return Memo(partial(mask_sign, bit), _SIGN_TABLE_SIZE)
-
-
-class _DiracPlan(NamedTuple):
-    """A scope's Dirac axes, for ``_dirac_rule``: each axis is (coordinate,
-    the radius its derivative lowers: 0 for r, 1 for rho and 2 for none,
-    its generator's bit, the generator's kept sign table, and for the
-    group's last coordinate the k = 1 table of ``_lead_square_power``).
-    ``x_axes`` and ``y_axes`` are the two sides of ``dirac``'s split, the
-    y axes and their tables indexed from the first y coordinate; both are
-    None in a group scope, which has one side's axes only."""
-
-    axes: list[tuple]
-    x_axes: list[tuple] | None
-    y_axes: list[tuple] | None
-
-
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _dirac_plan(frame: AxisFrame, scope: str) -> _DiracPlan:
-    """The frame's Dirac plan in a checked scope, built once per (frame,
-    scope) and kept, so equal frames built apart share it."""
-    axes = [(i, radius, 1 << (frame.generator_of(i) - 1),
-             _lead_square_power(frame, group, 1) if i == idxs[-1] else None)
-            for radius, group in enumerate(("x", "y")) if scope in (GROUP_SCOPES[group], SCOPE_FULL, SCOPE_CR)
-            for idxs in (frame.group_indices(group),) for i in idxs]
-    if scope == SCOPE_CR:
-        axes.append((0, 2, 0, None))
-    axes = [(i, radius, bit, _generator_signs(bit), table) for i, radius, bit, table in axes]
-    if scope not in (SCOPE_FULL, SCOPE_CR):
-        return _DiracPlan(axes, None, None)
-    xe = frame.x_indices.stop
-    y_axes = [(i - xe, radius, bit, signs, table and [(mt[xe:], eb, sign) for mt, eb, sign in table])
-              for i, radius, bit, signs, table in axes if radius == 1]
-    return _DiracPlan(axes, [axis for axis in axes if axis[1] != 1], y_axes)
 
 
 def _dirac_rule(m: int, groups: _Groups, axes: list[tuple], acc: _Groups) -> _Groups:
@@ -981,8 +983,8 @@ def dirac(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
     _check_scope(frame, scope)
     m = frame.m
     normal = f._normal()
-    plan = _dirac_plan(frame, scope)
-    found = _split_rows(frame, normal) if plan.y_axes is not None else None
+    axes, x_axes, y_axes = _frame_context(frame).plans[scope]
+    found = _split_rows(frame, normal) if y_axes is not None else None
     if found is not None:
         width, parts, slots, counts = found
         mb = m + 64
@@ -992,7 +994,7 @@ def dirac(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
         tagged = {ym: {yk | (s << m): 1 for yk, s in yslots.items()} for ym, yslots in slots.items()}
         q_images = {k: [0] * n for k, n in counts.items()}
         ykeep = ((1 << m) - (1 << frame.p)) | (-1 << mb)
-        for ym, inner in _dirac_rule(m, tagged, plan.y_axes, defaultdict(dict)).items():
+        for ym, inner in _dirac_rule(m, tagged, y_axes, defaultdict(dict)).items():
             dy = sum(ym)
             yslots = slots.setdefault(ym, {})
             for key, d in inner.items():
@@ -1015,10 +1017,10 @@ def dirac(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
                 q = q_images[xk >> mb]
                 v = sum(c * q[s] for s, c in pairs)
                 out[xk - down] = -v if (xk & low).bit_count() & 1 else v
-        _dirac_rule(m, packed, plan.x_axes, acc)
+        _dirac_rule(m, packed, x_axes, acc)
         if not any(any(inner.values()) for inner in acc.values()):
             return f._normalized({}, f._den)
-    return f._normalized(_nonzero(_dirac_rule(m, normal, plan.axes, defaultdict(dict))), f._den)
+    return f._normalized(_nonzero(_dirac_rule(m, normal, axes, defaultdict(dict))), f._den)
 
 
 def laplacian(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
@@ -1299,34 +1301,25 @@ def _unit_vector(frame: AxisFrame, indices: Iterable[int], a: int = 0, b: int = 
                                     for idx in indices}, 1, frame)
 
 
-# The group vectors are built once per frame and kept: an expression is
-# immutable and no operator writes into an operand's rows, so every caller
-# may share them.
-
-
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def vector_x(frame: AxisFrame) -> RadialExpr:
     """The vector x = sum_j x_j e_j of the first group."""
-    return _unit_vector(frame, frame.x_indices)
+    return _frame_context(frame).vectors["x"]
 
 
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def vector_y(frame: AxisFrame) -> RadialExpr:
-    return _unit_vector(frame, frame.y_indices)
+    return _frame_context(frame).vectors["y"]
 
 
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def omega(frame: AxisFrame) -> RadialExpr:
     """Unit vector x / r as the Laurent expression x * r^{-1}."""
-    return _unit_vector(frame, frame.x_indices, a=-1)
+    return _frame_context(frame).vectors["omega"]
 
 
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def nu(frame: AxisFrame) -> RadialExpr:
     """Unit vector y / rho as the Laurent expression y * rho^{-1}."""
     if frame.q == 0:
         raise PreconditionError("nu needs a second axial group (q >= 1)")
-    return _unit_vector(frame, frame.y_indices, b=-1)
+    return _frame_context(frame).vectors["nu"]
 
 
 def _inner(frame: AxisFrame, indices: range, vec: Iterable[Rational], size: str) -> RadialExpr:

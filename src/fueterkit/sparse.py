@@ -77,8 +77,8 @@ class Memo(dict):
     a new key arrives is emptied first, so it never holds more than
     ``limit`` entries and goes on keeping what arrives.  A kernel's memo
     made for one call takes no limit; a table kept across calls (a
-    frame's Dirac plan, ``re_mul``'s product signs) takes one, so a wide
-    frame's masks cannot grow it without bound."""
+    frame context's sign and square tables, see ``radial``) takes one, so
+    a wide frame's masks cannot grow it without bound."""
 
     __slots__ = ("_fn", "_limit")
 

@@ -548,3 +548,21 @@ class TestClosedPipe:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 141
         assert err == b""
+
+
+class TestOutOfMemory:
+    def test_a_memory_error_is_one_line_and_exit_3(self):
+        """The normal form of x3^200*y3^200 at (3,3) has 5151 * 5151 rows:
+        under a 192 MB address-space limit, set on the child only, it runs
+        out of memory and must still report one line."""
+        import resource
+
+        limit = 192 << 20
+        argv = [sys.executable, "-m", "fueterkit.cli", "check-monogenic", "--p", "3", "--q", "3",
+                "--expr", "x3^200*y3^200"]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=60,
+                              env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"},
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == ["internal error: MemoryError: "]
+        assert "Traceback" not in proc.stderr and proc.stdout == ""

@@ -1,15 +1,19 @@
-"""Frame-level tables kept across kernel calls.
+"""Frame-level tables kept across kernel calls, in one context per frame.
 
-``radial.dirac`` reads each (frame, scope) pair's Dirac plan (its axes and
-each generator's sign table), ``re_mul`` reads one blade-product sign table
-per frame width, and the group vectors are built once per frame.  Work
-counts pin that repeated calls build nothing anew; an oracle checks every
-kept sign against ``clifford.mask_sign``; a cap test feeds a wide frame
-more distinct masks than a table keeps at a time.
+``radial._frame_context`` holds a frame's Dirac plan of each scope (its
+axes and each generator's sign table, shared by every scope), the
+blade-product sign table that ``re_mul`` reads, the normal form's square
+tables and the group vectors.  Work counts pin that repeated calls build
+nothing anew; an oracle checks every kept sign against
+``clifford.mask_sign``; a cap test feeds a wide frame more distinct masks
+than a table keeps at a time; the wide-blades probe input checks that
+every scope of an 80-generator frame shares its generators' tables.
 """
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +40,7 @@ from fueterkit.radial import (
     dirac,
     inner_x,
     inner_y,
+    is_monogenic,
     nu,
     omega,
     re_mul,
@@ -44,14 +49,21 @@ from fueterkit.radial import (
 )
 from fueterkit.seeds import SeedFunction
 
+_PROBES = Path(__file__).resolve().parent.parent / "tools" / "probes.py"
+_SPEC = importlib.util.spec_from_file_location("probes", _PROBES)
+probes = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(probes)
+
 F33 = AxisFrame(3, 3)
 WIDE = AxisFrame(40, 40)
 
 
 def _clear_frame_tables():
-    for cached in (radial._dirac_plan, radial._generator_signs, radial._product_signs,
-                   vector_x, vector_y, omega, nu):
-        cached.cache_clear()
+    radial._frame_context.cache_clear()
+
+
+def _plan(frame, scope):
+    return radial._frame_context(frame).plans[scope]
 
 
 @pytest.fixture
@@ -84,8 +96,10 @@ def _route_run():
 
 def test_many_dirac_calls_build_the_plan_once(fresh_tables):
     f = parse_expression("(x1 + 2*x2 - x3)^3*e4 + y1*y2*e5*r^-1 + x3*y3*rho", F33)
+    f._normal()
+    _clear_frame_tables()
     images = [dirac(f, SCOPE_FULL) for _ in range(40)]
-    info = radial._dirac_plan.cache_info()
+    info = radial._frame_context.cache_info()
     assert (info.misses, info.hits) == (1, 39)
     assert all(image == images[0] for image in images)
 
@@ -93,21 +107,37 @@ def test_many_dirac_calls_build_the_plan_once(fresh_tables):
 def test_equal_frames_built_apart_share_their_plans_and_vectors(fresh_tables):
     a, b = AxisFrame(3, 3), AxisFrame(3, 3)
     assert a is not b
+    assert radial._frame_context(a) is radial._frame_context(b)
     for scope in (SCOPE_FULL, SCOPE_FIRST, SCOPE_SECOND):
-        assert radial._dirac_plan(a, scope) is radial._dirac_plan(b, scope)
+        assert _plan(a, scope) is _plan(b, scope)
     for build in (vector_x, vector_y, omega, nu):
         assert build(a) is build(b)
     cr = AxisFrame(3, 0, scalar_axis=True)
-    assert radial._dirac_plan(cr, SCOPE_CR) is radial._dirac_plan(AxisFrame(3, 0, scalar_axis=True), SCOPE_CR)
-    assert radial._product_signs(a.m) is radial._product_signs(b.m)
+    assert _plan(cr, SCOPE_CR) is _plan(AxisFrame(3, 0, scalar_axis=True), SCOPE_CR)
+    assert radial._frame_context(a).product_signs is radial._frame_context(b).product_signs
+    assert radial._frame_context(a).squares is radial._frame_context(b).squares
 
 
 def test_scopes_share_each_generators_sign_table(fresh_tables):
-    full, first, second = (radial._dirac_plan(F33, scope) for scope in (SCOPE_FULL, SCOPE_FIRST, SCOPE_SECOND))
-    tables = {axis[2]: axis[3] for axis in full.axes}
-    assert all(tables[axis[2]] is axis[3] for axis in first.axes + second.axes)
-    assert first.y_axes is None and second.x_axes is None
-    assert [axis[3] for axis in full.x_axes + full.y_axes] == [axis[3] for axis in full.axes]
+    full, first, second = (_plan(F33, scope) for scope in (SCOPE_FULL, SCOPE_FIRST, SCOPE_SECOND))
+    tables = {axis[2]: axis[3] for axis in full[0]}
+    assert all(tables[axis[2]] is axis[3] for axis in first[0] + second[0])
+    assert first[2] is None and second[1] is None
+    assert len(full[1] + full[2]) == len(full[0])
+    assert all(side[3] is axis[3] for side, axis in zip(full[1] + full[2], full[0]))
+
+
+def test_every_scope_of_a_wide_frame_shares_its_80_generator_tables(fresh_tables):
+    """The wide-blades probe's input: a (40, 40) frame has more generators
+    than a cache of 64 tables holds, and each scope still reads the same
+    table per generator after a check that fills them."""
+    assert not is_monogenic(parse_expression(probes._WIDE_BLADES, WIDE))
+    full, first, second = (_plan(WIDE, scope)[0] for scope in (SCOPE_FULL, SCOPE_FIRST, SCOPE_SECOND))
+    tables = {bit: table for _i, _radius, bit, table, _square in full}
+    assert len(tables) == WIDE.m == len(first) + len(second)
+    assert all(table is tables[bit] for _i, _radius, bit, table, _square in first + second)
+    # the generators of x1 and y1, the coordinates the input carries
+    assert len(tables[1]) > 0 and len(tables[1 << 40]) > 0
 
 
 def test_a_warm_rerun_makes_no_sign_call(fresh_tables, monkeypatch):
@@ -129,13 +159,15 @@ def test_a_warm_rerun_makes_no_sign_call(fresh_tables, monkeypatch):
 # -- the kept signs against mask_sign ----------------------------------------------
 
 
-def _kept_tables(m):
-    """The generator tables of an m-generator frame and its product table."""
-    return [(1 << g, radial._generator_signs(1 << g)) for g in range(m)], radial._product_signs(m)
+def _kept_tables(frame):
+    """The generator tables of a frame, by bit, and its product table."""
+    context = radial._frame_context(frame)
+    return [(axis[2], axis[3]) for axis in context.plans[SCOPE_FULL][0]], context.product_signs
 
 
-def _assert_kept_signs_hold(m):
-    generators, products = _kept_tables(m)
+def _assert_kept_signs_hold(frame):
+    m = frame.m
+    generators, products = _kept_tables(frame)
     for bit, table in generators:
         for mask, sign in table.items():
             assert sign == mask_sign(bit, mask), (bit, mask)
@@ -144,8 +176,9 @@ def _assert_kept_signs_hold(m):
         assert sign == mask_sign(pair >> m, pair & low), (m, pair)
 
 
-def _look_up(m, masks):
-    generators, products = _kept_tables(m)
+def _look_up(frame, masks):
+    m = frame.m
+    generators, products = _kept_tables(frame)
     for bit, table in generators:
         for mask in masks:
             assert table[mask] == mask_sign(bit, mask), (bit, mask)
@@ -156,17 +189,20 @@ def _look_up(m, masks):
 
 def test_kept_signs_equal_mask_sign_after_a_route_run(fresh_tables):
     _route_run()
-    for m in (6, 10):
-        _assert_kept_signs_hold(m)
-    assert len(radial._generator_signs(1)) > 0 and len(radial._product_signs(6)) > 0
+    f55 = AxisFrame(5, 5)
+    for frame in (F33, f55):
+        _assert_kept_signs_hold(frame)
+    generators, products = _kept_tables(F33)
+    assert len(generators[0][1]) > 0 and len(products) > 0
     # every mask at m <= 6, on top of what the run kept
     for m in range(1, 7):
-        _look_up(m, range(1 << m))
-        _assert_kept_signs_hold(m)
+        frame = F33 if m == 6 else AxisFrame(m)
+        _look_up(frame, range(1 << m))
+        _assert_kept_signs_hold(frame)
     rng = random.Random(35)
-    for m in (10, 80):
-        _look_up(m, [rng.getrandbits(m) for _ in range(40)])
-        _assert_kept_signs_hold(m)
+    for frame in (f55, WIDE):
+        _look_up(frame, [rng.getrandbits(frame.m) for _ in range(40)])
+        _assert_kept_signs_hold(frame)
 
 
 def test_dirac_and_products_agree_with_fresh_tables_on_a_wide_frame(fresh_tables):
@@ -174,7 +210,7 @@ def test_dirac_and_products_agree_with_fresh_tables_on_a_wide_frame(fresh_tables
     f = _wide_operand(rng, 60)
     g = _wide_operand(rng, 30)
     first = dirac(f, SCOPE_FULL), re_mul(f, g), re_mul(g, f)
-    _assert_kept_signs_hold(WIDE.m)
+    _assert_kept_signs_hold(WIDE)
     _clear_frame_tables()
     again = dirac(f, SCOPE_FULL), re_mul(f, g), re_mul(g, f)
     for got, want in zip(again, first):
@@ -209,13 +245,14 @@ def test_more_masks_than_the_cap_leave_every_table_at_or_under_it(fresh_tables):
     image = dirac(f, SCOPE_FIRST)
     g = _wide_operand(rng, 80)
     product = re_mul(g, g)
-    generators, products = _kept_tables(WIDE.m)
+    generators, products = _kept_tables(WIDE)
     assert 0 < max(len(table) for _bit, table in generators) <= cap
     assert 0 < len(products) <= cap
-    _assert_kept_signs_hold(WIDE.m)
+    assert len(radial._frame_context(WIDE).squares) <= radial._SQUARE_TABLE_SIZE
+    _assert_kept_signs_hold(WIDE)
     # a full table starts over and keeps what arrives; the results stay exact
     _clear_frame_tables()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(radial, "_SIGN_TABLE_SIZE", 10 ** 9)
         assert (dirac(f, SCOPE_FIRST)._terms, re_mul(g, g)._terms) == (image._terms, product._terms)
-        assert len(radial._product_signs(WIDE.m)) == len({(a << WIDE.m) | b for a in _masks(g) for b in _masks(g)})
+        assert len(radial._frame_context(WIDE).product_signs) == len({(a << WIDE.m) | b for a in _masks(g) for b in _masks(g)})

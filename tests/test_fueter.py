@@ -483,6 +483,9 @@ class TestFischer:
         names = ["x1", "x2", "x3"] if group == "x" else ["y1", "y2", "y3"]
         h = sum((RadialExpr.coordinate(F33, name) for name in names), RadialExpr.zero(F33)) ** degree
         assert not h.is_zero()
+        # a fresh frame context, so every square table asked for is built,
+        # through the patched builder
+        radial._frame_context.cache_clear()
         asked = []
         real = radial._lead_square_power
         monkeypatch.setattr(radial, "_lead_square_power",

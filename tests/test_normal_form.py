@@ -426,7 +426,7 @@ class TestLeadSquarePower:
         others = frame.group_indices(group)[:-1]
         lo, hi = others.start, others.stop
         for k, want in enumerate(_repeated_square_powers(len(others), 30)):
-            got = radial._lead_square_power.__wrapped__(frame, group, k)
+            got = radial._lead_square_power(frame, group, k)
             assert not any(any(mono[:lo]) or any(mono[hi:]) for mono, _e, _c in got)
             local = {(mono[lo:hi], e): c for mono, e, c in got}
             assert len(local) == len(got)
@@ -434,6 +434,6 @@ class TestLeadSquarePower:
 
     def test_a_high_power_is_quick(self):
         start = time.perf_counter()
-        got = radial._lead_square_power.__wrapped__(AxisFrame(3, 3), "x", 200)
+        got = radial._lead_square_power(AxisFrame(3, 3), "x", 200)
         assert time.perf_counter() - start < 1
         assert len(got) == 201 * 202 // 2

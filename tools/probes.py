@@ -49,7 +49,8 @@ _WIDE_BLADES = "(x1+y1)*" + "*".join(
     "(" + "+".join(f"e{{{g}}}" for g in range(start, stop)) + ")"
     for start, stop in ((2, 12), (12, 22), (22, 32), (32, 41)))
 
-# (name, argv): oversized inputs that must end with a defined exit code,
+# (name, argv): oversized inputs that must end with a defined exit code
+# (one of them runs out of memory under the limit),
 # the large operands of the Dirac kernel's layout rule, and Fischer
 # decompositions that finish on both sides, so a slowdown reads as a ratio
 # (one of them on an input that carries the group's last coordinate), and
@@ -66,6 +67,7 @@ PROBES: tuple[tuple[str, list[str]], ...] = (
     ("lemma5 n=100000", ["lemma5", "--h", "r^2", "--n", "100000", "--s1", "0", "--s2", "0", "--k", "0", "--l", "0"]),
     ("examples trials=100000", ["examples", "--trials", "100000"]),
     ("check-monogenic x3^2000", ["check-monogenic", "--p", "3", "--q", "3", "--expr", "x3^2000"]),
+    ("check-monogenic x3^600*y3^600", ["check-monogenic", "--p", "3", "--q", "3", "--expr", "x3^600*y3^600"]),
     ("check-monogenic (x1+y1)^600", ["check-monogenic", "--p", "3", "--q", "3", "--expr", "(x1+y1)^600"]),
     ("check-monogenic diagonal 600", ["check-monogenic", "--p", "3", "--q", "3", "--expr", _DIAGONAL]),
     ("check-monogenic wide 9000 blades", ["check-monogenic", "--p", "40", "--q", "40", "--expr", _WIDE_BLADES]),
