@@ -46,7 +46,10 @@ class _VectorReader:
         """A random nonzero vector."""
         if self._rng is None:
             env = os.environ.get("FUETER_SEED")
-            seed = int(env) if env is not None else random.SystemRandom().randint(0, 2**31 - 1)
+            try:
+                seed = int(env) if env is not None else random.SystemRandom().randint(0, 2**31 - 1)
+            except ValueError:
+                raise ValueError(f"FUETER_SEED must be an integer, got {env!r}") from None
             print(f"# rng-seed: {seed}", file=sys.stderr)
             self._rng = random.Random(seed)
         while True:

@@ -27,7 +27,7 @@ Blade = tuple[int, ...]
 
 SCALAR_BLADE: Blade = ()
 
-# Distinct mask pairs a run touches: about 1,400 on the largest benchmark workload.
+# Distinct mask pairs per benchmark workload pass: 9 catalog, 13 large, 87 route_check.
 _BLADE_CACHE_SIZE = 4096
 
 

@@ -82,34 +82,32 @@ field, which ``>>`` decodes exactly because it floors.  So the kernels
 shift and hash ints instead of building (blade, a, b) tuples:
 
 * Dirac with generator e_g maps a key to ``key ^ bit`` with the sign
-  ``clifford.mask_sign(bit, mask)``, read from the generator's sign
-  table.  The scope's Dirac plan in the frame's context (below) holds
-  the axes and their tables.  Its row split takes a row's y part as the
-  y mask bits and the rho field, and its x part as the rest; while the
-  rule runs, an x part holds the row's y class in its rho field and a y
-  part its slot number in its r field, fields that the axes of its own
-  side never read (``_split_rows``);
+  ``clifford.mask_sign(bit, mask)``, the parity of the key's bits in
+  the low mask ``(bit << 1) - 1``, which the scope's Dirac plan in the
+  frame's context (below) keeps beside each axis's bit (both 0 for X0).
+  Its row split takes a row's y part as the y mask bits and the rho
+  field, and its x part as the rest; while the rule runs, an x part
+  holds the row's y class in its rho field and a y part its slot number
+  in its r field, fields that the axes of its own side never read
+  (``_split_rows``);
 * lowering r or rho subtracts ``2 << m`` or ``2 << (m + 64)``, a rewrite
   adds ``(ea << m) + (eb << (m + 64))``, and a linear combination adds a
   radius shift r^a rho^b to every key it copies (``_radial_shift``);
 * ``re_mul`` adds the two radial parts, less one offset, and multiplies
-  the blades by XOR with the sign ``mask_sign``, read from the frame's
-  product-sign table; the separated Laplacian power adds a table entry's
-  radial part to a y row and then an x row's mask and r power, since its
-  blades never share a generator and come in generator order;
+  the blades by XOR with the sign ``mask_sign``; the separated
+  Laplacian power adds a table entry's radial part to a y row and then
+  an x row's mask and r power, since its blades never share a
+  generator and come in generator order;
 * the grade involution negates a row whose mask has odd popcount;
 * ``display_order`` buckets rows by radial part, ``key >> m``, as
   (rank, numerator) pairs, the rank monomial index * number of blades +
   blade index over the sorted distinct monomials and blades.
 
 A frame's context (``_frame_context``, one per equal frame in one cache
-keyed by the frame's value) keeps each scope's Dirac plan, one sign table
-per generator that every scope's plan shares, the product-sign table, the
-(group, k) square tables and the four group vectors, which every caller
-may share (an expression is immutable).  A sign table fills as masks
-arrive, at most 4096 entries (a full one starts over; none has 2^m: m may
-be 80), so a context keeps at most (m + 1) * 4096 sign entries, one table
-more with X0: 331,776 at (40, 40), and at most 256 square tables.
+keyed by the frame's value) keeps each scope's Dirac plan, the (group, k)
+square tables and the four group vectors, which every caller may share
+(an expression is immutable).  The square tables fill as the normal form
+asks for them, at most 256 at a time (a full set starts over).
 
 Every radial exponent satisfies |e| <= 2^62 (``EXPONENT_LIMIT``).  It is
 checked where rows enter (the validating constructor, ``monomial``, which
@@ -142,7 +140,7 @@ import operator
 import random
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -172,10 +170,8 @@ _SCOPES = (SCOPE_FIRST, SCOPE_SECOND, SCOPE_FULL, SCOPE_CR)
 GROUP_SCOPES = {"x": SCOPE_FIRST, "y": SCOPE_SECOND}
 
 # Bounds on what frames keep (module docstring): the contexts kept at a
-# time, the entries of each sign table (the benchmark's workloads fill at
-# most 21 masks per generator and 85 mask pairs) and a context's square tables.
+# time and a context's square tables.
 _CONTEXT_CACHE_SIZE = 64
-_SIGN_TABLE_SIZE = 4096
 _SQUARE_TABLE_SIZE = 256
 
 # Row key layout (module docstring): the r exponent's offset and field
@@ -572,7 +568,7 @@ def _lead_square_power(frame: AxisFrame, group: str, k: int) -> tuple[tuple[Mono
         nxt = []
         for mono, left, c in terms:
             for j in range(left + 1):
-                nxt.append((mono[:i] + (2 * j,) + mono[i + 1:], left - j, c))
+                nxt.append((mono[:i] + (2 * j,) + mono[i + 1:] if j else mono, left - j, c))
                 # c (-1)^j binomial(left, j), each from the one before
                 c = -c * (left - j) // (j + 1)
         terms = nxt
@@ -580,19 +576,17 @@ def _lead_square_power(frame: AxisFrame, group: str, k: int) -> tuple[tuple[Mono
 
 
 class _FrameContext(NamedTuple):
-    """A frame's kept tables and vectors (module docstring).  ``plans``
-    maps each scope the frame allows to (axes, x_axes, y_axes) for
-    ``_dirac_rule``: an axis is (coordinate, the radius its derivative
-    lowers: 0 for r, 1 for rho and 2 for none, its generator's bit, the
-    generator's sign table mask -> ``mask_sign(bit, mask)``, and for the
-    group's last coordinate the (group, 1) square table); x_axes and
+    """A frame's kept plans, tables and vectors (module docstring).
+    ``plans`` maps each scope the frame allows to (axes, x_axes, y_axes)
+    for ``_dirac_rule``: an axis is (coordinate, the radius its derivative
+    lowers: 0 for r, 1 for rho and 2 for none, its generator's bit, that
+    bit's low mask ``(bit << 1) - 1``, and for the group's last coordinate
+    the (group, 1) square table); X0's bit and low mask are 0.  x_axes and
     y_axes are the two sides of ``dirac``'s split, the y axes indexed from
-    the first y coordinate, both None in a group scope.  ``product_signs``
-    maps (a << m) | b to ``mask_sign(a, b)``, ``squares`` (group, k) to
-    ``_lead_square_power(frame, group, k)``."""
+    the first y coordinate, both None in a group scope.  ``squares`` maps
+    (group, k) to ``_lead_square_power(frame, group, k)``."""
 
     plans: dict[str, tuple[list[tuple], list[tuple] | None, list[tuple] | None]]
-    product_signs: Memo
     squares: Memo
     vectors: dict[str, RadialExpr]
 
@@ -600,31 +594,28 @@ class _FrameContext(NamedTuple):
 @lru_cache(maxsize=_CONTEXT_CACHE_SIZE)
 def _frame_context(frame: AxisFrame) -> _FrameContext:
     """The frame's context, built on its first use and shared by equal frames."""
-    m = frame.m
     squares = Memo(lambda key: _lead_square_power(frame, *key), _SQUARE_TABLE_SIZE)
-    signs = [Memo(partial(mask_sign, 1 << g), _SIGN_TABLE_SIZE) for g in range(m)]
 
     def side(radius: int, group: str) -> list[tuple]:
         idxs = frame.group_indices(group)
-        return [(i, radius, 1 << g, signs[g], squares[group, 1] if i == idxs[-1] else None)
+        return [(i, radius, 1 << g, (2 << g) - 1, squares[group, 1] if i == idxs[-1] else None)
                 for i in idxs for g in (frame.generator_of(i) - 1,)]
 
     x_axes, y_axes = side(0, "x"), side(1, "y")
     xe = frame.x_indices.stop
-    y_side = [(i - xe, radius, bit, table, square and [(mt[xe:], eb, sign) for mt, eb, sign in square])
-              for i, radius, bit, table, square in y_axes]
+    y_side = [(i - xe, radius, bit, below, square and [(mt[xe:], eb, sign) for mt, eb, sign in square])
+              for i, radius, bit, below, square in y_axes]
     plans = {SCOPE_FIRST: (x_axes, None, None), SCOPE_FULL: (x_axes + y_axes, x_axes, y_side)}
     if frame.q:
         plans[SCOPE_SECOND] = (y_axes, None, None)
     if frame.scalar_axis:
-        x0 = (0, 2, 0, Memo(partial(mask_sign, 0), _SIGN_TABLE_SIZE), None)
+        x0 = (0, 2, 0, 0, None)
         plans[SCOPE_CR] = (x_axes + y_axes + [x0], x_axes + [x0], y_side)
     vectors = {"x": _unit_vector(frame, frame.x_indices), "y": _unit_vector(frame, frame.y_indices),
                "omega": _unit_vector(frame, frame.x_indices, a=-1)}
     if frame.q:
         vectors["nu"] = _unit_vector(frame, frame.y_indices, b=-1)
-    return _FrameContext(plans, Memo(lambda pair: mask_sign(pair >> m, pair & ~(-1 << m)), _SIGN_TABLE_SIZE),
-                         squares, vectors)
+    return _FrameContext(plans, squares, vectors)
 
 
 def _normal_form(frame: AxisFrame, groups: _Groups) -> _Groups:
@@ -720,8 +711,7 @@ def re_mul(f: RadialExpr, g: RadialExpr) -> RadialExpr:
     the given order (left factor's coefficient on the left).  One monomial
     product per pair of groups, then the rows multiply inside: the radial
     parts of two keys add, less one offset, and the blade masks multiply
-    by XOR with the sign ``mask_sign``, read from the frame's kept table
-    (``_FrameContext.product_signs``).
+    by XOR with the sign ``clifford.mask_sign``.
     PreconditionError when the extreme exponents of the operands would sum
     beyond ``EXPONENT_LIMIT``."""
     f._check_context(g)
@@ -734,21 +724,19 @@ def re_mul(f: RadialExpr, g: RadialExpr) -> RadialExpr:
         _check_exponent(max(fa1 + ga1, fb1 + gb1))
         low = (1 << m) - 1
         high, offset = ~low, _A_OFFSET << m
-        signs = _frame_context(f.frame).product_signs
         # right rows as (blade mask, radial part less the offset, numerator),
-        # so a left key XOR the right mask plus the right part is the product
-        # key; a left row carries its mask shifted to the sign table's pair
+        # so a left key XOR the right mask plus the right part is the product key
         right_groups = [(m2, [(k & low, (k & high) - offset, c) for k, c in in2.items()])
                         for m2, in2 in g._terms.items()]
         for m1, in1 in f._terms.items():
-            rows1 = [((k & low) << m, k, c) for k, c in in1.items()]
+            rows1 = [(k & low, k, c) for k, c in in1.items()]
             for m2, rows2 in right_groups:
                 out = acc[_mono_mul(m1, m2)]
                 get = out.get
                 for b1, k1, c1 in rows1:
                     for b2, r2, c2 in rows2:
                         key = (k1 ^ b2) + r2
-                        out[key] = get(key, 0) + signs[b1 | b2] * c1 * c2
+                        out[key] = get(key, 0) + mask_sign(b1, b2) * c1 * c2
     return f._reduced(_nonzero(acc), f._den * g._den)
 
 
@@ -806,32 +794,33 @@ def _dirac_rule(m: int, groups: _Groups, axes: list[tuple], acc: _Groups) -> _Gr
     The term rule of ``partial_derivative`` in every axis, group by group:
     each monomial's lowered and raised monomials and the rows that lower r
     or rho are formed once.  Multiplying a row by the generator e_g flips
-    bit g-1 of its key, with the sign ``mask_sign(bit, mask)``.  x_p and y_q
-    are at most linear in a normal form, and a raised row of x_p (or y_q)
-    where it is present lands rewritten by its group's k = 1 table (its
-    monomials cut to the rows' length), so the image lands in normal form.
+    bit g-1 of its key, with the sign ``mask_sign(bit, mask)``, the parity
+    of the key's bits in the axis's low mask.  x_p and y_q are at most
+    linear in a normal form, and a raised row of x_p (or y_q) where it is
+    present lands rewritten by its group's k = 1 table (its monomials cut
+    to the rows' length), so the image lands in normal form.
     Packed numerators go through unchanged: they are only added in multiples."""
-    low = (1 << m) - 1
     steps = (2 << m, 2 << (m + 64))
     radii = {axis[1] for axis in axes}
     for mono, inner in groups.items():
-        rows = [(key, key & low, c) for key, c in inner.items()]
+        rows = inner.items()
         # the rows a derivative adds by lowering r or rho, shared by the group's axes
-        raised_rows = ([(key - steps[0], mask, a * c) for key, mask, c in rows
+        raised_rows = ([(key - steps[0], a * c) for key, c in rows
                         if (a := ((key >> m) & _A_FIELD) - _A_OFFSET)] if 0 in radii else (),
-                       [(key - steps[1], mask, b * c) for key, mask, c in rows
+                       [(key - steps[1], b * c) for key, c in rows
                         if (b := key >> (m + 64))] if 1 in radii else (),
                        ())
-        for i, radius, bit, signs, table in axes:
+        for i, radius, bit, below, table in axes:
             e = mono[i]
             if e:
                 lowered = list(mono)
                 lowered[i] -= 1
                 out = acc[tuple(lowered)]
                 get = out.get
-                for key, mask, c in rows:
+                for key, c in rows:
+                    c *= -e if (key & below).bit_count() & 1 else e
                     key ^= bit
-                    out[key] = get(key, 0) + signs[mask] * e * c
+                    out[key] = get(key, 0) + c
             raised_here = raised_rows[radius]
             if not raised_here:
                 continue
@@ -840,13 +829,14 @@ def _dirac_rule(m: int, groups: _Groups, axes: list[tuple], acc: _Groups) -> _Gr
                 raised[i] += 1
                 out = acc[tuple(raised)]
                 get = out.get
-                for key, mask, c in raised_here:
+                for key, c in raised_here:
+                    c = -c if (key & below).bit_count() & 1 else c
                     key ^= bit
-                    out[key] = get(key, 0) + signs[mask] * c
+                    out[key] = get(key, 0) + c
                 continue
             # x_p^2 R^(a-2) -> (R^2 - sum_{j<p} x_j^2) R^(a-2), with x_p^1 in mono
             raised[i] = 0
-            signed = [(key ^ bit, signs[mask] * c) for key, mask, c in raised_here]
+            signed = [(key ^ bit, -c if (key & below).bit_count() & 1 else c) for key, c in raised_here]
             for mt, ea, sign in table:
                 out = acc[_mono_mul(raised, mt)]
                 get = out.get

@@ -143,6 +143,14 @@ class TestApply:
         code, out2, _err = run(capsys, *argv)
         assert out1 == out2
 
+    def test_a_malformed_seed_names_itself(self, capsys, monkeypatch):
+        monkeypatch.setenv("FUETER_SEED", "abc")
+        code, out, err = run(capsys, "apply", "--p", "3", "--q", "3", "--variant", "plus",
+                             "--seed", "zbar^5", "--Hk", "ip(x,t)", "--Hl", "ip(y,s)",
+                             "--t", "random", "--s", "1,2,3")
+        assert (code, out) == (1, "")
+        assert err == "invalid input: FUETER_SEED must be an integer, got 'abc'\n"
+
 
 class TestCheckMonogenic:
     def test_true(self, capsys):

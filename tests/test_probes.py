@@ -68,9 +68,9 @@ class TestTable:
         assert diagonal.count("+") == 599
         assert ["selftest"] in [argv for _name, argv in probes.PROBES]
 
-    def test_the_wide_frame_probe_overflows_a_sign_table(self):
-        """A (40, 40) input whose x blades (10 * 10 * 10 * 9 of them) are
-        more than a kept sign table holds at a time."""
+    def test_the_wide_frame_probe_is_in_the_table(self):
+        """A (40, 40) input, 80 generators, with 10 * 10 * 10 * 9 distinct
+        x blades."""
         (argv,) = [argv for _name, argv in probes.PROBES if argv[1:5] == ["--p", "40", "--q", "40"]]
         factors = argv[-1].split(")*(")
         assert len(factors) == 5

@@ -43,8 +43,8 @@ from bench_pairs import ROOT, SIDES, copy_working_tree, export_parent  # noqa: E
 _APPLY = ["apply", "--p", "3", "--q", "3", "--variant", "plus", "--t", "1,2,-1", "--s", "1/2,1,3"]
 # sum x1 r^i y1^i rho^-i for i < 600: each y part in the one class 0, each x part on one row
 _DIAGONAL = " + ".join(["x1"] + [f"x1*y1^{i}*r^{i}*rho^-{i}" for i in range(1, 600)])
-# (x1 + y1) times 9000 distinct x 4-blades at (40, 40), m = 80: more blade
-# masks, and product mask pairs, than a kept sign table holds at a time
+# (x1 + y1) times 9000 distinct x 4-blades at (40, 40), m = 80: the
+# wide-frame probe: 80 generators, 9,000 distinct blade masks on 18,000 rows
 _WIDE_BLADES = "(x1+y1)*" + "*".join(
     "(" + "+".join(f"e{{{g}}}" for g in range(start, stop)) + ")"
     for start, stop in ((2, 12), (12, 22), (22, 32), (32, 41)))
@@ -54,7 +54,7 @@ _WIDE_BLADES = "(x1+y1)*" + "*".join(
 # the large operands of the Dirac kernel's layout rule, and Fischer
 # decompositions that finish on both sides, so a slowdown reads as a ratio
 # (one of them on an input that carries the group's last coordinate), and
-# a wide frame whose blades overflow the kept sign tables
+# the wide-frame probe
 PROBES: tuple[tuple[str, list[str]], ...] = (
     ("apply zbar^400", _APPLY + ["--seed", "zbar^400", "--Hk", "ip(x,t)", "--Hl", "ip(y,s)"]),
     ("apply Hk (x1+x2+x3)^60", _APPLY + ["--seed", "zbar^5", "--Hk", "(x1+x2+x3)^60", "--Hl", "ip(y,s)"]),
