@@ -7,17 +7,17 @@ the scalar unit; inside the engine it is the blade's generator mask, bit
 g-1 standing for e_g (the bitmap representation of Dorst, Fontijne and
 Mann, *Geometric Algebra for Computer Science*, ch. 19).  ``blade_mask``
 encodes and validates, ``mask_blade`` decodes, and two blades multiply to
-the mask a ^ b with the sign ``mask_sign(a, b)``: every term map keys its
-blades this way, so that is the one product rule.  Elements are sparse
-mask -> coefficient maps (integer numerators over one denominator, see
-``sparse``); every coefficient is an arbitrary-precision rational and no
-floating point enters anywhere.
+the mask a ^ b with the sign ``mask_sign(a, b)``, the parity of b's bits
+in a's ``sign_mask``: every term map keys its blades this way, so that is
+the one product rule, and a product loop forms each left mask's sign mask
+once.  Elements are sparse mask -> coefficient maps (integer numerators
+over one denominator, see ``sparse``); every coefficient is an
+arbitrary-precision rational and no floating point enters anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, Mapping
 
@@ -26,9 +26,6 @@ from .sparse import Rational, TermMap, items_of
 Blade = tuple[int, ...]
 
 SCALAR_BLADE: Blade = ()
-
-# Distinct mask pairs per benchmark workload pass: 9 catalog, 13 large, 87 route_check.
-_BLADE_CACHE_SIZE = 4096
 
 
 def blade_mask(blade: Iterable[int], dim: int | None = None) -> int:
@@ -55,21 +52,29 @@ def mask_blade(mask: int) -> Blade:
     return tuple(g + 1 for g in range(mask.bit_length()) if mask >> g & 1)
 
 
-@lru_cache(maxsize=_BLADE_CACHE_SIZE)
+def sign_mask(a: int) -> int:
+    """The XOR of the low masks ``(2 << g) - 1`` over the set bits g of a.
+
+    Bit j of it is the parity of a's generators at or above bit j, so
+    e_A e_B is negative exactly when b's bits in it are odd in number
+    (``mask_sign``); a generator's own low mask is ``sign_mask(bit)``."""
+    out = 0
+    while a:
+        out ^= a ^ (a - 1)  # the lowest set bit's low mask
+        a &= a - 1
+    return out
+
+
 def mask_sign(a: int, b: int) -> int:
     """Sign of the product of the basis blades with generator masks a and b.
 
     The product's blade has mask a ^ b.  Sorting the concatenated
     generators swaps every generator of a past each smaller one of b, and
     every generator the two share squares to -1, so the sign is -1 to the
-    number of such pairs plus popcount(a & b).
+    number of pairs of a generator of a and one of b at or below it: the
+    parity of b's bits in ``sign_mask(a)``.
     """
-    n = (a & b).bit_count()
-    a >>= 1
-    while a:
-        n += (a & b).bit_count()
-        a >>= 1
-    return -1 if n & 1 else 1
+    return -1 if (b & sign_mask(a)).bit_count() & 1 else 1
 
 
 class Multivector(TermMap):
@@ -108,8 +113,9 @@ class Multivector(TermMap):
 
     def _products(self, other: "Multivector"):
         for ma, ca in self._terms.items():
+            sa = sign_mask(ma)
             for mb, cb in other._terms.items():
-                yield ma ^ mb, mask_sign(ma, mb) * ca * cb
+                yield ma ^ mb, (-ca if (mb & sa).bit_count() & 1 else ca) * cb
 
     @property
     def terms(self) -> dict[Blade, Fraction]:

@@ -19,10 +19,11 @@ coordinate of each group leading.  The rewrite
     y_q^2 -> rho^2 - (y_1^2 + ... + y_{q-1}^2)
 
 is applied until no term carries x_p or y_q to a power above 1, from one
-multinomial table (``_lead_square_power``, kept per frame) that ``dirac``
-reads too; the scalar coordinate X0 and the radial exponents (any
-integers) are left alone.  This is the Groebner normal form of Cox,
-Little and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2.
+multinomial table (``_lead_square_power``; the frame keeps those of
+k = 0 and 1, and ``dirac`` reads the k = 1 one); the scalar coordinate
+X0 and the radial exponents (any integers) are left alone.  This is the
+Groebner normal form of Cox, Little and O'Shea, *Ideals, Varieties, and
+Algorithms*, ch. 2.
 
 It is sound because R[x] is a free module over R[x_1..x_{p-1}, r^2] with
 basis {1, x_p} (r^2 is monic of degree 2 in x_p), and likewise in y.  So
@@ -83,21 +84,22 @@ shift and hash ints instead of building (blade, a, b) tuples:
 
 * Dirac with generator e_g maps a key to ``key ^ bit`` with the sign
   ``clifford.mask_sign(bit, mask)``, the parity of the key's bits in
-  the low mask ``(bit << 1) - 1``, which the scope's Dirac plan in the
-  frame's context (below) keeps beside each axis's bit (both 0 for X0).
-  Its row split takes a row's y part as the y mask bits and the rho
-  field, and its x part as the rest; while the rule runs, an x part
-  holds the row's y class in its rho field and a y part its slot number
-  in its r field, fields that the axes of its own side never read
+  the low mask ``clifford.sign_mask(bit)``, which the scope's Dirac plan
+  in the frame's context (below) keeps beside each axis's bit (both 0
+  for X0).  Its row split takes a row's y part as the y mask bits and
+  the rho field, and its x part as the rest; while the rule runs, an x
+  part holds the row's y class in its rho field and a y part its slot
+  number in its r field, fields that the axes of its own side never read
   (``_split_rows``);
 * lowering r or rho subtracts ``2 << m`` or ``2 << (m + 64)``, a rewrite
   adds ``(ea << m) + (eb << (m + 64))``, and a linear combination adds a
   radius shift r^a rho^b to every key it copies (``_radial_shift``);
 * ``re_mul`` adds the two radial parts, less one offset, and multiplies
-  the blades by XOR with the sign ``mask_sign``; the separated
-  Laplacian power adds a table entry's radial part to a y row and then
-  an x row's mask and r power, since its blades never share a
-  generator and come in generator order;
+  the blades by XOR with the sign ``mask_sign``, the parity of the right
+  mask's bits in the left row's ``sign_mask``, formed once per left row;
+  the separated Laplacian power adds a table entry's radial part to a y
+  row and then an x row's mask and r power, since its blades never share
+  a generator and come in generator order;
 * the grade involution negates a row whose mask has odd popcount;
 * ``display_order`` buckets rows by radial part, ``key >> m``, as
   (rank, numerator) pairs, the rank monomial index * number of blades +
@@ -105,9 +107,10 @@ shift and hash ints instead of building (blade, a, b) tuples:
 
 A frame's context (``_frame_context``, one per equal frame in one cache
 keyed by the frame's value) keeps each scope's Dirac plan, the (group, k)
-square tables and the four group vectors, which every caller may share
-(an expression is immutable).  The square tables fill as the normal form
-asks for them, at most 256 at a time (a full set starts over).
+square tables for k = 0 and 1 and the four group vectors, all built with
+the context, which every caller may share (an expression is immutable).
+A context never grows: the normal form makes a table of k >= 2 for the
+call that asks for it and drops it after.
 
 Every radial exponent satisfies |e| <= 2^62 (``EXPONENT_LIMIT``).  It is
 checked where rows enter (the validating constructor, ``monomial``, which
@@ -146,7 +149,7 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .bivariate import BivariateRadial
-from .clifford import Blade, Multivector, SCALAR_BLADE, blade_mask, mask_blade, mask_sign, vector_embed
+from .clifford import Blade, Multivector, SCALAR_BLADE, blade_mask, mask_blade, mask_sign, sign_mask, vector_embed
 from .errors import PreconditionError
 from .frame import AxisFrame
 from .sparse import Memo, Rational, TermMap, items_of
@@ -169,10 +172,8 @@ _SCOPES = (SCOPE_FIRST, SCOPE_SECOND, SCOPE_FULL, SCOPE_CR)
 # The Dirac and Laplacian scope of each axial group.
 GROUP_SCOPES = {"x": SCOPE_FIRST, "y": SCOPE_SECOND}
 
-# Bounds on what frames keep (module docstring): the contexts kept at a
-# time and a context's square tables.
+# The frame contexts kept at a time (module docstring).
 _CONTEXT_CACHE_SIZE = 64
-_SQUARE_TABLE_SIZE = 256
 
 # Row key layout (module docstring): the r exponent's offset and field
 # above the blade mask, and the bound on every radial exponent.
@@ -580,26 +581,28 @@ class _FrameContext(NamedTuple):
     ``plans`` maps each scope the frame allows to (axes, x_axes, y_axes)
     for ``_dirac_rule``: an axis is (coordinate, the radius its derivative
     lowers: 0 for r, 1 for rho and 2 for none, its generator's bit, that
-    bit's low mask ``(bit << 1) - 1``, and for the group's last coordinate
+    bit's low mask ``sign_mask(bit)``, and for the group's last coordinate
     the (group, 1) square table); X0's bit and low mask are 0.  x_axes and
     y_axes are the two sides of ``dirac``'s split, the y axes indexed from
     the first y coordinate, both None in a group scope.  ``squares`` maps
-    (group, k) to ``_lead_square_power(frame, group, k)``."""
+    (group, k) to ``_lead_square_power(frame, group, k)`` for both groups
+    and k = 0 and 1, the tables a catalog or benchmark call asks for; the
+    normal form makes any other per call."""
 
     plans: dict[str, tuple[list[tuple], list[tuple] | None, list[tuple] | None]]
-    squares: Memo
+    squares: dict[tuple[str, int], tuple[tuple[Mono, int, int], ...]]
     vectors: dict[str, RadialExpr]
 
 
 @lru_cache(maxsize=_CONTEXT_CACHE_SIZE)
 def _frame_context(frame: AxisFrame) -> _FrameContext:
     """The frame's context, built on its first use and shared by equal frames."""
-    squares = Memo(lambda key: _lead_square_power(frame, *key), _SQUARE_TABLE_SIZE)
+    squares = {(group, k): _lead_square_power(frame, group, k) for group in "xy" for k in (0, 1)}
 
     def side(radius: int, group: str) -> list[tuple]:
         idxs = frame.group_indices(group)
-        return [(i, radius, 1 << g, (2 << g) - 1, squares[group, 1] if i == idxs[-1] else None)
-                for i in idxs for g in (frame.generator_of(i) - 1,)]
+        return [(i, radius, bit, sign_mask(bit), squares[group, 1] if i == idxs[-1] else None)
+                for i in idxs for bit in (1 << (frame.generator_of(i) - 1),)]
 
     x_axes, y_axes = side(0, "x"), side(1, "y")
     xe = frame.x_indices.stop
@@ -639,7 +642,7 @@ def _normal_form(frame: AxisFrame, groups: _Groups) -> _Groups:
             acc[mono] = inner
     if not rewrites:
         return groups
-    squares = _frame_context(frame).squares
+    squares = Memo(lambda key: _lead_square_power(frame, *key), _frame_context(frame).squares)
     copied = set()
     for mono, inner, kx, ky in rewrites:
         # the rewrite raises r by up to 2kx and rho by up to 2ky
@@ -711,7 +714,8 @@ def re_mul(f: RadialExpr, g: RadialExpr) -> RadialExpr:
     the given order (left factor's coefficient on the left).  One monomial
     product per pair of groups, then the rows multiply inside: the radial
     parts of two keys add, less one offset, and the blade masks multiply
-    by XOR with the sign ``clifford.mask_sign``.
+    by XOR with the sign ``clifford.mask_sign``, read off each left row's
+    ``sign_mask``.
     PreconditionError when the extreme exponents of the operands would sum
     beyond ``EXPONENT_LIMIT``."""
     f._check_context(g)
@@ -729,14 +733,14 @@ def re_mul(f: RadialExpr, g: RadialExpr) -> RadialExpr:
         right_groups = [(m2, [(k & low, (k & high) - offset, c) for k, c in in2.items()])
                         for m2, in2 in g._terms.items()]
         for m1, in1 in f._terms.items():
-            rows1 = [(k & low, k, c) for k, c in in1.items()]
+            rows1 = [(sign_mask(k & low), k, c) for k, c in in1.items()]
             for m2, rows2 in right_groups:
                 out = acc[_mono_mul(m1, m2)]
                 get = out.get
-                for b1, k1, c1 in rows1:
+                for s1, k1, c1 in rows1:
                     for b2, r2, c2 in rows2:
                         key = (k1 ^ b2) + r2
-                        out[key] = get(key, 0) + mask_sign(b1, b2) * c1 * c2
+                        out[key] = get(key, 0) + (-c1 * c2 if (b2 & s1).bit_count() & 1 else c1 * c2)
     return f._reduced(_nonzero(acc), f._den * g._den)
 
 
@@ -1069,12 +1073,15 @@ def laplacian(f: RadialExpr, scope: str = SCOPE_FULL) -> RadialExpr:
 
 
 def laplacian_power(f: RadialExpr, n: int, scope: str = SCOPE_FULL) -> RadialExpr:
+    """n applications of ``laplacian``, stopped once a step leaves no
+    stored rows: every further step would map zero to zero."""
     if n < 0:
         raise ValueError("Laplacian power must be >= 0")
-    cur = f
-    for _ in range(n):
-        cur = laplacian(cur, scope)
-    return cur
+    while n:
+        f, n = laplacian(f, scope), n - 1
+        if not f._terms:
+            break
+    return f
 
 
 def _stored_group_classes(frame: AxisFrame, groups: _Groups, group: str) -> dict[tuple[int, int], _Groups] | None:
@@ -1176,7 +1183,8 @@ def separated_laplacian_power(triples: Iterable[tuple[BivariateRadial, RadialExp
     form of the full-scope ``laplacian_power`` of the expanded integrand,
     key for key.  With n = 0 no chain takes a step and the state loop does
     not run, so the result is the plain product sum W P Q, assembled the
-    same way.
+    same way; the loop also stops once no state is left, so a huge n
+    whose image dies early costs only the steps up to that point.
     """
     if n < 0:
         raise ValueError("Laplacian power must be >= 0")
@@ -1212,6 +1220,8 @@ def separated_laplacian_power(triples: Iterable[tuple[BivariateRadial, RadialExp
     state = _nonzero(state)
     p, q = frame.p, frame.q
     for _ in range(n):
+        if not state:
+            break
         nxt: dict[tuple[int, int, int, int], dict[tuple[int, int], int]] = defaultdict(dict)
         for (ix, i, iy, j), table in state.items():
             (_e, dx, xchain), (_f, dy, ychain) = xchains[ix], ychains[iy]

@@ -13,8 +13,9 @@ nu of the Fueter maps.  So a seed needs no complex number type.  Its
 term key is (i, j, mask) for x^i y^j with the generator mask 0 for a real
 and 1 for an imaginary coefficient (``clifford.blade_mask`` of () and
 (1,), the blades the constructor takes and ``terms`` returns), a product
-multiplies masks by ``clifford.mask_sign`` and XOR, and the real and
-imaginary parts u, v are the partition of the terms by mask.
+multiplies masks by XOR with the sign ``clifford.mask_sign``, read as the
+parity of the right mask's bits in the left one's ``sign_mask``, and the
+real and imaginary parts u, v are the partition of the terms by mask.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .bivariate import BivariateRadial
-from .clifford import Blade, blade_mask, mask_blade, mask_sign
+from .clifford import Blade, blade_mask, mask_blade, mask_sign, sign_mask
 from .errors import PreconditionError
 from .sparse import Rational, TermMap, collect, items_of
 
@@ -74,8 +75,9 @@ class ComplexBivarPoly(TermMap):
 
     def _products(self, other: "ComplexBivarPoly"):
         for (i1, j1, b1), c1 in self._terms.items():
+            s1 = sign_mask(b1)
             for (i2, j2, b2), c2 in other._terms.items():
-                yield (i1 + i2, j1 + j2, b1 ^ b2), mask_sign(b1, b2) * c1 * c2
+                yield (i1 + i2, j1 + j2, b1 ^ b2), (-c1 if (b2 & s1).bit_count() & 1 else c1) * c2
 
     @property
     def terms(self) -> dict[SeedKey, Fraction]:

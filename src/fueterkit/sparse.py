@@ -73,25 +73,19 @@ def collect(pairs: Iterable[tuple[K, C]]) -> dict[K, C]:
 
 class Memo(dict):
     """A table that fills itself: ``memo[key]`` is ``fn(key)``, computed on
-    the first lookup and kept.  A table with a ``limit`` that is full when
-    a new key arrives is emptied first, so it never holds more than
-    ``limit`` entries and goes on keeping what arrives.  A kernel's memo
-    made for one call takes no limit; a table kept across calls (a
-    frame context's square tables, see ``radial``) takes one, so no run
-    of calls can grow it without bound."""
+    the first lookup and kept, after the entries of ``known``.  Each memo
+    is made for one kernel call and dropped with it, so none needs a
+    bound: the normal form's starts from the square tables a frame's
+    context keeps (see ``radial``)."""
 
-    __slots__ = ("_fn", "_limit")
+    __slots__ = ("_fn",)
 
-    def __init__(self, fn, limit: int | None = None):
-        super().__init__()
+    def __init__(self, fn, known=()):
+        super().__init__(known)
         self._fn = fn
-        self._limit = limit
 
     def __missing__(self, key):
-        value = self._fn(key)
-        if self._limit is not None and len(self) >= self._limit:
-            self.clear()
-        self[key] = value
+        value = self[key] = self._fn(key)
         return value
 
 

@@ -11,6 +11,7 @@ from fueterkit.clifford import (
     blade_text,
     mask_blade,
     mask_sign,
+    sign_mask,
     vector_embed,
 )
 
@@ -95,6 +96,16 @@ def test_mask_rule_matches_swap_count_on_every_pair_of_cl6():
             assert (mask_sign(ma, mb), mask_blade(ma ^ mb)) == want
             sign, blade = want
             assert (Multivector.blade(a, 6) * Multivector.blade(b, 6)).terms == {blade: sign}
+
+
+def test_sign_mask_is_the_xor_of_its_generators_low_masks():
+    for a in range(1 << 9):
+        want = 0
+        for g in range(9):
+            if a >> g & 1:
+                want ^= (2 << g) - 1
+        assert sign_mask(a) == want
+    assert all(sign_mask(1 << g) == (2 << g) - 1 for g in range(80))
 
 
 @pytest.mark.parametrize("dim, pairs", [(10, 400), (80, 60)])

@@ -2,13 +2,15 @@
 
 ``radial._frame_context`` holds a frame's Dirac plan of each scope (its
 axes, each with its generator's bit and that bit's low mask), the normal
-form's square tables and the group vectors.  Work counts pin that
-repeated calls build nothing anew; an oracle checks every axis's low-mask
-parity against ``clifford.mask_sign``, on every mask up to m = 6 and on
-random masks for all 80 generators of a (40, 40) frame; ``dirac`` and
-``re_mul`` on (40, 40) operands, the wide-blades probe input among them,
-are checked against sum e_j d_j from ``partial_derivative`` and against
-``Multivector`` products of each pair of rows.
+form's square tables of k = 0 and 1 and the group vectors.  Work counts
+pin that repeated calls build nothing anew, and normal forms that need
+higher tables leave the kept ones as they were; an oracle checks every
+axis's low-mask parity against ``clifford.mask_sign``, on every mask up
+to m = 6 and on random masks for all 80 generators of a (40, 40) frame;
+``dirac`` and ``re_mul`` on (40, 40) operands, the wide-blades probe
+input among them, are checked against sum e_j d_j from
+``partial_derivative`` and against ``Multivector`` products of each pair
+of rows.
 """
 
 import importlib.util
@@ -28,10 +30,12 @@ from fueterkit.radial import (
     SCOPE_FULL,
     SCOPE_SECOND,
     dirac,
+    evaluate_terms,
     is_monogenic,
     nu,
     omega,
     partial_derivative,
+    rational_point,
     re_mul,
     vector_x,
     vector_y,
@@ -93,6 +97,23 @@ def test_each_scope_splits_into_its_sides(fresh_tables):
     assert first[2] is None and second[1] is None
     assert len(full[1] + full[2]) == len(full[0])
     assert all(side[2:4] == axis[2:4] for side, axis in zip(full[1] + full[2], full[0]))
+
+
+def test_higher_square_tables_are_made_per_call_and_not_kept(fresh_tables):
+    squares = radial._frame_context(F33).squares
+    kept = dict(squares)
+    assert set(kept) == {(group, k) for group in "xy" for k in (0, 1)}
+    rng = random.Random(38)
+    points = [rational_point(F33, rng) for _ in range(3)]
+    for name in ("x3", "y3"):
+        lead = F33.coord_index(name)
+        for k in range(2, 41):
+            terms = (RadialExpr.coordinate(F33, name) ** (2 * k)).canonical_terms()
+            assert all(mono[lead] == 0 for mono, _blade, _a, _b in terms), (name, k)
+            for point in points:
+                assert evaluate_terms(F33, terms.items(), point) == {(): point[name] ** (2 * k)}, (name, k)
+    assert radial._frame_context.cache_info().misses == 1
+    assert squares == kept and all(squares[key] is table for key, table in kept.items())
 
 
 # -- each axis's low mask against mask_sign ----------------------------------------

@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from fueterkit.bivariate import BiaxialParams, BivariateRadial
 from fueterkit.clifford import Multivector
 from fueterkit.errors import PreconditionError, ShapeError, VerificationError
 from fueterkit.frame import AxisFrame
+from fueterkit.formatting import format_expression
 from fueterkit.fueter import (
     BiaxialComponents,
     apply_map,
@@ -66,6 +69,21 @@ def rot_y(frame=F33):
 
 def one(frame=F33):
     return RadialExpr.scalar(frame, 1)
+
+
+@contextmanager
+def _stopped_after(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+    def stop(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 class TestFtPreconditions:
@@ -192,6 +210,23 @@ class TestFtValues:
             fn = ft_plus if variant == "plus" else ft_minus
             out = fn(conj_power(n), hk, hl, F33)
             assert is_monogenic(out, SCOPE_FULL)
+
+    def test_a_huge_order_gives_zero_at_once(self):
+        """The state loop of the separated Laplacian power ends with its
+        last state: mu = 10^12 asks for 10^12 steps, and the image of
+        zbar^3 with constant factors dies after 3 steps (2 for minus)."""
+        seed = conj_power(3)
+        with _stopped_after(10):
+            assert ft_mu(seed, one(), one(), F33, "plus", mu=10 ** 12).is_zero()
+            assert ft_mu(seed, one(), one(), F33, "minus", mu=10 ** 12).is_zero()
+        want = ("-16*x3*y3*e36*r^-3 - 16*x3*y2*e35*r^-3 - 16*x3*y1*e34*r^-3 - 16*x2*y3*e26*r^-3"
+                " - 16*x2*y2*e25*r^-3 - 16*x2*y1*e24*r^-3 - 16*x1*y3*e16*r^-3 - 16*x1*y2*e15*r^-3"
+                " - 16*x1*y1*e14*r^-3 - 48*r^-1")
+        assert format_expression(ft_mu(seed, one(), one(), F33, "plus", mu=0)) == want
+        assert ft_mu(seed, one(), one(), F33, "minus", mu=0).is_zero()
+        for mu in (1, 2, 3):
+            for variant in ("plus", "minus"):
+                assert ft_mu(seed, one(), one(), F33, variant, mu=mu).is_zero(), (mu, variant)
 
     def test_mu_zero_reduces_to_direct_maps(self):
         seed = conj_power(6)

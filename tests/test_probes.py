@@ -55,7 +55,7 @@ class TestRecord:
 class TestTable:
     def test_about_a_dozen_named_cli_calls(self):
         names = [name for name, _argv in probes.PROBES]
-        assert 10 <= len(names) <= 16
+        assert 10 <= len(names) <= 17
         assert len(set(names)) == len(names)
         for _name, argv in probes.PROBES:
             assert argv[0] in COMMANDS

@@ -561,6 +561,26 @@ class TestLaplacian:
         assert laplacian_power(f, n, SCOPE_FIRST) == want
         assert calls == [SCOPE_FIRST] * n
 
+    def test_power_stops_at_zero(self, monkeypatch):
+        """A huge power of a harmonic expression takes one step, not n."""
+        calls = []
+        step = radial.laplacian
+
+        def counted(f, scope=SCOPE_FULL):
+            calls.append(scope)
+            assert len(calls) < 10, "the power kept stepping on zero"
+            return step(f, scope)
+
+        monkeypatch.setattr(radial, "laplacian", counted)
+        x1 = RadialExpr.coordinate(F33, "x1")
+        assert laplacian_power(x1, 10 ** 7).is_zero()
+        assert laplacian_power(x1 * x1, 10 ** 7, SCOPE_FIRST).is_zero()
+        assert calls == [SCOPE_FULL, SCOPE_FIRST, SCOPE_FIRST]
+        assert laplacian_power(RadialExpr.zero(F33), 10 ** 7).is_zero()
+        assert len(calls) == 4
+        with pytest.raises(ValueError, match="unknown scope"):
+            laplacian_power(RadialExpr.zero(F33), 10 ** 7, "nowhere")
+
     def test_fourth_dirac_power_is_squared_laplacian(self):
         f = re_mul(inner_x(F33, [1, 2, 0]), RadialExpr.radial(F33, 1, 2))
         four = f

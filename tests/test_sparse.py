@@ -60,10 +60,10 @@ def test_power_by_squaring_stores_the_repeated_product(name):
         want = want * x
 
 
-def test_memo_starts_over_at_its_limit():
+def test_memo_starts_from_its_known_entries():
     calls = []
-    table = Memo(lambda key: calls.append(key) or -key, 3)
-    assert [table[k] for k in (1, 2, 3, 4, 4, 1, 1)] == [-1, -2, -3, -4, -4, -1, -1]
-    # full at 4: emptied, then 4 and 1 kept, each computed once more
-    assert dict(table) == {4: -4, 1: -1}
-    assert calls == [1, 2, 3, 4, 1]
+    known = {1: "one"}
+    table = Memo(lambda key: calls.append(key) or -key, known)
+    assert [table[k] for k in (1, 2, 1, 2)] == ["one", -2, "one", -2]
+    assert calls == [2]
+    assert known == {1: "one"}

@@ -50,7 +50,8 @@ _WIDE_BLADES = "(x1+y1)*" + "*".join(
     for start, stop in ((2, 12), (12, 22), (22, 32), (32, 41)))
 
 # (name, argv): oversized inputs that must end with a defined exit code
-# (one of them runs out of memory under the limit),
+# (one of them runs out of memory under the limit, and a huge order whose
+# image dies after three Laplacian steps must end at once),
 # the large operands of the Dirac kernel's layout rule, and Fischer
 # decompositions that finish on both sides, so a slowdown reads as a ratio
 # (one of them on an input that carries the group's last coordinate), and
@@ -60,6 +61,8 @@ PROBES: tuple[tuple[str, list[str]], ...] = (
     ("apply Hk (x1+x2+x3)^60", _APPLY + ["--seed", "zbar^5", "--Hk", "(x1+x2+x3)^60", "--Hl", "ip(y,s)"]),
     ("apply Hk x1^100000000", _APPLY + ["--seed", "zbar^5", "--Hk", "x1^100000000", "--Hl", "ip(y,s)"]),
     ("apply zbar^100000", _APPLY + ["--seed", "zbar^100000", "--Hk", "ip(x,t)", "--Hl", "ip(y,s)"]),
+    ("apply --mu 99999999999", ["apply", "--p", "3", "--q", "3", "--variant", "plus", "--seed", "zbar^3",
+                                "--Hk", "1", "--Hl", "1", "--mu", "99999999999"]),
     ("fischer (x1+x2)^30", ["fischer", "--p", "3", "--H", "(x1+x2)^30"]),
     ("fischer (x1+x2)^40", ["fischer", "--p", "3", "--H", "(x1+x2)^40"]),
     ("fischer (x1+x2)^80", ["fischer", "--p", "3", "--H", "(x1+x2)^80"]),
